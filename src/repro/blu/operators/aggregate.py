@@ -34,28 +34,46 @@ def group_encode(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     n = len(key_arrays[0])
     if n == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-    # Sort rows by (keys..., row) so that equal keys are adjacent and the
-    # first row of each run is the group's earliest appearance.  np.lexsort
-    # takes keys minor-to-major, so the row number goes first and the primary
-    # grouping key last.
-    order = np.lexsort(tuple([np.arange(n)] + list(reversed(key_arrays))))
+    # One sort makes equal keys adjacent (np.lexsort takes keys
+    # minor-to-major); run order does not matter, because each run's first
+    # appearance is read off as its smallest row id.
+    if len(key_arrays) == 1:
+        order = np.argsort(key_arrays[0])
+    else:
+        order = np.lexsort(tuple(reversed(key_arrays)))
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
     for key in key_arrays:
         sorted_key = key[order]
         changed[1:] |= sorted_key[1:] != sorted_key[:-1]
-    run_id = np.cumsum(changed) - 1
-    group_of_row = np.empty(n, dtype=np.int64)
-    group_of_row[order] = run_id
+    run_starts = np.flatnonzero(changed)
+    first_of_run = np.minimum.reduceat(order, run_starts)
     # Renumber runs by first appearance so group 0 is the first row's group.
-    first_of_run = np.full(run_id[-1] + 1, n, dtype=np.int64)
-    np.minimum.at(first_of_run, group_of_row, np.arange(n))
-    appearance = np.argsort(first_of_run, kind="stable")
-    renumber = np.empty_like(appearance)
-    renumber[appearance] = np.arange(len(appearance))
-    group_index = renumber[group_of_row]
-    first_row = first_of_run[appearance]
+    renumber, first_row = appearance_rank(first_of_run, n)
+    group_index = np.empty(n, dtype=np.int64)
+    group_index[order] = np.repeat(renumber,
+                                   np.diff(run_starts, append=n))
     return group_index, first_row, len(first_row)
+
+
+def appearance_rank(first: np.ndarray,
+                    n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank groups by their (distinct) first rows without sorting them.
+
+    Returns ``(rank, first_row)``: ``rank[g]`` is group ``g``'s position in
+    first-appearance order and ``first_row`` lists the first rows in that
+    order — flag every first row, then count the flags in row order.
+    """
+    is_first = np.zeros(n_rows, dtype=bool)
+    is_first[first] = True
+    return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
+
+
+def first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
+    """First row of each dense group id (groups are appearance-ordered)."""
+    first = np.full(n_groups, len(group_index), dtype=np.int64)
+    np.minimum.at(first, group_index, np.arange(len(group_index)))
+    return first
 
 
 def _reduce(func: AggFunc, group_index: np.ndarray, n_groups: int,

@@ -104,7 +104,8 @@ class KmvSketch:
 
     def update(self, hashes: np.ndarray) -> None:
         """Fold a batch of 64-bit hashes into the sketch."""
-        batch = np.unique(np.asarray(hashes, dtype=np.uint64))
+        batch = _smallest_distinct(
+            np.asarray(hashes, dtype=np.uint64).ravel(), self.k + 1)
         if self._values is None:
             merged = batch
         else:
@@ -125,6 +126,24 @@ class KmvSketch:
         if normalised <= 0.0:
             return KmvEstimate(estimate=float(n), k=self.k, exact=False)
         return KmvEstimate(estimate=(self.k - 1) / normalised, k=self.k, exact=False)
+
+
+def _smallest_distinct(values: np.ndarray, limit: int) -> np.ndarray:
+    """The ``limit`` smallest distinct values, sorted (all when fewer).
+
+    ``np.partition`` isolates a small prefix of the batch without sorting
+    the rest; the prefix is every value up to some cut, so its distinct
+    values are exactly the batch's smallest.  A prefix that holds too few
+    is widened by the multiplicity it showed (doubled for slack) until it
+    holds ``limit`` distinct values or is the whole batch.
+    """
+    take = 2 * limit
+    while take < len(values):
+        head = np.unique(np.partition(values, take - 1)[:take])
+        if len(head) >= limit:
+            return head[:limit]
+        take = 2 * take * limit // len(head)
+    return np.unique(values)[:limit]
 
 
 def estimate_distinct(hashes: np.ndarray, k: int = 1024) -> KmvEstimate:

@@ -32,7 +32,9 @@ from repro.blu.engine import OperatorContext, cpu_groupby_executor
 from repro.blu.expressions import ColumnRef
 from repro.blu.evaluators import build_cpu_groupby_chain, build_gpu_host_chain
 from repro.blu.operators.aggregate import (
+    appearance_rank,
     build_group_output,
+    first_rows,
     group_encode,
     grouping_key_arrays,
 )
@@ -62,7 +64,7 @@ from repro.gpu.partition import (
     plan_groupby_partitions,
 )
 from repro.gpu.shard import (ShardPlan, hash_shard_assignment,
-                             home_devices, plan_sharded)
+                             home_devices, plan_sharded, split_rows)
 from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
 from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.streams import PipelineSpec, streamed_launch
@@ -320,7 +322,7 @@ class HybridGroupByExecutor:
                 cache.insert(segment.key, segment.nbytes)
 
         self._note_kmv(kmv.groups, winner.n_groups)
-        first_row = _first_rows(winner.group_index, winner.n_groups)
+        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             table, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{table.name}_grouped",
@@ -353,7 +355,8 @@ class HybridGroupByExecutor:
 
         partitions = plan.partitions
         hashes = murmur3_fmix64(combined)
-        part_of_row = (hashes % np.uint64(partitions)).astype(np.int64)
+        part_rows = split_rows(hash_shard_assignment(hashes, partitions),
+                               partitions)
         # One pass over the data to split it (host side, parallel).
         ctx.ledger.cpu("PARTITION", rows, rows / cost.cpu_scan_rate,
                        max_degree=ctx.degree)
@@ -376,20 +379,16 @@ class HybridGroupByExecutor:
         group_index = np.empty(rows, dtype=np.int64)
         offset = 0
 
-        def cpu_partition(rows_p, keys_p):
+        def cpu_partition(p, rows_p, keys_p, kmv_groups):
             """One partition on the CPU chain — the no-lease / fault
-            fallback target; returns (dense group index, group count)."""
-            sub_index, _, n_sub = group_encode([keys_p])
-            chain_events = build_gpu_host_chain(
-                rows=len(rows_p), num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
-                staged_bytes=0, cost=cost,
-            ).cost_events(ctx.degree)
-            ctx.ledger.extend(chain_events)
-            ctx.ledger.cpu(
-                "LGHT", len(rows_p),
-                len(rows_p) / cost.cpu_groupby_rate, ctx.degree)
-            return sub_index, n_sub
+            fallback target."""
+            nonlocal offset
+            note_part(p, len(rows_p), "cpu")
+            sub_index, n_sub = self._piece_on_cpu(keys_p, node, payloads,
+                                                  ctx)
+            self._note_kmv(kmv_groups, n_sub, stamp_span=False)
+            group_index[rows_p] = sub_index + offset
+            offset += n_sub
 
         def note_part(index, n_rows, target, device_id=-1):
             nonlocal gpu_parts, cpu_parts
@@ -404,12 +403,11 @@ class HybridGroupByExecutor:
                     query_id=self.query_id,
                 )
 
-        for p in range(partitions):
-            rows_p = np.nonzero(part_of_row == p)[0]
+        for p, rows_p in enumerate(part_rows):
             if not len(rows_p):
                 continue
             keys_p = combined[rows_p]
-            kmv = estimate_distinct(murmur3_fmix64(keys_p), k=1024)
+            kmv = estimate_distinct(hashes[rows_p], k=1024)
             metadata = RuntimeMetadata(
                 rows=len(rows_p),
                 optimizer_groups=optimizer_groups / partitions,
@@ -435,11 +433,7 @@ class HybridGroupByExecutor:
                                                tag="groupby-part")
             if lease is None:
                 # Partition runs on the CPU chain instead (truly hybrid).
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
+                cpu_partition(p, rows_p, keys_p, kmv.groups)
                 continue
             for event in host_chain.cost_events(ctx.degree):
                 ctx.ledger.add(event)
@@ -489,22 +483,14 @@ class HybridGroupByExecutor:
                 # CPU chain; the breaker is not fed.
                 if self.monitor is not None:
                     self.monitor.record_fault_fallback("groupby", exc)
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
+                cpu_partition(p, rows_p, keys_p, kmv.groups)
                 continue
             except GpuError as exc:
                 self.scheduler.record_failure(lease)
                 if self.monitor is not None:
                     self.monitor.record_fault_fallback(
                         "groupby", exc, lease.device.device_id)
-                note_part(p, len(rows_p), "cpu")
-                sub_index, n_sub = cpu_partition(rows_p, keys_p)
-                self._note_kmv(kmv.groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
+                cpu_partition(p, rows_p, keys_p, kmv.groups)
                 continue
             else:
                 self.scheduler.record_success(lease)
@@ -526,12 +512,9 @@ class HybridGroupByExecutor:
         # global first-appearance order (one remap pass over the group
         # index), which makes the concatenated output bit-identical to
         # the stock CPU chain's hash-insertion order.
-        first = _first_rows(group_index, offset)
-        rank = np.argsort(first, kind="stable")
-        remap = np.empty(offset, dtype=np.int64)
-        remap[rank] = np.arange(offset, dtype=np.int64)
+        remap, first_row = appearance_rank(first_rows(group_index, offset),
+                                           rows)
         group_index = remap[group_index]
-        first_row = first[rank]
         merge_core_seconds = (offset / cost.cpu_merge_rate
                               + rows / cost.cpu_scan_rate)
         ctx.ledger.cpu("PARTITION-MERGE", rows, merge_core_seconds,
@@ -629,7 +612,8 @@ class HybridGroupByExecutor:
         key_bits = metadata.key_bits
         shards = plan.shards
         num_cols = len(node.keys) + max(1, len(payloads))
-        shard_of_row = hash_shard_assignment(hashes, shards)
+        shard_rows = split_rows(hash_shard_assignment(hashes, shards),
+                                shards)
         # The host only builds the shard index vectors (bandwidth-bound);
         # computing the per-row hash is on-device work, priced in each
         # shard's decode+hash prep slice below.
@@ -640,16 +624,12 @@ class HybridGroupByExecutor:
 
         # First pass sizes every shard so the H2D wave can be priced
         # with the real switch contention before anything launches.
-        shard_rows = []
         shard_meta = []
-        for s in range(shards):
-            rows_s = np.nonzero(shard_of_row == s)[0]
-            shard_rows.append(rows_s)
+        for rows_s in shard_rows:
             if not len(rows_s):
                 shard_meta.append(None)
                 continue
-            kmv = estimate_distinct(murmur3_fmix64(combined[rows_s]),
-                                    k=1024)
+            kmv = estimate_distinct(hashes[rows_s], k=1024)
             shard_meta.append(RuntimeMetadata(
                 rows=len(rows_s),
                 optimizer_groups=metadata.optimizer_groups / shards,
@@ -671,21 +651,6 @@ class HybridGroupByExecutor:
         lost_devices: set[int] = set()
         group_index = np.empty(rows, dtype=np.int64)
         offset = 0
-
-        def cpu_shard(rows_s, keys_s):
-            """One shard on the CPU chain — the reroute-of-last-resort;
-            returns (dense group index, group count)."""
-            sub_index, _, n_sub = group_encode([keys_s])
-            chain_events = build_gpu_host_chain(
-                rows=len(rows_s), num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
-                staged_bytes=0, cost=cost,
-            ).cost_events(ctx.degree)
-            ctx.ledger.extend(chain_events)
-            ctx.ledger.cpu(
-                "LGHT", len(rows_s),
-                len(rows_s) / cost.cpu_groupby_rate, ctx.degree)
-            return sub_index, n_sub
 
         def note_shard(index, n_rows, target, device_id=-1):
             nonlocal gpu_shards, cpu_shards
@@ -801,7 +766,9 @@ class HybridGroupByExecutor:
                     self.scheduler.release(lease)
             if winner is None:
                 note_shard(s, len(rows_s), "cpu")
-                sub_index, n_sub = cpu_shard(rows_s, keys_s)
+                # The CPU chain is the reroute of last resort.
+                sub_index, n_sub = self._piece_on_cpu(keys_s, node,
+                                                      payloads, ctx)
                 self._note_kmv(meta_s.kmv_groups, n_sub, stamp_span=False)
                 group_index[rows_s] = sub_index + offset
                 offset += n_sub
@@ -831,14 +798,11 @@ class HybridGroupByExecutor:
             gpu_seconds=exchange_seconds,
         ))
 
-        # PR 9's renumber-merge, verbatim: disjoint per-shard group ids
-        # renumber into global first-appearance order.
-        first = _first_rows(group_index, offset)
-        rank = np.argsort(first, kind="stable")
-        remap = np.empty(offset, dtype=np.int64)
-        remap[rank] = np.arange(offset, dtype=np.int64)
+        # PR 9's renumber-merge: disjoint per-shard group ids renumber
+        # into global first-appearance order.
+        remap, first_row = appearance_rank(first_rows(group_index, offset),
+                                           rows)
         group_index = remap[group_index]
-        first_row = first[rank]
         # Per-shard aggregation is complete (disjoint group sets), so
         # only the group tables merge on the host — O(groups), unlike
         # the partitioned path whose slices share groups and rebuild a
@@ -871,6 +835,20 @@ class HybridGroupByExecutor:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+
+    def _piece_on_cpu(self, keys: np.ndarray, node: GroupByNode,
+                      payloads: list, ctx: OperatorContext):
+        """One partition or shard on the CPU chain; returns its (dense
+        group index, group count)."""
+        cost = ctx.config.cost
+        sub_index, _, n_sub = group_encode([keys])
+        ctx.ledger.extend(build_gpu_host_chain(
+            rows=len(keys), num_keys=len(node.keys),
+            num_aggs=max(1, len(payloads)), staged_bytes=0, cost=cost,
+        ).cost_events(ctx.degree))
+        ctx.ledger.cpu("LGHT", len(keys), len(keys) / cost.cpu_groupby_rate,
+                       ctx.degree)
+        return sub_index, n_sub
 
     def _staged_segments(self, table: Table,
                          node: GroupByNode) -> list[StagedSegment]:
@@ -980,9 +958,3 @@ def _staged_key_bytes(table: Table, keys) -> int:
     """Bytes MEMCPY stages for the key columns, at their packed widths."""
     return sum(_packed_key_bytes(table.column(name)) for name in keys)
 
-
-def _first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
-    """First row of each dense group id (groups are appearance-ordered)."""
-    first = np.full(n_groups, len(group_index), dtype=np.int64)
-    np.minimum.at(first, group_index, np.arange(len(group_index)))
-    return first

@@ -44,7 +44,8 @@ from repro.errors import GpuError, PinnedMemoryError
 from repro.obs.tracing import NULL_TRACER
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.interconnect import Interconnect
-from repro.gpu.kernels.radix_sort import RadixSortKernel
+from repro.gpu.kernels.radix_sort import (RadixSortKernel,
+                                          find_duplicate_ranges)
 from repro.gpu.partition import PartitionStreamState, plan_sort_partitions
 from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
                              range_shard_bounds)
@@ -276,24 +277,23 @@ class HybridSortExecutor:
                 else:
                     result = None
                 if result is None:
-                    sub_order, duplicate_ranges = _cpu_sort_job(
-                        partial, cost, ctx, stats, charge=False)
+                    sub_order, (dup_starts, dup_lengths) = _cpu_sort_job(
+                        partial, stats)
                     cpu_batch_rows += job.length
                     if job.length > 1:
                         cpu_batch_comparisons += (
                             job.length * math.log2(job.length))
                     span.attributes["target"] = "cpu"
                 else:
-                    sub_order, duplicate_ranges = result
+                    sub_order, (dup_starts, dup_lengths) = result
                     span.attributes["target"] = "gpu"
 
             order[job.start:job.start + job.length] = rows_idx[sub_order]
 
             next_offset = job.key_offset + 4
-            if next_offset < total_bytes and duplicate_ranges:
+            if next_offset < total_bytes and len(dup_starts):
                 self._drain_duplicate_ranges(
-                    encoded, order,
-                    [(job.start + d[0], d[1]) for d in duplicate_ranges],
+                    encoded, order, job.start + dup_starts, dup_lengths,
                     next_offset, total_bytes, radix, ctx, stats,
                     table.name, queue)
         if cpu_batch_rows:
@@ -377,8 +377,8 @@ class HybridSortExecutor:
                 and hit_bytes == 0):
             cache.insert(segment.key, segment.nbytes)
         stats.jobs_gpu += 1
-        ranges = [(d.start, d.length) for d in result.duplicate_ranges]
-        return result.order, ranges
+        return result.order, (result.duplicate_starts,
+                              result.duplicate_lengths)
 
     # ------------------------------------------------------------------
     # Extension: partitioned processing of over-memory jobs
@@ -491,7 +491,7 @@ class HybridSortExecutor:
             )
         stats.jobs_gpu += 1
         stats.partitioned_jobs += 1
-        return sub_order, _duplicate_ranges(partial[sub_order])
+        return sub_order, find_duplicate_ranges(partial[sub_order])
 
     def _gpu_sort_slice(self, sub: np.ndarray, radix: RadixSortKernel,
                         ctx: OperatorContext, stream: PartitionStreamState,
@@ -767,14 +767,15 @@ class HybridSortExecutor:
             )
         stats.jobs_gpu += 1
         stats.sharded_jobs += 1
-        return sub_order, _duplicate_ranges(partial[sub_order])
+        return sub_order, find_duplicate_ranges(partial[sub_order])
 
     # ------------------------------------------------------------------
     # Extension: segmented descent through duplicate ranges
     # ------------------------------------------------------------------
 
     def _drain_duplicate_ranges(self, encoded: np.ndarray,
-                                order: np.ndarray, ranges, offset: int,
+                                order: np.ndarray, starts: np.ndarray,
+                                lengths: np.ndarray, offset: int,
                                 total_bytes: int, radix: RadixSortKernel,
                                 ctx: OperatorContext, stats: SortRunStats,
                                 table_name: str, queue) -> None:
@@ -793,50 +794,41 @@ class HybridSortExecutor:
         classic per-range queue.
         """
         cost = ctx.config.cost
-        while ranges and offset < total_bytes:
-            rows = sum(r[1] for r in ranges)
-            if len(ranges) < 2 or rows < cost.cpu_sort_job_threshold:
-                for start, length in ranges:
-                    stats.duplicate_jobs += 1
-                    queue.append(SortJob(start, length, offset))
+        while len(starts) and offset < total_bytes:
+            rows = int(lengths.sum())
+            if len(starts) < 2 or rows < cost.cpu_sort_job_threshold:
+                stats.duplicate_jobs += len(starts)
+                queue.extend(SortJob(start, length, offset) for start, length
+                             in zip(starts.tolist(), lengths.tolist()))
                 return
-            stats.duplicate_jobs += len(ranges)
+            stats.duplicate_jobs += len(starts)
             stats.jobs_total += 1
-            lengths = np.array([r[1] for r in ranges], dtype=np.int64)
-            positions = np.concatenate(
-                [np.arange(s, s + n) for s, n in ranges])
+            seg = np.repeat(np.arange(len(starts)), lengths)
+            # Row p of the packed generation sits at its range's start
+            # plus its rank inside the range.
+            packed_starts = np.cumsum(lengths) - lengths
+            positions = np.arange(rows) + (starts - packed_starts)[seg]
             rows_idx = order[positions]
             partial = extract_partial_keys(encoded, rows_idx, offset)
-            seg = np.repeat(np.arange(len(ranges), dtype=np.int64),
-                            lengths)
             ctx.ledger.add(CostEvent(
                 op="PARTIALKEY", rows=rows,
                 cpu_seconds=rows / cost.cpu_partialkey_rate,
                 max_degree=min(ctx.degree, 48),
             ))
-            # Stable by (segment, partial key): within each segment this
-            # is exactly the per-range sort; across segments nothing
-            # moves.
-            perm = np.lexsort((partial, seg))
-            self._charge_segmented(rows, len(ranges), radix, ctx, stats,
+            # Stable by (segment, partial key), packed into one word:
+            # within each segment this is exactly the per-range sort;
+            # across segments nothing moves.
+            seg_key = (seg.astype(np.uint64) << np.uint64(32)) | partial
+            perm = np.argsort(seg_key, kind="stable")
+            self._charge_segmented(rows, len(starts), radix, ctx, stats,
                                    table_name)
             order[positions] = rows_idx[perm]
 
-            sorted_partial = partial[perm]
-            sorted_seg = seg[perm]
-            change = np.empty(rows, dtype=bool)
-            change[0] = True
-            change[1:] = ((sorted_partial[1:] != sorted_partial[:-1])
-                          | (sorted_seg[1:] != sorted_seg[:-1]))
-            run_starts = np.nonzero(change)[0]
-            run_lengths = np.diff(np.append(run_starts, rows))
             # A run stays inside one segment, and sorted rank p lands at
             # absolute slot positions[p], so each surviving run is again
             # one contiguous absolute range.
-            ranges = [
-                (int(positions[rs]), int(rl))
-                for rs, rl in zip(run_starts, run_lengths) if rl > 1
-            ]
+            run_starts, lengths = find_duplicate_ranges(seg_key[perm])
+            starts = positions[run_starts]
             offset += 4
 
     def _charge_segmented(self, rows: int, segments: int,
@@ -1041,34 +1033,12 @@ class HybridSortExecutor:
         ))
 
 
-def _cpu_sort_job(partial: np.ndarray, cost, ctx: OperatorContext,
-                  stats: SortRunStats, charge: bool = True):
+def _cpu_sort_job(partial: np.ndarray, stats: SortRunStats):
     """Sort a small job on the host (stable, like the radix kernel).
 
-    ``charge=False`` skips the ledger event; the job queue pools those
-    into one parallel-degree SORT charge once it drains.
+    No ledger event here: the job queue pools these jobs into one
+    parallel-degree SORT charge once it drains.
     """
-    length = len(partial)
     sub_order = np.argsort(partial, kind="stable")
-    if charge and length > 1:
-        comparisons = length * math.log2(length)
-        ctx.ledger.add(CostEvent(
-            op="SORT", rows=length,
-            cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
-            max_degree=min(ctx.degree, 8),
-        ))
     stats.jobs_cpu += 1
-    return sub_order, _duplicate_ranges(partial[sub_order])
-
-
-def _duplicate_ranges(sorted_keys: np.ndarray) -> list[tuple[int, int]]:
-    """Runs of equal keys in an already-sorted array (start, length)."""
-    length = len(sorted_keys)
-    if not length:
-        return []
-    change = np.empty(length, dtype=bool)
-    change[0] = True
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.nonzero(change)[0]
-    lengths = np.diff(np.append(starts, length))
-    return [(int(s), int(n)) for s, n in zip(starts, lengths) if n > 1]
+    return sub_order, find_duplicate_ranges(partial[sub_order])

@@ -48,6 +48,7 @@ from repro.blu.operators.join import _aligned_keys, _assemble, cpu_probe_rate
 from repro.blu.operators.scan import execute_scan
 from repro.blu.operators.aggregate import (
     build_group_output,
+    first_rows,
     grouping_key_arrays,
 )
 from repro.blu.plan import (
@@ -642,7 +643,7 @@ class FusedExecutor:
                 groupby_span.attributes["kmv_groups"] = int(kmv.groups)
                 groupby_span.attributes["kmv_relative_error"] = error
 
-        first_row = _first_rows(winner.group_index, winner.n_groups)
+        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             current, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{current.name}_grouped",
@@ -871,13 +872,6 @@ def _owner_of(column: Optional[str],
 def _expr_column(expr) -> Optional[str]:
     names = expr.columns()
     return names[0] if len(names) == 1 else None
-
-
-def _first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
-    """First row of each dense group id (groups are appearance-ordered)."""
-    first = np.full(n_groups, len(group_index), dtype=np.int64)
-    np.minimum.at(first, group_index, np.arange(len(group_index)))
-    return first
 
 
 def _packed_key_bytes(col) -> int:

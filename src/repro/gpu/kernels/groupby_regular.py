@@ -8,7 +8,6 @@ operations immediately after finding the group.
 
 from __future__ import annotations
 
-from repro.blu.operators.aggregate import group_encode
 from repro.config import CostModel
 from repro.gpu.kernels.atomics import AtomicsModel
 from repro.gpu.kernels.hashtable import GpuHashTable
@@ -43,8 +42,8 @@ class RegularGroupByKernel:
             request.estimated_groups, request.key_bits, request.payloads,
             headroom=headroom,
         )
-        row_slot, stats = table.insert(request.keys)
-        group_index, _first, n_groups = group_encode([row_slot])
+        _row_slot, stats = table.insert(request.keys)
+        n_groups = stats.groups         # fresh table: one entry per group
 
         init_seconds = table.table_bytes / self.cost.gpu_init_rate
         insert_seconds = stats.total_accesses / self.cost.gpu_ht_insert_rate
@@ -55,7 +54,7 @@ class RegularGroupByKernel:
         )
         return GroupByKernelResult(
             kernel=self.name,
-            group_index=group_index,
+            group_index=stats.group_index,
             n_groups=n_groups,
             kernel_seconds=init_seconds + insert_seconds + agg_seconds,
             table_bytes=table.table_bytes,

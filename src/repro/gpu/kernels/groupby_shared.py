@@ -66,25 +66,19 @@ class SharedMemoryGroupByKernel:
         rows = request.rows
         capacity = self.shared_capacity_groups(request)
 
-        # Phase 1: each SMX processes a contiguous slice into its own
-        # shared-memory table; a slice whose group count exceeds shared
-        # capacity must flush (merge early) once per overflow.
-        bounds = np.linspace(0, rows, self.smx_count + 1, dtype=np.int64)
-        partial_entries = 0
-        flushes = 0
-        partial_assignments: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(self.smx_count):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi <= lo:
-                continue
-            chunk = keys[lo:hi]
-            index, first, n_chunk_groups = group_encode([chunk])
-            partial_entries += n_chunk_groups
-            flushes += max(0, -(-n_chunk_groups // capacity) - 1)
-            partial_assignments.append((chunk[first], np.arange(lo, hi)))
-
-        # Phase 2: merge partial tables into the global device table.
+        # Phase 2's merge result — the global group assignment — also
+        # yields phase 1: each SMX builds a shared-memory table over its
+        # contiguous slice, holding the groups seen there; a slice whose
+        # group count exceeds shared capacity must flush (merge early)
+        # once per overflow.
         group_index, _first, n_groups = group_encode([keys])
+        bounds = np.linspace(0, rows, self.smx_count + 1, dtype=np.int64)
+        smx_of_row = np.repeat(np.arange(self.smx_count), np.diff(bounds))
+        seen = np.zeros((self.smx_count, n_groups), dtype=bool)
+        seen[smx_of_row, group_index] = True
+        chunk_groups = seen.sum(axis=1)
+        partial_entries = int(chunk_groups.sum())
+        flushes = int(np.maximum(0, -(-chunk_groups // capacity) - 1).sum())
 
         layout = HashTableLayout.build(request.key_bits, request.payloads)
         global_slots = max(16, int(max(request.estimated_groups, n_groups)

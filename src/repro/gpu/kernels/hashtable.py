@@ -11,19 +11,22 @@ Three pieces of section 4.3.1 live here:
   rows hash to a slot (mod hash for keys up to 64 bits, Murmur beyond),
   claim empty slots atomically (first writer wins, losers retry — the
   atomicCAS behaviour), and linearly probe past occupied mismatches.  The
-  simulation counts every probe so the cost model charges the real probe
-  traffic, and raises :class:`~repro.errors.HashTableOverflowError` when
+  simulation walks each *distinct* key once (all its rows share one probe
+  path) and counts every row's probes, so the cost model charges the real
+  probe traffic, and raises :class:`~repro.errors.HashTableOverflowError` when
   the table was sized too small — the error path the KMV estimate guards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from repro.blu.datatypes import TypeKind
 from repro.blu.expressions import AggFunc
+from repro.blu.operators.aggregate import group_encode
 from repro.blu.statistics import murmur3_fmix64, murmur3_combine
 from repro.errors import HashTableOverflowError
 from repro.gpu.kernels.request import PayloadSpec
@@ -155,6 +158,10 @@ class InsertStats:
     rounds: int               # CAS retry rounds
     groups: int
     slots: int
+    #: Dense first-appearance group id per inserted row: the insert's own
+    #: factorisation, so callers need not re-derive it from the slots.
+    group_index: Optional[np.ndarray] = field(default=None, compare=False,
+                                              repr=False)
 
     @property
     def fill_ratio(self) -> float:
@@ -214,19 +221,29 @@ class GpuHashTable:
 
         Simulates the massively-parallel loop: all unresolved rows act each
         round; empty slots are claimed first-writer-wins (atomicCAS), losers
-        retry, occupied mismatches probe linearly.
+        retry, occupied mismatches probe linearly.  Every row of a key walks
+        the same probe path, so the rounds run over the *distinct* keys
+        (ordered by first appearance, weighted by multiplicity): the key
+        with the earliest first row wins a contested empty slot, and its
+        key-mates find the entry one round later.
         """
-        n = len(keys)
-        keys = keys.astype(np.int64)
-        if np.any(keys == _EMPTY):
-            # The sentinel is not a legal key; remap it (paper: all-F key
-            # pattern is reserved as the empty marker).
-            keys = np.where(keys == _EMPTY, _EMPTY + 1, keys)
-        row_slot = np.full(n, -1, dtype=np.int64)
-        cur = self._slot_of(keys)
-        active = np.arange(n)
+        keys = np.asarray(keys, dtype=np.int64)
+        group_index, first_row, n_keys = group_encode([keys])
+        dkeys = keys[first_row]
+        weight = np.bincount(group_index, minlength=n_keys)
+        if (dkeys == _EMPTY).any():
+            # The all-F pattern marks a free slot, so a key equal to it
+            # rides under the nearest value absent from this (only) batch.
+            alias = _EMPTY + 1
+            while (dkeys == alias).any():
+                alias += 1
+            dkeys[dkeys == _EMPTY] = alias
+        key_slot = np.full(n_keys, -1, dtype=np.int64)
+        cur = self._slot_of(dkeys)
+        active = np.arange(n_keys)
         probes = 0
         rounds = 0
+        mates_pending = False
         max_rounds = 4 * self.slots + 64
         while active.size:
             rounds += 1
@@ -236,49 +253,47 @@ class GpuHashTable:
                     f"(slots={self.slots})"
                 )
             slots_now = cur[active]
+            active_keys = dkeys[active]
             occupants = self.table[slots_now]
-            active_keys = keys[active]
+            resolved = occupants == active_keys     # key already present
+            empty = np.flatnonzero(occupants == _EMPTY)
 
-            matched = occupants == active_keys
-            empty = occupants == _EMPTY
-
-            # atomicCAS: the first active row targeting each empty slot wins.
-            if empty.any():
-                empty_rows = active[empty]
-                empty_slots = slots_now[empty]
-                uniq_slots, first_idx = np.unique(empty_slots, return_index=True)
-                winners = empty_rows[first_idx]
-                self.table[uniq_slots] = keys[winners]
-                self.filled += len(uniq_slots)
-                row_slot[winners] = uniq_slots
+            # atomicCAS: ``active`` ascends by first row, so scattering in
+            # reverse leaves the earliest contender in each empty slot.
+            mates_pending = False
+            if empty.size:
+                target, claim = slots_now[empty], active_keys[empty]
+                self.table[target[::-1]] = claim[::-1]
+                won = empty[self.table[target] == claim]
+                resolved[won] = True
+                self.filled += len(won)
+                mates_pending = bool((weight[active[won]] > 1).any())
                 if self.filled > self.slots:
                     raise HashTableOverflowError("slot accounting corrupted")
 
-            if matched.any():
-                row_slot[active[matched]] = slots_now[matched]
-
-            # Remaining rows: either lost a CAS race (retry same slot) or hit
-            # an occupied mismatch (probe to the next slot).
-            unresolved = row_slot[active] == -1
-            if not unresolved.any():
+            key_slot[active[resolved]] = slots_now[resolved]
+            active = active[~resolved]
+            if not active.size:
                 break
-            still = active[unresolved]
-            occupants_still = self.table[cur[still]]
-            mismatch = (occupants_still != keys[still]) & (occupants_still != _EMPTY)
-            cur[still[mismatch]] = (cur[still[mismatch]] + 1) % self.slots
-            probes += int(mismatch.sum())
-            active = still
+            # Everyone left faces an occupied mismatch: probe onward.
+            cur[active] = (cur[active] + 1) % self.slots
+            probes += int(weight[active].sum())
 
             if self.filled >= self.slots:
                 # Table is full: any unresolved key absent from the table
                 # can never be inserted — the estimate was too small.
-                missing = ~np.isin(keys[active], self.table)
+                missing = ~np.isin(dkeys[active], self.table)
                 if missing.any():
                     raise HashTableOverflowError(
                         f"hash table full at {self.slots} slots with "
-                        f"{int(missing.sum())} unplaced keys "
+                        f"{int(weight[active][missing].sum())} unplaced keys "
                         "(group estimate too small)"
                     )
-        stats = InsertStats(rows=n, probes=probes, rounds=rounds,
-                            groups=self.filled, slots=self.slots)
-        return row_slot, stats
+        if mates_pending:
+            # The last winners' key-mates lost the CAS and match one
+            # round later.
+            rounds += 1
+        stats = InsertStats(rows=len(keys), probes=probes, rounds=rounds,
+                            groups=self.filled, slots=self.slots,
+                            group_index=group_index)
+        return key_slot[group_index], stats

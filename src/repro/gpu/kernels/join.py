@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.blu.operators.aggregate import group_encode
 from repro.config import CostModel
 from repro.errors import GpuError
 from repro.gpu.kernels.hashtable import GpuHashTable, HashTableLayout, MaskField
@@ -75,18 +76,17 @@ class HashJoinKernel:
         """
         build_keys = build_keys.astype(np.int64)
         probe_keys = probe_keys.astype(np.int64)
-        if len(np.unique(build_keys)) != len(build_keys):
-            raise GpuError(
-                "hash_join kernel requires unique build keys "
-                "(many-to-many joins run on the CPU)"
-            )
-
         table = GpuHashTable(
             slots=max(16, int(len(build_keys) * headroom)),
             key_bits=key_bits,
             layout=_join_layout(key_bits),
         )
         row_slot, insert_stats = table.insert(build_keys)
+        if insert_stats.groups != len(build_keys):
+            raise GpuError(
+                "hash_join kernel requires unique build keys "
+                "(many-to-many joins run on the CPU)"
+            )
         # slot -> build row id ("pointer" payload of the entry).
         slot_row = np.full(table.slots, -1, dtype=np.int64)
         slot_row[row_slot] = np.arange(len(build_keys))
@@ -124,26 +124,27 @@ class HashJoinKernel:
 
 
 def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Parallel linear-probing lookups: slot of each key's match or -1."""
-    n = len(keys)
-    result = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return result, 0
-    cur = table._slot_of(keys)
-    active = np.arange(n)
+    """Parallel linear-probing lookups: slot of each key's match or -1.
+
+    Rows with equal keys walk the same path, so the walk runs once per
+    distinct key and its probe steps count once per row of that key.
+    """
+    key_of_row, first_row, n_keys = group_encode([keys])
+    distinct = keys[first_row]
+    weight = np.bincount(key_of_row, minlength=n_keys)
+    found = np.full(n_keys, -1, dtype=np.int64)
+    cur = table._slot_of(distinct)
+    active = np.arange(n_keys)
     extra_probes = 0
     empty = np.int64(np.iinfo(np.int64).min)
     for _round in range(table.slots + 1):
         if not active.size:
             break
         occupants = table.table[cur[active]]
-        active_keys = keys[active]
-        hit = occupants == active_keys
-        miss = occupants == empty               # definitively absent
-        result[active[hit]] = cur[active[hit]]
-        unresolved = ~(hit | miss)
-        still = active[unresolved]
-        cur[still] = (cur[still] + 1) % table.slots
-        extra_probes += len(still)
-        active = still
-    return result, extra_probes
+        hit = occupants == distinct[active]
+        found[active[hit]] = cur[active[hit]]
+        # An empty slot means definitively absent; the rest probe on.
+        active = active[~hit & (occupants != empty)]
+        cur[active] = (cur[active] + 1) % table.slots
+        extra_probes += int(weight[active].sum())
+    return found[key_of_row], extra_probes

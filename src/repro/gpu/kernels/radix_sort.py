@@ -7,8 +7,9 @@ the *duplicate ranges* — runs of tuples whose 4-byte partial keys are
 identical — which the host turns into follow-up jobs on the next 4 key
 bytes.
 
-The functional sort is numpy's stable argsort (same output as an LSD radix
-sort); the cost is priced per radix pass.
+The functional sort is an LSD radix sort too, at 16 bits per pass — the
+digit width numpy's stable sort counts in linear time — so the output is
+the one stable order; the cost is priced per modelled 8-bit pass.
 """
 
 from __future__ import annotations
@@ -37,9 +38,16 @@ class RadixSortResult:
     """Sorted order, duplicate ranges, and simulated timing."""
 
     order: np.ndarray
-    duplicate_ranges: list[DuplicateRange]
+    #: Start and length of every duplicate range, as parallel int64 arrays.
+    duplicate_starts: np.ndarray
+    duplicate_lengths: np.ndarray
     kernel_seconds: float
     device_bytes: int
+
+    @property
+    def duplicate_ranges(self) -> list[DuplicateRange]:
+        return [DuplicateRange(s, n) for s, n in zip(
+            self.duplicate_starts.tolist(), self.duplicate_lengths.tolist())]
 
 
 class RadixSortKernel:
@@ -58,10 +66,11 @@ class RadixSortKernel:
         """Sort ``keys`` (uint32 partial keys); stable within equal keys."""
         keys = np.ascontiguousarray(keys, dtype=np.uint32)
         rows = len(keys)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+        high = (keys >> np.uint32(16)).astype(np.uint16)
+        order = order[np.argsort(high[order], kind="stable")]
 
-        sorted_keys = keys[order]
-        duplicate_ranges = _find_duplicate_ranges(sorted_keys)
+        starts, lengths = find_duplicate_ranges(keys[order])
 
         kernel_seconds = (
             rows * _PASSES / (self.cost.gpu_radix_sort_rate * _PASSES)
@@ -71,24 +80,20 @@ class RadixSortKernel:
         kernel_seconds += rows / self.cost.gpu_scan_rate if rows else 0.0
         return RadixSortResult(
             order=order,
-            duplicate_ranges=duplicate_ranges,
+            duplicate_starts=starts,
+            duplicate_lengths=lengths,
             kernel_seconds=kernel_seconds,
             device_bytes=self.device_bytes(rows),
         )
 
 
-def _find_duplicate_ranges(sorted_keys: np.ndarray) -> list[DuplicateRange]:
-    """Runs of length > 1 in an already-sorted key array."""
+def find_duplicate_ranges(
+        sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of length > 1 in a sorted array."""
     n = len(sorted_keys)
-    if n == 0:
-        return []
-    change = np.empty(n, dtype=bool)
-    change[0] = True
+    change = np.ones(n, dtype=bool)
     change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.nonzero(change)[0]
-    lengths = np.diff(np.append(starts, n))
-    return [
-        DuplicateRange(int(s), int(length))
-        for s, length in zip(starts, lengths)
-        if length > 1
-    ]
+    starts = np.flatnonzero(change)
+    lengths = np.diff(starts, append=n)
+    repeated = lengths > 1
+    return starts[repeated], lengths[repeated]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blu.statistics import (
     KmvSketch,
@@ -91,3 +92,61 @@ class TestKmv:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             KmvSketch(k=1)
+
+
+def _update_by_full_unique(sketch: KmvSketch, hashes: np.ndarray) -> None:
+    """The reference ``KmvSketch.update``: sort-and-dedupe the whole batch,
+    then keep the k smallest (kept verbatim as the oracle)."""
+    batch = np.unique(np.asarray(hashes, dtype=np.uint64))
+    if sketch._values is None:
+        merged = batch
+    else:
+        merged = np.union1d(sketch._values, batch)
+    if len(merged) > sketch.k:
+        merged = merged[: sketch.k]
+        sketch._saturated = True
+    sketch._values = merged
+
+
+@st.composite
+def _hash_batches(draw, k):
+    """Batch sequences whose sizes and distinct counts straddle ``k``."""
+    edge = st.sampled_from([0, 1, k - 1, k, k + 1, 2 * k + 1, 2 * k + 2,
+                            2 * k + 3, 5 * k])
+    sizes = draw(st.lists(edge | st.integers(0, 6 * k),
+                          min_size=1, max_size=4))
+    batches = []
+    for size in sizes:
+        cardinality = draw(edge | st.integers(1, 6 * k))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, max(1, cardinality), size)
+        batches.append(murmur3_fmix64(ids.astype(np.int64) + seed))
+    return batches
+
+
+class TestKmvMatchesFullUniqueOracle:
+    """The partition-based update is exact: same kept values, same
+    saturation flag, so the same ``(estimate, exact)`` after every batch."""
+
+    @pytest.mark.parametrize("k", [2, 16, 1024])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_estimate_after_every_batch(self, k, data):
+        new, ref = KmvSketch(k=k), KmvSketch(k=k)
+        for batch in data.draw(_hash_batches(k)):
+            new.update(batch)
+            _update_by_full_unique(ref, batch)
+            assert np.array_equal(new._values, ref._values)
+            got, want = new.estimate(), ref.estimate()
+            assert (got.estimate, got.exact) == (want.estimate, want.exact)
+
+    @pytest.mark.parametrize("k", [2, 16, 1024])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_distinct_count_at_the_k_boundary(self, k, delta):
+        hashes = murmur3_fmix64(np.arange(k + delta, dtype=np.int64))
+        new, ref = KmvSketch(k=k), KmvSketch(k=k)
+        new.update(np.tile(hashes, 3))
+        _update_by_full_unique(ref, np.tile(hashes, 3))
+        assert new.estimate() == ref.estimate()
+        assert new.estimate().exact == (delta < 0)

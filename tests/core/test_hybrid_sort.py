@@ -12,7 +12,9 @@ from repro.core.hybrid_sort import (
     encode_sort_keys,
     extract_partial_keys,
 )
+from repro.core.hybrid_sort import HybridSortExecutor
 from tests.conftest import tables_equal
+from tests.gpu.row_level_oracles import drain_duplicate_ranges_list
 
 
 class TestKeyEncoding:
@@ -131,3 +133,37 @@ class TestHybridSortExecution:
             "SELECT s_channel, s_qty FROM sales ORDER BY s_channel, s_qty")
         ops = [e.op for e in result.profile.events]
         assert "MERGE" not in ops
+
+
+class TestSegmentedDescentMatchesListOracle:
+    """The array-form ``_drain_duplicate_ranges`` against the tuple-list
+    version it replaced: same row order, same ``SortRunStats``, same cost
+    events — for batched generations and the per-range fallback alike."""
+
+    @pytest.mark.parametrize("order_by", [
+        "ORDER BY s_store, s_ticket",                 # batched generations
+        "ORDER BY s_store, s_channel, s_item, s_qty, s_paid",
+        "ORDER BY s_channel, s_paid DESC",
+        "ORDER BY s_item, s_qty DESC",
+        "ORDER BY s_paid, s_ticket",                  # per-range queue
+    ])
+    def test_same_order_stats_and_events(self, order_by, small_catalog,
+                                         monkeypatch, request):
+        sql = ("SELECT s_item, s_store, s_qty, s_paid, s_ticket, s_channel "
+               f"FROM sales {order_by}")
+        engine = request.getfixturevalue("gpu_engine")
+        got = engine.execute_sql(sql, query_id="q")
+        got_stats = engine._sort.last_stats
+
+        def list_form(self, encoded, order, starts, lengths, *rest):
+            ranges = list(zip(starts.tolist(), lengths.tolist()))
+            drain_duplicate_ranges_list(self, encoded, order, ranges, *rest)
+
+        monkeypatch.setattr(HybridSortExecutor, "_drain_duplicate_ranges",
+                            list_form)
+        oracle = type(engine)(small_catalog, config=engine.config)
+        want = oracle.execute_sql(sql, query_id="q")
+        assert got_stats == oracle._sort.last_stats
+        assert got_stats.duplicate_jobs >= 1
+        assert tables_equal(got.table, want.table)
+        assert got.profile.events == want.profile.events

@@ -127,3 +127,50 @@ class TestKernelCostProperties:
         assert result.kernel_seconds == pytest.approx(
             result.stats["init_seconds"] + result.stats["insert_seconds"]
             + result.stats["agg_seconds"])
+
+    @pytest.mark.parametrize("n_groups", [7, 900, 3000])
+    def test_shared_kernel_partials_match_per_slice_count(self, cost,
+                                                          n_groups):
+        """Partial-table sizes come from one global encode; they must
+        equal counting each SMX's slice on its own."""
+        kernel = SharedMemoryGroupByKernel(cost, smx_count=5,
+                                           shared_bytes=4 * 1024)
+        request = make_request(n_rows=20_003, n_groups=n_groups)
+        capacity = kernel.shared_capacity_groups(request)
+        bounds = np.linspace(0, request.rows, 6, dtype=np.int64)
+        per_slice = [len(np.unique(request.keys[lo:hi]))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+        stats = kernel.run(request).stats
+        assert stats["partial_entries"] == sum(per_slice)
+        assert stats["flushes"] == sum(
+            max(0, -(-n // capacity) - 1) for n in per_slice)
+
+
+class TestSortPassesIndependentOfRounds:
+    """The insert factorises its keys with one sort and then walks the
+    distinct keys; a sort inside the CAS retry loop (one per round, as the
+    row-level simulation had) would show up here."""
+
+    SORTS = ("argsort", "sort", "lexsort", "unique", "partition")
+
+    def _run_counting_sorts(self, monkeypatch, cost, headroom):
+        calls = []
+        for name in self.SORTS:
+            original = getattr(np, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        request = make_request(n_rows=30_000, n_groups=6_000)
+        result = RegularGroupByKernel(cost).run(request, headroom=headroom)
+        monkeypatch.undo()
+        return calls, result.stats["rounds"]
+
+    def test_one_sort_however_many_rounds(self, monkeypatch, cost):
+        roomy_sorts, roomy_rounds = self._run_counting_sorts(
+            monkeypatch, cost, headroom=8.0)
+        tight_sorts, tight_rounds = self._run_counting_sorts(
+            monkeypatch, cost, headroom=1.02)
+        assert tight_rounds > 4 * roomy_rounds
+        assert tight_sorts == roomy_sorts == ["argsort"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blu.datatypes import decimal, float64, int32, int64
 from repro.blu.expressions import AggFunc
@@ -13,6 +14,8 @@ from repro.gpu.kernels.hashtable import (
     combine_keys,
 )
 from repro.gpu.kernels.request import PayloadSpec
+from repro.gpu.kernels.join import _probe
+from tests.gpu.row_level_oracles import insert_row_level, probe_row_level
 
 
 class TestTable1Mask:
@@ -179,3 +182,129 @@ class TestInsertion:
         s2, st2 = t2.insert(keys)
         assert np.array_equal(s1, s2)
         assert st1.probes == st2.probes
+
+
+# ---------------------------------------------------------------------------
+# The distinct-key insert against the row-level oracle
+# ---------------------------------------------------------------------------
+
+_distinct_batch = st.lists(st.integers(0, 10_000), max_size=80, unique=True)
+_duplicate_heavy_batch = st.integers(1, 12).flatmap(
+    lambda card: st.lists(st.integers(0, card - 1), max_size=120))
+_key_batches = st.lists(
+    st.one_of(_distinct_batch, _duplicate_heavy_batch)
+    .map(lambda rows: np.asarray(rows, dtype=np.int64) * 7919),
+    min_size=1, max_size=3)
+
+
+def _attempt(insert, keys):
+    """``(row_slot, stats)`` or the overflow the insert raised."""
+    try:
+        return insert(keys)
+    except HashTableOverflowError as exc:
+        return exc
+
+
+class TestInsertMatchesRowLevelOracle:
+    """Every simulated quantity of the per-distinct-key insert equals the
+    row-at-a-time loop it replaced: one batch or several into the same
+    (pre-filled) table, roomy or too small (overflow)."""
+
+    @given(batches=_key_batches, slots=st.integers(1, 96))
+    @settings(max_examples=300, deadline=None)
+    def test_same_simulation(self, batches, slots):
+        layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
+        new = GpuHashTable(slots, 64, layout)
+        old = GpuHashTable(slots, 64, layout)
+        for keys in batches:
+            got = _attempt(new.insert, keys)
+            want = _attempt(lambda k: insert_row_level(old, k), keys)
+            assert np.array_equal(new.table, old.table)
+            assert new.filled == old.filled
+            if isinstance(want, HashTableOverflowError):
+                assert isinstance(got, HashTableOverflowError)
+                assert str(got) == str(want)
+                return
+            (row_slot, stats), (ref_slot, ref_stats) = got, want
+            assert np.array_equal(row_slot, ref_slot)
+            assert stats == ref_stats        # rows/probes/rounds/groups/slots
+            assert stats.fill_ratio == ref_stats.fill_ratio
+            assert np.array_equal(stats.group_index,
+                                  group_encode([ref_slot])[0])
+
+    @given(build=_distinct_batch,
+           probe=_duplicate_heavy_batch | _distinct_batch,
+           slack=st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_join_probe_same_matches_and_probe_count(self, build, probe,
+                                                     slack):
+        """The join's lookups walk distinct probe keys too; a full table
+        (``slack`` 0) exercises the bounded walk of absent keys."""
+        layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
+        table = GpuHashTable(max(1, len(build) + slack), 64, layout)
+        table.insert(np.asarray(build, dtype=np.int64))
+        keys = np.asarray(probe, dtype=np.int64)
+        found, extra = _probe(table, keys)
+        ref_found, ref_extra = probe_row_level(table, keys)
+        assert np.array_equal(found, ref_found)
+        assert extra == ref_extra
+
+    def test_lone_sentinel_key_keeps_its_old_alias(self):
+        """Without a real ``INT64_MIN + 1`` key the sentinel still rides
+        under it, so existing tables and baselines are unchanged."""
+        lo = np.iinfo(np.int64).min
+        keys = np.array([lo, 0, 1, lo, 1], dtype=np.int64)
+        layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
+        new, old = GpuHashTable(8, 64, layout), GpuHashTable(8, 64, layout)
+        row_slot, stats = new.insert(keys)
+        ref_slot, ref_stats = insert_row_level(old, keys)
+        assert np.array_equal(row_slot, ref_slot)
+        assert stats == ref_stats
+        assert np.array_equal(new.table, old.table)
+
+
+class TestSentinelKeyRegression:
+    """A key equal to the empty marker must not merge with the real key
+    one above it (reachable through ``combine_keys``' Murmur branch)."""
+
+    LO = np.iinfo(np.int64).min
+
+    def test_table_keeps_both_groups(self):
+        keys = np.array([self.LO, self.LO + 1, self.LO, 7, self.LO + 1,
+                         self.LO + 2], dtype=np.int64)
+        table = GpuHashTable.sized_for(
+            4, 64, [PayloadSpec(int64(), AggFunc.SUM)])
+        row_slot, stats = table.insert(keys)
+        assert stats.groups == 4
+        assert np.array_equal(group_encode([row_slot])[0],
+                              group_encode([keys])[0])
+        assert np.array_equal(stats.group_index, group_encode([keys])[0])
+
+    def test_engine_aggregates_match_cpu(self):
+        from repro.blu import BluEngine, Catalog, Schema, Table
+        from repro.config import paper_testbed
+        from repro.core import GpuAcceleratedEngine
+        from tests.conftest import tables_equal
+        import dataclasses
+
+        rng = np.random.default_rng(13)
+        n = 6_000
+        # > 1024 groups so the moderator picks the hash-table kernel.
+        k = rng.integers(0, 2_000, n)
+        k = np.where(k < 2, self.LO + k, k)
+        table = Table.from_pydict(
+            "edge", Schema.of(("k", int64()), ("v", int64())),
+            {"k": k.tolist(), "v": rng.integers(0, 100, n).tolist()})
+        catalog = Catalog()
+        catalog.register(table)
+        config = paper_testbed()
+        config = dataclasses.replace(config, thresholds=dataclasses.replace(
+            config.thresholds, t1_min_rows=1_000))
+        sql = "SELECT k, SUM(v) AS total, COUNT(*) AS c FROM edge GROUP BY k"
+        engine = GpuAcceleratedEngine(catalog, config=config)
+        gpu = engine.execute_sql(sql)
+        cpu = BluEngine(catalog).execute_sql(sql)
+        assert [d.kernel for d in engine.monitor.decisions
+                if d.path == "gpu"] == ["groupby_regular"]
+        assert gpu.table.num_rows == len(np.unique(k))
+        assert tables_equal(gpu.table, cpu.table)

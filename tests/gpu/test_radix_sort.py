@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CostModel
-from repro.gpu.kernels.radix_sort import RadixSortKernel, _find_duplicate_ranges
+from repro.gpu.kernels.radix_sort import RadixSortKernel, find_duplicate_ranges
+from tests.gpu.row_level_oracles import duplicate_ranges_list
 
 
 @pytest.fixture()
@@ -59,6 +61,22 @@ class TestDuplicateRanges:
         assert result.duplicate_ranges[0].length == 50
 
     def test_helper_on_presorted(self):
-        ranges = _find_duplicate_ranges(np.array([1, 1, 2, 3, 3, 3],
-                                                 dtype=np.uint32))
-        assert [(r.start, r.length) for r in ranges] == [(0, 2), (3, 3)]
+        starts, lengths = find_duplicate_ranges(
+            np.array([1, 1, 2, 3, 3, 3], dtype=np.uint32))
+        assert starts.tolist() == [0, 3]
+        assert lengths.tolist() == [2, 3]
+
+    @given(keys=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 6),
+                         max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_array_form_equals_list_form(self, keys):
+        """``(starts, lengths)`` arrays carry exactly the old tuple list,
+        and the result's ``duplicate_ranges`` view reads the same."""
+        arr = np.asarray(keys, dtype=np.uint32)
+        result = RadixSortKernel(CostModel()).run(arr)
+        want = duplicate_ranges_list(np.sort(arr))
+        starts, lengths = find_duplicate_ranges(np.sort(arr))
+        assert starts.dtype == lengths.dtype == np.int64
+        assert list(zip(starts.tolist(), lengths.tolist())) == want
+        assert [(d.start, d.length) for d in result.duplicate_ranges] == want
+        assert np.array_equal(result.order, np.argsort(arr, kind="stable"))

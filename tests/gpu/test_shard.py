@@ -14,6 +14,7 @@ from repro.gpu.shard import (
     home_devices,
     plan_sharded,
     range_shard_bounds,
+    split_rows,
 )
 from repro.obs.tracing import Tracer
 
@@ -51,6 +52,17 @@ class TestRowSplitHelpers:
         # Same hashes, same shards: the split is a pure function.
         np.testing.assert_array_equal(
             assignment, hash_shard_assignment(hashes, 4))
+
+    @pytest.mark.parametrize("parts", [1, 2, 7, 64, 300])
+    def test_split_rows_equals_a_scan_per_part(self, parts):
+        rng = np.random.default_rng(parts)
+        # Leave the top part empty: empty pieces must still be listed.
+        part_of_row = rng.integers(0, max(1, parts - 1), 5_000)
+        pieces = split_rows(part_of_row, parts)
+        assert len(pieces) == parts
+        for p, rows in enumerate(pieces):
+            np.testing.assert_array_equal(
+                rows, np.nonzero(part_of_row == p)[0])
 
     def test_range_bounds_cover_all_rows(self):
         bounds = range_shard_bounds(1003, 4)
