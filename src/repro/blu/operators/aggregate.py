@@ -60,9 +60,8 @@ def appearance_rank(first: np.ndarray,
                     n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank groups by their (distinct) first rows without sorting them.
 
-    Returns ``(rank, first_row)``: ``rank[g]`` is group ``g``'s position in
-    first-appearance order and ``first_row`` lists the first rows in that
-    order — flag every first row, then count the flags in row order.
+    Returns ``(rank, first_row)``: group ``g``'s position in appearance
+    order, and the first rows in that order (flag them, count the flags).
     """
     is_first = np.zeros(n_rows, dtype=bool)
     is_first[first] = True
@@ -226,11 +225,6 @@ def grouping_key_arrays(table: Table, keys: Sequence[str]) -> list[np.ndarray]:
             arr = np.where(col.null_mask, NULL_KEY_SENTINEL, arr)
         arrays.append(arr)
     return arrays
-
-
-def grouping_key_width_bytes(table: Table, keys: Sequence[str]) -> int:
-    """Physical width of the concatenated grouping key (CCAT output)."""
-    return sum(table.schema.field(k).dtype.bytes for k in keys)
 
 
 def build_group_output(

@@ -131,11 +131,10 @@ class KmvSketch:
 def _smallest_distinct(values: np.ndarray, limit: int) -> np.ndarray:
     """The ``limit`` smallest distinct values, sorted (all when fewer).
 
-    ``np.partition`` isolates a small prefix of the batch without sorting
-    the rest; the prefix is every value up to some cut, so its distinct
-    values are exactly the batch's smallest.  A prefix that holds too few
-    is widened by the multiplicity it showed (doubled for slack) until it
-    holds ``limit`` distinct values or is the whole batch.
+    ``np.partition`` isolates a prefix — every value up to some cut, so
+    its distinct values are exactly the batch's smallest — without sorting
+    the rest; one that holds too few is widened by the multiplicity it
+    showed (doubled for slack), at most to the whole batch.
     """
     take = 2 * limit
     while take < len(values):

@@ -133,9 +133,8 @@ def hash_shard_assignment(hashes: np.ndarray, shards: int) -> np.ndarray:
 def split_rows(part_of_row: np.ndarray, parts: int) -> list[np.ndarray]:
     """Row ids of every part, ascending within each part.
 
-    One stable sort of the part ids plus a bincount, instead of a scan of
-    the whole input per part.  The ids are narrowed first: numpy
-    radix-sorts integers of up to 16 bits in linear time.
+    One stable sort of the part ids, not a scan of the input per part;
+    narrowed first, because numpy radix-sorts integers of up to 16 bits.
     """
     narrow = part_of_row.astype(np.min_scalar_type(parts))
     order = np.argsort(narrow, kind="stable")

@@ -271,12 +271,14 @@ class FlightRecorder:
         #: Most recent automatic/manual snapshots (bounded).
         self.snapshots: deque[FlightSnapshot] = deque(maxlen=max_snapshots)
         self._snapshot_count = 0
+        #: The eviction counter's series: a full ring bumps it per event.
+        self._dropped_series = None
         if self.metrics is not None:
             # Register eagerly so the series exports even while zero.
-            self.metrics.counter(
+            self._dropped_series = self.metrics.counter(
                 DROPPED_METRIC,
                 "Events evicted from the flight-recorder ring",
-            )
+            ).labels()
 
     # ------------------------------------------------------------------
     # Attachment
@@ -345,11 +347,8 @@ class FlightRecorder:
                 attributes: dict) -> None:
         if len(self._ring) == self.capacity:
             self.dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    DROPPED_METRIC,
-                    "Events evicted from the flight-recorder ring",
-                ).inc()
+            if self._dropped_series is not None:
+                self._dropped_series.inc()
         self._ring.append(FlightEvent(
             time=time, seq=self._seq, kind=kind, name=name,
             attributes=attributes,

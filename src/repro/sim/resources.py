@@ -23,7 +23,7 @@ from typing import Optional
 from repro.config import GpuSpec, HostSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class CpuTask:
     """One CPU stage inside the pool."""
 
@@ -45,56 +45,68 @@ class ProcessorSharingPool:
 
     def __init__(self, host: HostSpec) -> None:
         self.host = host
-        self.tasks: dict[int, CpuTask] = {}
+        self._tasks: dict[int, CpuTask] = {}
+        # The thread total and capacity follow add/remove; the rates are
+        # settled on the next read, not per mutation.  They are a pure
+        # function of the task set, so settling late changes no value.
+        self._threads = 0
+        self.capacity = 0.0
+        self._stale = False
 
     @property
-    def capacity(self) -> float:
-        total_threads = sum(t.threads for t in self.tasks.values())
-        if total_threads <= 0:
-            return 0.0
-        return self.host.effective_capacity(
-            min(total_threads, self.host.hardware_threads)
-        )
+    def tasks(self) -> dict[int, CpuTask]:
+        """The runnable tasks by id, rates settled."""
+        if self._stale:
+            self.reallocate()
+        return self._tasks
+
+    def _resize(self, threads: int) -> None:
+        self._threads += threads
+        self.capacity = self.host.effective_capacity(self._threads)
+        self._stale = True
 
     def add(self, task: CpuTask) -> None:
-        self.tasks[task.task_id] = task
-        self.reallocate()
+        replaced = self._tasks.get(task.task_id)
+        self._tasks[task.task_id] = task
+        self._resize(task.threads - (replaced.threads if replaced else 0))
 
     def remove(self, task_id: int) -> None:
-        self.tasks.pop(task_id, None)
-        self.reallocate()
+        task = self._tasks.pop(task_id, None)
+        self._resize(-task.threads if task else 0)
 
     def reallocate(self) -> None:
         """Recompute every task's service rate (water-filling)."""
-        pending = list(self.tasks.values())
-        for task in pending:
-            task.rate = 0.0
+        self._stale = False
+        pending = list(self._tasks.values())
         capacity = self.capacity
         while pending and capacity > 1e-12:
             share = capacity / len(pending)
-            capped = [t for t in pending if t.max_rate <= share + 1e-12]
+            limit = share + 1e-12
+            capped = [t for t in pending if t.max_rate <= limit]
             if not capped:
                 for task in pending:
-                    task.rate += share
-                capacity = 0.0
-                break
+                    task.rate = share
+                return
             for task in capped:
                 task.rate = task.max_rate
                 capacity -= task.max_rate
-                pending.remove(task)
+            pending = [t for t in pending if t.max_rate > limit]
+        for task in pending:
+            task.rate = 0.0
         # numerical guard
         if capacity < 0:
             scale = self.capacity / max(
-                1e-12, sum(t.rate for t in self.tasks.values())
+                1e-12, sum(t.rate for t in self._tasks.values())
             )
             if scale < 1.0:
-                for task in self.tasks.values():
+                for task in self._tasks.values():
                     task.rate *= scale
 
     def progress(self, delta: float) -> None:
         """Advance every task's work by ``delta`` seconds at current rates."""
         for task in self.tasks.values():
-            task.remaining = max(0.0, task.remaining - task.rate * delta)
+            left = task.remaining - task.rate * delta
+            task.remaining = left if left > 0.0 else 0.0
 
     def earliest_completion(self) -> Optional[float]:
         """Seconds until the first CPU task finishes at current rates."""
@@ -113,7 +125,7 @@ class ProcessorSharingPool:
         return used / self.capacity if self.capacity else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class GpuKernelTask:
     """One kernel resident on a device."""
 
@@ -166,10 +178,7 @@ class GpuDeviceState:
             task.remaining = max(0.0, task.remaining - rate * delta)
 
     def earliest_completion(self) -> Optional[float]:
-        rate = self.rate_per_kernel
-        if rate <= 0:
+        if not self.kernels:
             return None
-        remaining = min(
-            (t.remaining for t in self.kernels.values()), default=None
-        )
-        return remaining / rate if remaining is not None else None
+        return (min(t.remaining for t in self.kernels.values())
+                / self.rate_per_kernel)

@@ -245,8 +245,13 @@ class WorkloadSimulator:
             if not state.done:
                 self._start_next_batch(state, clock, owner_of_task, waiters)
 
+        # Only a script with think time ever sets ``wake_at``; ``active``
+        # only shrinks when a session finishes.  Neither is per event.
+        paced = any(u.think_seconds > 0 for u in users)
+        active = [s for s in states if not s.done]
         while True:
-            active = [s for s in states if not s.done]
+            if len(active) != self._active_count:
+                active = [s for s in active if not s.done]
             if not active:
                 break
             if max_seconds is not None and clock.now >= max_seconds:
@@ -256,7 +261,7 @@ class WorkloadSimulator:
                 (s.wake_at - clock.now for s in active
                  if s.wake_at is not None),
                 default=None,
-            )
+            ) if paced else None
             if delta is None and wake_delta is None:
                 if waiters:
                     raise SimulationError(
@@ -279,7 +284,7 @@ class WorkloadSimulator:
                 state.outstanding.discard(task_id)
                 touched.append(state)
             # Wake users whose think time elapsed.
-            for state in active:
+            for state in active if paced else ():
                 if state.wake_at is not None \
                         and state.wake_at <= clock.now + _EPS:
                     state.wake_at = None
@@ -439,15 +444,9 @@ class WorkloadSimulator:
                 break
 
     def _earliest_completion(self) -> Optional[float]:
-        candidates = []
-        cpu_eta = self.pool.earliest_completion()
-        if cpu_eta is not None:
-            candidates.append(cpu_eta)
-        for device in self.devices:
-            eta = device.earliest_completion()
-            if eta is not None:
-                candidates.append(eta)
-        return min(candidates) if candidates else None
+        etas = [self.pool.earliest_completion()]
+        etas += [device.earliest_completion() for device in self.devices]
+        return min((eta for eta in etas if eta is not None), default=None)
 
     def _collect_finished(self, owner_of_task,
                           now: float) -> list[tuple[_UserState, int]]:

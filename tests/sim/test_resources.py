@@ -1,6 +1,7 @@
 """Unit tests for the processor-sharing pool and GPU device states."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import GpuSpec, HostSpec
 from repro.sim.resources import (
@@ -82,6 +83,84 @@ class TestWaterFilling:
     def test_utilisation(self, pool):
         pool.add(CpuTask(1, remaining=1.0, max_rate=24.0, threads=24))
         assert pool.utilisation == pytest.approx(1.0)
+
+
+def eager_rates(host, tasks):
+    """The pool's original per-mutation water-filling, kept as the oracle:
+    capacity re-summed from the tasks, rates zeroed then filled."""
+    threads = sum(t.threads for t in tasks)
+    total = (host.effective_capacity(min(threads, host.hardware_threads))
+             if threads > 0 else 0.0)
+    rates = {t.task_id: 0.0 for t in tasks}
+    pending = list(tasks)
+    capacity = total
+    while pending and capacity > 1e-12:
+        share = capacity / len(pending)
+        capped = [t for t in pending if t.max_rate <= share + 1e-12]
+        if not capped:
+            for task in pending:
+                rates[task.task_id] += share
+            capacity = 0.0
+            break
+        for task in capped:
+            rates[task.task_id] = task.max_rate
+            capacity -= task.max_rate
+            pending.remove(task)
+    if capacity < 0:
+        scale = total / max(1e-12, sum(rates.values()))
+        if scale < 1.0:
+            rates = {k: v * scale for k, v in rates.items()}
+    return total, rates
+
+
+class TestLateSettling:
+    """add/remove only mark the rates stale; every read settles them."""
+
+    def test_remove_then_add_settles_once_to_the_final_set(self, pool, host):
+        pool.add(CpuTask(1, remaining=1.0, max_rate=24.0, threads=24))
+        pool.add(CpuTask(2, remaining=1.0, max_rate=24.0, threads=24))
+        pool.remove(1)
+        pool.add(CpuTask(3, remaining=1.0, max_rate=1.0, threads=1))
+        assert pool.capacity == host.effective_capacity(25)
+        assert {i: t.rate for i, t in pool.tasks.items()} == \
+            {2: host.effective_capacity(25) - 1.0, 3: 1.0}
+
+    def test_readding_an_id_replaces_its_threads(self, pool, host):
+        pool.add(CpuTask(1, remaining=1.0, max_rate=24.0, threads=24))
+        pool.add(CpuTask(1, remaining=1.0, max_rate=4.0, threads=4))
+        assert pool.capacity == host.effective_capacity(4)
+        pool.remove(1)
+        pool.remove(1)                          # unknown id: no-op
+        assert pool.capacity == 0.0
+        assert pool.utilisation == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 12),                     # task id (re-adds collide)
+        st.sampled_from([0, 1, 1, 1]),          # 0 = remove, 1 = add
+        st.sampled_from([1, 4, 24, 48, 96, 200]),
+        st.floats(0.0, 1.0)), max_size=40))
+    def test_rates_match_the_eager_pool_bit_for_bit(self, mutations):
+        host = HostSpec()
+        pool = ProcessorSharingPool(host)
+        for task_id, is_add, threads, jitter in mutations:
+            if is_add:
+                degree = min(threads, host.hardware_threads)
+                pool.add(CpuTask(
+                    task_id, remaining=1.0, threads=threads,
+                    max_rate=host.effective_capacity(degree) * (1 - jitter / 2)))
+            else:
+                pool.remove(task_id)
+            if task_id % 3 == 0:                # read only now and then
+                continue
+            capacity, rates = eager_rates(host, list(pool.tasks.values()))
+            assert pool.capacity == capacity
+            assert {i: t.rate for i, t in pool.tasks.items()} == rates
+        capacity, rates = eager_rates(host, list(pool.tasks.values()))
+        assert pool.capacity == capacity
+        assert {i: t.rate for i, t in pool.tasks.items()} == rates
+        assert pool.utilisation == (
+            sum(rates.values()) / capacity if capacity else 0.0)
 
 
 class TestGpuDeviceState:
