@@ -9,7 +9,8 @@ the same split:
   :mod:`repro.blu.compression` (frequency-ordered, as in BLU).
 
 A column is immutable after construction; all operators produce new columns
-via :meth:`Column.take` / :meth:`Column.filter`.
+via :meth:`Column.take` / :meth:`Column.slice`, which defer their gather
+until the result is read.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class Dictionary:
     whenever order is preserved or recoverable).
     """
 
-    values: np.ndarray                    # dtype=object / unicode
-    sort_rank: np.ndarray                 # int32, same length
+    values: np.ndarray  # dtype=object / unicode
+    sort_rank: np.ndarray  # int32, same length
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.sort_rank):
@@ -53,6 +54,12 @@ class Dictionary:
         return int(matches[0]) if len(matches) else -1
 
 
+def as_row_ids(indices) -> np.ndarray:
+    """``indices`` as a row-id array (a boolean mask selects its set rows)."""
+    indices = np.asarray(indices)
+    return np.flatnonzero(indices) if indices.dtype == bool else indices
+
+
 class Column:
     """One immutable column vector.
 
@@ -66,9 +73,14 @@ class Column:
         Required for string columns, forbidden otherwise.
     null_mask:
         Optional boolean array where ``True`` marks NULL rows.
+
+    Materialisation is late: :meth:`take` records ``(source, row ids)``
+    and the gather runs when ``data`` or ``null_mask`` is first read — a
+    column nobody reads is never gathered.  Length, ``dtype``,
+    ``dictionary`` and the presence of a null mask need no gather.
     """
 
-    __slots__ = ("dtype", "data", "dictionary", "null_mask")
+    __slots__ = ("dtype", "dictionary", "_data", "_mask", "_source", "_rows")
 
     def __init__(
         self,
@@ -84,16 +96,40 @@ class Column:
         if null_mask is not None and len(null_mask) != len(data):
             raise SchemaError("null mask length must match data length")
         self.dtype = dtype
-        self.data = np.ascontiguousarray(data, dtype=dtype.numpy_dtype)
         self.dictionary = dictionary
-        self.null_mask = None if null_mask is None else np.asarray(null_mask, dtype=bool)
+        if null_mask is not None:
+            null_mask = np.asarray(null_mask, dtype=bool)
+        self._data = np.ascontiguousarray(data, dtype=dtype.numpy_dtype)
+        self._mask = null_mask
+        self._source = self._rows = None  # set only while a take is deferred
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self._rows if self._data is None else self._data)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The encoded vector (gathered on first read when deferred)."""
+        if self._data is None:
+            self._gather()
+        return self._data
+
+    @property
+    def null_mask(self) -> Optional[np.ndarray]:
+        """Boolean NULL mask, or ``None`` — which never needs a gather."""
+        if self._data is None and self._mask is not None:
+            self._gather()
+        return self._mask
+
+    def _gather(self) -> None:
+        """Run the deferred gather; the lineage is not needed afterwards."""
+        if self._mask is not None:
+            self._mask = self._mask[self._rows]
+        self._data = self._source[self._rows]
+        self._source = self._rows = None
 
     @property
     def has_nulls(self) -> bool:
@@ -102,15 +138,15 @@ class Column:
     @property
     def encoded_nbytes(self) -> int:
         """Bytes of the encoded vector (what a GPU transfer would move)."""
-        size = self.data.nbytes
-        if self.null_mask is not None:
-            size += len(self.null_mask) // 8 + 1
+        size = len(self) * self.dtype.numpy_dtype.itemsize
+        if self._mask is not None:
+            size += len(self) // 8 + 1
         return size
 
     @property
     def logical_nbytes(self) -> int:
         """Bytes at the declared (uncompressed) width."""
-        return len(self.data) * self.dtype.bytes
+        return len(self) * self.dtype.bytes
 
     def decoded(self) -> np.ndarray:
         """Materialise logical values (decodes string dictionaries)."""
@@ -120,30 +156,43 @@ class Column:
 
     def values_at(self, indices: Sequence[int]) -> list:
         """Decoded python values at ``indices`` (None for NULLs)."""
-        decoded = self.decoded()
-        out = []
-        for i in indices:
-            if self.null_mask is not None and self.null_mask[i]:
-                out.append(None)
-            else:
-                out.append(decoded[i].item() if hasattr(decoded[i], "item") else decoded[i])
+        indices = np.asarray(indices, dtype=np.intp)
+        out = self.decoded()[indices].tolist()
+        if self.null_mask is not None:
+            for position in np.flatnonzero(self.null_mask[indices]):
+                out[position] = None
         return out
 
     # ------------------------------------------------------------------
-    # Transformations (all return new columns)
+    # Transformations (all return new columns; none gathers)
     # ------------------------------------------------------------------
 
-    def take(self, indices: np.ndarray) -> "Column":
-        mask = None if self.null_mask is None else self.null_mask[indices]
-        return Column(self.dtype, self.data[indices], self.dictionary, mask)
+    def take(
+        self, indices: np.ndarray, composed: Optional[dict] = None
+    ) -> "Column":
+        """Rows at ``indices`` (row ids or a boolean mask), gathered late.
 
-    def filter(self, keep: np.ndarray) -> "Column":
-        mask = None if self.null_mask is None else self.null_mask[keep]
-        return Column(self.dtype, self.data[keep], self.dictionary, mask)
+        Until it is read, the result holds the source's arrays and the row
+        ids.  A take of a still-deferred column composes the two row-id
+        arrays instead; ``composed`` (``id(row ids) -> composition``) lets
+        :meth:`Table.take` do that once for the columns sharing them.
+        """
+        indices = as_row_ids(indices)
+        source, rows = self._data, indices
+        if source is None:
+            composed = {} if composed is None else composed
+            source, rows = self._source, composed.get(id(self._rows))
+            if rows is None:
+                rows = composed[id(self._rows)] = self._rows[indices]
+        out = object.__new__(Column)
+        out.dtype, out.dictionary = self.dtype, self.dictionary
+        out._data, out._mask = None, self._mask
+        out._source, out._rows = source, rows
+        return out
 
     def slice(self, start: int, stop: int) -> "Column":
-        mask = None if self.null_mask is None else self.null_mask[start:stop]
-        return Column(self.dtype, self.data[start:stop], self.dictionary, mask)
+        """Rows ``start:stop`` (a :meth:`take`)."""
+        return self.take(np.arange(*slice(start, stop).indices(len(self))))
 
     # ------------------------------------------------------------------
     # Order-aware views
@@ -161,21 +210,18 @@ class Column:
 
     def min_max(self) -> tuple:
         """Logical (min, max); Nones when the column is empty/all-NULL."""
-        valid = self._valid_positions()
-        if valid is not None and not len(valid):
-            return (None, None)
-        keys = self.sort_keys() if valid is None else self.sort_keys()[valid]
+        keys = self.sort_keys()
+        valid = None
+        if self.null_mask is not None:
+            valid = np.flatnonzero(~self.null_mask)
+            keys = keys[valid]
         if not len(keys):
             return (None, None)
-        lo, hi = int(np.argmin(keys)), int(np.argmax(keys))
-        positions = np.arange(len(self.data)) if valid is None else valid
+        lo, hi = np.argmin(keys), np.argmax(keys)
+        if valid is not None:
+            lo, hi = valid[lo], valid[hi]
         decoded = self.decoded()
-        return (decoded[positions[lo]], decoded[positions[hi]])
-
-    def _valid_positions(self) -> Optional[np.ndarray]:
-        if self.null_mask is None:
-            return None
-        return np.nonzero(~self.null_mask)[0]
+        return (decoded[lo], decoded[hi])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +229,7 @@ class Column:
 # ---------------------------------------------------------------------------
 
 
-def column_from_values(dtype: DataType, values: Iterable, nulls_as=None) -> Column:
+def column_from_values(dtype: DataType, values: Iterable) -> Column:
     """Build a column from an iterable of python values.
 
     ``None`` entries become NULLs.  String columns get a frequency-ordered
@@ -193,19 +239,20 @@ def column_from_values(dtype: DataType, values: Iterable, nulls_as=None) -> Colu
 
     values = list(values)
     null_mask = np.array([v is None for v in values], dtype=bool)
-    has_nulls = bool(null_mask.any())
+    if not null_mask.any():
+        null_mask = None
 
     if dtype.is_string:
         filled = ["" if v is None else str(v) for v in values]
         dictionary, codes = build_dictionary(filled)
-        return Column(dtype, codes, dictionary, null_mask if has_nulls else None)
+        return Column(dtype, codes, dictionary, null_mask)
 
     if dtype.kind is TypeKind.FLOAT:
         filled = [0.0 if v is None else float(v) for v in values]
     else:
         filled = [0 if v is None else int(v) for v in values]
     data = np.asarray(filled, dtype=dtype.numpy_dtype)
-    return Column(dtype, data, None, null_mask if has_nulls else None)
+    return Column(dtype, data, None, null_mask)
 
 
 def column_from_array(dtype: DataType, data: np.ndarray) -> Column:

@@ -10,7 +10,7 @@ reductions; tests cross-check the two paths.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,26 +34,53 @@ def group_encode(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     n = len(key_arrays[0])
     if n == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-    # One sort makes equal keys adjacent (np.lexsort takes keys
-    # minor-to-major); run order does not matter, because each run's first
-    # appearance is read off as its smallest row id.
-    if len(key_arrays) == 1:
-        order = np.argsort(key_arrays[0])
+    span = dense_span(key_arrays[0], n) if len(key_arrays) == 1 else None
+    if span is not None:
+        # Direct addressing, no sort: scattering row ids in reverse leaves
+        # each key's *first* row in its slot (numpy keeps the last write),
+        # and only slots some row wrote are ever read back.
+        slot = key_arrays[0] - span[0]
+        first = np.empty(span[1], dtype=np.int64)
+        first[slot[::-1]] = np.arange(n - 1, -1, -1)
+        first_of_row = first[slot]
     else:
-        order = np.lexsort(tuple(reversed(key_arrays)))
-    changed = np.zeros(n, dtype=bool)
-    changed[0] = True
-    for key in key_arrays:
-        sorted_key = key[order]
-        changed[1:] |= sorted_key[1:] != sorted_key[:-1]
-    run_starts = np.flatnonzero(changed)
-    first_of_run = np.minimum.reduceat(order, run_starts)
-    # Renumber runs by first appearance so group 0 is the first row's group.
-    renumber, first_row = appearance_rank(first_of_run, n)
-    group_index = np.empty(n, dtype=np.int64)
-    group_index[order] = np.repeat(renumber,
-                                   np.diff(run_starts, append=n))
-    return group_index, first_row, len(first_row)
+        # One sort makes equal keys adjacent (np.lexsort takes keys
+        # minor-to-major); run order does not matter, because each run's
+        # first appearance is read off as its smallest row id.
+        if len(key_arrays) == 1:
+            order = np.argsort(key_arrays[0])
+        else:
+            order = np.lexsort(tuple(reversed(key_arrays)))
+        changed = np.zeros(n, dtype=bool)
+        changed[0] = True
+        for key in key_arrays:
+            sorted_key = key[order]
+            changed[1:] |= sorted_key[1:] != sorted_key[:-1]
+        run_starts = np.flatnonzero(changed)
+        first_of_run = np.minimum.reduceat(order, run_starts)
+        first_of_row = np.empty(n, dtype=np.int64)
+        first_of_row[order] = np.repeat(first_of_run,
+                                        np.diff(run_starts, append=n))
+    # Number groups by first appearance: group 0 is the first row's group.
+    is_first = first_of_row == np.arange(n)
+    first_row = np.flatnonzero(is_first)
+    return (np.cumsum(is_first) - 1)[first_of_row], first_row, len(first_row)
+
+
+def dense_span(keys: np.ndarray, rows: int) -> Optional[tuple]:
+    """``(min, span)`` when ``keys`` can index a table directly, else None.
+
+    The one home of the direct-addressing rule: integer keys whose value
+    span ``max - min + 1`` is at most 4x the ``rows`` that will touch the
+    table (surrogate keys and dictionary codes; hashed composites are not).
+    A span-sized table then costs no more memory traffic than the sort it
+    replaces.  ``keys - min`` stays inside the keys' own dtype.
+    """
+    if keys.dtype.kind not in "iu" or not len(keys):
+        return None
+    lo = keys.min()
+    span = int(keys.max()) - int(lo) + 1
+    return (lo, span) if span <= 4 * rows else None
 
 
 def appearance_rank(first: np.ndarray,

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.blu.column import Column, column_from_values
+from repro.blu.column import Column, as_row_ids, column_from_values
 from repro.blu.datatypes import DataType
 from repro.errors import SchemaError
 
@@ -69,7 +69,9 @@ class Schema:
 class Table:
     """An immutable columnar table: a schema plus equal-length columns."""
 
-    def __init__(self, name: str, schema: Schema, columns: Sequence[Column]) -> None:
+    def __init__(
+        self, name: str, schema: Schema, columns: Sequence[Column]
+    ) -> None:
         if len(schema) != len(columns):
             raise SchemaError(
                 f"table {name!r}: schema has {len(schema)} fields "
@@ -77,7 +79,9 @@ class Table:
             )
         lengths = {len(c) for c in columns}
         if len(lengths) > 1:
-            raise SchemaError(f"table {name!r}: ragged column lengths {sorted(lengths)}")
+            raise SchemaError(
+                f"table {name!r}: ragged column lengths {sorted(lengths)}"
+            )
         for f, c in zip(schema, columns):
             if f.dtype != c.dtype:
                 raise SchemaError(
@@ -138,22 +142,24 @@ class Table:
     # ------------------------------------------------------------------
 
     def take(self, indices: np.ndarray, name: Optional[str] = None) -> "Table":
-        """Gather rows at ``indices`` into a new table."""
+        """Rows at ``indices`` (row ids or a boolean mask) as a new table.
+
+        Nothing is gathered here (see :meth:`Column.take`); columns that
+        share a row-id array — one source table's columns after a join —
+        compose it with ``indices`` once between them.
+        """
+        indices, composed = as_row_ids(indices), {}
         return Table(
             name or self.name,
             self.schema,
-            [c.take(indices) for c in self.columns],
+            [c.take(indices, composed) for c in self.columns],
         )
 
-    def filter(self, keep: np.ndarray, name: Optional[str] = None) -> "Table":
-        """Keep only rows where the boolean mask ``keep`` is true."""
-        return Table(
-            name or self.name,
-            self.schema,
-            [c.filter(keep) for c in self.columns],
-        )
+    filter = take
 
-    def select(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
+    def select(
+        self, names: Sequence[str], name: Optional[str] = None
+    ) -> "Table":
         """Project to ``names``, in the given order."""
         return Table(
             name or self.name,
@@ -163,7 +169,7 @@ class Table:
 
     def head(self, n: int) -> "Table":
         """The first ``n`` rows."""
-        return Table(self.name, self.schema, [c.slice(0, n) for c in self.columns])
+        return self.take(np.arange(*slice(0, n).indices(self.num_rows)))
 
     def to_pydict(self) -> dict[str, list]:
         """Decode all columns into python lists (None for NULLs)."""

@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.blu.catalog import Catalog
 from repro.blu.engine import OperatorContext, cpu_join_executor
-from repro.blu.operators.join import _aligned_keys, _assemble
+from repro.blu.operators.aggregate import group_encode
+from repro.blu.operators.join import _aligned_keys, _assemble, match_rows
 from repro.blu.plan import JoinNode
 from repro.blu.table import Table
 from repro.config import Thresholds
@@ -72,7 +73,7 @@ class HybridJoinExecutor:
         build_col = right.column(node.right_key)
         probe_col = left.column(node.left_key)
         build_keys, probe_keys = _aligned_keys(build_col, probe_col)
-        if len(np.unique(build_keys)) != len(build_keys):
+        if group_encode([build_keys])[2] != len(build_keys):
             self._record("cpu-small",
                          "build keys not unique: many-to-many stays on CPU")
             return cpu_join_executor(left, right, node, ctx)
@@ -95,7 +96,8 @@ class HybridJoinExecutor:
                     "JOIN-MAT", len(left_idx),
                     len(left_idx) * 8 / ctx.config.cost.cpu_memcpy_rate,
                     max_degree=ctx.degree)
-                return _assemble(left, right, left_idx, right_idx)
+                return _assemble(left, right, node.left_key, node.right_key,
+                                 left_idx, right_idx)
 
         # BLU-encoded transfers: build keys as 8-byte words, probe keys as
         # packed 4-byte codes; the kernel returns a compact 4-byte match
@@ -200,7 +202,8 @@ class HybridJoinExecutor:
 
         self._record("gpu", f"offloaded FK join: {probe_rows} probe rows, "
                             f"{build_rows} build rows")
-        return _assemble(left, right, result.left_idx, result.right_idx)
+        return _assemble(left, right, node.left_key, node.right_key,
+                         result.left_idx, result.right_idx)
 
     # ------------------------------------------------------------------
     # Extension: sharded N-device execution (docs/scale_out.md)
@@ -378,7 +381,10 @@ class HybridJoinExecutor:
             if matched is None:
                 cpu_shards += 1
                 target, device_id = "cpu", -1
-                matched = _host_probe(build_keys, sub, lo)
+                # The reroute of last resort: the kernel's contract (ascending
+                # probe rows, each hit's unique build row) on the host.
+                left_local, right_local = match_rows(build_keys, sub)
+                matched = (lo + left_local, right_local)
                 ctx.ledger.cpu(
                     "JOIN-PROBE", len(sub),
                     build_rows / cost.cpu_join_build_rate
@@ -442,21 +448,3 @@ class HybridJoinExecutor:
             query_id=self.query_id, operator="join", path=path,
             reason=reason,
         ))
-
-
-def _host_probe(build_keys: np.ndarray, probe_slice: np.ndarray,
-                offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """One shard's probe on the host — the reroute-of-last-resort.
-
-    Matches the kernel's contract exactly: ascending probe row ids
-    (shifted by the slice ``offset``) paired with the unique build row
-    of each hit.
-    """
-    order = np.argsort(build_keys, kind="stable")
-    sorted_keys = build_keys[order]
-    pos = np.searchsorted(sorted_keys, probe_slice)
-    pos_clipped = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_clipped] == probe_slice
-    left_local = np.nonzero(hit)[0]
-    right_idx = order[pos_clipped[hit]]
-    return offset + left_local, right_idx

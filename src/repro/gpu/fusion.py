@@ -507,7 +507,8 @@ class FusedExecutor:
                     # Gather the surviving probe rows' downstream inputs
                     # on-device instead of materialising on the host.
                     fused_seconds += matches / cost.gpu_scan_rate
-                    current = _assemble(current, build,
+                    current = _assemble(current, build, element.left_key,
+                                        element.right_key,
                                         result.left_idx, result.right_idx)
                     stage_names.append(result.kernel)
                     build_index += 1

@@ -60,11 +60,6 @@ class TestTransforms:
         assert list(taken.decoded()) == ["z", "x"]
         assert taken.dictionary is col.dictionary
 
-    def test_filter(self):
-        col = column_from_values(int32(), [10, 20, 30, 40])
-        kept = col.filter(np.array([1, 3]))
-        assert list(kept.decoded()) == [20, 40]
-
     def test_slice(self):
         col = column_from_values(int32(), [1, 2, 3, 4])
         assert list(col.slice(1, 3).decoded()) == [2, 3]

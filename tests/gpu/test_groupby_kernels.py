@@ -147,13 +147,15 @@ class TestKernelCostProperties:
 
 
 class TestSortPassesIndependentOfRounds:
-    """The insert factorises its keys with one sort and then walks the
-    distinct keys; a sort inside the CAS retry loop (one per round, as the
-    row-level simulation had) would show up here."""
+    """The insert factorises its keys once — without sorting when they are
+    dense enough to address a table directly, with one sort when they are
+    sparse — and then walks the distinct keys; a sort inside the CAS retry
+    loop (one per round, as the row-level simulation had) would show up
+    here."""
 
     SORTS = ("argsort", "sort", "lexsort", "unique", "partition")
 
-    def _run_counting_sorts(self, monkeypatch, cost, headroom):
+    def _run_counting_sorts(self, monkeypatch, cost, headroom, stride):
         calls = []
         for name in self.SORTS:
             original = getattr(np, name)
@@ -163,14 +165,20 @@ class TestSortPassesIndependentOfRounds:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np, name, counted)
         request = make_request(n_rows=30_000, n_groups=6_000)
+        request.keys *= stride
         result = RegularGroupByKernel(cost).run(request, headroom=headroom)
         monkeypatch.undo()
         return calls, result.stats["rounds"]
 
-    def test_one_sort_however_many_rounds(self, monkeypatch, cost):
+    @pytest.mark.parametrize("stride, sorts", [
+        (1, []),                    # span 6 000 over 30 000 rows: dense
+        (1_000, ["argsort"]),       # span 6 000 000: sparse
+    ])
+    def test_sort_count_however_many_rounds(self, monkeypatch, cost,
+                                            stride, sorts):
         roomy_sorts, roomy_rounds = self._run_counting_sorts(
-            monkeypatch, cost, headroom=8.0)
+            monkeypatch, cost, headroom=8.0, stride=stride)
         tight_sorts, tight_rounds = self._run_counting_sorts(
-            monkeypatch, cost, headroom=1.02)
+            monkeypatch, cost, headroom=1.02, stride=stride)
         assert tight_rounds > 4 * roomy_rounds
-        assert tight_sorts == roomy_sorts == ["argsort"]
+        assert tight_sorts == roomy_sorts == sorts
