@@ -147,9 +147,8 @@ class DeviceColumnCache:
 
         This is what the scheduler's cache-affinity ranking consults.
         """
-        return sum(
-            r.nbytes for k, r in self._entries.items() if k in set(keys)
-        )
+        entries = self._entries
+        return sum(entries[k].nbytes for k in set(keys) if k in entries)
 
     def stats(self) -> dict:
         """Counter snapshot for ``repro cache-stats`` and tests."""

@@ -64,6 +64,7 @@ class Counter:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._values: dict[tuple, float] = {}
+        self._children: dict[tuple, _CounterChild] = {}
         #: Delta listeners ``(name, labels, amount)`` shared with the
         #: owning registry (the flight recorder subscribes there).
         self._listeners: list = []
@@ -71,7 +72,10 @@ class Counter:
     def labels(self, **labels) -> "_CounterChild":
         """The child series for exactly these label values."""
         key = _check_labels(self.labelnames, labels)
-        return _CounterChild(self, key)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = _CounterChild(self, key)
+        return child
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment the unlabelled series by ``amount`` (>= 0)."""
@@ -98,22 +102,26 @@ class _CounterChild:
     def __init__(self, parent: Counter, key: tuple) -> None:
         self._parent = parent
         self._key = key
+        #: The label dict listeners are handed (read-only), built once.
+        self._labels: Optional[dict] = None
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment by ``amount``; negative amounts are refused."""
+        parent = self._parent
         if amount < 0:
-            raise MetricError(f"counter {self._parent.name} cannot decrease")
-        values = self._parent._values
+            raise MetricError(f"counter {parent.name} cannot decrease")
+        values = parent._values
         values[self._key] = values.get(self._key, 0.0) + amount
-        for listener in self._parent._listeners:
-            listener(
-                self._parent.name,
-                dict(zip(self._parent.labelnames, self._key)),
-                amount,
-            )
+        if not parent._listeners:
+            return
+        if self._labels is None:
+            self._labels = dict(zip(parent.labelnames, self._key))
+        for listener in parent._listeners:
+            listener(parent.name, self._labels, amount)
 
     def set(self, value: float) -> None:
-        """Overwrite this series (legacy ``Counters`` rewiring only)."""
+        """Overwrite this series, unannounced (legacy ``Counters``
+        rewiring and the flight recorder's own eviction count only)."""
         self._parent._values[self._key] = float(value)
 
     @property

@@ -265,7 +265,10 @@ class FlightRecorder:
         #: When set, automatic snapshots are also written to this
         #: directory as ``flight_<n>_<trigger>.{jsonl,html}``.
         self.dump_dir = dump_dir
-        self._ring: deque[FlightEvent] = deque(maxlen=capacity)
+        #: Built events, then the ``(time, seq, kind, name, attributes)``
+        #: records fed since the last read: an evicted record never
+        #: costs a :class:`FlightEvent`.
+        self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
         self.dropped = 0
         #: Most recent automatic/manual snapshots (bounded).
@@ -347,12 +350,13 @@ class FlightRecorder:
                 attributes: dict) -> None:
         if len(self._ring) == self.capacity:
             self.dropped += 1
-            if self._dropped_series is not None:
-                self._dropped_series.inc()
-        self._ring.append(FlightEvent(
-            time=time, seq=self._seq, kind=kind, name=name,
-            attributes=attributes,
-        ))
+            series = self._dropped_series
+            if series is not None:
+                # Written, not announced: the registry's listeners are
+                # recorders, and ``_on_metric`` ignores this counter.
+                series.set(series.value + 1.0)
+        # The fields of a FlightEvent; built when (and if) the ring is read.
+        self._ring.append((time, self._seq, kind, name, attributes))
         self._seq += 1
 
     # ------------------------------------------------------------------
@@ -364,7 +368,12 @@ class FlightRecorder:
 
     def events(self) -> list[FlightEvent]:
         """Current ring contents, sorted by ``(time, seq)``."""
-        return sorted(self._ring, key=lambda e: (e.time, e.seq))
+        ring = self._ring
+        fed = []  # records fed since the last read: a suffix of the ring
+        while ring and type(ring[-1]) is tuple:
+            fed.append(ring.pop())
+        ring.extend(FlightEvent(*record) for record in reversed(fed))
+        return sorted(ring, key=lambda e: (e.time, e.seq))
 
     def snapshot(self, trigger: str = "manual") -> FlightSnapshot:
         """Freeze the ring into an ordered snapshot and retain it."""

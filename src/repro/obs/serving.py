@@ -75,6 +75,37 @@ def request_phases(request: RequestTrace) -> list[tuple[str, float, float]]:
     keeps EXPLAIN ANALYZE attribution summing to the total.
     """
     stages = [s for s in request.stages if s.end > s.start]
+    # The common shape (no parallel group): stages in order, none
+    # overlapping, all inside the request — one pass, gaps are queue time.
+    segments: list[tuple[str, float, float]] = []
+    cursor = request.start
+    for stage in stages:
+        if stage.start < cursor:
+            return _tile_overlapping(request, stages)
+        if stage.start > cursor:
+            _extend(segments, "queue", cursor, stage.start)
+        kind = stage.kind if stage.kind in ("gpu", "cpu") else "queue"
+        _extend(segments, kind, stage.start, stage.end)
+        cursor = stage.end
+    if cursor > request.end:
+        return _tile_overlapping(request, stages)
+    if request.end > cursor:
+        _extend(segments, "queue", cursor, request.end)
+    return segments
+
+
+def _extend(segments: list, kind: str, t0: float, t1: float) -> None:
+    """Append ``[t0, t1]``, merged into the last segment when kinds match."""
+    if segments and segments[-1][0] == kind:
+        segments[-1] = (kind, segments[-1][1], t1)
+    else:
+        segments.append((kind, t0, t1))
+
+
+def _tile_overlapping(
+    request: RequestTrace, stages: list
+) -> list[tuple[str, float, float]]:
+    """:func:`request_phases` for any stage list: tile by every endpoint."""
     bounds = {request.start, request.end}
     for stage in stages:
         bounds.add(min(max(stage.start, request.start), request.end))
@@ -91,10 +122,7 @@ def request_phases(request: RequestTrace) -> list[tuple[str, float, float]]:
             kind = "cpu"
         else:
             kind = "queue"
-        if segments and segments[-1][0] == kind:
-            segments[-1] = (kind, segments[-1][1], t1)
-        else:
-            segments.append((kind, t0, t1))
+        _extend(segments, kind, t0, t1)
     return segments
 
 

@@ -28,10 +28,10 @@ class CpuTask:
     """One CPU stage inside the pool."""
 
     task_id: int
-    remaining: float          # core-seconds of work left
-    max_rate: float           # core-equivalents this stage can absorb
-    threads: int = 1          # software threads it runs (degree)
-    rate: float = 0.0         # current allocation (set by the pool)
+    remaining: float  # core-seconds of work left
+    max_rate: float  # core-equivalents this stage can absorb
+    threads: int = 1  # software threads it runs (degree)
+    rate: float = 0.0  # current allocation (set by the pool)
 
 
 class ProcessorSharingPool:
@@ -41,88 +41,158 @@ class ProcessorSharingPool:
     are runnable: a single degree-24 query extracts 24 core-equivalents,
     while two of them (48 threads) extract the SMT bonus on top — which is
     exactly the mechanism behind Table 3's degree sweep.
+
+    The runnable set is kept in admission order as the tasks by id plus
+    two parallel lists, their remaining work and their rate caps, so one
+    simulated event is one list-comprehension walk (:meth:`advance`) that
+    touches a task object only when it finishes.
     """
 
     def __init__(self, host: HostSpec) -> None:
         self.host = host
+        self._capacity_of = [
+            host.effective_capacity(threads)
+            for threads in range(host.hardware_threads + 1)
+        ]
         self._tasks: dict[int, CpuTask] = {}
+        self._remaining: list[float] = []
+        self._max_rate: list[float] = []
         # The thread total and capacity follow add/remove; the rates are
         # settled on the next read, not per mutation.  They are a pure
         # function of the task set, so settling late changes no value.
         self._threads = 0
         self.capacity = 0.0
+        self._rates: list[float] = []
+        self._share: Optional[float] = None  # every rate, when no cap binds
         self._stale = False
+
+    def capacity_for(self, threads: int) -> float:
+        """``host.effective_capacity(threads)``, from a table built once."""
+        top = len(self._capacity_of) - 1
+        return self._capacity_of[max(0, min(threads, top))]
 
     @property
     def tasks(self) -> dict[int, CpuTask]:
-        """The runnable tasks by id, rates settled."""
+        """The runnable tasks by id, remaining work and rates settled."""
         if self._stale:
-            self.reallocate()
+            self._settle()
+        rows = zip(self._tasks.values(), self._remaining, self._rates)
+        for task, left, rate in rows:
+            task.remaining, task.rate = left, rate
         return self._tasks
 
     def _resize(self, threads: int) -> None:
         self._threads += threads
-        self.capacity = self.host.effective_capacity(self._threads)
+        self.capacity = self.capacity_for(self._threads)
         self._stale = True
 
     def add(self, task: CpuTask) -> None:
-        replaced = self._tasks.get(task.task_id)
+        self.remove(task.task_id)  # re-adding an id replaces its task
         self._tasks[task.task_id] = task
-        self._resize(task.threads - (replaced.threads if replaced else 0))
+        self._remaining.append(task.remaining)
+        self._max_rate.append(task.max_rate)
+        self._resize(task.threads)
 
     def remove(self, task_id: int) -> None:
-        task = self._tasks.pop(task_id, None)
-        self._resize(-task.threads if task else 0)
+        if task_id in self._tasks:
+            self._delete([list(self._tasks).index(task_id)])
 
-    def reallocate(self) -> None:
+    def _delete(self, indices: list[int]) -> list[int]:
+        """Drop the tasks at ascending ``indices``; returns their ids."""
+        ids = list(self._tasks)
+        dropped = [ids[i] for i in indices]
+        for i in reversed(indices):
+            del self._remaining[i], self._max_rate[i]
+        for task_id in dropped:
+            self._resize(-self._tasks.pop(task_id).threads)
+        return dropped
+
+    def _settle(self) -> None:
         """Recompute every task's service rate (water-filling)."""
         self._stale = False
-        pending = list(self._tasks.values())
+        caps = self._max_rate
         capacity = self.capacity
+        self._share = None
+        if caps and capacity > 1e-12:
+            share = capacity / len(caps)
+            if min(caps) > share + 1e-12:  # no cap binds
+                self._share = share
+                self._rates = [share] * len(caps)
+                return
+        rates = self._rates = [0.0] * len(caps)
+        pending = list(range(len(caps)))
         while pending and capacity > 1e-12:
             share = capacity / len(pending)
             limit = share + 1e-12
-            capped = [t for t in pending if t.max_rate <= limit]
+            capped = [i for i in pending if caps[i] <= limit]
             if not capped:
-                for task in pending:
-                    task.rate = share
+                for i in pending:
+                    rates[i] = share
                 return
-            for task in capped:
-                task.rate = task.max_rate
-                capacity -= task.max_rate
-            pending = [t for t in pending if t.max_rate > limit]
-        for task in pending:
-            task.rate = 0.0
+            for i in capped:
+                rates[i] = caps[i]
+                capacity -= caps[i]
+            pending = [i for i in pending if caps[i] > limit]
         # numerical guard
         if capacity < 0:
-            scale = self.capacity / max(
-                1e-12, sum(t.rate for t in self._tasks.values())
-            )
+            scale = self.capacity / max(1e-12, sum(rates))
             if scale < 1.0:
-                for task in self._tasks.values():
-                    task.rate *= scale
+                self._rates = [rate * scale for rate in rates]
+
+    def _walk(self, delta: float) -> list[float]:
+        """The one pass per event: ``remaining - rate * delta`` per task."""
+        if self._stale:
+            self._settle()
+        if self._share is not None:
+            step = self._share * delta
+            self._remaining = [left - step for left in self._remaining]
+        else:
+            self._remaining = [
+                left - rate * delta
+                for left, rate in zip(self._remaining, self._rates)
+            ]
+        return self._remaining
+
+    def advance(self, delta: float, eps: float) -> list[int]:
+        """Advance by ``delta`` seconds; drop and return the finished ids.
+
+        Finished means ``remaining <= eps``; ids come back in admission
+        order.  Survivors are ``> eps > 0``, so nothing needs clamping.
+        """
+        remaining = self._walk(delta)
+        if not remaining or min(remaining) > eps:
+            return []
+        return self._delete(
+            [i for i, left in enumerate(remaining) if left <= eps]
+        )
 
     def progress(self, delta: float) -> None:
         """Advance every task's work by ``delta`` seconds at current rates."""
-        for task in self.tasks.values():
-            left = task.remaining - task.rate * delta
-            task.remaining = left if left > 0.0 else 0.0
+        self._remaining = [
+            left if left > 0.0 else 0.0 for left in self._walk(delta)
+        ]
 
     def earliest_completion(self) -> Optional[float]:
         """Seconds until the first CPU task finishes at current rates."""
-        best = None
-        for task in self.tasks.values():
-            if task.rate <= 1e-15:
-                continue
-            eta = task.remaining / task.rate
-            if best is None or eta < best:
-                best = eta
-        return best
+        if self._stale:
+            self._settle()
+        if self._share is not None:
+            # Dividing by one positive float is monotone under rounding:
+            # the least quotient is the quotient of the least remaining.
+            return min(self._remaining) / self._share
+        etas = [
+            left / rate
+            for left, rate in zip(self._remaining, self._rates)
+            if rate > 1e-15
+        ]
+        return min(etas, default=None)
 
     @property
     def utilisation(self) -> float:
-        used = sum(t.rate for t in self.tasks.values())
-        return used / self.capacity if self.capacity else 0.0
+        if self._stale:
+            self._settle()
+        # Builtin sum in admission order: its rounding is the contract.
+        return sum(self._rates) / self.capacity if self.capacity else 0.0
 
 
 @dataclass(slots=True)
@@ -130,7 +200,7 @@ class GpuKernelTask:
     """One kernel resident on a device."""
 
     task_id: int
-    remaining: float          # dedicated-device seconds of work left
+    remaining: float  # dedicated-device seconds of work left
     memory_bytes: int
 
 
@@ -154,8 +224,10 @@ class GpuDeviceState:
         return len(self.kernels)
 
     def can_admit(self, memory_bytes: int) -> bool:
-        return (memory_bytes <= self.free
-                and self.resident_count < self.spec.max_concurrent_kernels)
+        return (
+            memory_bytes <= self.free
+            and self.resident_count < self.spec.max_concurrent_kernels
+        )
 
     def admit(self, task: GpuKernelTask, now: float) -> None:
         self.kernels[task.task_id] = task
@@ -177,8 +249,18 @@ class GpuDeviceState:
         for task in self.kernels.values():
             task.remaining = max(0.0, task.remaining - rate * delta)
 
+    def advance(self, delta: float, now: float, eps: float) -> list[int]:
+        """Progress by ``delta``; release and return the finished kernels."""
+        self.progress(delta)
+        finished = [t for t, k in self.kernels.items() if k.remaining <= eps]
+        for task_id in finished:
+            self.release(task_id, now)
+        return finished
+
     def earliest_completion(self) -> Optional[float]:
         if not self.kernels:
             return None
-        return (min(t.remaining for t in self.kernels.values())
-                / self.rate_per_kernel)
+        return (
+            min(t.remaining for t in self.kernels.values())
+            / self.rate_per_kernel
+        )

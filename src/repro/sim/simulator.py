@@ -130,7 +130,8 @@ class SimulationResult:
     queue_depth_log: list[tuple[float, int]] = field(default_factory=list)
     #: (time, active sessions) samples, on change.
     active_sessions_log: list[tuple[float, int]] = field(
-        default_factory=list)
+        default_factory=list
+    )
 
     @property
     def queries_completed(self) -> int:
@@ -170,10 +171,12 @@ class SimulationResult:
         return active
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Stage:
-    kind: str                 # "cpu" | "gpu"
-    work: float               # core-seconds or device-seconds
+    """One launchable step of a query; shared by every request of a profile."""
+
+    kind: str  # "cpu" | "gpu"
+    work: float  # core-seconds or device-seconds
     max_rate: float = 1.0
     threads: int = 1
     memory_bytes: int = 0
@@ -191,8 +194,8 @@ class _UserState:
     waiting_count: int = 0
     stage_intervals: list[PhaseInterval] = field(default_factory=list)
     wait_intervals: list[PhaseInterval] = field(default_factory=list)
-    wake_at: Optional[float] = None      # set while thinking between queries
-    in_query: bool = False               # a begun query not yet finished
+    wake_at: Optional[float] = None  # set while thinking between queries
+    in_query: bool = False  # a begun query not yet finished
     done: bool = False
 
     @property
@@ -211,39 +214,35 @@ class WorkloadSimulator:
             for i, spec in enumerate(config.gpus)
         ]
         self._task_ids = itertools.count(1)
-        self._gpu_waits = 0
-        # Per-run telemetry (reset by run()): task launch metadata for
-        # phase intervals, request traces, and queue/session logs.
-        self._task_meta: dict[int, tuple[str, int, float]] = {}
-        self._requests: list[RequestTrace] = []
-        self._queue_log: list[tuple[float, int]] = []
-        self._active_log: list[tuple[float, int]] = []
-        self._active_count = 0
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def run(self, users: Sequence[UserScript],
-            max_seconds: Optional[float] = None) -> SimulationResult:
+    def run(
+        self, users: Sequence[UserScript], max_seconds: Optional[float] = None
+    ) -> SimulationResult:
         clock = SimClock()
+        pool = self.pool
         states = [_UserState(script=u) for u in users]
-        completions: list[QueryCompletion] = []
-        waiters: list[tuple[_UserState, _Stage, float]] = []
-        owner_of_task: dict[int, _UserState] = {}
         util_samples: list[tuple[float, float]] = []
+        # Per-run state: each running task's owner and launch record
+        # (state, kind, device id, start), the stage templates by profile
+        # identity, the GPU admission queue (state, stage, queued at),
+        # request traces and the queue/session logs.
+        self._tasks: dict[int, tuple[_UserState, str, int, float]] = {}
+        self._templates: dict[int, tuple[_Stage, ...]] = {}
+        self._waiters: list[tuple[_UserState, _Stage, float]] = []
         self._gpu_waits = 0
-        self._task_meta = {}
-        self._requests = []
-        self._queue_log = []
+        self._requests: list[RequestTrace] = []
+        self._queue_log: list[tuple[float, int]] = []
         self._active_count = len(states)
         self._active_log = [(0.0, self._active_count)]
 
         for state in states:
             self._begin_query(state, clock.now)
-            self._skip_empty_queries(state, clock.now, completions)
             if not state.done:
-                self._start_next_batch(state, clock, owner_of_task, waiters)
+                self._start_next_batch(state, clock.now)
 
         # Only a script with think time ever sets ``wake_at``; ``active``
         # only shrinks when a session finishes.  Neither is per event.
@@ -254,63 +253,82 @@ class WorkloadSimulator:
                 active = [s for s in active if not s.done]
             if not active:
                 break
-            if max_seconds is not None and clock.now >= max_seconds:
+            now = clock.now
+            if max_seconds is not None and now >= max_seconds:
                 break
-            delta = self._earliest_completion()
-            wake_delta = min(
-                (s.wake_at - clock.now for s in active
-                 if s.wake_at is not None),
-                default=None,
-            ) if paced else None
+            busy = [d for d in self.devices if d.kernels]
+            etas = [d.earliest_completion() for d in busy]
+            if (eta := pool.earliest_completion()) is not None:
+                etas.append(eta)
+            delta = min(etas, default=None)
+            wake_delta = None
+            if paced:
+                wake_delta = min(
+                    (s.wake_at - now for s in active if s.wake_at is not None),
+                    default=None,
+                )
             if delta is None and wake_delta is None:
-                if waiters:
+                if self._waiters:
                     raise SimulationError(
                         "all users blocked on GPU admission with idle "
                         "devices (a stage exceeds every device's capacity?)"
                     )
                 break
-            if delta is None or (wake_delta is not None
-                                 and wake_delta < delta):
+            if delta is None or (
+                wake_delta is not None and wake_delta < delta
+            ):
                 delta = max(0.0, wake_delta)
-            util_samples.append((clock.now, self.pool.utilisation))
-            clock.advance(delta)
-            self.pool.progress(delta)
-            for device in self.devices:
-                device.progress(delta)
+            util_samples.append((now, pool.utilisation))
+            now = clock.advance(delta)
 
-            finished = self._collect_finished(owner_of_task, clock.now)
+            # One walk over the runnable set; the rest of the event is O(1)
+            # per finished task.
+            finished = pool.advance(delta, _EPS)
+            released = False
+            for device in busy:
+                done = device.advance(delta, now, _EPS)
+                if done:
+                    finished += done
+                    released = True
             touched = []
-            for state, task_id in finished:
+            for task_id in finished:
+                state, kind, device_id, start = self._tasks.pop(task_id)
+                state.stage_intervals.append(
+                    PhaseInterval(kind, start, now, device_id)
+                )
                 state.outstanding.discard(task_id)
                 touched.append(state)
             # Wake users whose think time elapsed.
             for state in active if paced else ():
-                if state.wake_at is not None \
-                        and state.wake_at <= clock.now + _EPS:
+                if state.wake_at is not None and state.wake_at <= now + _EPS:
                     state.wake_at = None
                     touched.append(state)
-            self._drain_waiters(waiters, clock, owner_of_task)
+            # Between releases admits only shrink a device's room, so every
+            # earlier rejection still holds: drain only after a release.
+            if released:
+                self._drain_waiters(now)
             for state in touched:
                 if state.done or not state.idle or state.wake_at is not None:
                     continue
                 if state.in_query and not state.stage_queue:
-                    self._finish_query(state, clock.now, completions)
+                    self._finish_query(state, now)
                     if state.done:
                         continue
                     if state.script.think_seconds > 0:
-                        state.wake_at = (clock.now
-                                         + state.script.think_seconds)
+                        state.wake_at = now + state.script.think_seconds
                         continue
                 if not state.in_query:
-                    self._begin_query(state, clock.now)
-                    self._skip_empty_queries(state, clock.now, completions)
+                    self._begin_query(state, now)
                     if state.done:
                         continue
-                self._start_next_batch(state, clock, owner_of_task, waiters)
+                self._start_next_batch(state, now)
 
         return SimulationResult(
             makespan=clock.now,
-            completions=completions,
+            completions=[
+                QueryCompletion(r.user_id, r.query_id, r.start, r.end)
+                for r in self._requests
+            ],
             device_memory_logs={
                 d.device_id: list(d.memory_log) for d in self.devices
             },
@@ -326,20 +344,23 @@ class WorkloadSimulator:
     # ------------------------------------------------------------------
 
     def _begin_query(self, state: _UserState, now: float) -> None:
-        profile = state.script.profiles[state.query_index]
-        state.stage_queue = list(self._stages_of(profile))
-        state.query_start = now
-        state.in_query = True
-        state.stage_intervals = []
-        state.wait_intervals = []
-
-    def _skip_empty_queries(self, state: _UserState, now: float,
-                            completions: list[QueryCompletion]) -> None:
-        """Complete zero-work queries instantly (they never enter a pool)."""
-        while not state.done and not state.stage_queue:
-            self._finish_query(state, now, completions)
-            if not state.done:
-                self._begin_query(state, now)
+        """Queue the next query's stages, completing zero-work queries
+        on the spot (they never enter a pool)."""
+        while not state.done:
+            profile = state.script.profiles[state.query_index]
+            # By identity: the scripts keep their profiles alive all run.
+            template = self._templates.get(id(profile))
+            if template is None:
+                template = tuple(self._stages_of(profile))
+                self._templates[id(profile)] = template
+            state.stage_queue = list(template)
+            state.query_start = now
+            state.in_query = True
+            state.stage_intervals = []
+            state.wait_intervals = []
+            if template:
+                return
+            self._finish_query(state, now)
 
     def _stages_of(self, profile: QueryProfile) -> Iterable[_Stage]:
         host = self.config.host
@@ -359,7 +380,7 @@ class WorkloadSimulator:
                 yield _Stage(
                     kind="cpu",
                     work=event.cpu_seconds,
-                    max_rate=host.effective_capacity(degree),
+                    max_rate=self.pool.capacity_for(degree),
                     threads=degree,
                     parallel_group=event.parallel_group,
                 )
@@ -371,45 +392,53 @@ class WorkloadSimulator:
                     parallel_group=event.parallel_group,
                 )
 
-    def _start_next_batch(self, state: _UserState, clock: SimClock,
-                          owner_of_task, waiters) -> None:
+    def _start_next_batch(self, state: _UserState, now: float) -> None:
         """Launch the next stage — or the whole parallel group it heads."""
         if not state.stage_queue:
             return
         first = state.stage_queue.pop(0)
         batch = [first]
         if first.parallel_group >= 0:
-            while (state.stage_queue
-                   and state.stage_queue[0].parallel_group
-                   == first.parallel_group):
+            while (
+                state.stage_queue
+                and state.stage_queue[0].parallel_group == first.parallel_group
+            ):
                 batch.append(state.stage_queue.pop(0))
         for stage in batch:
-            self._launch_stage(state, stage, clock, owner_of_task, waiters)
+            self._launch(state, stage, now)
 
-    def _launch_stage(self, state: _UserState, stage: _Stage,
-                      clock: SimClock, owner_of_task, waiters) -> None:
-        task_id = next(self._task_ids)
+    def _launch(self, state: _UserState, stage: _Stage, now: float) -> None:
         if stage.kind == "cpu":
-            self.pool.add(CpuTask(task_id=task_id, remaining=stage.work,
-                                  max_rate=stage.max_rate,
-                                  threads=stage.threads))
+            task_id = next(self._task_ids)
+            self.pool.add(
+                CpuTask(task_id, stage.work, stage.max_rate, stage.threads)
+            )
             state.outstanding.add(task_id)
-            owner_of_task[task_id] = state
-            self._task_meta[task_id] = ("cpu", -1, clock.now)
+            self._tasks[task_id] = (state, "cpu", -1, now)
             return
         device = self._pick_device(stage.memory_bytes)
         if device is None:
             state.waiting_count += 1
             self._gpu_waits += 1
-            waiters.append((state, stage, clock.now))
-            self._log_queue_depth(clock.now, len(waiters))
+            self._waiters.append((state, stage, now))
+            self._log_queue_depth(now)
             return
-        device.admit(GpuKernelTask(task_id=task_id, remaining=stage.work,
-                                   memory_bytes=stage.memory_bytes),
-                     clock.now)
+        self._admit(state, stage, device, now)
+
+    def _admit(
+        self,
+        state: _UserState,
+        stage: _Stage,
+        device: GpuDeviceState,
+        now: float,
+    ) -> None:
+        """Make ``stage`` resident on ``device`` as a new task of ``state``."""
+        task_id = next(self._task_ids)
+        device.admit(
+            GpuKernelTask(task_id, stage.work, stage.memory_bytes), now
+        )
         state.outstanding.add(task_id)
-        owner_of_task[task_id] = state
-        self._task_meta[task_id] = ("gpu", device.device_id, clock.now)
+        self._tasks[task_id] = (state, "gpu", device.device_id, now)
 
     def _pick_device(self, memory_bytes: int) -> Optional[GpuDeviceState]:
         candidates = [d for d in self.devices if d.can_admit(memory_bytes)]
@@ -417,7 +446,8 @@ class WorkloadSimulator:
             return None
         return min(candidates, key=lambda d: (d.resident_count, -d.free))
 
-    def _drain_waiters(self, waiters, clock, owner_of_task) -> None:
+    def _drain_waiters(self, now: float) -> None:
+        waiters = self._waiters
         admitted = True
         while admitted and waiters:
             admitted = False
@@ -425,68 +455,29 @@ class WorkloadSimulator:
                 device = self._pick_device(stage.memory_bytes)
                 if device is None:
                     continue
-                task_id = next(self._task_ids)
-                device.admit(GpuKernelTask(task_id=task_id,
-                                           remaining=stage.work,
-                                           memory_bytes=stage.memory_bytes),
-                             clock.now)
+                self._admit(state, stage, device, now)
                 state.waiting_count -= 1
-                state.outstanding.add(task_id)
-                owner_of_task[task_id] = state
-                state.wait_intervals.append(PhaseInterval(
-                    kind="queue", start=queued_at, end=clock.now,
-                    device_id=device.device_id))
-                self._task_meta[task_id] = ("gpu", device.device_id,
-                                            clock.now)
+                state.wait_intervals.append(
+                    PhaseInterval("queue", queued_at, now, device.device_id)
+                )
                 waiters.pop(i)
-                self._log_queue_depth(clock.now, len(waiters))
+                self._log_queue_depth(now)
                 admitted = True
                 break
 
-    def _earliest_completion(self) -> Optional[float]:
-        etas = [self.pool.earliest_completion()]
-        etas += [device.earliest_completion() for device in self.devices]
-        return min((eta for eta in etas if eta is not None), default=None)
-
-    def _collect_finished(self, owner_of_task,
-                          now: float) -> list[tuple[_UserState, int]]:
-        finished = []
-        for task_id in [t for t, task in self.pool.tasks.items()
-                        if task.remaining <= _EPS]:
-            self.pool.remove(task_id)
-            finished.append((owner_of_task.pop(task_id), task_id))
-        for device in self.devices:
-            for task_id in [t for t, k in device.kernels.items()
-                            if k.remaining <= _EPS]:
-                device.release(task_id, now)
-                finished.append((owner_of_task.pop(task_id), task_id))
-        for state, task_id in finished:
-            meta = self._task_meta.pop(task_id, None)
-            if meta is not None:
-                state.stage_intervals.append(PhaseInterval(
-                    kind=meta[0], start=meta[2], end=now,
-                    device_id=meta[1]))
-        return finished
-
-    def _finish_query(self, state: _UserState, now: float,
-                      completions: list[QueryCompletion]) -> None:
-        profile = state.script.profiles[state.query_index]
-        completions.append(QueryCompletion(
-            user_id=state.script.user_id,
-            query_id=profile.query_id,
-            start=state.query_start,
-            end=now,
-        ))
-        self._requests.append(RequestTrace(
-            user_id=state.script.user_id,
-            query_id=profile.query_id,
-            loop=state.loop,
-            index=state.query_index,
-            start=state.query_start,
-            end=now,
-            stages=tuple(state.stage_intervals),
-            waits=tuple(state.wait_intervals),
-        ))
+    def _finish_query(self, state: _UserState, now: float) -> None:
+        self._requests.append(
+            RequestTrace(
+                user_id=state.script.user_id,
+                query_id=state.script.profiles[state.query_index].query_id,
+                loop=state.loop,
+                index=state.query_index,
+                start=state.query_start,
+                end=now,
+                stages=tuple(state.stage_intervals),
+                waits=tuple(state.wait_intervals),
+            )
+        )
         state.in_query = False
         state.query_index += 1
         if state.query_index >= len(state.script.profiles):
@@ -497,7 +488,8 @@ class WorkloadSimulator:
                 self._active_count -= 1
                 self._active_log.append((now, self._active_count))
 
-    def _log_queue_depth(self, now: float, depth: int) -> None:
+    def _log_queue_depth(self, now: float) -> None:
         """Sample the admission-queue depth whenever it changes."""
+        depth = len(self._waiters)
         if not self._queue_log or self._queue_log[-1][1] != depth:
             self._queue_log.append((now, depth))

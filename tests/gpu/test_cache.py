@@ -110,6 +110,24 @@ class TestLookupInsert:
         assert not cache.insert(key(2), -5)
 
 
+class TestCachedBytesFor:
+    def test_any_iterable_counts_every_resident_match(self, cache):
+        for n, nbytes in ((1, 10), (2, 20), (3, 30)):
+            assert cache.insert(key(n), nbytes)
+        wanted = (key(3), key(1), key(9), key(1))    # a miss, a duplicate
+        assert cache.cached_bytes_for(wanted) == 40
+        # An iterator is consumed once; it must still see every match.
+        assert cache.cached_bytes_for(k for k in wanted) == 40
+
+    def test_probe_leaves_lru_order_and_stats_alone(self, cache):
+        cache.insert(key(1), 40)
+        cache.insert(key(2), 40)
+        assert cache.cached_bytes_for([key(1)]) == 40
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        cache.insert(key(3), 40)                # evicts key 1: still LRU
+        assert key(1) not in cache and key(2) in cache
+
+
 class TestEviction:
     def test_lru_eviction_within_budget(self, cache):
         cache.insert(key(1), 60)
