@@ -19,16 +19,19 @@ import numpy as np
 from repro.blu.column import Dictionary
 
 
-def build_dictionary(values: list[str]) -> tuple[Dictionary, np.ndarray]:
+def build_dictionary(values: list[str],
+                     counts=None) -> tuple[Dictionary, np.ndarray]:
     """Dictionary-encode ``values``.
 
     Returns ``(dictionary, codes)`` where codes are assigned in descending
     frequency order (ties broken by value, so encoding is deterministic) and
     the dictionary carries collation ranks so order-based operations work on
-    codes.
+    codes.  ``counts[i]``, when given, is how many rows ``values[i]`` stands
+    for, so a vocabulary can be encoded in place of the rows drawn from it.
     """
     arr = np.asarray(values, dtype=object)
-    uniques, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    uniques, inverse = np.unique(arr, return_inverse=True)
+    counts = np.bincount(inverse, weights=counts, minlength=len(uniques))
     # np.unique returns values in sorted order; re-rank by (-count, value).
     freq_order = np.lexsort((np.arange(len(uniques)), -counts))
     # code_of_sorted[i] = code assigned to uniques[i]

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.blu.operators.aggregate import dense_span
+
 _U64 = np.uint64
 _MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
 
@@ -182,18 +184,33 @@ def compute_column_stats(column) -> ColumnStats:
     derived cardinalities from these.  Using exact base stats plus estimated
     derivations mirrors that split.
     """
-    data = column.data
     null_count = int(column.null_mask.sum()) if column.null_mask is not None else 0
-    if column.dictionary is not None:
-        present = np.unique(data)
-        distinct = int(len(present))
-    else:
-        distinct = int(len(np.unique(data)))
     lo, hi = column.min_max()
     return ColumnStats(
         rows=len(column),
-        distinct=distinct,
+        distinct=count_distinct(column.data),
         null_count=null_count,
         min_value=lo,
         max_value=hi,
     )
+
+
+def count_distinct(data: np.ndarray) -> int:
+    """Exact distinct count of an encoded vector, in passes over memory.
+
+    Integers and dictionary codes inside the span rule (``dense_span``)
+    mark a span-sized table and count the marks; wider integers sort once
+    and count the value changes.  Floats (NaNs collapse to one) and empty
+    vectors keep ``np.unique``.
+    """
+    if data.dtype.kind not in "iu" or not len(data):
+        return len(np.unique(data))
+    span = dense_span(data, len(data))
+    if span is None:
+        ordered = np.sort(data)
+        return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    seen = np.zeros(span[1], dtype=bool)
+    # Read as unsigned, ``data - min`` is the true offset even where it
+    # wraps the signed dtype (an int8 column spanning more than 127).
+    seen[(data - span[0]).view(f"u{data.dtype.itemsize}")] = True
+    return int(np.count_nonzero(seen))

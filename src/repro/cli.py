@@ -95,6 +95,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench.reporting import format_table
+from repro.errors import WorkloadError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1067,7 +1068,11 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: dispatch to the ``cmd_*`` handlers."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except WorkloadError as exc:    # e.g. ``--scale nan``: bad input, no bug
+        print(f"FAIL  {type(exc).__name__}: {exc}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

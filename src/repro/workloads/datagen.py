@@ -16,6 +16,7 @@ routing, Figure 9's near-capacity peaks — reproduce faithfully.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -36,8 +37,9 @@ from repro.workloads.tpcds_schema import (
 
 def generate_database(scale: float = 0.05, seed: int = 7) -> Catalog:
     """Generate the full 24-table database at ``scale``."""
-    if scale <= 0:
-        raise WorkloadError("scale must be positive")
+    if not (isinstance(scale, numbers.Real) and 0 < scale < np.inf):
+        raise WorkloadError(
+            f"scale must be a finite positive number, got {scale!r}")
     rng = np.random.default_rng(seed)
     rows_of: dict[str, int] = {}
     for spec in ALL_TABLES:
@@ -73,7 +75,8 @@ def _build_column(col: ColumnSpec, n: int, rows_of: dict[str, int],
         if col.null_fraction > 0:
             mask = rng.random(n) < col.null_fraction
             return Column(col.dtype,
-                          np.where(mask, 0, data).astype(col.dtype.numpy_dtype),
+                          np.where(mask, 0, data).astype(
+                              col.dtype.numpy_dtype, copy=False),
                           null_mask=mask)
     elif col.kind == "skewed_fk":
         ref_rows = rows_of[col.ref]
@@ -95,7 +98,7 @@ def _build_column(col: ColumnSpec, n: int, rows_of: dict[str, int],
         data = int(col.lo) + (np.arange(n, dtype=np.int64) % col.span)
     else:
         raise WorkloadError(f"unknown generator kind {col.kind!r}")
-    return Column(col.dtype, data.astype(col.dtype.numpy_dtype))
+    return Column(col.dtype, data.astype(col.dtype.numpy_dtype, copy=False))
 
 
 def _choice_column(col: ColumnSpec, n: int,
@@ -107,9 +110,14 @@ def _choice_column(col: ColumnSpec, n: int,
         picks = rng.choice(len(vocab), size=n, p=weights)
     else:
         picks = rng.integers(0, len(vocab), size=n)
-    values = vocab[picks]
-    dictionary, codes = build_dictionary(list(values))
-    return Column(col.dtype, codes, dictionary)
+    # Encode the vocabulary entries that were drawn, each weighted by its
+    # picks, instead of n decoded strings; the rows then map through it.
+    counts = np.bincount(picks, minlength=len(vocab))
+    drawn = np.flatnonzero(counts)
+    dictionary, codes = build_dictionary(vocab[drawn], counts[drawn])
+    code_of_entry = np.empty(len(vocab), dtype=np.int32)
+    code_of_entry[drawn] = codes
+    return Column(col.dtype, code_of_entry[picks], dictionary)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These are the bodies the engine ran before late materialisation and
 direct addressing: a gather per column per ``take``, a sort per
-``group_encode``, ``np.unique`` + ``np.searchsorted`` per join lookup.
+``group_encode``, ``np.unique`` + ``np.searchsorted`` per join lookup,
+``np.unique`` per column at load.
 The production code must return exactly what they return; nothing
 outside ``tests/`` imports this module.
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from repro.blu.column import Column
 from repro.blu.operators.aggregate import appearance_rank
+from repro.blu.statistics import ColumnStats
 from repro.blu.table import Field, Schema, Table
 
 
@@ -102,3 +104,22 @@ def aligned_string_keys_by_row(build_col: Column, probe_col: Column):
     probe_pos = np.clip(probe_pos, 0, len(universe) - 1)
     probe_keys = np.where(universe[probe_pos] == probe_vals, probe_pos, -1)
     return build_keys.astype(np.int64), probe_keys.astype(np.int64)
+
+
+def oracle_column_stats(column: Column) -> ColumnStats:
+    """``compute_column_stats`` as it was: one ``np.unique`` per column."""
+    data = column.data
+    null_count = int(column.null_mask.sum()) if column.null_mask is not None else 0
+    if column.dictionary is not None:
+        present = np.unique(data)
+        distinct = int(len(present))
+    else:
+        distinct = int(len(np.unique(data)))
+    lo, hi = column.min_max()
+    return ColumnStats(
+        rows=len(column),
+        distinct=distinct,
+        null_count=null_count,
+        min_value=lo,
+        max_value=hi,
+    )

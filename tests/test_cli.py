@@ -68,6 +68,13 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_nan_scale_fails_with_typed_error_not_traceback(self, capsys):
+        code = main(["--scale", "nan", "bench", "bd_insights"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == ("FAIL  WorkloadError: scale must be a finite "
+                       "positive number, got nan\n")
+
 
 class TestInspectCommand:
     def test_inspect(self, capsys):

@@ -1,8 +1,11 @@
 """Unit tests for the TPC-DS-derived schema and data generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.errors import WorkloadError
 from repro.workloads.datagen import generate_database, scaled_config
 from repro.workloads.tpcds_schema import (
     ALL_TABLES,
@@ -115,6 +118,54 @@ class TestDatagen:
 
         with pytest.raises(WorkloadError):
             generate_database(scale=0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), "0.05"])
+    def test_non_finite_or_non_numeric_scale_rejected(self, scale):
+        """NaN passes ``scale <= 0`` and inf survives until ``int()``."""
+        with pytest.raises(WorkloadError, match="finite positive number"):
+            generate_database(scale=scale)
+
+
+def database_digest(catalog) -> str:
+    """One digest over every column's encoded bytes and dictionary."""
+    digest = hashlib.blake2b(digest_size=16)
+    for table in catalog:
+        for field, column in zip(table.schema, table.columns):
+            digest.update(f"{table.name}.{field.name}:"
+                          f"{column.data.dtype.str}".encode())
+            digest.update(column.data.tobytes())
+            if column.null_mask is not None:
+                digest.update(b"mask" + column.null_mask.tobytes())
+            if column.dictionary is not None:
+                d = column.dictionary
+                digest.update(
+                    f"{d.values.dtype.str}{d.sort_rank.dtype.str}".encode())
+                digest.update("\x00".join(d.values).encode())
+                digest.update(d.sort_rank.tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratedBytesPinned:
+    """The generator's bytes as they were at 5b61fa4 (strings decoded per
+    row, every column copied by ``astype``): same rng stream, same data,
+    null masks, dictionary values and collation ranks."""
+
+    @pytest.mark.parametrize("seed, scale, expected", [
+        (7, 0.01, "05124c3696028bd48e66b80a679d75f2"),
+        (7, 0.03, "73c635c58235a4c9db3a9228f6d17506"),
+        (23, 0.01, "38beb49ad6754d66c15873bfa1d9311b"),
+        (23, 0.03, "ec204b9341a48b74aef76de4d4083f3a"),
+    ])
+    def test_digest(self, seed, scale, expected):
+        catalog = generate_database(scale=scale, seed=seed)
+        assert database_digest(catalog) == expected
+
+    def test_undrawn_vocabulary_entries_stay_out_of_the_dictionary(self):
+        catalog = generate_database(scale=0.01, seed=7)
+        brands = catalog.table("item").column("i_brand")
+        assert brands.dictionary.cardinality == 175      # of 200 declared
+        assert brands.data.dtype == np.int32
+        assert brands.data.max() == 174
 
 
 class TestScaledConfig:
