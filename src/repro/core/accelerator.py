@@ -24,6 +24,7 @@ from repro.blu.engine import BluEngine, OperatorContext
 from repro.blu.plan import GroupByNode, JoinNode, PlanNode, SortNode
 from repro.blu.table import Table
 from repro.config import SystemConfig, cpu_only_testbed, paper_testbed
+from repro.core.dispatch import Dispatcher
 from repro.core.hybrid_groupby import HybridGroupByExecutor
 from repro.core.hybrid_join import HybridJoinExecutor
 from repro.core.hybrid_sort import HybridSortExecutor
@@ -168,44 +169,38 @@ class GpuAcceleratedEngine:
                     if table.num_rows >= self.config.thresholds.t1_min_rows:
                         catalog.register_shard_map(
                             build_shard_map(name, healthy))
-        self._groupby = HybridGroupByExecutor(
+        # One dispatch site (docs/architecture.md): leases, staging,
+        # fault policy and decision records have a single owner, shared
+        # by every executor below.
+        self.dispatch = Dispatcher(
             scheduler=self.scheduler,
-            moderator=self.moderator,
             pinned=self.pinned,
-            thresholds=self.config.thresholds,
             monitor=self.monitor,
+            catalog=catalog,
+            pipeline=self.pipeline,
+            interconnect=self.interconnect,
+            rebalance=self._rebalance_shards,
+        )
+        self._groupby = HybridGroupByExecutor(
+            dispatch=self.dispatch,
+            moderator=self.moderator,
+            thresholds=self.config.thresholds,
             race_kernels=race_kernels,
             partition_large=partition_large,
             max_partitions=self.config.max_partitions,
-            catalog=catalog,
-            pipeline=self.pipeline,
             shard_enabled=shard_enabled,
-            interconnect=self.interconnect,
-            rebalance=self._rebalance_shards,
         )
         self._sort = HybridSortExecutor(
-            scheduler=self.scheduler,
-            pinned=self.pinned,
+            dispatch=self.dispatch,
             thresholds=self.config.thresholds,
-            monitor=self.monitor,
-            catalog=catalog,
-            pipeline=self.pipeline,
             partition_large=partition_large,
             max_partitions=self.config.max_partitions,
             shard_enabled=shard_enabled,
-            interconnect=self.interconnect,
-            rebalance=self._rebalance_shards,
         )
         self._join = HybridJoinExecutor(
-            scheduler=self.scheduler,
-            pinned=self.pinned,
+            dispatch=self.dispatch,
             thresholds=self.config.thresholds,
-            monitor=self.monitor,
-            catalog=catalog,
-            pipeline=self.pipeline,
             shard_enabled=shard_enabled,
-            interconnect=self.interconnect,
-            rebalance=self._rebalance_shards,
         ) if enable_join_offload else None
         # Fused data path (docs/fusion.md): recognised filter->join->
         # group-by chains run as one device launch; every failure (and a
@@ -213,16 +208,12 @@ class GpuAcceleratedEngine:
         # below, so fusion_enabled=False and fusion-degraded runs are
         # bit-identical to this engine's stock routing.
         self._fused = FusedExecutor(
-            scheduler=self.scheduler,
+            dispatch=self.dispatch,
             moderator=self.moderator,
-            pinned=self.pinned,
             thresholds=self.config.thresholds,
             groupby_fallback=self._route_groupby,
             join_fallback=(self._route_join if enable_join_offload
                            else cpu_join_executor),
-            monitor=self.monitor,
-            catalog=catalog,
-            pipeline=self.pipeline,
             race_kernels=race_kernels,
         ) if self.config.fusion_enabled else None
         self.engine = BluEngine(
@@ -258,7 +249,7 @@ class GpuAcceleratedEngine:
             catalog_version=catalog.version,
         )
 
-    # Route through bound methods so the executors see the current query id.
+    # Route through bound methods so the harness can wrap the executors.
     def _route_groupby(self, table: Table, node: GroupByNode,
                        ctx: OperatorContext) -> Table:
         return self._groupby(table, node, ctx)
@@ -357,12 +348,7 @@ class GpuAcceleratedEngine:
         return profile.to_text()
 
     def _set_query_id(self, query_id: str) -> None:
-        self._groupby.query_id = query_id
-        self._sort.query_id = query_id
-        if self._join is not None:
-            self._join.query_id = query_id
-        if self._fused is not None:
-            self._fused.query_id = query_id
+        self.dispatch.query_id = query_id
 
     # ------------------------------------------------------------------
     # Observability exports

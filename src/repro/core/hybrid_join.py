@@ -12,79 +12,63 @@ the stock CPU join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.blu.catalog import Catalog
 from repro.blu.engine import OperatorContext, cpu_join_executor
 from repro.blu.operators.aggregate import group_encode
 from repro.blu.operators.join import _aligned_keys, _assemble, match_rows
 from repro.blu.plan import JoinNode
 from repro.blu.table import Table
 from repro.config import Thresholds
-from repro.core.hybrid_groupby import _PARALLEL_GROUP_IDS
-from repro.core.monitoring import OffloadDecision, PerformanceMonitor
+from repro.core.dispatch import Declined, Dispatcher, Kernel, Piece
 from repro.core.pathselect import select_sharded_path
-from repro.core.scheduler import MultiGpuScheduler
-from repro.errors import GpuError, PinnedMemoryError
+from repro.errors import GpuError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
-from repro.gpu.interconnect import Interconnect
 from repro.gpu.kernels.join import HashJoinKernel
-from repro.gpu.partition import PartitionStreamState
-from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
                              range_shard_bounds)
-from repro.gpu.streams import PipelineSpec, streamed_launch
-from repro.gpu.transfer import effective_transfer_bytes
-from repro.timing import CostEvent
-
-_DISPATCH_SECONDS = 50e-6
 
 
 @dataclass
 class HybridJoinExecutor:
-    """Pluggable join executor that may offload FK joins to a GPU."""
+    """Pluggable join executor that may offload FK joins to a GPU.
 
-    scheduler: MultiGpuScheduler
-    pinned: PinnedMemoryPool
+    With ``shard_enabled`` (docs/scale_out.md) the probe side range-
+    shards across the healthy devices with the build side broadcast.
+    """
+
+    dispatch: Dispatcher
     thresholds: Thresholds
-    monitor: Optional[PerformanceMonitor] = None
-    catalog: Optional[Catalog] = None
-    pipeline: Optional[PipelineSpec] = None
-    #: Scale-out (docs/scale_out.md): when set with an interconnect, the
-    #: probe side range-shards across devices with the build broadcast.
     shard_enabled: bool = False
-    interconnect: Optional[Interconnect] = None
-    #: Engine callback invoked with the lost device ids after a shard
-    #: reroute, so shard maps rebalance (and the catalog version bumps).
-    rebalance: Optional[Callable[[list], None]] = None
-    query_id: str = ""
 
     def __call__(self, left: Table, right: Table, node: JoinNode,
                  ctx: OperatorContext) -> Table:
+        dispatch = self.dispatch
         probe_rows = left.num_rows
         build_rows = right.num_rows
         if probe_rows < self.thresholds.t1_min_rows or build_rows == 0:
-            self._record("cpu-small",
-                         f"probe side {probe_rows} rows below T1")
+            dispatch.record("join", "cpu-small",
+                            f"probe side {probe_rows} rows below T1")
             return cpu_join_executor(left, right, node, ctx)
 
         build_col = right.column(node.right_key)
         probe_col = left.column(node.left_key)
         build_keys, probe_keys = _aligned_keys(build_col, probe_col)
         if group_encode([build_keys])[2] != len(build_keys):
-            self._record("cpu-small",
-                         "build keys not unique: many-to-many stays on CPU")
+            dispatch.record(
+                "join", "cpu-small",
+                "build keys not unique: many-to-many stays on CPU")
             return cpu_join_executor(left, right, node, ctx)
 
         kernel = HashJoinKernel(ctx.config.cost)
-        if self.shard_enabled and self.interconnect is not None:
+        if self.shard_enabled:
             num_cols = left.num_columns + right.num_columns
             plan = self._plan_shard_join(probe_rows, build_rows, kernel,
                                          ctx, left.name, num_cols=num_cols)
             sharded = select_sharded_path(operator="join", plan=plan,
-                                          tracer=self._tracer)
+                                          tracer=dispatch.tracer)
             if sharded.shard:
                 left_idx, right_idx = self._run_sharded_probe(
                     build_keys, probe_keys, kernel, ctx, plan,
@@ -103,10 +87,7 @@ class HybridJoinExecutor:
         # packed 4-byte codes; the kernel returns a compact 4-byte match
         # row id per probe hit.
         staged = build_rows * 8 + probe_rows * 4
-        result_bytes = probe_rows * 4
-        memory_needed = (staged + result_bytes
-                         + kernel.table_bytes(build_rows))
-        version = self.catalog.version if self.catalog is not None else 0
+        version = dispatch.catalog_version
         segments = [
             StagedSegment(
                 key=SegmentKey(
@@ -125,83 +106,35 @@ class HybridJoinExecutor:
                 nbytes=probe_rows * 4,
             ),
         ]
-        lease = self.scheduler.try_acquire(
-            memory_needed, tag="join",
-            affinity=[s.key for s in segments])
-        if lease is None:
-            self._record("cpu-fallback",
-                         f"no GPU could reserve {memory_needed} bytes")
-            return cpu_join_executor(left, right, node, ctx)
 
-        cache = lease.device.cache
-        hit_bytes = 0
-        missed: list[StagedSegment] = []
-        if cache is not None and cache.enabled:
-            for segment in segments:
-                if cache.lookup(segment.key):
-                    hit_bytes += segment.nbytes
-                else:
-                    missed.append(segment)
-        transfer = effective_transfer_bytes(staged, hit_bytes)
-        try:
+        def run(_bytes_in: int) -> Kernel:
             try:
-                result = kernel.run(build_keys, probe_keys)
+                return _probe_kernel(kernel, build_keys, probe_keys)
             except GpuError:
-                self._record("cpu-fallback", "kernel rejected the join")
-                return cpu_join_executor(left, right, node, ctx)
-            launch = streamed_launch(
-                lease.device, self.pinned,
-                kernel=result.kernel,
-                kernel_seconds=result.kernel_seconds,
-                reservation=lease.reservation,
-                rows=probe_rows,
-                bytes_in=transfer,
-                bytes_out=len(result.left_idx) * 4,
-                pinned=True,
-                pipeline=self.pipeline,
-            )
-            ctx.ledger.add(CostEvent(
-                op="GPU-JOIN",
-                rows=probe_rows,
-                cpu_seconds=_DISPATCH_SECONDS,
-                max_degree=1,
-                gpu_seconds=launch.total_seconds,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=lease.device.device_id,
-            ))
-            # Host-side materialisation of the joined columns.
-            materialise = (len(result.left_idx)
-                           * (left.num_columns + right.num_columns)
-                           / ctx.config.cost.cpu_decode_rate)
-            ctx.ledger.cpu("JOIN-MAT", len(result.left_idx), materialise,
-                           max_degree=ctx.degree)
-        except PinnedMemoryError as exc:
-            # Host-side staging exhaustion: no device misbehaved, so the
-            # circuit breaker stays out of it.
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("join", exc)
-            self._record("cpu-fallback", "pinned staging pool exhausted")
-            return cpu_join_executor(left, right, node, ctx)
-        except GpuError as exc:
-            # Launch failure or device loss on the leased device: feed the
-            # breaker and redo the join on the stock CPU operator.
-            self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback(
-                    "join", exc, lease.device.device_id)
-            self._record("cpu-fallback", f"gpu failure: {exc}")
-            return cpu_join_executor(left, right, node, ctx)
-        else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
+                raise Declined("kernel rejected the join") from None
 
-        if cache is not None and cache.enabled:
-            for segment in missed:
-                cache.insert(segment.key, segment.nbytes)
+        piece = Piece(
+            rows=probe_rows,
+            memory=(staged + probe_rows * 4
+                    + kernel.table_bytes(build_rows)),
+            tag="join", staged=staged, segments=segments, run=run,
+        )
+        result = dispatch.launch("join", ctx, piece)
+        if result is None:
+            # No room, a rejected input or a failed launch: redo the
+            # join on the stock CPU operator.
+            dispatch.record("join", "cpu-fallback", piece.fallback)
+            return cpu_join_executor(left, right, node, ctx)
 
-        self._record("gpu", f"offloaded FK join: {probe_rows} probe rows, "
-                            f"{build_rows} build rows")
+        # Host-side materialisation of the joined columns.
+        materialise = (len(result.left_idx)
+                       * (left.num_columns + right.num_columns)
+                       / ctx.config.cost.cpu_decode_rate)
+        ctx.ledger.cpu("JOIN-MAT", len(result.left_idx), materialise,
+                       max_degree=ctx.degree)
+        dispatch.record("join", "gpu",
+                        f"offloaded FK join: {probe_rows} probe rows, "
+                        f"{build_rows} build rows")
         return _assemble(left, right, node.left_key, node.right_key,
                          result.left_idx, result.right_idx)
 
@@ -224,7 +157,8 @@ class HybridJoinExecutor:
         interconnect: matches are emitted in probe order, so the merge
         is an order-preserving concatenation priced as a host memcpy.
         """
-        devices = home_devices(self.scheduler, self.catalog, table_name)
+        scheduler = self.dispatch.scheduler
+        devices = home_devices(scheduler, self.dispatch.catalog, table_name)
         if len(devices) < 2:
             return None
         cost = ctx.config.cost
@@ -248,10 +182,10 @@ class HybridJoinExecutor:
             merge_core_seconds=probe_rows * 8 / cost.cpu_memcpy_rate,
             devices=devices,
             cost=cost,
-            spec=self.scheduler.devices[0].spec,
+            spec=scheduler.devices[0].spec,
             host=ctx.config.host,
             degree=ctx.degree,
-            interconnect=self.interconnect,
+            interconnect=self.dispatch.interconnect,
             cpu_seconds=cpu_core / capacity,
             broadcast_bytes=build_rows * 8,
             replicated_kernel_seconds=replicated,
@@ -280,131 +214,44 @@ class HybridJoinExecutor:
         build_rows = len(build_keys)
         build_bytes = build_rows * 8
         shards = plan.shards
-        self._record("gpu-sharded", plan.reason)
+        self.dispatch.record("join", "gpu-sharded", plan.reason)
         bounds = range_shard_bounds(probe_rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             build_bytes + int(bounds[s + 1] - bounds[s]) * 4)
-            for s in range(shards)
-        ])
 
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_shards = cpu_shards = rerouted = 0
-        lost_devices: set[int] = set()
         left_parts: list[np.ndarray] = []
         right_parts: list[np.ndarray] = []
-        for s in range(shards):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi <= lo:
-                continue
-            sub = probe_keys[lo:hi]
-            staged_s = build_bytes + len(sub) * 4
-            memory_needed = (staged_s + len(sub) * 4
-                             + kernel.table_bytes(build_rows))
-            home = plan.devices[s % len(plan.devices)]
-            matched = None
-            device_id = -1
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    memory_needed, tag="join-shard", prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    result = kernel.run(build_keys, sub)
-                    # On-device gather of the joined columns for this
-                    # shard's matches rides the kernel slice.
-                    gather_seconds = (len(result.left_idx) * num_cols
-                                      / cost.gpu_gather_rate)
-                    launch = streamed_launch(
-                        lease.device, self.pinned,
-                        kernel=result.kernel,
-                        kernel_seconds=(result.kernel_seconds
-                                        + gather_seconds),
-                        reservation=lease.reservation,
-                        rows=len(sub),
-                        bytes_in=staged_s,
-                        bytes_out=len(result.left_idx) * 4,
-                        pinned=True,
-                        pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged_s,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, len(result.left_idx) * 4,
-                        launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-JOIN", rows=len(sub),
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    matched = (lo + result.left_idx, result.right_idx)
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("join", exc)
-                    break
-                except GpuError as exc:
-                    # Only this shard reroutes: feed the breaker, then
-                    # retry on any other admissible device before the
-                    # host probe.
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "join", exc, lease.device.device_id)
-                    rerouted += 1
+        with self.dispatch.wave(
+                "join", ctx, plan,
+                [build_bytes + int(n) * 4 for n in np.diff(bounds)]) as wave:
+            for s in range(shards):
+                lo, hi = int(bounds[s]), int(bounds[s + 1])
+                if hi <= lo:
                     continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if matched is None:
-                cpu_shards += 1
-                target, device_id = "cpu", -1
-                # The reroute of last resort: the kernel's contract (ascending
-                # probe rows, each hit's unique build row) on the host.
+                sub = probe_keys[lo:hi]
+                staged = build_bytes + len(sub) * 4
+                result = wave.launch(Piece(
+                    rows=len(sub),
+                    memory=(staged + len(sub) * 4
+                            + kernel.table_bytes(build_rows)),
+                    tag="join-shard", staged=staged, index=s,
+                    run=lambda _bytes_in: _probe_kernel(
+                        kernel, build_keys, sub, gather_cols=num_cols),
+                ))
+                if result is not None:
+                    left_parts.append(lo + result.left_idx)
+                    right_parts.append(result.right_idx)
+                    continue
+                # The reroute of last resort: the kernel's contract
+                # (ascending probe rows, each hit's unique build row) on
+                # the host.
                 left_local, right_local = match_rows(build_keys, sub)
-                matched = (lo + left_local, right_local)
+                left_parts.append(lo + left_local)
+                right_parts.append(right_local)
                 ctx.ledger.cpu(
                     "JOIN-PROBE", len(sub),
                     build_rows / cost.cpu_join_build_rate
                     + len(sub) / cost.cpu_join_probe_rate
-                    + len(matched[0]) * num_cols / cost.cpu_decode_rate,
+                    + len(left_local) * num_cols / cost.cpu_decode_rate,
                     max_degree=ctx.degree)
-            else:
-                gpu_shards += 1
-                target = "gpu"
-            if tracer is not None:
-                tracer.instant(
-                    "shard.part", operator="join", index=s,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            left_parts.append(matched[0])
-            right_parts.append(matched[1])
-
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
 
         # The merge: matches arrive in ascending probe order per shard
         # and shards are contiguous slices, so concatenation preserves
@@ -416,35 +263,23 @@ class HybridJoinExecutor:
         merge_core = probe_rows * 8 / cost.cpu_memcpy_rate
         ctx.ledger.cpu("SHARD-MERGE", probe_rows, merge_core,
                        max_degree=ctx.degree)
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        if tracer is not None:
-            tracer.instant(
-                "shard.exec", operator="join", shards=shards,
-                gpu_shards=gpu_shards, cpu_shards=cpu_shards,
-                rerouted=rerouted, devices=list(plan.devices),
-                rows=probe_rows, groups=0,
-                merge_seconds=merge_core / max(
-                    1.0, ctx.config.host.effective_capacity(ctx.degree)),
-                exchange_seconds=0.0, exchange_bytes=0,
-                stall_seconds=sum(leg.stall_seconds for leg in legs),
-                nvlink=self.interconnect.nvlink_enabled,
-                query_id=self.query_id,
-            )
+        wave.report(
+            rows=probe_rows,
+            merge_seconds=merge_core / max(
+                1.0, ctx.config.host.effective_capacity(ctx.degree)))
         return left_idx, right_idx
 
-    @property
-    def _tracer(self):
-        return self.monitor.tracer if self.monitor is not None else None
 
-    def _record(self, path: str, reason: str) -> None:
-        if self.monitor is None:
-            return
-        self.monitor.tracer.instant(
-            "offload.decision", operator="join", path=path, reason=reason,
-            query_id=self.query_id,
-        )
-        self.monitor.record_decision(OffloadDecision(
-            query_id=self.query_id, operator="join", path=path,
-            reason=reason,
-        ))
+def _probe_kernel(kernel: HashJoinKernel, build_keys: np.ndarray,
+                  probe_keys: np.ndarray, gather_cols: int = 0) -> Kernel:
+    """Build + probe; one compact 4-byte match row id back per hit.
+
+    A shard also gathers its ``gather_cols`` joined columns on-device,
+    which rides the kernel slice; the classic path gathers none (its
+    host materialiser does that work).
+    """
+    result = kernel.run(build_keys, probe_keys)
+    gather_seconds = (len(result.left_idx) * gather_cols
+                      / kernel.cost.gpu_gather_rate)
+    return Kernel(result.kernel, result.kernel_seconds + gather_seconds,
+                  len(result.left_idx) * 4, outcome=result)

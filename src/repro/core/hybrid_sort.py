@@ -26,35 +26,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.blu.catalog import Catalog
 from repro.blu.engine import OperatorContext, cpu_sort_executor
 from repro.blu.plan import SortKey, SortNode
 from repro.blu.table import Table
 from repro.config import Thresholds
-from repro.core.hybrid_groupby import _PARALLEL_GROUP_IDS
-from repro.core.monitoring import OffloadDecision, PerformanceMonitor
+from repro.core.dispatch import Dispatcher, Kernel, Piece
 from repro.core.pathselect import (select_partitioned_path,
                                    select_sharded_path, select_sort_offload)
-from repro.core.scheduler import MultiGpuScheduler
-from repro.errors import GpuError, PinnedMemoryError
 from repro.obs.tracing import NULL_TRACER
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
-from repro.gpu.interconnect import Interconnect
 from repro.gpu.kernels.radix_sort import (RadixSortKernel,
                                           find_duplicate_ranges)
-from repro.gpu.partition import PartitionStreamState, plan_sort_partitions
+from repro.gpu.partition import PartitionPlan, plan_sort_partitions
 from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
                              range_shard_bounds)
-from repro.gpu.pinned import PinnedMemoryPool
-from repro.gpu.streams import PipelineSpec, streamed_launch
-from repro.gpu.transfer import effective_transfer_bytes
 from repro.timing import CostEvent
-
-_DISPATCH_SECONDS = 50e-6
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +137,27 @@ class SortRunStats:
 
 @dataclass
 class HybridSortExecutor:
-    """Pluggable sort executor implementing the section-3 design."""
+    """Pluggable sort executor implementing the section-3 design.
 
-    scheduler: MultiGpuScheduler
-    pinned: PinnedMemoryPool
+    ``partition_large`` lets a job no card can hold whole stream through
+    the devices as slices (docs/out_of_core.md); ``shard_enabled`` lets
+    large jobs range-shard across every healthy device
+    (docs/scale_out.md).
+    """
+
+    dispatch: Dispatcher
     thresholds: Thresholds
-    monitor: Optional[PerformanceMonitor] = None
-    catalog: Optional[Catalog] = None
-    pipeline: Optional[PipelineSpec] = None
     partition_large: bool = False
     max_partitions: int = 64
-    #: Scale-out (docs/scale_out.md): when set with an interconnect,
-    #: large jobs range-shard across every healthy device.
     shard_enabled: bool = False
-    interconnect: Optional[Interconnect] = None
-    #: Engine callback invoked with the lost device ids after a shard
-    #: reroute, so shard maps rebalance (and the catalog version bumps).
-    rebalance: Optional[Callable[[list], None]] = None
-    query_id: str = ""
     last_stats: SortRunStats = field(default_factory=SortRunStats)
 
     def __call__(self, table: Table, node: SortNode,
                  ctx: OperatorContext) -> Table:
         rows = table.num_rows
-        if (not select_sort_offload(rows, self.thresholds,
-                                    tracer=self._tracer)
-                or self.scheduler.device_count == 0):
-            self._record("cpu-small",
-                         f"{rows} rows below sort offload threshold")
+        if not self._offloads(rows):
             return cpu_sort_executor(table, node, ctx)
-
-        order, stats = self._hybrid_sort(table, node.keys, ctx)
-        self.last_stats = stats
-        self._record("gpu", f"hybrid sort: {stats.jobs_gpu} GPU / "
-                            f"{stats.jobs_cpu} CPU jobs")
-        if self.monitor is not None:
-            self.monitor.record_sort_stats(stats)
+        order = self._hybrid_sort(table, node.keys, ctx, "hybrid sort")
         return table.take(order, name=f"{table.name}_sorted")
 
     def rank_order(self, table: Table, keys: Sequence[SortKey],
@@ -198,11 +173,7 @@ class HybridSortExecutor:
         from repro.blu.operators.sort import sort_order
 
         rows = table.num_rows
-        if (not select_sort_offload(rows, self.thresholds,
-                                    tracer=self._tracer)
-                or self.scheduler.device_count == 0):
-            self._record("cpu-small",
-                         f"{rows} rows below sort offload threshold")
+        if not self._offloads(rows):
             order = sort_order(table, keys)
             if rows > 1:
                 comparisons = rows * math.log2(rows) * len(keys)
@@ -211,19 +182,23 @@ class HybridSortExecutor:
                     comparisons / (ctx.config.cost.cpu_sort_rate * 16),
                     min(ctx.degree, 24))
             return order
+        return self._hybrid_sort(table, keys, ctx, "hybrid rank sort")
 
-        order, stats = self._hybrid_sort(table, keys, ctx)
-        self.last_stats = stats
-        self._record("gpu", f"hybrid rank sort: {stats.jobs_gpu} GPU / "
-                            f"{stats.jobs_cpu} CPU jobs")
-        if self.monitor is not None:
-            self.monitor.record_sort_stats(stats)
-        return order
+    def _offloads(self, rows: int) -> bool:
+        """The sort offload gate; records the verdict when it says no."""
+        dispatch = self.dispatch
+        if (select_sort_offload(rows, self.thresholds,
+                                tracer=dispatch.tracer)
+                and dispatch.scheduler.device_count):
+            return True
+        dispatch.record("sort", "cpu-small",
+                        f"{rows} rows below sort offload threshold")
+        return False
 
     # ------------------------------------------------------------------
 
     def _hybrid_sort(self, table: Table, keys: Sequence[SortKey],
-                     ctx: OperatorContext) -> tuple[np.ndarray, SortRunStats]:
+                     ctx: OperatorContext, label: str) -> np.ndarray:
         cost = ctx.config.cost
         radix = RadixSortKernel(cost)
         encoded = encode_sort_keys(table, keys)
@@ -232,8 +207,8 @@ class HybridSortExecutor:
         order = np.arange(n, dtype=np.int64)
         stats = SortRunStats()
 
-        tracer = self._tracer or NULL_TRACER
-        version = self.catalog.version if self.catalog is not None else 0
+        dispatch = self.dispatch
+        tracer = dispatch.tracer or NULL_TRACER
         keys_label = ",".join(
             k.column + ("+" if k.ascending else "-") for k in keys)
         # Small jobs are disjoint contiguous slices ("conflict free
@@ -268,7 +243,7 @@ class HybridSortExecutor:
                             table=table.name, column=keys_label,
                             segment="sort:" + content_digest(partial,
                                                              rows_idx),
-                            catalog_version=version,
+                            catalog_version=dispatch.catalog_version,
                         ),
                         nbytes=job.length * 8,
                     )
@@ -301,258 +276,68 @@ class HybridSortExecutor:
                 "SORT", cpu_batch_rows,
                 cpu_batch_comparisons / (cost.cpu_sort_rate * 16),
                 min(ctx.degree, 48))
-        return order, stats
+        self.last_stats = stats
+        dispatch.record("sort", "gpu", f"{label}: {stats.jobs_gpu} GPU / "
+                                       f"{stats.jobs_cpu} CPU jobs")
+        if dispatch.monitor is not None:
+            dispatch.monitor.record_sort_stats(stats)
+        return order
 
     def _gpu_sort_job(self, partial: np.ndarray, radix: RadixSortKernel,
                       ctx: OperatorContext, stats: SortRunStats,
-                      segment: Optional[StagedSegment] = None):
-        """Dispatch one job to a GPU; None means fall back to the CPU."""
+                      segment: StagedSegment):
+        """Dispatch one job to the GPUs; None means fall back to the CPU.
+
+        In order of preference: range shards across the healthy devices,
+        whole on one device, or — when no card could ever hold it whole,
+        the sort-side T3 cliff — sliced through the devices.
+        """
+        dispatch = self.dispatch
+        scheduler = dispatch.scheduler
         length = len(partial)
-        if self.shard_enabled and self.interconnect is not None:
-            table_name = segment.key.table if segment is not None else ""
-            sharded = self._sharded_sort_job(partial, radix, ctx, stats,
-                                             table_name)
-            if sharded is not None:
-                return sharded
-        staged = length * 8           # key + payload pairs
+        if self.shard_enabled:
+            plan = self._plan_shard_sort(partial, ctx, segment.key.table)
+            if select_sharded_path(operator="sort", plan=plan,
+                                   tracer=dispatch.tracer).shard:
+                return self._split_sort_job(partial, radix, ctx, stats, plan)
         memory_needed = radix.device_bytes(length)
-        if not self.scheduler.fits_any_device(memory_needed):
-            # No card could ever hold this job whole — the sort-side T3
-            # cliff.  Slice it through the devices, or decline to the
-            # CPU sort when the planner says partitioning cannot win.
-            return self._partitioned_sort_job(partial, radix, ctx, stats)
-        affinity = [segment.key] if segment is not None else None
-        lease = self.scheduler.try_acquire(memory_needed, tag="sort",
-                                           affinity=affinity)
-        if lease is None:
-            stats.fallbacks += 1
-            return None
-        cache = lease.device.cache
-        hit_bytes = 0
-        if (segment is not None and cache is not None and cache.enabled
-                and cache.lookup(segment.key)):
-            hit_bytes = segment.nbytes
-        transfer = effective_transfer_bytes(staged, hit_bytes)
-        try:
-            result = radix.run(partial)
-            launch = streamed_launch(
-                lease.device, self.pinned,
-                kernel=radix.name,
-                kernel_seconds=result.kernel_seconds,
-                reservation=lease.reservation,
+        if not scheduler.fits_any_device(memory_needed):
+            plan = plan_sort_partitions(
                 rows=length,
-                bytes_in=transfer,
-                bytes_out=staged,
-                pinned=True,
-                pipeline=self.pipeline,
+                device_bytes_per_row=radix.device_bytes(1),
+                staged_bytes_per_row=8,
+                cost=ctx.config.cost, spec=scheduler.devices[0].spec,
+                host=ctx.config.host, degree=ctx.degree,
+                capacity_bytes=max(
+                    (d.memory.capacity for d in scheduler.devices),
+                    default=0),
+                max_partitions=self.max_partitions,
+                devices=scheduler.device_count,
             )
-            ctx.ledger.add(CostEvent(
-                op="GPU-SORT", rows=length,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                gpu_seconds=launch.total_seconds,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=lease.device.device_id,
-            ))
-        except PinnedMemoryError as exc:
-            # Host-side staging exhaustion is not the device's fault, so
-            # the circuit breaker stays out of it.
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("sort", exc)
+            if select_partitioned_path(
+                    operator="sort", plan=plan,
+                    enabled=self.partition_large,
+                    tracer=dispatch.tracer).partition:
+                return self._split_sort_job(partial, radix, ctx, stats, plan)
+            # The planner says partitioning cannot win: CPU sort.
             stats.fallbacks += 1
             return None
-        except GpuError as exc:
-            # The job falls back to the CPU sort path (None); the breaker
-            # hears about the device that failed it.
-            self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback(
-                    "sort", exc, lease.device.device_id)
+        result = dispatch.launch("sort", ctx, Piece(
+            rows=length, memory=memory_needed, tag="sort",
+            staged=length * 8,         # key + payload pairs
+            segments=[segment],
+            run=lambda _bytes_in: _radix_kernel(radix, partial),
+        ))
+        if result is None:
             stats.fallbacks += 1
             return None
-        else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
-        if (segment is not None and cache is not None and cache.enabled
-                and hit_bytes == 0):
-            cache.insert(segment.key, segment.nbytes)
         stats.jobs_gpu += 1
         return result.order, (result.duplicate_starts,
                               result.duplicate_lengths)
 
     # ------------------------------------------------------------------
-    # Extension: partitioned processing of over-memory jobs
-    # ------------------------------------------------------------------
-
-    def _partitioned_sort_job(self, partial: np.ndarray,
-                              radix: RadixSortKernel, ctx: OperatorContext,
-                              stats: SortRunStats):
-        """An over-memory job as contiguous device-sized slices.
-
-        Each slice radix-sorts independently (on a device when one has
-        room, on the host when not or when a launch faults), then one
-        stable argsort over the concatenated slice-sorted keys merges
-        the runs.  Slices are contiguous ascending index ranges, so for
-        equal keys the merge keeps lower-slice (= lower-index) rows
-        first: the merged order equals a single global stable sort
-        bit-for-bit, for any slice count and any mix of per-slice
-        faults.  ``None`` declines the whole job to the CPU sort.
-        """
-        cost = ctx.config.cost
-        capacity = max(
-            (d.memory.capacity for d in self.scheduler.devices), default=0)
-        rows = len(partial)
-        plan = plan_sort_partitions(
-            rows=rows,
-            device_bytes_per_row=radix.device_bytes(1),
-            staged_bytes_per_row=8,
-            cost=cost, spec=self.scheduler.devices[0].spec,
-            host=ctx.config.host, degree=ctx.degree,
-            capacity_bytes=capacity,
-            max_partitions=self.max_partitions,
-            devices=self.scheduler.device_count,
-        )
-        decision = select_partitioned_path(
-            operator="sort", plan=plan, enabled=self.partition_large,
-            tracer=self._tracer)
-        if not decision.partition:
-            stats.fallbacks += 1
-            return None
-        partitions = plan.partitions
-        self._record("gpu-partitioned", plan.reason)
-
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_parts = cpu_parts = 0
-        bounds = np.linspace(0, rows, partitions + 1).astype(np.int64)
-        pieces: list[np.ndarray] = []
-        for p in range(partitions):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            if hi <= lo:
-                continue
-            sub = partial[lo:hi]
-            sliced = self._gpu_sort_slice(sub, radix, ctx, stream,
-                                          device_seq, group_base,
-                                          gpu_events)
-            if sliced is None:
-                # The slice (not the whole job) degrades to the host.
-                stats.fallbacks += 1
-                cpu_parts += 1
-                target, device_id = "cpu", -1
-                sub_order = np.argsort(sub, kind="stable")
-                if len(sub) > 1:
-                    comparisons = len(sub) * math.log2(len(sub))
-                    ctx.ledger.add(CostEvent(
-                        op="SORT", rows=len(sub),
-                        cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
-                        max_degree=min(ctx.degree, 8),
-                    ))
-            else:
-                gpu_parts += 1
-                target = "gpu"
-                sub_order, device_id = sliced
-            if tracer is not None:
-                tracer.instant(
-                    "partition.part", operator="sort", index=p,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            pieces.append(lo + sub_order)
-
-        # Same-rank slices on different devices overlap; same-device
-        # slices keep their exposed-makespan accounting (see the
-        # group-by executor's partitioned path).
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-
-        # The k-way merge: one stable argsort over the concatenated
-        # slice-sorted keys (runs are already sorted, priced at
-        # rows * log2(k) comparisons like the CPU sort model).
-        run_order = np.concatenate(pieces)
-        merge_perm = np.argsort(partial[run_order], kind="stable")
-        sub_order = run_order[merge_perm]
-        if partitions > 1:
-            merge_comparisons = rows * math.log2(partitions)
-            ctx.ledger.add(CostEvent(
-                op="SORT-MERGE", rows=rows,
-                cpu_seconds=merge_comparisons / (cost.cpu_sort_rate * 16),
-                max_degree=min(ctx.degree, 8),
-            ))
-        if tracer is not None:
-            tracer.instant(
-                "partition.exec", operator="sort", partitions=partitions,
-                gpu_partitions=gpu_parts, cpu_partitions=cpu_parts,
-                rows=rows, groups=0, merge_seconds=plan.merge_seconds,
-                working_set=plan.working_set_bytes,
-                capacity=plan.capacity_bytes, query_id=self.query_id,
-            )
-        stats.jobs_gpu += 1
-        stats.partitioned_jobs += 1
-        return sub_order, find_duplicate_ranges(partial[sub_order])
-
-    def _gpu_sort_slice(self, sub: np.ndarray, radix: RadixSortKernel,
-                        ctx: OperatorContext, stream: PartitionStreamState,
-                        device_seq: dict[int, int], group_base: int,
-                        gpu_events: list[CostEvent]):
-        """One slice on a device; ``None`` degrades the slice to the host."""
-        length = len(sub)
-        staged = length * 8
-        lease = self.scheduler.try_acquire(radix.device_bytes(length),
-                                           tag="sort-part")
-        if lease is None:
-            return None
-        try:
-            result = radix.run(sub)
-            launch = streamed_launch(
-                lease.device, self.pinned,
-                kernel=radix.name,
-                kernel_seconds=result.kernel_seconds,
-                reservation=lease.reservation,
-                rows=length,
-                bytes_in=staged,
-                bytes_out=staged,
-                pinned=True,
-                pipeline=self.pipeline,
-            )
-            device_id = lease.device.device_id
-            exposed = stream.advance(
-                device_id,
-                launch.transfer_in_seconds,
-                launch.kernel_seconds,
-                launch.transfer_out_seconds,
-            )
-            seq = device_seq.get(device_id, 0)
-            device_seq[device_id] = seq + 1
-            gpu_events.append(CostEvent(
-                op="GPU-SORT", rows=length,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                gpu_seconds=exposed,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=device_id,
-                parallel_group=group_base + seq,
-            ))
-        except PinnedMemoryError as exc:
-            # Host-side staging exhaustion: the breaker stays out of it.
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("sort", exc)
-            return None
-        except GpuError as exc:
-            self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback(
-                    "sort", exc, lease.device.device_id)
-            return None
-        else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
-        return result.order, lease.device.device_id
-
-    # ------------------------------------------------------------------
-    # Extension: sharded N-device execution (docs/scale_out.md)
+    # Extensions: over-memory jobs as slices in time (docs/out_of_core.md)
+    # and large jobs as range shards in space (docs/scale_out.md)
     # ------------------------------------------------------------------
 
     def _plan_shard_sort(self, partial: np.ndarray, ctx: OperatorContext,
@@ -563,14 +348,13 @@ class HybridSortExecutor:
         crosses the interconnect — the runs meet again in the host-side
         k-way stable merge, which is what the merge term prices.
         """
-        devices = home_devices(self.scheduler, self.catalog, table_name)
+        scheduler = self.dispatch.scheduler
+        devices = home_devices(scheduler, self.dispatch.catalog, table_name)
         if len(devices) < 2:
             return None
         cost = ctx.config.cost
         rows = len(partial)
         shards = len(devices)
-        kernel_seconds = (rows / cost.gpu_radix_sort_rate
-                          + rows / cost.gpu_scan_rate)
         merge_core = 0.0
         cpu_core = 0.0
         if rows > 1:
@@ -585,135 +369,71 @@ class HybridSortExecutor:
             rows=rows,
             staged_bytes=rows * 8,
             result_bytes=rows * 8,
-            kernel_seconds=kernel_seconds,
+            kernel_seconds=_radix_seconds(rows, cost),
             exchange_bytes=0,
             merge_core_seconds=merge_core,
             devices=devices,
             cost=cost,
-            spec=self.scheduler.devices[0].spec,
+            spec=scheduler.devices[0].spec,
             host=ctx.config.host,
             degree=ctx.degree,
-            interconnect=self.interconnect,
+            interconnect=self.dispatch.interconnect,
             cpu_seconds=cpu_core / cpu_capacity,
         )
 
-    def _sharded_sort_job(self, partial: np.ndarray,
-                          radix: RadixSortKernel, ctx: OperatorContext,
-                          stats: SortRunStats, table_name: str):
-        """One job as range shards, one per healthy device.
+    def _split_sort_job(self, partial: np.ndarray, radix: RadixSortKernel,
+                        ctx: OperatorContext, stats: SortRunStats,
+                        plan: Union[PartitionPlan, ShardPlan]):
+        """One job as contiguous slices that radix-sort independently.
 
-        Shards are contiguous ascending index slices, so the PR 9
-        k-way stable merge (one stable argsort over the concatenated
-        slice-sorted keys) reproduces a single global stable sort
-        bit-for-bit for any shard count and fault mix.  The H2D wave is
-        priced at the switch-contended bandwidth; a shard whose home
-        device dies reroutes to any admissible device, then to the host
-        sort, and the loss triggers the engine's shard-map rebalance.
-        ``None`` means the gate declined and the job runs whole.
+        Each slice sorts on a device when one has room, on the host when
+        not or when a launch faults; then one stable argsort over the
+        concatenated slice-sorted keys merges the runs.  Slices are
+        contiguous ascending index ranges, so for equal keys the merge
+        keeps lower-slice (= lower-index) rows first: the merged order
+        equals a single global stable sort bit-for-bit, for any slice
+        count and any mix of per-slice faults.
+
+        A :class:`~repro.gpu.partition.PartitionPlan` streams device-
+        sized slices of an over-memory job back-to-back; a
+        :class:`~repro.gpu.shard.ShardPlan` gives every healthy device
+        one range shard, its H2D leg priced at the switch-contended
+        bandwidth.
         """
-        plan = self._plan_shard_sort(partial, ctx, table_name)
-        decision = select_sharded_path(operator="sort", plan=plan,
-                                       tracer=self._tracer)
-        if not decision.shard:
-            return None
         cost = ctx.config.cost
         rows = len(partial)
-        shards = plan.shards
-        self._record("gpu-sharded", plan.reason)
-        bounds = range_shard_bounds(rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             int(bounds[s + 1] - bounds[s]) * 8)
-            for s in range(shards)
-        ])
-
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        tracer = self._tracer
-        gpu_shards = cpu_shards = rerouted = 0
-        lost_devices: set[int] = set()
-        pieces: list[np.ndarray] = []
-        for s in range(shards):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi <= lo:
-                continue
-            sub = partial[lo:hi]
-            staged = len(sub) * 8
-            home = plan.devices[s % len(plan.devices)]
-            sliced = None
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    radix.device_bytes(len(sub)), tag="sort-shard",
-                    prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    result = radix.run(sub)
-                    launch = streamed_launch(
-                        lease.device, self.pinned,
-                        kernel=radix.name,
-                        kernel_seconds=result.kernel_seconds,
-                        reservation=lease.reservation,
-                        rows=len(sub),
-                        bytes_in=staged,
-                        bytes_out=staged,
-                        pinned=True,
-                        pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, staged, launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-SORT", rows=len(sub),
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    sliced = (result.order, device_id)
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("sort", exc)
-                    stats.fallbacks += 1
-                    break
-                except GpuError as exc:
-                    # Only this shard reroutes: feed the breaker, then
-                    # retry on any other admissible device before the
-                    # host sort.
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "sort", exc, lease.device.device_id)
-                    stats.fallbacks += 1
-                    rerouted += 1
+        sharded = isinstance(plan, ShardPlan)
+        pieces = plan.shards if sharded else plan.partitions
+        self.dispatch.record(
+            "sort", "gpu-sharded" if sharded else "gpu-partitioned",
+            plan.reason)
+        bounds = range_shard_bounds(rows, pieces)
+        shard_bytes = [int(n) * 8 for n in np.diff(bounds)] \
+            if sharded else None
+        runs: list[np.ndarray] = []
+        with self.dispatch.wave("sort", ctx, plan, shard_bytes) as wave:
+            for p in range(pieces):
+                lo, hi = int(bounds[p]), int(bounds[p + 1])
+                if hi <= lo:
                     continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if sliced is None:
-                cpu_shards += 1
-                target, device_id = "cpu", -1
-                sub_order = np.argsort(sub, kind="stable")
+                sub = partial[lo:hi]
+                piece = Piece(
+                    rows=len(sub), memory=radix.device_bytes(len(sub)),
+                    tag="sort-shard" if sharded else "sort-part",
+                    staged=len(sub) * 8, index=p,
+                    run=lambda _bytes_in: _radix_kernel(radix, sub),
+                )
+                result = wave.launch(piece)
+                if sharded:
+                    # A shard counts every fault it met, rerouted or not.
+                    stats.fallbacks += piece.faults
+                if result is not None:
+                    runs.append(lo + result.order)
+                    continue
+                # The slice (not the whole job) degrades to the host.
+                if not sharded:
+                    stats.fallbacks += 1
+                runs.append(lo + np.argsort(sub, kind="stable"))
                 if len(sub) > 1:
                     comparisons = len(sub) * math.log2(len(sub))
                     ctx.ledger.add(CostEvent(
@@ -721,52 +441,29 @@ class HybridSortExecutor:
                         cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
                         max_degree=min(ctx.degree, 8),
                     ))
-            else:
-                gpu_shards += 1
-                target = "gpu"
-                sub_order, device_id = sliced
-            if tracer is not None:
-                tracer.instant(
-                    "shard.part", operator="sort", index=s,
-                    rows=hi - lo, target=target, device_id=device_id,
-                    query_id=self.query_id,
-                )
-            pieces.append(lo + sub_order)
 
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-
-        # PR 9's k-way stable merge, verbatim: shards are contiguous
-        # ascending index ranges, so equal keys keep lower-index rows
-        # first and the result equals one global stable sort.
-        run_order = np.concatenate(pieces)
+        # The k-way merge: one stable argsort over the concatenated
+        # slice-sorted keys (runs are already sorted, priced at
+        # rows * log2(k) comparisons like the CPU sort model).
+        run_order = np.concatenate(runs)
         merge_perm = np.argsort(partial[run_order], kind="stable")
         sub_order = run_order[merge_perm]
-        if shards > 1 and rows > 1:
-            # Merge-path partitioning: the k-way merge splits into
+        if pieces > 1 and rows > 1:
+            # Merge-path partitioning splits a shard merge into
             # independent output ranges, so it runs at full degree
             # (unlike the single-queue partitioned merge).
-            merge_comparisons = rows * math.log2(shards)
+            merge_comparisons = rows * math.log2(pieces)
             ctx.ledger.add(CostEvent(
                 op="SORT-MERGE", rows=rows,
                 cpu_seconds=merge_comparisons / (cost.cpu_sort_rate * 16),
-                max_degree=min(ctx.degree, 48),
+                max_degree=min(ctx.degree, 48 if sharded else 8),
             ))
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        if tracer is not None:
-            tracer.instant(
-                "shard.exec", operator="sort", shards=shards,
-                gpu_shards=gpu_shards, cpu_shards=cpu_shards,
-                rerouted=rerouted, devices=list(plan.devices),
-                rows=rows, groups=0, merge_seconds=plan.merge_seconds,
-                exchange_seconds=0.0, exchange_bytes=0,
-                stall_seconds=sum(leg.stall_seconds for leg in legs),
-                nvlink=self.interconnect.nvlink_enabled,
-                query_id=self.query_id,
-            )
+        wave.report(rows=rows, merge_seconds=plan.merge_seconds)
         stats.jobs_gpu += 1
-        stats.sharded_jobs += 1
+        if sharded:
+            stats.sharded_jobs += 1
+        else:
+            stats.partitioned_jobs += 1
         return sub_order, find_duplicate_ranges(partial[sub_order])
 
     # ------------------------------------------------------------------
@@ -839,198 +536,95 @@ class HybridSortExecutor:
         The kernel prices like the plain radix sort (segment offsets
         ride in the scan term); the host rival pools every segment
         across the worker threads.  Sharding splits on segment
-        boundaries, so the plan carries zero exchange and zero merge.
+        boundaries, so the plan carries zero exchange and zero merge —
+        the shard wave is merge-free per-device legs.
         """
         cost = ctx.config.cost
-        staged = rows * 8
-        kernel_seconds = (rows / cost.gpu_radix_sort_rate
-                          + rows / cost.gpu_scan_rate)
-        capacity = max(1.0, ctx.config.host.effective_capacity(
-            min(ctx.degree, 48)))
-        host_comparisons = rows * math.log2(max(2, rows // segments))
-        host_seconds = (host_comparisons / (cost.cpu_sort_rate * 16)
-                        / capacity)
+        dispatch = self.dispatch
+        scheduler = dispatch.scheduler
+
+        def piece(n: int, tag: str, index: int = 0) -> Piece:
+            return Piece(
+                rows=n, memory=radix.device_bytes(n), tag=tag,
+                staged=n * 8, index=index,
+                run=lambda _bytes_in: Kernel(
+                    radix.name, _radix_seconds(n, cost), n * 8,
+                    outcome=True),
+            )
+
+        def host_sort(n: int, rows_per_segment: int) -> None:
+            comparisons = n * math.log2(max(2, rows_per_segment))
+            ctx.ledger.cpu("SORT", n,
+                           comparisons / (cost.cpu_sort_rate * 16),
+                           min(ctx.degree, 48))
 
         plan = None
-        if self.shard_enabled and self.interconnect is not None:
-            devices = home_devices(self.scheduler, self.catalog,
-                                   table_name)
+        if self.shard_enabled:
+            devices = home_devices(scheduler, dispatch.catalog, table_name)
             if len(devices) >= 2:
+                capacity = max(1.0, ctx.config.host.effective_capacity(
+                    min(ctx.degree, 48)))
+                host_comparisons = rows * math.log2(
+                    max(2, rows // segments))
                 plan = plan_sharded(
-                    operator="sort", rows=rows, staged_bytes=staged,
-                    result_bytes=staged, kernel_seconds=kernel_seconds,
+                    operator="sort", rows=rows, staged_bytes=rows * 8,
+                    result_bytes=rows * 8,
+                    kernel_seconds=_radix_seconds(rows, cost),
                     exchange_bytes=0, merge_core_seconds=0.0,
                     devices=devices, cost=cost,
-                    spec=self.scheduler.devices[0].spec,
+                    spec=scheduler.devices[0].spec,
                     host=ctx.config.host, degree=ctx.degree,
-                    interconnect=self.interconnect,
-                    cpu_seconds=host_seconds,
+                    interconnect=dispatch.interconnect,
+                    cpu_seconds=(host_comparisons
+                                 / (cost.cpu_sort_rate * 16) / capacity),
                 )
-        decision = select_sharded_path(operator="sort", plan=plan,
-                                       tracer=self._tracer)
-        if decision.shard:
-            self._charge_segmented_shards(rows, segments, staged, plan,
-                                          radix, ctx, stats)
+        if select_sharded_path(operator="sort", plan=plan,
+                               tracer=dispatch.tracer).shard:
+            shards = plan.shards
+            sizes = np.diff(range_shard_bounds(rows, shards)).tolist()
+            # No shard.part / shard.exec instants and no reroute count
+            # for this wave (ROADMAP item 3: EXPLAIN's shard section is
+            # blind to segmented waves; PROFILE_scale_out pins that).
+            with dispatch.wave("sort", ctx, plan, [n * 8 for n in sizes],
+                               instants=False) as wave:
+                for s, rows_s in enumerate(sizes):
+                    if rows_s <= 0:
+                        continue
+                    shard = piece(rows_s, "sort-shard", s)
+                    placed = wave.launch(shard)
+                    stats.fallbacks += shard.faults
+                    if placed is None:
+                        # This shard's segments sort on the host workers.
+                        host_sort(rows_s,
+                                  rows_s // max(1, segments // shards))
+            stats.jobs_gpu += 1
+            stats.sharded_jobs += 1
             return
 
-        lease = None
-        if (self.scheduler.device_count and self.scheduler.fits_any_device(
+        placed = None
+        if (scheduler.device_count and scheduler.fits_any_device(
                 radix.device_bytes(rows))):
-            lease = self.scheduler.try_acquire(radix.device_bytes(rows),
-                                               tag="sort")
-        if lease is None:
-            ctx.ledger.cpu("SORT", rows,
-                           host_comparisons / (cost.cpu_sort_rate * 16),
-                           min(ctx.degree, 48))
+            whole = piece(rows, "sort")
+            placed = dispatch.launch("sort", ctx, whole)
+            stats.fallbacks += whole.faults
+        if placed is None:
+            host_sort(rows, rows // segments)
             stats.jobs_cpu += 1
-            return
-        try:
-            launch = streamed_launch(
-                lease.device, self.pinned, kernel=radix.name,
-                kernel_seconds=kernel_seconds,
-                reservation=lease.reservation, rows=rows,
-                bytes_in=staged, bytes_out=staged, pinned=True,
-                pipeline=self.pipeline,
-            )
-            ctx.ledger.add(CostEvent(
-                op="GPU-SORT", rows=rows,
-                cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                gpu_seconds=launch.total_seconds,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=lease.device.device_id,
-            ))
-        except (PinnedMemoryError, GpuError) as exc:
-            if isinstance(exc, GpuError):
-                self.scheduler.record_failure(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("sort", exc)
-            stats.fallbacks += 1
-            ctx.ledger.cpu("SORT", rows,
-                           host_comparisons / (cost.cpu_sort_rate * 16),
-                           min(ctx.degree, 48))
-            stats.jobs_cpu += 1
-            return
         else:
-            self.scheduler.record_success(lease)
-        finally:
-            self.scheduler.release(lease)
-        stats.jobs_gpu += 1
+            stats.jobs_gpu += 1
 
-    def _charge_segmented_shards(self, rows: int, segments: int,
-                                 staged: int, plan: ShardPlan,
-                                 radix: RadixSortKernel,
-                                 ctx: OperatorContext,
-                                 stats: SortRunStats) -> None:
-        """The segmented job's shard wave: merge-free per-device legs."""
-        cost = ctx.config.cost
-        shards = plan.shards
-        bounds = range_shard_bounds(rows, shards)
-        legs = self.interconnect.wave_legs([
-            (plan.devices[s % len(plan.devices)],
-             int(bounds[s + 1] - bounds[s]) * 8)
-            for s in range(shards)
-        ])
-        stream = PartitionStreamState()
-        device_seq: dict[int, int] = {}
-        group_base = next(_PARALLEL_GROUP_IDS)
-        gpu_events: list[CostEvent] = []
-        lost_devices: set[int] = set()
-        for s in range(shards):
-            rows_s = int(bounds[s + 1] - bounds[s])
-            if rows_s <= 0:
-                continue
-            staged_s = rows_s * 8
-            home = plan.devices[s % len(plan.devices)]
-            kernel_s = (rows_s / cost.gpu_radix_sort_rate
-                        + rows_s / cost.gpu_scan_rate)
-            placed = False
-            for attempt in range(2):
-                prefer = home if attempt == 0 else None
-                lease = self.scheduler.try_acquire(
-                    radix.device_bytes(rows_s), tag="sort-shard",
-                    prefer_device=prefer)
-                if lease is None:
-                    break
-                try:
-                    launch = streamed_launch(
-                        lease.device, self.pinned, kernel=radix.name,
-                        kernel_seconds=kernel_s,
-                        reservation=lease.reservation, rows=rows_s,
-                        bytes_in=staged_s, bytes_out=staged_s,
-                        pinned=True, pipeline=self.pipeline,
-                    )
-                    device_id = lease.device.device_id
-                    stall = legs[s].stall_seconds
-                    self.interconnect.record_transfer(
-                        device_id, staged_s,
-                        launch.transfer_in_seconds + stall, stall)
-                    self.interconnect.record_transfer(
-                        device_id, staged_s, launch.transfer_out_seconds)
-                    exposed = stream.advance(
-                        device_id,
-                        launch.transfer_in_seconds + stall,
-                        launch.kernel_seconds,
-                        launch.transfer_out_seconds,
-                    )
-                    seq = device_seq.get(device_id, 0)
-                    device_seq[device_id] = seq + 1
-                    gpu_events.append(CostEvent(
-                        op="GPU-SORT", rows=rows_s,
-                        cpu_seconds=_DISPATCH_SECONDS, max_degree=1,
-                        gpu_seconds=exposed,
-                        gpu_memory_bytes=lease.reservation.nbytes,
-                        device_id=device_id,
-                        parallel_group=group_base + seq,
-                    ))
-                    placed = True
-                except PinnedMemoryError as exc:
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback("sort", exc)
-                    stats.fallbacks += 1
-                    break
-                except GpuError as exc:
-                    self.scheduler.record_failure(lease)
-                    if not lease.device.alive:
-                        lost_devices.add(lease.device.device_id)
-                    if self.monitor is not None:
-                        self.monitor.record_fault_fallback(
-                            "sort", exc, lease.device.device_id)
-                    stats.fallbacks += 1
-                    continue
-                else:
-                    self.scheduler.record_success(lease)
-                    break
-                finally:
-                    self.scheduler.release(lease)
-            if not placed:
-                # This shard's segments sort on the host workers.
-                comparisons = rows_s * math.log2(
-                    max(2, rows_s // max(1, segments // shards)))
-                ctx.ledger.cpu("SORT", rows_s,
-                               comparisons / (cost.cpu_sort_rate * 16),
-                               min(ctx.degree, 48))
-        gpu_events.sort(key=lambda e: e.parallel_group)
-        ctx.ledger.extend(gpu_events)
-        if lost_devices and self.rebalance is not None:
-            self.rebalance(sorted(lost_devices))
-        stats.jobs_gpu += 1
-        stats.sharded_jobs += 1
 
-    @property
-    def _tracer(self):
-        return self.monitor.tracer if self.monitor is not None else None
+def _radix_seconds(rows: int, cost) -> float:
+    """Planner estimate of one radix sort (segment offsets ride in the
+    scan term); also what a segmented sort is charged."""
+    return rows / cost.gpu_radix_sort_rate + rows / cost.gpu_scan_rate
 
-    def _record(self, path: str, reason: str) -> None:
-        if self.monitor is None:
-            return
-        self.monitor.tracer.instant(
-            "offload.decision", operator="sort", path=path, reason=reason,
-            query_id=self.query_id,
-        )
-        self.monitor.record_decision(OffloadDecision(
-            query_id=self.query_id, operator="sort", path=path,
-            reason=reason,
-        ))
+
+def _radix_kernel(radix: RadixSortKernel, keys: np.ndarray) -> Kernel:
+    """Radix-sort ``keys`` (key + payload pairs, 8 bytes a row each way)."""
+    result = radix.run(keys)
+    return Kernel(radix.name, result.kernel_seconds, len(keys) * 8,
+                  outcome=result)
 
 
 def _cpu_sort_job(partial: np.ndarray, stats: SortRunStats):

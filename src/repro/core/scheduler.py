@@ -22,8 +22,8 @@ Degradation
 -----------
 
 Each device carries a :class:`~repro.faults.breaker.CircuitBreaker`.
-Executors report launch outcomes through :meth:`record_success` /
-:meth:`record_failure`; a device that fails repeatedly (or is lost
+The dispatcher (:mod:`repro.core.dispatch`) reports launch outcomes
+through :meth:`record_success` / :meth:`record_failure`; a device that fails repeatedly (or is lost
 outright) is quarantined — excluded from candidate ranking — and probed
 again after a cool-down measured in scheduling rounds.  With a
 :class:`~repro.faults.policies.RetryPolicy` armed (the engine sets one
@@ -254,7 +254,7 @@ class MultiGpuScheduler:
         self._observe_device(lease.device)
 
     # ------------------------------------------------------------------
-    # Circuit breaker feed (called by the hybrid executors)
+    # Circuit breaker feed (called by the dispatcher)
     # ------------------------------------------------------------------
 
     def record_success(self, lease: GpuLease) -> None:

@@ -10,9 +10,9 @@ reservations, and hash-table overflow when the KMV group estimate was too low
 Errors split into two families with different contracts:
 
 - *recoverable device failures* — every :class:`GpuError` subclass.  The
-  hybrid executors catch these at the offload boundary and fall back to the
-  CPU operator chain, so a query's **result** never depends on device
-  health.  The fault-injection layer (:mod:`repro.faults`) raises exactly
+  offload boundary (:mod:`repro.core.dispatch`) catches these and the
+  operator falls back to the CPU chain, so a query's **result** never
+  depends on device health.  The fault-injection layer (:mod:`repro.faults`) raises exactly
   these classes from the substrate seams.
 - *misuse and malformed input* — :class:`SchemaError`, :class:`SqlError`,
   :class:`PlanError`, :class:`SchedulerError`, :class:`FaultPlanError` and

@@ -331,8 +331,8 @@ class GpuDevice:
 
         Raises :class:`~repro.errors.DeviceLostError` for a dead (or
         newly-dying) device and :class:`~repro.errors.KernelLaunchError`
-        for an injected launch failure; the hybrid executors catch both
-        and fall back to the CPU chain.
+        for an injected launch failure; the dispatcher catches both
+        and the operator falls back to the CPU chain.
         """
         if not self.alive:
             raise DeviceLostError(

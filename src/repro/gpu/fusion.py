@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.blu.catalog import Catalog
+from repro.blu.datatypes import int64 as int64_type
 from repro.blu.engine import OperatorContext
 from repro.blu.evaluators import build_fused_host_chain, build_gpu_host_chain
 from repro.blu.expressions import ColumnRef
@@ -61,26 +62,26 @@ from repro.blu.plan import (
 from repro.blu.statistics import estimate_distinct, murmur3_fmix64
 from repro.blu.table import Table
 from repro.config import SystemConfig, Thresholds
+from repro.core.dispatch import Declined, Dispatcher, Kernel, Piece
+from repro.core.hybrid_groupby import (
+    groupby_segments,
+    packed_key_bytes,
+    staged_key_bytes,
+)
 from repro.core.metadata import RuntimeMetadata
 from repro.core.moderator import GpuModerator
-from repro.core.monitoring import OffloadDecision, PerformanceMonitor
 from repro.core.pathselect import (
     FusedDecision,
     select_fused_path,
     select_groupby_path,
 )
-from repro.core.scheduler import MultiGpuScheduler
-from repro.errors import GpuError, PinnedMemoryError
+from repro.errors import GpuError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.kernels.join import HashJoinKernel
 from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
-from repro.gpu.pinned import PinnedMemoryPool
-from repro.gpu.streams import PipelineSpec, streamed_launch
-from repro.gpu.transfer import effective_transfer_bytes, transfer_seconds
-from repro.timing import CostEvent, CostLedger
-
-_DISPATCH_SECONDS = 50e-6     # the single dispatching thread's CPU work
+from repro.gpu.transfer import transfer_seconds
+from repro.timing import CostLedger
 
 #: Bytes per packed (BLU-encoded) column word shipped over PCIe.
 _PACKED = RuntimeMetadata.PACKED_COLUMN_BYTES
@@ -324,22 +325,17 @@ class FusedExecutor:
     results bit-identical under any fault plan.
     """
 
-    scheduler: MultiGpuScheduler
+    dispatch: Dispatcher
     moderator: GpuModerator
-    pinned: PinnedMemoryPool
     thresholds: Thresholds
     groupby_fallback: Callable[[Table, GroupByNode, OperatorContext], Table]
     join_fallback: Callable[[Table, Table, JoinNode, OperatorContext], Table]
-    monitor: Optional[PerformanceMonitor] = None
-    catalog: Optional[Catalog] = None
-    pipeline: Optional[PipelineSpec] = None
     race_kernels: bool = False
-    query_id: str = ""
 
     def __call__(self, node: GroupByNode, ctx: OperatorContext,
                  execute: SubtreeExecutor) -> Optional[Table]:
         chain = find_fusable_chain(node)
-        if chain is None or self.catalog is None:
+        if chain is None or self.dispatch.catalog is None:
             return None
         decision = self._decide(chain, ctx)
         if not decision.fuse:
@@ -358,7 +354,7 @@ class FusedExecutor:
         rows = max(1.0, node.child.estimates.rows)
         groups = max(1.0, node.estimates.groups)
         verdict = select_groupby_path(rows, groups, self.thresholds)
-        estimate = estimate_chain(chain, ctx.config, self.catalog,
+        estimate = estimate_chain(chain, ctx.config, self.dispatch.catalog,
                                   ctx.degree)
         decision = select_fused_path(
             stages=chain.stages,
@@ -367,14 +363,14 @@ class FusedExecutor:
             unfused_seconds=estimate.unfused_seconds,
             fused_bytes=estimate.fused_bytes,
             per_op_gpu_bytes=estimate.per_op_gpu_bytes,
-            tracer=self._tracer,
+            tracer=self.dispatch.tracer,
         )
         if decision.fuse:
             # The per-operator group-by will never run, so record its
             # Figure-3 verdict here — every executed group-by keeps a
             # ``pathselect.groupby`` instant either way.
             select_groupby_path(rows, groups, self.thresholds,
-                                tracer=self._tracer)
+                                tracer=self.dispatch.tracer)
         return decision
 
     # ------------------------------------------------------------------
@@ -385,12 +381,12 @@ class FusedExecutor:
                    execute: SubtreeExecutor,
                    decision: FusedDecision) -> Table:
         node = chain.groupby
-        tracer = self._tracer
+        tracer = self.dispatch.tracer
         if tracer is None:
             return self._run_fused_body(chain, ctx, execute, decision)
         # Capture the engine's enclosing op.groupby span: the KMV
         # refinement stamp belongs there, next to the optimizer estimate
-        # and actual count the engine stamps (see _note_kmv).
+        # and actual count the engine stamps.
         groupby_span = tracer.current
         with tracer.span("op.fused", stages=chain.stages,
                          joins=len(chain.joins),
@@ -404,6 +400,8 @@ class FusedExecutor:
                         groupby_span=None) -> Table:
         node = chain.groupby
         cost = ctx.config.cost
+        dispatch = self.dispatch
+        monitor = dispatch.monitor
 
         # External edges execute normally (their own operator spans and
         # CPU cost events) — fusion changes nothing below the chain.
@@ -411,13 +409,13 @@ class FusedExecutor:
         build_outs = [execute(b, ctx) for b in chain.builds]
 
         plan = _plan_external_inputs(chain, probe_out, build_outs,
-                                     self.catalog)
+                                     dispatch.catalog_version)
 
         # One up-front reservation for the whole chain (section 2.1.1
         # discipline): staged inputs + every stage's hash table +
         # device-resident intermediates + the result, sized from
         # optimizer estimates exactly like the per-op executors.
-        payloads = self._payload_specs(probe_out, build_outs, node)
+        payloads = _payload_specs(probe_out, build_outs, node)
         key_bits = plan.key_bits
         metadata = RuntimeMetadata(
             rows=max(1, int(node.child.estimates.rows)),
@@ -449,37 +447,16 @@ class FusedExecutor:
                 for k in self.moderator.candidates(metadata)
                 if k is not groupby_kernel
             )
-        lease = self.scheduler.try_acquire(
-            memory_needed, tag="fused",
-            affinity=[s.key for s in plan.segments])
-        if lease is None:
-            return self._degrade(
-                chain, ctx, probe_out, build_outs,
-                f"no GPU could reserve {memory_needed} bytes")
 
-        # Column-cache probe over the external segments: resident inputs
-        # skip MEMCPY and the PCIe copy, exactly as on the per-op paths.
-        cache = lease.device.cache
-        hit_bytes = 0
-        missed: list[StagedSegment] = []
-        if cache is not None and cache.enabled:
-            for segment in plan.segments:
-                if cache.lookup(segment.key):
-                    hit_bytes += segment.nbytes
-                else:
-                    missed.append(segment)
-        transfer_bytes = effective_transfer_bytes(plan.staged_bytes,
-                                                  hit_bytes)
-
-        # --- run the fused stages (device-charged, host-real) ----------
-        fused_seconds = 0.0
-        per_op_bytes = 0.0
-        matches_total = 0
-        current = probe_out
-        build_index = 0
-        discard = CostLedger()
-        stage_names: list[str] = []
-        try:
+        def run(bytes_in: int) -> Kernel:
+            """The fused stages: device-charged, host-real."""
+            fused_seconds = 0.0
+            per_op_bytes = 0.0
+            matches_total = 0
+            current = probe_out
+            build_index = 0
+            discard = CostLedger()
+            stage_names: list[str] = []
             for element in reversed(chain.spine):
                 if isinstance(element, JoinNode):
                     build = build_outs[build_index]
@@ -488,18 +465,15 @@ class FusedExecutor:
                         current.column(element.left_key))
                     per_op_bytes += (build.num_rows * 8
                                      + current.num_rows * _PACKED)
-                    rows_before = current.num_rows
                     try:
                         result = join_kernel.run(build_keys, probe_keys)
                     except GpuError:
                         # Non-unique build keys: outside the kernel's
                         # documented scope, not a device failure — the
                         # whole chain degrades to the per-op executors.
-                        self.scheduler.release(lease)
-                        return self._degrade(
-                            chain, ctx, probe_out, build_outs,
+                        raise Declined(
                             "build keys not unique: chain degrades to "
-                            "the per-operator path")
+                            "the per-operator path") from None
                     fused_seconds += result.kernel_seconds
                     matches = len(result.left_idx)
                     per_op_bytes += matches * 4        # per-op D2H matches
@@ -512,7 +486,6 @@ class FusedExecutor:
                                         result.left_idx, result.right_idx)
                     stage_names.append(result.kernel)
                     build_index += 1
-                    del rows_before
                 else:                                   # FilterNode
                     rows_before = current.num_rows
                     # Host-real evaluation through the stock scan
@@ -534,7 +507,7 @@ class FusedExecutor:
                 if isinstance(a.expr, ColumnRef)})
             fused_seconds += (current.num_rows * gather_cols
                               / cost.gpu_scan_rate)
-            per_op_bytes += (_staged_key_bytes(current, node.keys)
+            per_op_bytes += (staged_key_bytes(current, node.keys)
                              + current.num_rows * _PACKED
                              * max(1, len(node.aggs)))
             per_op_bytes += metadata.result_bytes()
@@ -554,92 +527,54 @@ class FusedExecutor:
                 exact_keys=exact,
             )
 
-            host_chain = build_fused_host_chain(
+            ctx.ledger.extend(build_fused_host_chain(
                 rows=probe_out.num_rows, num_keys=len(node.keys),
                 num_aggs=max(1, len(payloads)),
-                staged_bytes=transfer_bytes, cost=cost,
-            )
-            for event in host_chain.cost_events(ctx.degree):
-                ctx.ledger.add(event)
+                staged_bytes=bytes_in, cost=cost,
+            ).cost_events(ctx.degree))
 
             outcome = self.moderator.run(request, metadata,
                                          race=self.race_kernels)
             winner = outcome.winner
-            if self.monitor is not None:
-                self.monitor.record_overflow_retries(
-                    outcome.overflow_retries)
+            if monitor is not None:
+                monitor.record_overflow_retries(outcome.overflow_retries)
                 if outcome.raced:
-                    self.monitor.record_race(outcome.cancelled)
+                    monitor.record_race(outcome.cancelled)
             fused_seconds += (winner.kernel_seconds
                               + outcome.wasted_device_seconds)
             stage_names.append(winner.kernel)
-
-            launch = streamed_launch(
-                lease.device, self.pinned,
-                kernel="fused:" + "+".join(stage_names),
-                kernel_seconds=fused_seconds,
-                reservation=lease.reservation,
-                rows=probe_out.num_rows,
-                bytes_in=transfer_bytes,
+            return Kernel(
+                name="fused:" + "+".join(stage_names),
+                seconds=fused_seconds,
                 bytes_out=metadata.result_bytes(),
-                pinned=True,
-                pipeline=self.pipeline,
+                outcome=(winner, current, kmv, matches_total,
+                         max(0, int(per_op_bytes) - plan.staged_bytes)),
                 stages=chain.stages,
+                # The final gather left the group-by's own staged slices
+                # (packed keys, 4 B/row payloads) resident too, so admit
+                # them under the per-operator path's keys: a later
+                # unfused group-by over the same materialised input hits
+                # exactly as if that path had staged them itself.
+                resident=lambda: groupby_segments(
+                    current, node, dispatch.catalog_version),
             )
-            ctx.ledger.add(CostEvent(
-                op="GPU-FUSED",
-                rows=probe_out.num_rows,
-                cpu_seconds=_DISPATCH_SECONDS,
-                max_degree=1,
-                gpu_seconds=launch.total_seconds,
-                gpu_memory_bytes=lease.reservation.nbytes,
-                device_id=lease.device.device_id,
-            ))
-        except PinnedMemoryError as exc:
-            # Host-side staging exhaustion: no device misbehaved, so the
-            # circuit breaker stays out of it.
-            self.scheduler.release(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback("fused", exc)
-            return self._degrade(chain, ctx, probe_out, build_outs,
-                                 "pinned staging pool exhausted")
-        except GpuError as exc:
-            # Launch failure / device loss / allocation fault: feed the
-            # circuit breaker and redo the whole chain per-operator.
-            self.scheduler.record_failure(lease)
-            self.scheduler.release(lease)
-            if self.monitor is not None:
-                self.monitor.record_fault_fallback(
-                    "fused", exc, lease.device.device_id)
-            return self._degrade(chain, ctx, probe_out, build_outs,
-                                 f"gpu failure: {exc}",
-                                 device_id=lease.device.device_id)
-        else:
-            self.scheduler.record_success(lease)
-            self.scheduler.release(lease)
 
-        if cache is not None and cache.enabled:
-            for segment in missed:
-                cache.insert(segment.key, segment.nbytes)
-            # The final gather left the group-by's own staged slices
-            # (packed keys, 4 B/row payloads) resident too, so admit
-            # them under the per-operator path's keys: a later unfused
-            # group-by over the same materialised input hits exactly as
-            # if that path had staged them itself.
-            version = self.catalog.version if self.catalog is not None else 0
-            for segment in _groupby_segments(current, node, version):
-                if segment.key not in cache:
-                    cache.insert(segment.key, segment.nbytes)
+        piece = Piece(
+            rows=probe_out.num_rows, memory=memory_needed, tag="fused",
+            staged=plan.staged_bytes, segments=plan.segments, run=run,
+        )
+        fused = dispatch.launch("fused", ctx, piece)
+        if fused is None:
+            return self._degrade(chain, ctx, probe_out, build_outs,
+                                 piece.fallback, piece.device_id)
+        winner, current, kmv, matches_total, elided = fused
 
-        elided = max(0, int(per_op_bytes) - plan.staged_bytes)
-        self._observe_chain(chain, lease.device.device_id, elided,
-                            matches_total, winner.kernel)
-        self._record("gpu-fused", decision.reason,
-                     kernel=winner.kernel,
-                     device_id=lease.device.device_id)
-        if self.monitor is not None:
-            error = self.monitor.record_kmv_estimate(kmv.groups,
-                                                     winner.n_groups)
+        self._observe_chain(chain, piece.device_id, elided, matches_total,
+                            winner.kernel)
+        dispatch.record("fused", "gpu-fused", decision.reason,
+                        kernel=winner.kernel, device_id=piece.device_id)
+        if monitor is not None:
+            error = monitor.record_kmv_estimate(kmv.groups, winner.n_groups)
             if groupby_span is not None:
                 groupby_span.attributes["kmv_groups"] = int(kmv.groups)
                 groupby_span.attributes["kmv_relative_error"] = error
@@ -666,7 +601,8 @@ class FusedExecutor:
         is "the fused launch failed, the chain re-ran per-operator",
         mirroring the CPU fallback of the hybrid executors.
         """
-        self._record("fused-degraded", reason, device_id=device_id)
+        self.dispatch.record("fused", "fused-degraded", reason, kernel="",
+                             device_id=device_id)
         current = probe_out
         build_index = 0
         for element in reversed(chain.spine):
@@ -680,31 +616,13 @@ class FusedExecutor:
                     ctx.ledger, max_degree=min(ctx.degree * 2, 96))
         return self.groupby_fallback(current, chain.groupby, ctx)
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _payload_specs(self, probe_out: Table, build_outs: Sequence[Table],
-                       node: GroupByNode) -> list[PayloadSpec]:
-        from repro.blu.datatypes import int64 as int64_type
-
-        tables = [probe_out, *build_outs]
-        specs = []
-        for agg in node.aggs:
-            dtype = int64_type()
-            if agg.expr is not None:
-                owner = _owner_of(_expr_column(agg.expr), tables)
-                dtype = agg.expr.result_type(owner if owner is not None
-                                             else probe_out)
-            specs.append(PayloadSpec(dtype=dtype, func=agg.func))
-        return specs
-
     def _observe_chain(self, chain: FusableChain, device_id: int,
                        elided_bytes: int, matches: int,
                        groupby_kernel: str) -> None:
-        if self.monitor is None:
+        monitor = self.dispatch.monitor
+        if monitor is None:
             return
-        registry = self.monitor.registry
+        registry = monitor.registry
         registry.counter(
             "repro_fusion_chains_total",
             "Operator chains executed as a single fused GPU launch",
@@ -713,30 +631,27 @@ class FusedExecutor:
             "repro_fusion_elided_bytes_total",
             "PCIe bytes elided by fusion vs the per-operator GPU path",
         ).inc(elided_bytes)
-        self.monitor.tracer.instant(
+        monitor.tracer.instant(
             "fusion.chain",
             stages=chain.stages, joins=len(chain.joins),
             elided_bytes=int(elided_bytes), matches=int(matches),
             groupby_kernel=groupby_kernel, device_id=device_id,
-            query_id=self.query_id,
+            query_id=self.dispatch.query_id,
         )
 
-    @property
-    def _tracer(self):
-        return self.monitor.tracer if self.monitor is not None else None
 
-    def _record(self, path: str, reason: str, kernel: Optional[str] = None,
-                device_id: int = -1) -> None:
-        if self.monitor is None:
-            return
-        self.monitor.tracer.instant(
-            "offload.decision", operator="fused", path=path,
-            reason=reason, kernel=kernel or "", query_id=self.query_id,
-        )
-        self.monitor.record_decision(OffloadDecision(
-            query_id=self.query_id, operator="fused", path=path,
-            reason=reason, kernel=kernel, device_id=device_id,
-        ))
+def _payload_specs(probe_out: Table, build_outs: Sequence[Table],
+                   node: GroupByNode) -> list[PayloadSpec]:
+    tables = [probe_out, *build_outs]
+    specs = []
+    for agg in node.aggs:
+        dtype = int64_type()
+        if agg.expr is not None:
+            owner = _owner_of(_expr_column(agg.expr), tables)
+            dtype = agg.expr.result_type(owner if owner is not None
+                                         else probe_out)
+        specs.append(PayloadSpec(dtype=dtype, func=agg.func))
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +671,7 @@ class _ExternalInputs:
 
 def _plan_external_inputs(chain: FusableChain, probe_out: Table,
                           build_outs: Sequence[Table],
-                          catalog: Optional[Catalog]) -> _ExternalInputs:
+                          version: int) -> _ExternalInputs:
     """Plan what crosses the bus for a fused launch, at owner granularity.
 
     Every external column ships exactly once from the base table that
@@ -769,7 +684,6 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
     column identity: they charge probe-granularity bytes but produce no
     cacheable segment.
     """
-    version = catalog.version if catalog is not None else 0
     tables = [probe_out, *build_outs]
     plan = _ExternalInputs()
     shipped: set[tuple[str, str]] = set()
@@ -833,7 +747,7 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
         owner = _owner_of(key, tables)
         if owner is not None:
             key_bits += owner.schema.field(key).dtype.bits
-            ship(owner, key, _packed_key_bytes(owner.column(key)),
+            ship(owner, key, packed_key_bytes(owner.column(key)),
                  "fused-key:")
         else:
             key_bits += 64
@@ -873,53 +787,3 @@ def _owner_of(column: Optional[str],
 def _expr_column(expr) -> Optional[str]:
     names = expr.columns()
     return names[0] if len(names) == 1 else None
-
-
-def _packed_key_bytes(col) -> int:
-    """Staged bytes of one grouping-key column at its packed width."""
-    from repro.core.hybrid_groupby import _packed_key_bytes as _pkb
-
-    return _pkb(col)
-
-
-def _staged_key_bytes(table: Table, keys) -> int:
-    """Joined-granularity key staging (the per-op reference accounting)."""
-    from repro.core.hybrid_groupby import _staged_key_bytes as _skb
-
-    return _skb(table, keys)
-
-
-def _groupby_segments(table: Table, node: GroupByNode,
-                      version: int) -> list[StagedSegment]:
-    """The per-operator group-by's cache keys for ``table``.
-
-    Mirrors ``HybridGroupByExecutor._staged_segments`` exactly: the fused
-    launch gathers these very arrays on the device, so admitting them
-    under the unfused path's keys lets a later per-op group-by over the
-    same materialised input hit as if that path had staged them itself.
-    """
-    rows = table.num_rows
-    segments = []
-    for name in node.keys:
-        col = table.column(name)
-        segments.append(StagedSegment(
-            key=SegmentKey(
-                table=table.name, column=name,
-                segment="key:" + content_digest(col.data, col.null_mask),
-                catalog_version=version,
-            ),
-            nbytes=_packed_key_bytes(col),
-        ))
-    for agg in node.aggs:
-        if not isinstance(agg.expr, ColumnRef):
-            continue
-        col = table.column(agg.expr.name)
-        segments.append(StagedSegment(
-            key=SegmentKey(
-                table=table.name, column=agg.expr.name,
-                segment="agg:" + content_digest(col.data, col.null_mask),
-                catalog_version=version,
-            ),
-            nbytes=rows * 4,
-        ))
-    return segments

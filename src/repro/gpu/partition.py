@@ -10,11 +10,11 @@ launch's staged bytes to one operator's whole input.
 A :class:`PartitionPlan` splits an over-memory sort or hash group-by
 into device-sized partitions and prices both sides of the decision:
 
-- the partitioned GPU side is modelled with the *same* three-engine
-  flow-shop recurrence the stream pipeline uses, one
-  :class:`~repro.gpu.streams.StreamChunk` per partition, so partition
-  k+1's host->device copy overlaps partition k's kernel and partition
-  k-1's device->host drain — plus the host-side split and merge passes;
+- the partitioned GPU side steps the stream pipeline's own
+  :class:`~repro.gpu.streams.FlowShop`, one job per partition, so
+  partition k+1's host->device copy overlaps partition k's kernel and
+  partition k-1's device->host drain — plus the host-side split and
+  merge passes;
 - the CPU side reprices the stock evaluator chain
   (:func:`repro.blu.evaluators.build_cpu_groupby_chain`) at the wall
   clock the processor-sharing simulator would grant it.
@@ -40,27 +40,15 @@ from repro.blu.evaluators import (
     build_gpu_host_chain,
 )
 from repro.config import CostModel, GpuSpec, HostSpec, Thresholds
-from repro.gpu.streams import (
-    DOUBLE_BUFFERS,
-    PipelineSpec,
-    StreamChunk,
-    StreamPlan,
-)
+from repro.gpu.streams import DISPATCH_SECONDS, FlowShop
 from repro.gpu.transfer import transfer_seconds
 
 
-#: The dispatching thread's CPU cost per partition wave (mirrors the
-#: hybrid executors' single-threaded launch dispatch).
-DISPATCH_SECONDS = 50e-6
-
-
 class PartitionStreamState:
-    """Per-device three-engine pipeline state across partition launches.
+    """One :class:`~repro.gpu.streams.FlowShop` per device, stepped
+    across partition launches.
 
-    The executors stream partitions through each device back-to-back;
-    this state runs the same double-buffered flow-shop recurrence as
-    :meth:`repro.gpu.streams.StreamPlan.schedule`, but *incrementally*
-    across launches instead of across one launch's chunks.
+    The dispatcher streams partitions through each device back-to-back;
     :meth:`advance` returns the launch's incremental contribution to its
     device's makespan — partition k+1's host->device copy hides under
     partition k's kernel, and only the exposed remainder is charged — so
@@ -69,7 +57,7 @@ class PartitionStreamState:
     """
 
     def __init__(self) -> None:
-        self._devices: dict[int, dict] = {}
+        self._devices: dict[int, FlowShop] = {}
 
     def advance(self, device_id: int, h2d_seconds: float,
                 kernel_seconds: float, d2h_seconds: float) -> float:
@@ -79,23 +67,12 @@ class PartitionStreamState:
         the growth of the device's overall makespan after overlapping
         the copies with neighbouring partitions' kernel slices.
         """
-        state = self._devices.setdefault(device_id, {
-            "h2d_free": 0.0, "kern_free": 0.0, "d2h_free": 0.0,
-            "kern_done": [], "makespan": 0.0,
-        })
-        done = state["kern_done"]
-        buffer_ready = done[-DOUBLE_BUFFERS] \
-            if len(done) >= DOUBLE_BUFFERS else 0.0
-        state["h2d_free"] = max(state["h2d_free"], buffer_ready) \
-            + h2d_seconds
-        state["kern_free"] = max(state["kern_free"], state["h2d_free"]) \
-            + kernel_seconds
-        done.append(state["kern_free"])
-        state["d2h_free"] = max(state["d2h_free"], state["kern_free"]) \
-            + d2h_seconds
-        exposed = state["d2h_free"] - state["makespan"]
-        state["makespan"] = state["d2h_free"]
-        return max(0.0, exposed)
+        shop = self._devices.get(device_id)
+        if shop is None:
+            shop = self._devices[device_id] = FlowShop()
+        makespan = shop.d2h_free
+        shop.push(h2d_seconds, kernel_seconds, d2h_seconds)
+        return max(0.0, shop.d2h_free - makespan)
 
 
 @dataclass(frozen=True)
@@ -150,28 +127,6 @@ def _chain_wall_seconds(chain, host: HostSpec, degree: int) -> float:
         capacity = host.effective_capacity(min(e.max_degree, degree))
         total += e.cpu_seconds / max(1.0, capacity)
     return total
-
-
-def _streamed_makespan(chunks: list[StreamChunk]) -> float:
-    """Overlapped makespan of per-partition device work.
-
-    Reuses the stream pipeline's three-machine flow-shop recurrence
-    verbatim (H2D copy engine, compute engine, D2H copy engine with the
-    double-buffer constraint) by wrapping the partitions in a
-    :class:`~repro.gpu.streams.StreamPlan`; the serial reference fields
-    are unused here, only :meth:`~repro.gpu.streams.StreamPlan.schedule`
-    runs.
-    """
-    if not chunks:
-        return 0.0
-    plan = StreamPlan(
-        chunks=tuple(chunks),
-        pipeline=PipelineSpec(depth=max(1, len(chunks))),
-        serial_in=sum(c.h2d_seconds for c in chunks),
-        serial_kernel=sum(c.kernel_seconds for c in chunks),
-        serial_out=sum(c.d2h_seconds for c in chunks),
-    )
-    return plan.schedule().total_seconds
 
 
 def _admissible_partition_count(
@@ -250,16 +205,12 @@ def plan_groupby_partitions(
                 + rows_p * max(1, num_aggs) / cost.gpu_atomic_agg_rate)
     # Partitions stream through the devices on the three-engine pipeline;
     # multiple cards drain the per-partition kernel slices data-parallel.
-    chunks = [
-        StreamChunk(
-            bytes_in=staged_p, bytes_out=result_p,
-            kernel_seconds=kernel_p / max(1, devices),
-            h2d_seconds=transfer_seconds(staged_p, spec),
-            d2h_seconds=transfer_seconds(result_p, spec),
-        )
-        for _ in range(partitions)
-    ]
-    device_seconds = _streamed_makespan(chunks)
+    shop = FlowShop()
+    for _ in range(partitions):
+        shop.push(transfer_seconds(staged_p, spec),
+                  kernel_p / max(1, devices),
+                  transfer_seconds(result_p, spec))
+    device_seconds = shop.schedule().total_seconds
 
     capacity = max(1.0, host.effective_capacity(degree))
     split_seconds = rows / cost.cpu_scan_rate / capacity
@@ -289,9 +240,12 @@ def plan_groupby_partitions(
         gpu_seconds=gpu_seconds,
         cpu_seconds=cpu_seconds,
         merge_seconds=merge_seconds,
-        reason=(f"working set ~{working_set} bytes > device "
-                f"{capacity_bytes}: {partitions} partitions of "
-                f"~{rows_p} rows"),
+        # Name the constraint that forced the split (Figure 3 sends an
+        # input here over T3 by rows *or* over device memory by bytes).
+        reason=((f"working set ~{working_set} bytes > device "
+                 f"{capacity_bytes}" if working_set > capacity_bytes
+                 else f"{rows} rows > T3 {thresholds.t3_max_rows}")
+                + f": {partitions} partitions of ~{rows_p} rows"),
     )
 
 
@@ -335,16 +289,12 @@ def plan_sort_partitions(
     kernel_p = (spec.kernel_launch_overhead
                 + rows_p / cost.gpu_radix_sort_rate
                 + rows_p / cost.gpu_scan_rate)
-    chunks = [
-        StreamChunk(
-            bytes_in=staged_p, bytes_out=staged_p,
-            kernel_seconds=kernel_p / max(1, devices),
-            h2d_seconds=transfer_seconds(staged_p, spec),
-            d2h_seconds=transfer_seconds(staged_p, spec),
-        )
-        for _ in range(partitions)
-    ]
-    device_seconds = _streamed_makespan(chunks)
+    shop = FlowShop()
+    for _ in range(partitions):
+        shop.push(transfer_seconds(staged_p, spec),
+                  kernel_p / max(1, devices),
+                  transfer_seconds(staged_p, spec))
+    device_seconds = shop.schedule().total_seconds
 
     merge_capacity = max(1.0, host.effective_capacity(min(degree, 8)))
     merge_seconds = 0.0

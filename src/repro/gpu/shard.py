@@ -9,10 +9,10 @@ step reassembles a result byte-identical to the CPU chain (PR 9's
 renumber-merge for group-by, k-way stable merge for sort, order-
 preserving concatenation for join probes).
 
-:func:`plan_sharded` prices the decision with the *same* three-engine
-flow-shop recurrence as the stream pipeline and the out-of-core
-partition planner (:func:`repro.gpu.partition._streamed_makespan`), plus
-two costs single-device plans never pay:
+:func:`plan_sharded` prices the decision on the same
+:class:`~repro.gpu.streams.FlowShop` as the stream pipeline and the
+out-of-core partition planner, plus two costs single-device plans never
+pay:
 
 - the host->device staging leaves as one *wave* — every shard transfers
   at once — so each leg is priced at the switch-contended bandwidth from
@@ -40,8 +40,7 @@ import numpy as np
 from repro.config import CostModel, GpuSpec, HostSpec
 from repro.errors import ReproError
 from repro.gpu.interconnect import Interconnect
-from repro.gpu.partition import DISPATCH_SECONDS, _streamed_makespan
-from repro.gpu.streams import StreamChunk
+from repro.gpu.streams import DISPATCH_SECONDS, FlowShop
 from repro.gpu.transfer import transfer_seconds
 
 
@@ -241,13 +240,9 @@ def plan_sharded(
     out_legs = interconnect.wave_legs([(d, result_p) for d in devices])
     makespan = 0.0
     for leg, out in zip(legs, out_legs):
-        chunk = StreamChunk(
-            bytes_in=staged_p, bytes_out=result_p,
-            kernel_seconds=kernel_p,
-            h2d_seconds=leg.seconds,
-            d2h_seconds=out.seconds,
-        )
-        makespan = max(makespan, _streamed_makespan([chunk]))
+        shop = FlowShop()
+        shop.push(leg.seconds, kernel_p, out.seconds)
+        makespan = max(makespan, shop.schedule().total_seconds)
     stall_seconds = sum(leg.stall_seconds for leg in legs) \
         + sum(leg.stall_seconds for leg in out_legs)
 

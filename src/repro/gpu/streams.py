@@ -38,6 +38,11 @@ from repro.gpu.transfer import transfer_seconds
 #: *i-2*'s kernel slice has drained its buffer.
 DOUBLE_BUFFERS = 2
 
+#: The single dispatching thread's CPU work per launch (or per wave of
+#: launches that leave together): charged on every GPU cost event and
+#: priced by the partition and shard planners.
+DISPATCH_SECONDS = 50e-6
+
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -97,6 +102,48 @@ class StreamSchedule:
         return (self.exposed_in + self.kernel_seconds) + self.exposed_out
 
 
+class FlowShop:
+    """The three-engine flow shop: H2D copy engine, compute engine, D2H
+    copy engine, with the double-buffer constraint.
+
+    This is the one recurrence behind a launch's chunks
+    (:meth:`StreamPlan.schedule`), a device's back-to-back partition
+    launches (:class:`repro.gpu.partition.PartitionStreamState`) and the
+    partition and shard planners' makespans: job *i*'s H2D copy cannot
+    start until job *i-2*'s kernel slice has freed its staging buffer.
+    Readers take either the decomposition (:meth:`schedule`) or the raw
+    ``d2h_free`` drain time; the two can differ in the last bit, so each
+    caller keeps the one it has always summed.
+    """
+
+    def __init__(self) -> None:
+        self.h2d_free = 0.0      # when the H2D copy engine is next free
+        self.kern_free = 0.0     # when the compute engine is next free
+        self.d2h_free = 0.0      # when the D2H copy engine is next free
+        self.kernel_busy = 0.0
+        self._kern_done: list[float] = []
+
+    def push(self, h2d_seconds: float, kernel_seconds: float,
+             d2h_seconds: float) -> None:
+        """Feed one job (a chunk, a partition, a shard) through."""
+        done = self._kern_done
+        buffer_ready = (done[-DOUBLE_BUFFERS]
+                        if len(done) >= DOUBLE_BUFFERS else 0.0)
+        self.h2d_free = max(self.h2d_free, buffer_ready) + h2d_seconds
+        self.kern_free = max(self.kern_free, self.h2d_free) + kernel_seconds
+        done.append(self.kern_free)
+        self.kernel_busy += kernel_seconds
+        self.d2h_free = max(self.d2h_free, self.kern_free) + d2h_seconds
+
+    def schedule(self) -> StreamSchedule:
+        """The makespan so far, decomposed into exposed components."""
+        return StreamSchedule(
+            exposed_in=max(0.0, self.kern_free - self.kernel_busy),
+            kernel_seconds=self.kernel_busy,
+            exposed_out=max(0.0, self.d2h_free - self.kern_free),
+        )
+
+
 @dataclass(frozen=True)
 class StreamPlan:
     """One launch's chunking, with its serial reference timings."""
@@ -128,34 +175,17 @@ class StreamPlan:
                  stalls: Optional[Sequence[float]] = None) -> StreamSchedule:
         """Run the three engines over the chunks and decompose the makespan.
 
-        The recurrence is a three-machine flow shop with the
-        double-buffer constraint: chunk *i*'s H2D copy cannot start until
-        chunk *i-2*'s kernel slice has freed its staging buffer.
         ``stalls`` adds injected per-chunk PCIe stall seconds onto the
         corresponding H2D copies (a stall hidden under a kernel slice
         costs nothing — overlap absorbs it).
         """
-        h2d_free = 0.0           # when the H2D copy engine is next free
-        kern_free = 0.0          # when the compute engine is next free
-        d2h_free = 0.0           # when the D2H copy engine is next free
-        kern_done: list[float] = []
-        kernel_busy = 0.0
+        shop = FlowShop()
         for i, chunk in enumerate(self.chunks):
             h2d = chunk.h2d_seconds
             if stalls is not None and i < len(stalls):
                 h2d += stalls[i]
-            buffer_ready = (kern_done[i - DOUBLE_BUFFERS]
-                            if i >= DOUBLE_BUFFERS else 0.0)
-            h2d_free = max(h2d_free, buffer_ready) + h2d
-            kern_free = max(kern_free, h2d_free) + chunk.kernel_seconds
-            kern_done.append(kern_free)
-            kernel_busy += chunk.kernel_seconds
-            d2h_free = max(d2h_free, kern_free) + chunk.d2h_seconds
-        return StreamSchedule(
-            exposed_in=max(0.0, kern_free - kernel_busy),
-            kernel_seconds=kernel_busy,
-            exposed_out=max(0.0, d2h_free - kern_free),
-        )
+            shop.push(h2d, chunk.kernel_seconds, chunk.d2h_seconds)
+        return shop.schedule()
 
 
 def _split_bytes(total: int, parts: int) -> list[int]:
@@ -231,7 +261,8 @@ def streamed_launch(
 ):
     """Launch one kernel through the stream planner.
 
-    This is the hybrid executors' single entry point: it owns the pinned
+    This is the dispatcher's single entry point
+    (:meth:`repro.core.dispatch.Wave.launch`): it owns the pinned
     staging-buffer lifecycle (one full-size buffer for a serial launch,
     two rotating chunk-size buffers for a pipelined one) and returns the
     device's :class:`~repro.gpu.device.LaunchResult` either way.  With no

@@ -15,6 +15,7 @@ discrete-event simulator in :mod:`repro.sim`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -87,6 +88,17 @@ class CostLedger:
     def __init__(self, on_add=None) -> None:
         self.events: list[CostEvent] = []
         self._on_add = on_add
+        self._parallel_groups = itertools.count()
+
+    def claim_parallel_group(self) -> int:
+        """A parallel-group id no other event of this query carries.
+
+        Ids rise with every claim, so a wave that claims one per device
+        rank can sort its events by id; they are state of the query, not
+        of the process — the same statement numbers its groups the same
+        way on every run.
+        """
+        return next(self._parallel_groups)
 
     def add(self, event: CostEvent) -> None:
         self.events.append(event)

@@ -14,9 +14,9 @@ from repro.core import GpuAcceleratedEngine
 SALES_ROWS = 50_000
 
 
-@pytest.fixture(scope="session")
-def sales_table() -> Table:
-    """A deterministic mini fact table used across unit tests."""
+def build_sales_table() -> Table:
+    """The deterministic mini fact table behind ``sales_table`` (a plain
+    function so ``python -m`` regenerators can build it without pytest)."""
     rng = np.random.default_rng(42)
     n = SALES_ROWS
     schema = Schema.of(
@@ -40,8 +40,8 @@ def sales_table() -> Table:
     return Table.from_pydict("sales", schema, data)
 
 
-@pytest.fixture(scope="session")
-def stores_table() -> Table:
+def build_stores_table() -> Table:
+    """The 12-row dimension table behind ``stores_table``."""
     schema = Schema.of(
         ("st_id", int32()),
         ("st_state", varchar(2)),
@@ -54,6 +54,17 @@ def stores_table() -> Table:
         "st_size": [100 * (i + 1) for i in range(12)],
     }
     return Table.from_pydict("stores", schema, data)
+
+
+@pytest.fixture(scope="session")
+def sales_table() -> Table:
+    """A deterministic mini fact table used across unit tests."""
+    return build_sales_table()
+
+
+@pytest.fixture(scope="session")
+def stores_table() -> Table:
+    return build_stores_table()
 
 
 @pytest.fixture(scope="session")

@@ -71,3 +71,26 @@ class TestPartitionedGroupBy:
         gpu_events = [e for e in result.profile.events
                       if e.op == "GPU-GROUPBY"]
         assert len(gpu_events) == 1
+
+    def test_parallel_group_ids_are_query_state_not_process_state(
+            self, small_catalog):
+        """Two fresh engines export the same events for the same
+        statement in one process: group ids come from the query's
+        ledger (0, 1, 2 ... per query), not from a process-wide counter
+        (which numbered the second run 1024, 1025 ...)."""
+        exports = []
+        for _ in range(2):
+            engine = make_engine(small_catalog, t3=10_000, partition=True)
+            engine.execute_sql(BIG_SQL, query_id="pg")
+            engine.execute_sql(BIG_SQL, query_id="pg-again")
+            exports.append(engine.monitor.export_events())
+        assert exports[0] == exports[1]
+        for record in exports[0]:
+            if record["kind"] != "query":
+                continue
+            groups = [e["parallel_group"] for e in record["events"]
+                      if e["parallel_group"] >= 0]
+            # Claimed in rank order from 0; flushed sorted.
+            assert groups == sorted(groups)
+            assert sorted(set(groups)) == list(range(len(set(groups))))
+            assert len(set(groups)) >= 2

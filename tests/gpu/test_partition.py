@@ -52,6 +52,17 @@ class TestGroupbyPlanner:
         assert plan is not None
         assert plan.partition_rows <= 10_000
 
+    def test_reason_names_the_constraint_that_forced_the_split(self):
+        by_bytes = groupby_plan()
+        assert by_bytes.reason.startswith(
+            f"working set ~{by_bytes.working_set_bytes} bytes > device "
+            f"{by_bytes.capacity_bytes}: ")
+        by_rows = groupby_plan(capacity=10**12,
+                               thresholds=Thresholds(t3_max_rows=10_000))
+        assert by_rows.working_set_bytes < by_rows.capacity_bytes
+        assert by_rows.reason.startswith("200000 rows > T3 10000: ")
+        assert "working set" not in by_rows.reason
+
     def test_declines_when_nothing_fits(self):
         # Even max_partitions slices cannot squeeze under a 4 KB card.
         assert groupby_plan(capacity=4 * 1024) is None

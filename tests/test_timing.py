@@ -61,3 +61,8 @@ class TestQueryProfile:
         ledger.add(CostEvent(op="B"))
         ledger.extend([CostEvent(op="C"), CostEvent(op="D")])
         assert [e.op for e in ledger.events] == ["A", "B", "C", "D"]
+
+    def test_parallel_group_ids_rise_per_ledger(self):
+        ledger = CostLedger()
+        assert [ledger.claim_parallel_group() for _ in range(3)] == [0, 1, 2]
+        assert CostLedger().claim_parallel_group() == 0
