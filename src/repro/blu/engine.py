@@ -54,6 +54,16 @@ class OperatorContext:
     ledger: CostLedger
     degree: int
 
+    def wall_seconds(self, core_seconds: float,
+                     max_degree: Optional[int] = None) -> float:
+        """Wall clock of ``core_seconds`` of host work under processor
+        sharing, on the query's threads (at most ``max_degree``)."""
+        threads = self.degree
+        if max_degree is not None:
+            threads = min(threads, max_degree)
+        return core_seconds / max(
+            1.0, self.config.host.effective_capacity(threads))
+
 
 # Executor signatures: (input table(s), plan node, context) -> output table.
 GroupByExecutor = Callable[[Table, GroupByNode, OperatorContext], Table]

@@ -17,6 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.blu.catalog import Catalog
@@ -67,6 +68,11 @@ class GpuAcceleratedEngine:
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config or paper_testbed()
+        if partition_large_groupby is not None:
+            # Out-of-core partitioned execution (docs/out_of_core.md):
+            # the explicit kwarg wins over the config knob.
+            self.config = dataclasses.replace(
+                self.config, partition_enabled=partition_large_groupby)
         if self.config.gpu_count == 0:
             raise ValueError(
                 "GpuAcceleratedEngine needs at least one GPU; "
@@ -146,12 +152,6 @@ class GpuAcceleratedEngine:
                 smx_count=self.config.gpus[0].smx_count,
             )
         self.moderator.tracer = self.tracer
-        # Out-of-core partitioned execution (docs/out_of_core.md): the
-        # explicit kwarg wins over the config knob; both hybrid
-        # executors share the enable and the partition-count cap.
-        partition_large = (self.config.partition_enabled
-                           if partition_large_groupby is None
-                           else partition_large_groupby)
         # Scale-out sharding (docs/scale_out.md): the modelled PCIe/NVLink
         # interconnect prices and accounts every sharded transfer wave;
         # when sharding is on, each fact table (T1-or-larger) gets a
@@ -160,8 +160,7 @@ class GpuAcceleratedEngine:
         # device column cache.
         self.interconnect = Interconnect.from_config(self.config,
                                                      metrics=self.registry)
-        shard_enabled = self.config.shard_enabled
-        if shard_enabled:
+        if self.config.shard_enabled:
             healthy = self.scheduler.healthy_device_ids()
             if len(healthy) >= 2:
                 for name in catalog.table_names():
@@ -170,8 +169,10 @@ class GpuAcceleratedEngine:
                         catalog.register_shard_map(
                             build_shard_map(name, healthy))
         # One dispatch site (docs/architecture.md): leases, staging,
-        # fault policy and decision records have a single owner, shared
-        # by every executor below.
+        # fault policy, decision records and the "should this operator
+        # split?" question (which reads the partition / shard knobs off
+        # the config) have a single owner, shared by every executor
+        # below.
         self.dispatch = Dispatcher(
             scheduler=self.scheduler,
             pinned=self.pinned,
@@ -186,21 +187,14 @@ class GpuAcceleratedEngine:
             moderator=self.moderator,
             thresholds=self.config.thresholds,
             race_kernels=race_kernels,
-            partition_large=partition_large,
-            max_partitions=self.config.max_partitions,
-            shard_enabled=shard_enabled,
         )
         self._sort = HybridSortExecutor(
             dispatch=self.dispatch,
             thresholds=self.config.thresholds,
-            partition_large=partition_large,
-            max_partitions=self.config.max_partitions,
-            shard_enabled=shard_enabled,
         )
         self._join = HybridJoinExecutor(
             dispatch=self.dispatch,
             thresholds=self.config.thresholds,
-            shard_enabled=shard_enabled,
         ) if enable_join_offload else None
         # Fused data path (docs/fusion.md): recognised filter->join->
         # group-by chains run as one device launch; every failure (and a

@@ -11,7 +11,9 @@ infrastructure, written once: :meth:`Wave.launch` is the only code in
 and releases.  The executors (group-by, sort, join, fused chain) keep
 only what is their own: how they split rows, which kernel request one
 piece builds, how a piece runs on the CPU, how pieces reassemble, and
-their pricing terms.
+their pricing terms.  Whether an operator splits at all is asked in one
+place too: :meth:`Dispatcher.split` owns the knob, the home devices, the
+price and the gate.
 
 A *piece* is one unit of device work.  Whole-device execution is one
 lone piece (:meth:`Dispatcher.launch`); out-of-core execution is pieces
@@ -30,15 +32,29 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.blu.catalog import Catalog
 from repro.blu.engine import OperatorContext
 from repro.core.monitoring import OffloadDecision, PerformanceMonitor
+from repro.core.pathselect import judge
 from repro.core.scheduler import GpuLease, MultiGpuScheduler
 from repro.errors import GpuError, PinnedMemoryError
 from repro.gpu.cache import StagedSegment
 from repro.gpu.interconnect import Interconnect
-from repro.gpu.partition import PartitionStreamState
+from repro.gpu.partition import (
+    PARTITION_GATE,
+    SHARD_GATE,
+    PartitionStreamState,
+    SplitPlan,
+    SplitTerms,
+    price,
+)
 from repro.gpu.pinned import PinnedMemoryPool
+from repro.gpu.shard import home_devices
 from repro.gpu.streams import DISPATCH_SECONDS, PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
+from repro.obs.tracing import NULL_TRACER
 from repro.timing import CostEvent
+
+
+#: What a gate's instant shows for a candidate that could not be priced.
+_UNPRICED = SplitPlan("", 0, 0, (), 0.0, (), 0.0)
 
 
 class Declined(Exception):
@@ -128,6 +144,96 @@ class Dispatcher:
         """The DDL version cached segments are keyed on."""
         return self.catalog.version if self.catalog is not None else 0
 
+    @property
+    def device_capacity(self) -> int:
+        """Memory of the largest card: the most one piece may need."""
+        return max((d.memory.capacity for d in self.scheduler.devices),
+                   default=0)
+
+    def split(
+        self,
+        operator: str,
+        ctx: OperatorContext,
+        terms: Callable[[], SplitTerms],
+        across: Optional[str] = None,
+    ) -> tuple[Optional[SplitPlan], str]:
+        """Should ``operator`` split — in time, or across devices?
+
+        ``across`` names the table whose shard map homes the pieces of a
+        split in space; without it an over-memory job may stream through
+        the cards as pieces in time.  Returns ``(plan, reason)``: the
+        plan to run, or ``None`` with the gate's refusal.  A candidate
+        its knob (``partition_enabled`` / ``shard_enabled``) filters out
+        is not enumerated: ``terms`` is never built, nothing is priced
+        or traced, the reason is empty.  Otherwise the terms are priced,
+        judged rival by rival, and the verdict lands as a
+        ``pathselect.*`` instant either way, so EXPLAIN ANALYZE can show
+        why a query did or did not split.
+        """
+        config = ctx.config
+        scheduler = self.scheduler
+        spec = scheduler.devices[0].spec
+        tracer = self.tracer or NULL_TRACER
+        if across is None:
+            if not config.partition_enabled:
+                return None, ""
+            plan = price(
+                operator, terms(), spec,
+                capacity_bytes=self.device_capacity,
+                max_pieces=config.max_partitions,
+                device_count=scheduler.device_count,
+            )
+            shown = plan or _UNPRICED
+            gpu, cpu = shown.seconds, shown.rival_seconds("cpu")
+            verdict = judge(
+                "partitioned gpu", gpu, shown.rivals,
+                f"{shown.pieces} partitions: gpu~{gpu * 1e3:.3f}ms < "
+                f"cpu~{cpu * 1e3:.3f}ms "
+                f"(merge ~{shown.merge_seconds * 1e3:.3f}ms)",
+                refused=None if plan else
+                "no admissible partition count: a single partition "
+                "still exceeds device memory",
+            )
+            tracer.instant(
+                PARTITION_GATE,
+                operator=operator, partition=verdict.taken,
+                partitions=shown.pieces,
+                working_set=int(shown.working_set_bytes),
+                capacity=int(shown.capacity_bytes),
+                gpu_seconds=gpu, cpu_seconds=cpu,
+                merge_seconds=shown.merge_seconds, reason=verdict.reason,
+            )
+        else:
+            if not config.shard_enabled:
+                return None, ""
+            plan = price(
+                operator, terms(), spec,
+                devices=home_devices(scheduler, self.catalog, across),
+                interconnect=self.interconnect,
+            )
+            shown = plan or _UNPRICED
+            gpu = shown.seconds
+            single = shown.rival_seconds("single-device")
+            verdict = judge(
+                "sharded", gpu, shown.rivals,
+                f"{shown.pieces} shards on devices {shown.devices}: "
+                f"gpu~{gpu * 1e3:.3f}ms < single-device"
+                f"~{single * 1e3:.3f}ms "
+                f"(exchange ~{shown.exchange_seconds * 1e3:.3f}ms)",
+                refused=None if plan else
+                "fewer than two healthy home devices: whole-job dispatch",
+            )
+            tracer.instant(
+                SHARD_GATE,
+                operator=operator, shard=verdict.taken,
+                shards=shown.pieces, devices=list(shown.devices),
+                gpu_seconds=gpu, single_seconds=single,
+                cpu_seconds=shown.rival_seconds("cpu"),
+                exchange_seconds=shown.exchange_seconds,
+                stall_seconds=shown.stall_seconds, reason=verdict.reason,
+            )
+        return (plan if verdict.taken else None), verdict.reason
+
     def record(
         self,
         operator: str,
@@ -177,22 +283,21 @@ class Dispatcher:
         self,
         operator: str,
         ctx: OperatorContext,
-        plan,
-        shard_bytes: Optional[Sequence[int]] = None,
+        plan: SplitPlan,
+        piece_bytes: Sequence[int] = (),
         instants: bool = True,
     ) -> Iterator["Wave"]:
         """A wave of pieces streaming through the devices together.
 
-        ``plan`` is the :class:`~repro.gpu.partition.PartitionPlan`
-        (pieces in time) or, with ``shard_bytes``,
-        the :class:`~repro.gpu.shard.ShardPlan` (pieces in space):
-        ``shard_bytes[s]`` is what shard ``s`` stages, which prices the
+        ``plan`` is the :class:`~repro.gpu.partition.SplitPlan` being
+        run.  When it names home devices (pieces in space),
+        ``piece_bytes[s]`` is what shard ``s`` stages, which prices the
         whole H2D wave at the switch-contended bandwidth before anything
-        launches.  Each launch is charged only its *exposed* makespan
-        growth on its device; the events flush, grouped by per-device
-        rank, when the block exits.
+        launches; pieces in time ignore it.  Each launch is charged only
+        its *exposed* makespan growth on its device; the events flush,
+        grouped by per-device rank, when the block exits.
         """
-        wave = Wave(self, operator, ctx, plan, shard_bytes, instants)
+        wave = Wave(self, operator, ctx, plan, piece_bytes, instants)
         yield wave
         wave.close()
 
@@ -205,23 +310,25 @@ class Wave:
         dispatch: Dispatcher,
         operator: str,
         ctx: OperatorContext,
-        plan=None,
-        shard_bytes: Optional[Sequence[int]] = None,
+        plan: Optional[SplitPlan] = None,
+        piece_bytes: Sequence[int] = (),
         instants: bool = True,
     ) -> None:
         self.dispatch = dispatch
         self.operator = operator
         self.ctx = ctx
         self.plan = plan
-        self.legs = None
-        if shard_bytes is not None:
+        # Home devices: empty for a lone piece and for pieces in time.
+        self.homes = plan.devices if plan is not None else ()
+        self.legs = ()
+        if self.homes:
             self.legs = dispatch.interconnect.wave_legs(
-                [(self._home(s), n) for s, n in enumerate(shard_bytes)]
+                [(self._home(s), n) for s, n in enumerate(piece_bytes)]
             )
         # The instant family a traced wave's pieces and summary use.
         self._part = ""
         if plan is not None and instants:
-            self._part = "partition" if self.legs is None else "shard"
+            self._part = "shard" if self.homes else "partition"
         self.gpu_parts = self.cpu_parts = self.rerouted = 0
         self._stream = PartitionStreamState()
         self._device_seq: dict[int, int] = {}
@@ -230,8 +337,7 @@ class Wave:
         self._lost: set[int] = set()
 
     def _home(self, index: int) -> int:
-        devices = self.plan.devices
-        return devices[index % len(devices)]
+        return self.homes[index % len(self.homes)]
 
     @property
     def stall_seconds(self) -> float:
@@ -251,7 +357,7 @@ class Wave:
         monitor = dispatch.monitor
         piece.fallback = f"no GPU could reserve {piece.memory} bytes"
         preferences = [None]
-        if self.legs is not None:
+        if self.homes:
             preferences = [self._home(piece.index), None]
         for prefer in preferences:
             lease = scheduler.try_acquire(
@@ -311,7 +417,7 @@ class Wave:
                 # the circuit breaker; the piece reroutes or falls back
                 # (guaranteed degradation — results must not change).
                 scheduler.record_failure(lease)
-                if not device.alive and self.legs is not None:
+                if not device.alive and self.homes:
                     self._lost.add(device.device_id)
                 if monitor is not None:
                     monitor.record_fault_fallback(
@@ -366,7 +472,7 @@ class Wave:
             )
             return
         h2d_seconds = launch.transfer_in_seconds
-        if self.legs is not None:
+        if self.homes:
             # The leg left with the whole wave: book it, and its share of
             # the switch contention, on the device's link.
             interconnect = self.dispatch.interconnect
@@ -444,11 +550,11 @@ class Wave:
         if tracer is None:
             return
         plan = self.plan
-        if self.legs is None:
+        if not self.homes:
             tracer.instant(
                 "partition.exec",
                 operator=self.operator,
-                partitions=plan.partitions,
+                partitions=plan.pieces,
                 gpu_partitions=self.gpu_parts,
                 cpu_partitions=self.cpu_parts,
                 rows=rows,
@@ -462,7 +568,7 @@ class Wave:
         tracer.instant(
             "shard.exec",
             operator=self.operator,
-            shards=plan.shards,
+            shards=plan.pieces,
             gpu_shards=self.gpu_parts,
             cpu_shards=self.cpu_parts,
             rerouted=self.rerouted,

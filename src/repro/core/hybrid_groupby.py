@@ -21,7 +21,6 @@ This is the paper's centrepiece.  For each group-by the executor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -44,22 +43,16 @@ from repro.config import Thresholds
 from repro.core.dispatch import Dispatcher, Kernel, Piece
 from repro.core.metadata import RuntimeMetadata
 from repro.core.moderator import GpuModerator
-from repro.core.pathselect import (
-    ExecutionPath,
-    select_groupby_path,
-    select_partitioned_path,
-    select_sharded_path,
-)
+from repro.core.pathselect import ExecutionPath, select_groupby_path
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.partition import (
-    PartitionPlan,
-    _chain_wall_seconds,
+    PieceTerms,
+    SplitPlan,
+    SplitTerms,
     groupby_working_set_bytes,
-    plan_groupby_partitions,
 )
-from repro.gpu.shard import (ShardPlan, hash_shard_assignment,
-                             home_devices, plan_sharded, split_rows)
+from repro.gpu.shard import hash_shard_assignment, split_rows
 from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
 from repro.gpu.streams import DISPATCH_SECONDS
 from repro.timing import CostEvent
@@ -69,30 +62,24 @@ from repro.timing import CostEvent
 class HybridGroupByExecutor:
     """Pluggable group-by executor implementing the hybrid design.
 
-    ``partition_large`` enables the out-of-core extension the paper
-    describes but does not implement ("If the number of input rows is
-    very large ... we will need to partition the data and use both the
-    CPU and the GPU ... In our current implementation, all of the large
-    queries are processed in the CPU"): over-memory inputs — over T3 by
-    rows or with a working set estimated above device capacity — are
-    hash-partitioned on the grouping key into device-sized chunks that
-    stream through the cards on the three-engine pipeline
-    (:mod:`repro.gpu.partition`), whenever the partition planner's cost
-    model beats the stock CPU chain.  The partitions' group sets are
-    disjoint, so the merge renumbers and concatenates — no
-    re-aggregation — and the final output is bit-identical to the CPU
-    chain's.  ``max_partitions`` caps how finely one group-by may split.
-    ``shard_enabled`` (docs/scale_out.md) lets GPU-verdict group-bys
-    split across every healthy device instead.
+    Past Figure 3 it asks the dispatcher two questions.  Should an
+    over-memory input — over T3 by rows or with a working set estimated
+    above device capacity — split *in time*?  That is the extension the
+    paper describes but does not implement ("If the number of input rows
+    is very large ... we will need to partition the data and use both
+    the CPU and the GPU ... In our current implementation, all of the
+    large queries are processed in the CPU"): hash partitions stream
+    through the cards whenever the priced plan beats the stock CPU chain
+    (``docs/out_of_core.md``).  And should a GPU-verdict input split *in
+    space*, across every healthy device (``docs/scale_out.md``)?  Either
+    way the pieces' group sets are disjoint, so the merge renumbers and
+    concatenates and the output is bit-identical to the CPU chain's.
     """
 
     dispatch: Dispatcher
     moderator: GpuModerator
     thresholds: Thresholds
     race_kernels: bool = False
-    partition_large: bool = False
-    max_partitions: int = 64
-    shard_enabled: bool = False
 
     def __call__(self, table: Table, node: GroupByNode,
                  ctx: OperatorContext) -> Table:
@@ -103,42 +90,31 @@ class HybridGroupByExecutor:
             return cpu_groupby_executor(table, node, ctx)
 
         dispatch = self.dispatch
-        scheduler = dispatch.scheduler
         groups_estimate = (int(optimizer_groups) if optimizer_groups > 0
                            else rows)
         working_set = groupby_working_set_bytes(rows, groups_estimate,
                                                 len(node.aggs))
-        capacity = max(
-            (d.memory.capacity for d in scheduler.devices), default=0)
+        capacity = dispatch.device_capacity
         decision = select_groupby_path(rows, optimizer_groups,
                                        self.thresholds,
                                        tracer=dispatch.tracer,
                                        working_set_bytes=working_set,
                                        device_capacity_bytes=capacity)
-        if decision.path is ExecutionPath.CPU_LARGE and self.partition_large:
-            plan = plan_groupby_partitions(
-                rows=rows, estimated_groups=groups_estimate,
-                num_keys=len(node.keys), num_aggs=len(node.aggs),
-                thresholds=self.thresholds, cost=ctx.config.cost,
-                spec=scheduler.devices[0].spec,
-                host=ctx.config.host, degree=ctx.degree,
-                capacity_bytes=capacity,
-                max_partitions=self.max_partitions,
-                devices=scheduler.device_count,
-            )
-            partitioned = select_partitioned_path(
-                operator="groupby", plan=plan, tracer=dispatch.tracer)
-            if partitioned.partition:
+        reason = decision.reason
+        if decision.path is ExecutionPath.CPU_LARGE:
+            plan, refusal = dispatch.split(
+                "groupby", ctx, lambda: partition_terms(
+                    rows, groups_estimate, len(node.keys), len(node.aggs),
+                    self.thresholds, capacity, ctx))
+            if plan is not None:
                 combined, exact = combine_keys(
                     grouping_key_arrays(table, node.keys))
                 return self._run_pieces(
                     table, node, ctx, plan, combined, exact,
                     murmur3_fmix64(combined), optimizer_groups)
-            dispatch.record("groupby", decision.path.value,
-                            partitioned.reason, kernel="")
-            return cpu_groupby_executor(table, node, ctx)
+            reason = refusal or reason
         if not decision.use_gpu:
-            dispatch.record("groupby", decision.path.value, decision.reason,
+            dispatch.record("groupby", decision.path.value, reason,
                             kernel="")
             return cpu_groupby_executor(table, node, ctx)
 
@@ -173,15 +149,15 @@ class HybridGroupByExecutor:
         )
 
         # Scale-out: a GPU-verdict group-by may split across every
-        # healthy device when the shard planner beats both the
+        # healthy device when the priced plan beats both the
         # single-device estimate and the CPU chain (docs/scale_out.md).
-        if self.shard_enabled:
-            plan = self._plan_shards(table, node, ctx, metadata)
-            sharded = select_sharded_path(
-                operator="groupby", plan=plan, tracer=dispatch.tracer)
-            if sharded.shard:
-                return self._run_pieces(table, node, ctx, plan, combined,
-                                        exact, hashes, optimizer_groups)
+        plan, _ = dispatch.split(
+            "groupby", ctx, lambda: shard_terms(
+                metadata, len(node.keys), len(node.aggs), ctx),
+            across=table.name)
+        if plan is not None:
+            return self._run_pieces(table, node, ctx, plan, combined,
+                                    exact, hashes, optimizer_groups)
 
         # Up-front device memory reservation, sized from optimizer metadata
         # (the KMV refinement may grow it below).  The reservation stays
@@ -245,59 +221,8 @@ class HybridGroupByExecutor:
     # time) and sharded N-device execution (pieces in space)
     # ------------------------------------------------------------------
 
-    def _plan_shards(self, table: Table, node: GroupByNode,
-                     ctx: OperatorContext,
-                     metadata: RuntimeMetadata) -> Optional[ShardPlan]:
-        """Price sharding this group-by across the healthy devices.
-
-        The sharded kernel estimate includes the on-device decode and
-        hash of the encoded columns — the work the sharded data path
-        moves off the host (see the module docstring of
-        :mod:`repro.gpu.shard`) — and the exchange prices the hash
-        repartition of the whole staged input.
-        """
-        scheduler = self.dispatch.scheduler
-        devices = home_devices(scheduler, self.dispatch.catalog, table.name)
-        if len(devices) < 2:
-            return None
-        cost = ctx.config.cost
-        rows = metadata.rows
-        num_aggs = max(1, len(node.aggs))
-        num_cols = len(node.keys) + num_aggs
-        staged = metadata.staged_input_bytes()
-        groups = max(1, int(metadata.estimated_groups))
-        kernel_seconds = (
-            rows / cost.gpu_ht_insert_rate
-            + rows * num_aggs / cost.gpu_atomic_agg_rate
-            + rows * (num_cols + 1) / cost.gpu_decode_rate
-        )
-        cpu_chain = build_cpu_groupby_chain(
-            rows=rows, num_keys=len(node.keys), num_aggs=len(node.aggs),
-            groups=groups, cost=cost,
-        )
-        return plan_sharded(
-            operator="groupby",
-            rows=rows,
-            staged_bytes=staged,
-            result_bytes=metadata.result_bytes(),
-            kernel_seconds=kernel_seconds,
-            exchange_bytes=staged,
-            merge_core_seconds=groups / cost.cpu_merge_rate,
-            devices=devices,
-            cost=cost,
-            spec=scheduler.devices[0].spec,
-            host=ctx.config.host,
-            degree=ctx.degree,
-            interconnect=self.dispatch.interconnect,
-            cpu_seconds=_chain_wall_seconds(cpu_chain, ctx.config.host,
-                                            ctx.degree),
-            host_core_seconds=(staged / cost.cpu_memcpy_rate
-                               + rows * 8 / cost.cpu_memcpy_rate),
-        )
-
     def _run_pieces(self, table: Table, node: GroupByNode,
-                    ctx: OperatorContext,
-                    plan: Union[PartitionPlan, ShardPlan],
+                    ctx: OperatorContext, plan: SplitPlan,
                     combined: np.ndarray, exact: bool, hashes: np.ndarray,
                     optimizer_groups: float) -> Table:
         """Hash-split one group-by into pieces that run independently.
@@ -310,21 +235,21 @@ class HybridGroupByExecutor:
         faults (a faulted piece redoes its slice on the CPU chain and
         changes nothing downstream).
 
-        A :class:`~repro.gpu.partition.PartitionPlan` streams device-
-        sized partitions of an over-memory input back-to-back (the host
-        chain runs per partition).  A :class:`~repro.gpu.shard.ShardPlan`
-        spreads a GPU-verdict input over the healthy devices: the host's
-        only per-row work is the slicing split and the MEMCPY into
-        pinned staging — decode and hash are priced on the shards (the
-        numpy arrays here compute the real results the simulation needs,
-        as everywhere else) — and the hash repartition crosses the
-        modelled interconnect as the exchange.
+        A plan in time streams device-sized partitions of an over-
+        memory input back-to-back (the host chain runs per partition).
+        A plan in space — one that names home devices — spreads a
+        GPU-verdict input over them: the host's only per-row work is the
+        slicing split and the MEMCPY into pinned staging — decode and
+        hash are priced on the shards (the numpy arrays here compute the
+        real results the simulation needs, as everywhere else) — and the
+        hash repartition crosses the modelled interconnect as the
+        exchange.
         """
         rows = table.num_rows
         cost = ctx.config.cost
         dispatch = self.dispatch
-        sharded = isinstance(plan, ShardPlan)
-        pieces = plan.shards if sharded else plan.partitions
+        sharded = bool(plan.devices)
+        pieces = plan.pieces
         key_bits = sum(table.schema.field(k).dtype.bits for k in node.keys)
         payloads = _payload_specs(table, node)
         num_cols = len(node.keys) + max(1, len(payloads))
@@ -337,13 +262,11 @@ class HybridGroupByExecutor:
             ctx.ledger.cpu("SHARD-SPLIT", rows,
                            rows * 8 / cost.cpu_memcpy_rate,
                            max_degree=ctx.degree)
-            dispatch.record("groupby", "gpu-sharded", plan.reason, kernel="")
         else:
             # One pass over the data to split it (host side, parallel).
             ctx.ledger.cpu("PARTITION", rows, rows / cost.cpu_scan_rate,
                            max_degree=ctx.degree)
-            dispatch.record("groupby", "gpu-partitioned", plan.reason,
-                            kernel="")
+        dispatch.record("groupby", plan.path, plan.reason, kernel="")
 
         # First pass sizes every piece, so a shard wave's H2D legs can be
         # priced with the real switch contention before anything launches.
@@ -357,12 +280,11 @@ class HybridGroupByExecutor:
             ) if len(rows_p) else None
             for rows_p in piece_rows
         ]
-        shard_bytes = [m.staged_input_bytes() if m else 0
-                       for m in metas] if sharded else None
+        piece_bytes = [m.staged_input_bytes() if m else 0 for m in metas]
 
         group_index = np.empty(rows, dtype=np.int64)
         offset = 0
-        with dispatch.wave("groupby", ctx, plan, shard_bytes) as wave:
+        with dispatch.wave("groupby", ctx, plan, piece_bytes) as wave:
             for p, (rows_p, meta) in enumerate(zip(piece_rows, metas)):
                 if meta is None:
                     continue
@@ -420,7 +342,7 @@ class HybridGroupByExecutor:
             # crosses the interconnect (peer-to-peer over NVLink when
             # enabled, bounced through host staging otherwise).
             interconnect = dispatch.interconnect
-            staged_total = sum(shard_bytes)
+            staged_total = sum(piece_bytes)
             exchange_seconds = interconnect.exchange_seconds(
                 staged_total, pieces)
             cross_bytes = interconnect.cross_shard_bytes(
@@ -439,18 +361,12 @@ class HybridGroupByExecutor:
         remap, first_row = appearance_rank(first_rows(group_index, offset),
                                            rows)
         group_index = remap[group_index]
-        merge_core_seconds = offset / cost.cpu_merge_rate
-        if not sharded:
-            # Partitions rebuild a per-row index on the host; a shard's
-            # aggregation is complete on its device, so only the group
-            # tables merge — O(groups).
-            merge_core_seconds += rows / cost.cpu_scan_rate
+        merge_core_seconds = _merge_core_seconds(offset, rows, cost, sharded)
         ctx.ledger.cpu("SHARD-MERGE" if sharded else "PARTITION-MERGE",
                        rows, merge_core_seconds, max_degree=ctx.degree)
         wave.report(
             rows=rows, groups=int(offset),
-            merge_seconds=merge_core_seconds / max(
-                1.0, ctx.config.host.effective_capacity(ctx.degree)),
+            merge_seconds=ctx.wall_seconds(merge_core_seconds),
             exchange_seconds=exchange_seconds,
             exchange_bytes=int(cross_bytes),
         )
@@ -498,6 +414,135 @@ class HybridGroupByExecutor:
         if span is not None and span.name == "op.groupby":
             span.attributes["kmv_groups"] = int(estimated)
             span.attributes["kmv_relative_error"] = error
+
+
+def _chain_wall_seconds(chain, ctx: OperatorContext) -> float:
+    """Wall clock of an evaluator chain under processor sharing."""
+    total = 0.0
+    for e in chain.evaluators:
+        total += ctx.wall_seconds(e.cpu_seconds, e.max_degree)
+    return total
+
+
+def _cpu_chain_seconds(rows: int, groups: int, num_keys: int, num_aggs: int,
+                       ctx: OperatorContext) -> float:
+    """The CPU rival: the stock evaluator chain, repriced at the wall
+    clock the processor-sharing simulator would grant it."""
+    return _chain_wall_seconds(build_cpu_groupby_chain(
+        rows=rows, num_keys=num_keys, num_aggs=num_aggs, groups=groups,
+        cost=ctx.config.cost), ctx)
+
+
+def _merge_core_seconds(groups: int, rows: int, cost,
+                        sharded: bool) -> float:
+    """Core seconds of the renumber-merge, predicted and charged alike.
+
+    Partitions rebuild a per-row index on the host; a shard's
+    aggregation is complete on its device, so only the group tables
+    merge — O(groups).
+    """
+    core = groups / cost.cpu_merge_rate
+    return core if sharded else core + rows / cost.cpu_scan_rate
+
+
+def partition_terms(rows: int, groups: int, num_keys: int, num_aggs: int,
+                    thresholds: Thresholds, capacity_bytes: int,
+                    ctx: OperatorContext) -> SplitTerms:
+    """An over-memory hash group-by as pieces in time.
+
+    A piece count is admissible when it brings every partition's working
+    set under ``capacity_bytes`` *and* keeps per-partition rows under T3
+    (the threshold calibrated for one resident working set).  Hash
+    partitioning on the grouping key makes the partitions' group sets
+    disjoint, so the merge is a renumber-and-concatenate pass priced at
+    the CPU merge rate — no re-aggregation.  The host pays one pass over
+    the data to split it plus the Figure-2 host chain per partition.
+    """
+    cost = ctx.config.cost
+    groups = max(1, int(groups))
+    aggs = max(1, num_aggs)
+    width = 8 + 8 * aggs
+    t3 = thresholds.t3_max_rows
+    working_set = groupby_working_set_bytes(rows, groups, num_aggs)
+
+    def fits(pieces: int) -> bool:
+        rows_p = -(-rows // pieces)
+        groups_p = -(-groups // pieces)
+        return (groupby_working_set_bytes(rows_p, groups_p, num_aggs)
+                <= capacity_bytes and rows_p <= t3)
+
+    def piece(pieces: int) -> PieceTerms:
+        rows_p = -(-rows // pieces)
+        staged = rows_p * width
+        host_chain = build_gpu_host_chain(
+            rows=rows_p, num_keys=num_keys, num_aggs=aggs,
+            staged_bytes=staged, cost=cost)
+        # Name the constraint that forced the split (Figure 3 sends an
+        # input here over T3 by rows *or* over device memory by bytes).
+        forced = (f"working set ~{working_set} bytes > device "
+                  f"{capacity_bytes}" if working_set > capacity_bytes
+                  else f"{rows} rows > T3 {t3}")
+        return PieceTerms(
+            staged_bytes=staged,
+            result_bytes=-(-groups // pieces) * width,
+            kernel=(rows_p / cost.gpu_ht_insert_rate,
+                    rows_p * aggs / cost.gpu_atomic_agg_rate),
+            host_seconds=(
+                ctx.wall_seconds(rows / cost.cpu_scan_rate)
+                + pieces * _chain_wall_seconds(host_chain, ctx)),
+            merge_seconds=ctx.wall_seconds(
+                _merge_core_seconds(groups, rows, cost, sharded=False)),
+            reason=f"{forced}: {pieces} partitions of ~{rows_p} rows",
+        )
+
+    return SplitTerms(
+        rows=rows, piece=piece,
+        cpu_seconds=_cpu_chain_seconds(rows, groups, num_keys, num_aggs, ctx),
+        working_set_bytes=working_set, fits=fits,
+        floor=max(-(-working_set // max(1, capacity_bytes)),
+                  -(-rows // max(1, t3))),
+    )
+
+
+def shard_terms(metadata: RuntimeMetadata, num_keys: int, num_aggs: int,
+                ctx: OperatorContext) -> SplitTerms:
+    """A GPU-verdict group-by as hash shards in space.
+
+    The sharded kernel estimate includes the on-device decode and hash
+    of the encoded columns — the work the sharded data path moves off
+    the host (see the module docstring of :mod:`repro.gpu.shard`) — and
+    the exchange is the hash repartition of the whole staged input.  The
+    host stages the input and builds the shard index vectors.
+    """
+    cost = ctx.config.cost
+    rows = metadata.rows
+    aggs = max(1, num_aggs)
+    staged = metadata.staged_input_bytes()
+    result = metadata.result_bytes()
+    groups = max(1, int(metadata.estimated_groups))
+    kernel_seconds = (
+        rows / cost.gpu_ht_insert_rate
+        + rows * aggs / cost.gpu_atomic_agg_rate
+        + rows * (num_keys + aggs + 1) / cost.gpu_decode_rate
+    )
+
+    def piece(pieces: int) -> PieceTerms:
+        return PieceTerms(
+            staged_bytes=-(-staged // pieces),
+            result_bytes=-(-result // pieces),
+            kernel=(kernel_seconds / pieces,),
+            host_seconds=ctx.wall_seconds(
+                staged / cost.cpu_memcpy_rate
+                + rows * 8 / cost.cpu_memcpy_rate),
+            merge_seconds=ctx.wall_seconds(
+                _merge_core_seconds(groups, rows, cost, sharded=True)),
+        )
+
+    return SplitTerms(
+        rows=rows, piece=piece,
+        cpu_seconds=_cpu_chain_seconds(rows, groups, num_keys, num_aggs, ctx),
+        exchange_bytes=staged,
+    )
 
 
 def _piece_on_cpu(keys: np.ndarray, node: GroupByNode, payloads: list,

@@ -12,7 +12,6 @@ the stock CPU join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,25 +22,24 @@ from repro.blu.plan import JoinNode
 from repro.blu.table import Table
 from repro.config import Thresholds
 from repro.core.dispatch import Declined, Dispatcher, Kernel, Piece
-from repro.core.pathselect import select_sharded_path
 from repro.errors import GpuError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.join import HashJoinKernel
-from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
-                             range_shard_bounds)
+from repro.gpu.partition import PieceTerms, SplitPlan, SplitTerms
+from repro.gpu.shard import range_shard_bounds
 
 
 @dataclass
 class HybridJoinExecutor:
     """Pluggable join executor that may offload FK joins to a GPU.
 
-    With ``shard_enabled`` (docs/scale_out.md) the probe side range-
-    shards across the healthy devices with the build side broadcast.
+    When the dispatcher says a split in space pays (docs/scale_out.md)
+    the probe side range-shards across the healthy devices with the
+    build side broadcast.
     """
 
     dispatch: Dispatcher
     thresholds: Thresholds
-    shard_enabled: bool = False
 
     def __call__(self, left: Table, right: Table, node: JoinNode,
                  ctx: OperatorContext) -> Table:
@@ -63,25 +61,25 @@ class HybridJoinExecutor:
             return cpu_join_executor(left, right, node, ctx)
 
         kernel = HashJoinKernel(ctx.config.cost)
-        if self.shard_enabled:
-            num_cols = left.num_columns + right.num_columns
-            plan = self._plan_shard_join(probe_rows, build_rows, kernel,
-                                         ctx, left.name, num_cols=num_cols)
-            sharded = select_sharded_path(operator="join", plan=plan,
-                                          tracer=dispatch.tracer)
-            if sharded.shard:
-                left_idx, right_idx = self._run_sharded_probe(
-                    build_keys, probe_keys, kernel, ctx, plan,
-                    num_cols=num_cols)
-                # Each shard gathers its joined columns on-device (the
-                # scale-out data path, priced in the shard kernels); the
-                # host only assembles the match index vectors.
-                ctx.ledger.cpu(
-                    "JOIN-MAT", len(left_idx),
-                    len(left_idx) * 8 / ctx.config.cost.cpu_memcpy_rate,
-                    max_degree=ctx.degree)
-                return _assemble(left, right, node.left_key, node.right_key,
-                                 left_idx, right_idx)
+        num_cols = left.num_columns + right.num_columns
+        plan, _ = dispatch.split(
+            "join", ctx, lambda: shard_terms(
+                probe_rows, build_rows, kernel.table_bytes(build_rows),
+                num_cols, ctx),
+            across=left.name)
+        if plan is not None:
+            left_idx, right_idx = self._run_sharded_probe(
+                build_keys, probe_keys, kernel, ctx, plan,
+                num_cols=num_cols)
+            # Each shard gathers its joined columns on-device (the
+            # scale-out data path, priced in the shard kernels); the
+            # host only assembles the match index vectors.
+            ctx.ledger.cpu(
+                "JOIN-MAT", len(left_idx),
+                len(left_idx) * 8 / ctx.config.cost.cpu_memcpy_rate,
+                max_degree=ctx.degree)
+            return _assemble(left, right, node.left_key, node.right_key,
+                             left_idx, right_idx)
 
         # BLU-encoded transfers: build keys as 8-byte words, probe keys as
         # packed 4-byte codes; the kernel returns a compact 4-byte match
@@ -142,58 +140,9 @@ class HybridJoinExecutor:
     # Extension: sharded N-device execution (docs/scale_out.md)
     # ------------------------------------------------------------------
 
-    def _plan_shard_join(self, probe_rows: int, build_rows: int,
-                         kernel: HashJoinKernel, ctx: OperatorContext,
-                         table_name: str,
-                         num_cols: int = 0) -> Optional[ShardPlan]:
-        """Price range-sharding the probe side across healthy devices.
-
-        The build side broadcasts whole to every shard (each device
-        builds the full hash table), so its staging and build-insert
-        time ride the replicated terms of :func:`plan_sharded`; only
-        the probe stream divides — including the on-device gather of
-        the joined columns (``num_cols``), the work the classic path
-        leaves to the host materialiser.  No exchange crosses the
-        interconnect: matches are emitted in probe order, so the merge
-        is an order-preserving concatenation priced as a host memcpy.
-        """
-        scheduler = self.dispatch.scheduler
-        devices = home_devices(scheduler, self.dispatch.catalog, table_name)
-        if len(devices) < 2:
-            return None
-        cost = ctx.config.cost
-        probe_kernel = (probe_rows / cost.gpu_ht_probe_rate
-                        + probe_rows * 4 / cost.gpu_init_rate
-                        + probe_rows * num_cols / cost.gpu_gather_rate)
-        table_bytes = kernel.table_bytes(build_rows)
-        replicated = (build_rows / cost.gpu_ht_insert_rate
-                      + table_bytes / cost.gpu_init_rate)
-        cpu_core = (build_rows / cost.cpu_join_build_rate
-                    + probe_rows / cost.cpu_join_probe_rate
-                    + probe_rows * num_cols / cost.cpu_decode_rate)
-        capacity = max(1.0, ctx.config.host.effective_capacity(ctx.degree))
-        return plan_sharded(
-            operator="join",
-            rows=probe_rows,
-            staged_bytes=probe_rows * 4,
-            result_bytes=probe_rows * 4,
-            kernel_seconds=probe_kernel,
-            exchange_bytes=0,
-            merge_core_seconds=probe_rows * 8 / cost.cpu_memcpy_rate,
-            devices=devices,
-            cost=cost,
-            spec=scheduler.devices[0].spec,
-            host=ctx.config.host,
-            degree=ctx.degree,
-            interconnect=self.dispatch.interconnect,
-            cpu_seconds=cpu_core / capacity,
-            broadcast_bytes=build_rows * 8,
-            replicated_kernel_seconds=replicated,
-        )
-
     def _run_sharded_probe(self, build_keys: np.ndarray,
                            probe_keys: np.ndarray, kernel: HashJoinKernel,
-                           ctx: OperatorContext, plan: ShardPlan,
+                           ctx: OperatorContext, plan: SplitPlan,
                            num_cols: int = 0,
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Probe as contiguous range shards, build broadcast to each.
@@ -213,8 +162,8 @@ class HybridJoinExecutor:
         probe_rows = len(probe_keys)
         build_rows = len(build_keys)
         build_bytes = build_rows * 8
-        shards = plan.shards
-        self.dispatch.record("join", "gpu-sharded", plan.reason)
+        shards = plan.pieces
+        self.dispatch.record("join", plan.path, plan.reason)
         bounds = range_shard_bounds(probe_rows, shards)
 
         left_parts: list[np.ndarray] = []
@@ -260,14 +209,54 @@ class HybridJoinExecutor:
                     else np.empty(0, dtype=np.int64))
         right_idx = (np.concatenate(right_parts) if right_parts
                      else np.empty(0, dtype=np.int64))
-        merge_core = probe_rows * 8 / cost.cpu_memcpy_rate
+        merge_core = _merge_core_seconds(probe_rows, cost)
         ctx.ledger.cpu("SHARD-MERGE", probe_rows, merge_core,
                        max_degree=ctx.degree)
         wave.report(
             rows=probe_rows,
-            merge_seconds=merge_core / max(
-                1.0, ctx.config.host.effective_capacity(ctx.degree)))
+            merge_seconds=ctx.wall_seconds(merge_core))
         return left_idx, right_idx
+
+
+def _merge_core_seconds(probe_rows: int, cost) -> float:
+    """Core seconds of concatenating the shards' match vectors (one host
+    memcpy), predicted and charged alike."""
+    return probe_rows * 8 / cost.cpu_memcpy_rate
+
+
+def shard_terms(probe_rows: int, build_rows: int, table_bytes: int,
+                num_cols: int, ctx: OperatorContext) -> SplitTerms:
+    """An FK join as probe-side range shards in space.
+
+    The build side broadcasts whole to every shard (each device builds
+    the full hash table), so its staging and build-insert time ride
+    every piece undivided; only the probe stream divides — including the
+    on-device gather of the joined columns (``num_cols``), the work the
+    classic path leaves to the host materialiser.  No exchange crosses
+    the interconnect: matches are emitted in probe order, so the merge
+    is an order-preserving concatenation priced as a host memcpy.
+    """
+    cost = ctx.config.cost
+    probe_kernel = (probe_rows / cost.gpu_ht_probe_rate
+                    + probe_rows * 4 / cost.gpu_init_rate
+                    + probe_rows * num_cols / cost.gpu_gather_rate)
+    replicated = (build_rows / cost.gpu_ht_insert_rate
+                  + table_bytes / cost.gpu_init_rate)
+    cpu_core = (build_rows / cost.cpu_join_build_rate
+                + probe_rows / cost.cpu_join_probe_rate
+                + probe_rows * num_cols / cost.cpu_decode_rate)
+
+    def piece(pieces: int) -> PieceTerms:
+        return PieceTerms(
+            staged_bytes=-(-probe_rows * 4 // pieces) + build_rows * 8,
+            result_bytes=-(-probe_rows * 4 // pieces),
+            kernel=(probe_kernel / pieces, replicated),
+            merge_seconds=ctx.wall_seconds(
+                _merge_core_seconds(probe_rows, cost)),
+        )
+
+    return SplitTerms(rows=probe_rows, piece=piece,
+                      cpu_seconds=ctx.wall_seconds(cpu_core))
 
 
 def _probe_kernel(kernel: HashJoinKernel, build_keys: np.ndarray,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +35,13 @@ from repro.blu.plan import SortKey, SortNode
 from repro.blu.table import Table
 from repro.config import Thresholds
 from repro.core.dispatch import Dispatcher, Kernel, Piece
-from repro.core.pathselect import (select_partitioned_path,
-                                   select_sharded_path, select_sort_offload)
+from repro.core.pathselect import select_sort_offload
 from repro.obs.tracing import NULL_TRACER
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.radix_sort import (RadixSortKernel,
                                           find_duplicate_ranges)
-from repro.gpu.partition import PartitionPlan, plan_sort_partitions
-from repro.gpu.shard import (ShardPlan, home_devices, plan_sharded,
-                             range_shard_bounds)
+from repro.gpu.partition import PieceTerms, SplitPlan, SplitTerms
+from repro.gpu.shard import range_shard_bounds
 from repro.timing import CostEvent
 
 
@@ -124,7 +122,12 @@ class SortJob:
 
 @dataclass
 class SortRunStats:
-    """What the hybrid sort did (for tests and monitoring)."""
+    """What the hybrid sort did (for tests and monitoring).
+
+    ``fallbacks`` counts GPU-sized work that *ended on the host* — a
+    job, slice, shard or segmented generation — not the faults met on
+    the way (``repro_fault_fallbacks_total``, ``shard.exec rerouted``).
+    """
 
     jobs_total: int = 0
     jobs_gpu: int = 0
@@ -139,17 +142,14 @@ class SortRunStats:
 class HybridSortExecutor:
     """Pluggable sort executor implementing the section-3 design.
 
-    ``partition_large`` lets a job no card can hold whole stream through
-    the devices as slices (docs/out_of_core.md); ``shard_enabled`` lets
-    large jobs range-shard across every healthy device
-    (docs/scale_out.md).
+    Past the paper's job queue it asks the dispatcher whether a large
+    job should range-shard across every healthy device
+    (docs/scale_out.md) and whether a job no card can hold whole should
+    stream through the devices as slices (docs/out_of_core.md).
     """
 
     dispatch: Dispatcher
     thresholds: Thresholds
-    partition_large: bool = False
-    max_partitions: int = 64
-    shard_enabled: bool = False
     last_stats: SortRunStats = field(default_factory=SortRunStats)
 
     def __call__(self, table: Table, node: SortNode,
@@ -293,33 +293,20 @@ class HybridSortExecutor:
         the sort-side T3 cliff — sliced through the devices.
         """
         dispatch = self.dispatch
-        scheduler = dispatch.scheduler
         length = len(partial)
-        if self.shard_enabled:
-            plan = self._plan_shard_sort(partial, ctx, segment.key.table)
-            if select_sharded_path(operator="sort", plan=plan,
-                                   tracer=dispatch.tracer).shard:
-                return self._split_sort_job(partial, radix, ctx, stats, plan)
+        plan, _ = dispatch.split(
+            "sort", ctx, lambda: shard_terms(length, ctx),
+            across=segment.key.table)
+        if plan is not None:
+            return self._split_sort_job(partial, radix, ctx, stats, plan)
         memory_needed = radix.device_bytes(length)
-        if not scheduler.fits_any_device(memory_needed):
-            plan = plan_sort_partitions(
-                rows=length,
-                device_bytes_per_row=radix.device_bytes(1),
-                staged_bytes_per_row=8,
-                cost=ctx.config.cost, spec=scheduler.devices[0].spec,
-                host=ctx.config.host, degree=ctx.degree,
-                capacity_bytes=max(
-                    (d.memory.capacity for d in scheduler.devices),
-                    default=0),
-                max_partitions=self.max_partitions,
-                devices=scheduler.device_count,
-            )
-            if select_partitioned_path(
-                    operator="sort", plan=plan,
-                    enabled=self.partition_large,
-                    tracer=dispatch.tracer).partition:
+        if not dispatch.scheduler.fits_any_device(memory_needed):
+            plan, _ = dispatch.split(
+                "sort", ctx, lambda: slice_terms(
+                    length, radix, dispatch.device_capacity, ctx))
+            if plan is not None:
                 return self._split_sort_job(partial, radix, ctx, stats, plan)
-            # The planner says partitioning cannot win: CPU sort.
+            # Slicing is off, impossible or would not win: CPU sort.
             stats.fallbacks += 1
             return None
         result = dispatch.launch("sort", ctx, Piece(
@@ -340,50 +327,9 @@ class HybridSortExecutor:
     # and large jobs as range shards in space (docs/scale_out.md)
     # ------------------------------------------------------------------
 
-    def _plan_shard_sort(self, partial: np.ndarray, ctx: OperatorContext,
-                         table_name: str) -> Optional[ShardPlan]:
-        """Price range-sharding one sort job across the healthy devices.
-
-        Range shards are contiguous slices of the job, so no exchange
-        crosses the interconnect — the runs meet again in the host-side
-        k-way stable merge, which is what the merge term prices.
-        """
-        scheduler = self.dispatch.scheduler
-        devices = home_devices(scheduler, self.dispatch.catalog, table_name)
-        if len(devices) < 2:
-            return None
-        cost = ctx.config.cost
-        rows = len(partial)
-        shards = len(devices)
-        merge_core = 0.0
-        cpu_core = 0.0
-        if rows > 1:
-            merge_core = (rows * math.log2(shards)
-                          / (cost.cpu_sort_rate * 16))
-            cpu_core = (rows * math.log2(rows)
-                        / (cost.cpu_sort_rate * 16))
-        cpu_capacity = max(1.0, ctx.config.host.effective_capacity(
-            min(ctx.degree, 8)))
-        return plan_sharded(
-            operator="sort",
-            rows=rows,
-            staged_bytes=rows * 8,
-            result_bytes=rows * 8,
-            kernel_seconds=_radix_seconds(rows, cost),
-            exchange_bytes=0,
-            merge_core_seconds=merge_core,
-            devices=devices,
-            cost=cost,
-            spec=scheduler.devices[0].spec,
-            host=ctx.config.host,
-            degree=ctx.degree,
-            interconnect=self.dispatch.interconnect,
-            cpu_seconds=cpu_core / cpu_capacity,
-        )
-
     def _split_sort_job(self, partial: np.ndarray, radix: RadixSortKernel,
                         ctx: OperatorContext, stats: SortRunStats,
-                        plan: Union[PartitionPlan, ShardPlan]):
+                        plan: SplitPlan):
         """One job as contiguous slices that radix-sort independently.
 
         Each slice sorts on a device when one has room, on the host when
@@ -394,51 +340,42 @@ class HybridSortExecutor:
         equals a single global stable sort bit-for-bit, for any slice
         count and any mix of per-slice faults.
 
-        A :class:`~repro.gpu.partition.PartitionPlan` streams device-
-        sized slices of an over-memory job back-to-back; a
-        :class:`~repro.gpu.shard.ShardPlan` gives every healthy device
-        one range shard, its H2D leg priced at the switch-contended
-        bandwidth.
+        A plan in time streams device-sized slices of an over-memory
+        job back-to-back; a plan in space — one that names home devices
+        — gives every healthy device one range shard, its H2D leg priced
+        at the switch-contended bandwidth.
         """
         cost = ctx.config.cost
         rows = len(partial)
-        sharded = isinstance(plan, ShardPlan)
-        pieces = plan.shards if sharded else plan.partitions
-        self.dispatch.record(
-            "sort", "gpu-sharded" if sharded else "gpu-partitioned",
-            plan.reason)
+        sharded = bool(plan.devices)
+        pieces = plan.pieces
+        self.dispatch.record("sort", plan.path, plan.reason)
         bounds = range_shard_bounds(rows, pieces)
-        shard_bytes = [int(n) * 8 for n in np.diff(bounds)] \
-            if sharded else None
+        piece_bytes = [int(n) * 8 for n in np.diff(bounds)]
         runs: list[np.ndarray] = []
-        with self.dispatch.wave("sort", ctx, plan, shard_bytes) as wave:
+        with self.dispatch.wave("sort", ctx, plan, piece_bytes) as wave:
             for p in range(pieces):
                 lo, hi = int(bounds[p]), int(bounds[p + 1])
                 if hi <= lo:
                     continue
                 sub = partial[lo:hi]
-                piece = Piece(
+                result = wave.launch(Piece(
                     rows=len(sub), memory=radix.device_bytes(len(sub)),
                     tag="sort-shard" if sharded else "sort-part",
                     staged=len(sub) * 8, index=p,
                     run=lambda _bytes_in: _radix_kernel(radix, sub),
-                )
-                result = wave.launch(piece)
-                if sharded:
-                    # A shard counts every fault it met, rerouted or not.
-                    stats.fallbacks += piece.faults
+                ))
                 if result is not None:
                     runs.append(lo + result.order)
                     continue
                 # The slice (not the whole job) degrades to the host.
-                if not sharded:
-                    stats.fallbacks += 1
+                stats.fallbacks += 1
                 runs.append(lo + np.argsort(sub, kind="stable"))
                 if len(sub) > 1:
-                    comparisons = len(sub) * math.log2(len(sub))
                     ctx.ledger.add(CostEvent(
                         op="SORT", rows=len(sub),
-                        cpu_seconds=comparisons / (cost.cpu_sort_rate * 16),
+                        cpu_seconds=_merge_core_seconds(len(sub), len(sub),
+                                                        cost),
                         max_degree=min(ctx.degree, 8),
                     ))
 
@@ -448,14 +385,13 @@ class HybridSortExecutor:
         run_order = np.concatenate(runs)
         merge_perm = np.argsort(partial[run_order], kind="stable")
         sub_order = run_order[merge_perm]
-        if pieces > 1 and rows > 1:
+        merge_core_seconds = _merge_core_seconds(rows, pieces, cost)
+        if merge_core_seconds:
             # Merge-path partitioning splits a shard merge into
             # independent output ranges, so it runs at full degree
             # (unlike the single-queue partitioned merge).
-            merge_comparisons = rows * math.log2(pieces)
             ctx.ledger.add(CostEvent(
-                op="SORT-MERGE", rows=rows,
-                cpu_seconds=merge_comparisons / (cost.cpu_sort_rate * 16),
+                op="SORT-MERGE", rows=rows, cpu_seconds=merge_core_seconds,
                 max_degree=min(ctx.degree, 48 if sharded else 8),
             ))
         wave.report(rows=rows, merge_seconds=plan.merge_seconds)
@@ -553,34 +489,16 @@ class HybridSortExecutor:
             )
 
         def host_sort(n: int, rows_per_segment: int) -> None:
-            comparisons = n * math.log2(max(2, rows_per_segment))
-            ctx.ledger.cpu("SORT", n,
-                           comparisons / (cost.cpu_sort_rate * 16),
-                           min(ctx.degree, 48))
+            ctx.ledger.cpu(
+                "SORT", n, _segment_sort_seconds(n, rows_per_segment, cost),
+                min(ctx.degree, 48))
+            stats.fallbacks += 1
 
-        plan = None
-        if self.shard_enabled:
-            devices = home_devices(scheduler, dispatch.catalog, table_name)
-            if len(devices) >= 2:
-                capacity = max(1.0, ctx.config.host.effective_capacity(
-                    min(ctx.degree, 48)))
-                host_comparisons = rows * math.log2(
-                    max(2, rows // segments))
-                plan = plan_sharded(
-                    operator="sort", rows=rows, staged_bytes=rows * 8,
-                    result_bytes=rows * 8,
-                    kernel_seconds=_radix_seconds(rows, cost),
-                    exchange_bytes=0, merge_core_seconds=0.0,
-                    devices=devices, cost=cost,
-                    spec=scheduler.devices[0].spec,
-                    host=ctx.config.host, degree=ctx.degree,
-                    interconnect=dispatch.interconnect,
-                    cpu_seconds=(host_comparisons
-                                 / (cost.cpu_sort_rate * 16) / capacity),
-                )
-        if select_sharded_path(operator="sort", plan=plan,
-                               tracer=dispatch.tracer).shard:
-            shards = plan.shards
+        plan, _ = dispatch.split(
+            "sort", ctx, lambda: shard_terms(rows, ctx, segments),
+            across=table_name)
+        if plan is not None:
+            shards = plan.pieces
             sizes = np.diff(range_shard_bounds(rows, shards)).tolist()
             # No shard.part / shard.exec instants and no reroute count
             # for this wave (ROADMAP item 3: EXPLAIN's shard section is
@@ -590,10 +508,7 @@ class HybridSortExecutor:
                 for s, rows_s in enumerate(sizes):
                     if rows_s <= 0:
                         continue
-                    shard = piece(rows_s, "sort-shard", s)
-                    placed = wave.launch(shard)
-                    stats.fallbacks += shard.faults
-                    if placed is None:
+                    if wave.launch(piece(rows_s, "sort-shard", s)) is None:
                         # This shard's segments sort on the host workers.
                         host_sort(rows_s,
                                   rows_s // max(1, segments // shards))
@@ -604,14 +519,103 @@ class HybridSortExecutor:
         placed = None
         if (scheduler.device_count and scheduler.fits_any_device(
                 radix.device_bytes(rows))):
-            whole = piece(rows, "sort")
-            placed = dispatch.launch("sort", ctx, whole)
-            stats.fallbacks += whole.faults
+            placed = dispatch.launch("sort", ctx, piece(rows, "sort"))
         if placed is None:
             host_sort(rows, rows // segments)
             stats.jobs_cpu += 1
         else:
             stats.jobs_gpu += 1
+
+
+def _comparison_seconds(rows: int, fanout: int, cost) -> float:
+    """Core seconds of ``rows * log2(fanout)`` host comparisons."""
+    return rows * math.log2(fanout) / (cost.cpu_sort_rate * 16)
+
+
+def _merge_core_seconds(rows: int, runs: int, cost) -> float:
+    """Core seconds of the k-way merge of ``runs`` sorted runs holding
+    ``rows`` rows between them, predicted and charged alike — a full
+    host sort when every row is its own run."""
+    return _comparison_seconds(rows, runs, cost) if rows > 1 else 0.0
+
+
+def _segment_sort_seconds(rows: int, rows_per_segment: int, cost) -> float:
+    """Core seconds of sorting a generation's segments on the host
+    workers, pooled — the segmented wave's CPU rival and what a piece
+    that ends on the host is charged."""
+    return _comparison_seconds(rows, max(2, rows_per_segment), cost)
+
+
+def slice_terms(rows: int, radix: RadixSortKernel, capacity_bytes: int,
+                ctx: OperatorContext) -> SplitTerms:
+    """An over-memory sort job as contiguous slices in time.
+
+    Each slice radix-sorts on a device independently and the slices
+    k-way merge on the host (stable, so the merged order equals one
+    global stable sort); the merge is priced like the CPU sort's
+    comparison model over ``rows * log2(slices)``, on the same single
+    queue as the CPU rival.
+    """
+    cost = ctx.config.cost
+    per_row = radix.device_bytes(1)
+    working_set = rows * per_row
+
+    def piece(pieces: int) -> PieceTerms:
+        rows_p = -(-rows // pieces)
+        return PieceTerms(
+            staged_bytes=rows_p * 8, result_bytes=rows_p * 8,
+            kernel=(rows_p / cost.gpu_radix_sort_rate,
+                    rows_p / cost.gpu_scan_rate),
+            merge_seconds=ctx.wall_seconds(
+                _merge_core_seconds(rows, pieces, cost), 8),
+            reason=(f"sort job ~{working_set} device bytes > "
+                    f"{capacity_bytes}: {pieces} slices of ~{rows_p} "
+                    "rows, k-way merged"),
+        )
+
+    return SplitTerms(
+        rows=rows, piece=piece,
+        cpu_seconds=ctx.wall_seconds(
+            _merge_core_seconds(rows, rows, cost), 8),
+        working_set_bytes=working_set,
+        fits=lambda pieces: -(-rows // pieces) * per_row <= capacity_bytes,
+        floor=-(-working_set // max(1, capacity_bytes)),
+    )
+
+
+def shard_terms(rows: int, ctx: OperatorContext,
+                segments: Optional[int] = None) -> SplitTerms:
+    """A sort job — or, with ``segments``, one segmented generation — as
+    range shards in space.
+
+    Range shards are contiguous slices, so no exchange crosses the
+    interconnect.  A job's runs meet again in the host-side k-way stable
+    merge, which is what its merge term prices, and its CPU rival is the
+    single-queue sort.  A generation splits on segment boundaries:
+    segments never interact, so it carries zero merge, and its CPU rival
+    pools every segment across the worker threads.
+    """
+    cost = ctx.config.cost
+    kernel_seconds = _radix_seconds(rows, cost)
+    if segments is None:
+        cpu_seconds = ctx.wall_seconds(
+            _merge_core_seconds(rows, rows, cost), 8)
+    else:
+        cpu_seconds = ctx.wall_seconds(
+            _segment_sort_seconds(rows, rows // segments, cost), 48)
+
+    def piece(pieces: int) -> PieceTerms:
+        merge_core_seconds = 0.0
+        if segments is None:
+            merge_core_seconds = _merge_core_seconds(rows, pieces, cost)
+        return PieceTerms(
+            staged_bytes=-(-rows * 8 // pieces),
+            result_bytes=-(-rows * 8 // pieces),
+            kernel=(kernel_seconds / pieces,),
+            merge_seconds=ctx.wall_seconds(merge_core_seconds),
+        )
+
+    return SplitTerms(rows=rows, piece=piece, cpu_seconds=cpu_seconds)
 
 
 def _radix_seconds(rows: int, cost) -> float:

@@ -8,12 +8,15 @@ Three-way routing on the optimizer's row/group estimates:
 - rows > T3 (or a working set estimated over device memory): the input
   does not fit the card.  The paper stops here ("in our current
   implementation, all of the large queries are processed in the CPU");
-  this implementation then consults the out-of-core partition planner
-  (:mod:`repro.gpu.partition`) and upgrades the verdict to *pipelined
-  GPU (partitioned)* whenever the partitioned cost model beats the
-  stock CPU chain — :func:`select_partitioned_path`.
+  this implementation then asks
+  :meth:`repro.core.dispatch.Dispatcher.split` whether the operator
+  should split in time, and upgrades the verdict to *pipelined GPU
+  (partitioned)* whenever the priced plan beats the stock CPU chain.
 
-Sort offload gets the analogous small-job cutoff from section 3.
+Sort offload gets the analogous small-job cutoff from section 3.  Those
+two are the paper's, and they are thresholds.  Everything past them —
+splitting in time, splitting in space, fusing a chain — is a *price*
+judged by the one cost gate, :func:`judge`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ class ExecutionPath(enum.Enum):
     CPU_SMALL = "cpu-small"      # below T1/T2: not worth the transfer
     GPU = "gpu"                  # the offload sweet spot
     CPU_LARGE = "cpu-large"      # above T3: exceeds device memory
-    GPU_PARTITIONED = "gpu-partitioned"   # over-memory, streamed in parts
-    GPU_SHARDED = "gpu-sharded"  # split across N devices along a shard map
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,27 @@ def select_groupby_path(
     decision = _groupby_decision(rows, estimated_groups, thresholds,
                                  working_set_bytes, device_capacity_bytes)
     if tracer is not None:
-        tracer.instant(
-            "pathselect.groupby",
-            rows=int(rows), groups=int(estimated_groups),
-            t1=thresholds.t1_min_rows, t2=thresholds.t2_min_groups,
-            t3=thresholds.t3_max_rows,
-            working_set=int(working_set_bytes),
-            capacity=int(device_capacity_bytes),
-            path=decision.path.value, reason=decision.reason,
-        )
+        trace_groupby_path(tracer, decision, rows, estimated_groups,
+                           thresholds, working_set_bytes,
+                           device_capacity_bytes)
     return decision
+
+
+def trace_groupby_path(tracer: Tracer, decision: PathDecision, rows: float,
+                       estimated_groups: float, thresholds: Thresholds,
+                       working_set_bytes: int = 0,
+                       device_capacity_bytes: int = 0) -> None:
+    """Leave the ``pathselect.groupby`` mark of a decision already made
+    (the fused chain decides first and marks only when it fuses)."""
+    tracer.instant(
+        "pathselect.groupby",
+        rows=int(rows), groups=int(estimated_groups),
+        t1=thresholds.t1_min_rows, t2=thresholds.t2_min_groups,
+        t3=thresholds.t3_max_rows,
+        working_set=int(working_set_bytes),
+        capacity=int(device_capacity_bytes),
+        path=decision.path.value, reason=decision.reason,
+    )
 
 
 def _groupby_decision(
@@ -121,245 +133,34 @@ def _groupby_decision(
 
 
 @dataclass(frozen=True)
-class FusedDecision:
-    """Whether a fusable chain actually runs fused, and why.
+class Verdict:
+    """What a cost gate decided, and why (for the instant and EXPLAIN)."""
 
-    ``fuse`` is only True when the Figure-3 verdict for the terminal
-    group-by already says GPU *and* the fused cost model predicts the
-    single launch beats both the per-operator alternatives on time and
-    the per-op GPU path on bytes (``docs/fusion.md``).
-    """
-
-    fuse: bool
+    taken: bool
     reason: str
-    fused_seconds: float = 0.0
-    unfused_seconds: float = 0.0
-    fused_bytes: int = 0
-    per_op_gpu_bytes: int = 0
 
 
-def select_fused_path(
-    *,
-    stages: int,
-    groupby_decision: PathDecision,
-    fused_seconds: float,
-    unfused_seconds: float,
-    fused_bytes: int,
-    per_op_gpu_bytes: int,
-    tracer: Optional[Tracer] = None,
-) -> FusedDecision:
-    """Decide whether a recognised fusable chain should run fused.
+def judge(challenger: str, seconds: float, rivals, wins: str,
+          refused: Optional[str] = None) -> Verdict:
+    """The one cost gate behind every "does this alternative pay?".
 
-    The group-by verdict gates first so fusion never drags a query onto
-    the GPU that Figure 3 would have kept on the CPU — classes the paper
-    leaves untouched (simple/intermediate) stay untouched.  Then the
-    analytic fused cost must strictly beat the unfused plan's predicted
-    time, and the fused transfer plan must ship no more bytes than the
-    per-operator GPU alternative would.
+    A candidate that was filtered out or could not be priced is
+    ``refused`` with its stated reason.  Otherwise the challenger's
+    predicted ``seconds`` must *strictly* beat each rival
+    (:class:`repro.gpu.partition.Rival`) in order, and the first it does
+    not beat names the refusal; ``wins`` is the reason a taken verdict
+    carries.  Deliberately not a minimum over every candidate — see
+    ``docs/cost_model.md``, "How a split is priced and judged".
     """
-    if not groupby_decision.use_gpu:
-        decision = FusedDecision(
-            False,
-            f"group-by verdict is {groupby_decision.path.value}: "
-            "chain stays on the per-operator path",
-        )
-    elif fused_seconds >= unfused_seconds:
-        decision = FusedDecision(
-            False,
-            f"fused~{fused_seconds * 1e3:.3f}ms >= "
-            f"unfused~{unfused_seconds * 1e3:.3f}ms: fusion would not pay",
-            fused_seconds, unfused_seconds, fused_bytes, per_op_gpu_bytes,
-        )
-    elif fused_bytes > per_op_gpu_bytes:
-        decision = FusedDecision(
-            False,
-            f"fused bytes {fused_bytes} > per-op GPU bytes "
-            f"{per_op_gpu_bytes}: fusion would ship more over PCIe",
-            fused_seconds, unfused_seconds, fused_bytes, per_op_gpu_bytes,
-        )
-    else:
-        decision = FusedDecision(
-            True,
-            f"{stages}-stage chain: fused~{fused_seconds * 1e3:.3f}ms < "
-            f"unfused~{unfused_seconds * 1e3:.3f}ms, "
-            f"elides {per_op_gpu_bytes - fused_bytes} transfer bytes",
-            fused_seconds, unfused_seconds, fused_bytes, per_op_gpu_bytes,
-        )
-    if tracer is not None:
-        tracer.instant(
-            "pathselect.fused",
-            stages=stages, fuse=decision.fuse, reason=decision.reason,
-            fused_seconds=fused_seconds, unfused_seconds=unfused_seconds,
-            fused_bytes=int(fused_bytes),
-            per_op_gpu_bytes=int(per_op_gpu_bytes),
-        )
-    return decision
-
-
-@dataclass(frozen=True)
-class PartitionDecision:
-    """Whether an over-memory operator runs partitioned on the GPU.
-
-    ``partition`` is only True when the planner found an admissible
-    partition count *and* its streamed-GPU cost estimate beats the stock
-    CPU chain — otherwise the operator keeps the paper's CPU fallback
-    (``docs/out_of_core.md``).
-    """
-
-    partition: bool
-    reason: str
-    partitions: int = 0
-    gpu_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    merge_seconds: float = 0.0
-
-
-def select_partitioned_path(
-    *,
-    operator: str,
-    plan,                       # Optional[repro.gpu.partition.PartitionPlan]
-    enabled: bool = True,
-    tracer: Optional[Tracer] = None,
-) -> PartitionDecision:
-    """Decide whether an over-memory ``operator`` runs partitioned.
-
-    The T3 (or over-memory) verdict gates before this is called; here
-    the partition planner's plan — or its refusal — turns into the
-    final routing decision.  Three ways to keep the CPU fallback: the
-    knob is off, the planner declined (no admissible partition count
-    within ``max_partitions``), or the partitioned cost estimate does
-    not beat the CPU chain.
-    """
-    if not enabled:
-        decision = PartitionDecision(
-            False, "partitioned execution disabled (--partition off)")
-    elif plan is None:
-        decision = PartitionDecision(
-            False, "no admissible partition count: a single partition "
-                   "still exceeds device memory",
-        )
-    elif not plan.beats_cpu:
-        decision = PartitionDecision(
-            False,
-            f"partitioned gpu~{plan.gpu_seconds * 1e3:.3f}ms >= "
-            f"cpu~{plan.cpu_seconds * 1e3:.3f}ms: partitioning would "
-            "not pay",
-            plan.partitions, plan.gpu_seconds, plan.cpu_seconds,
-            plan.merge_seconds,
-        )
-    else:
-        decision = PartitionDecision(
-            True,
-            f"{plan.partitions} partitions: "
-            f"gpu~{plan.gpu_seconds * 1e3:.3f}ms < "
-            f"cpu~{plan.cpu_seconds * 1e3:.3f}ms "
-            f"(merge ~{plan.merge_seconds * 1e3:.3f}ms)",
-            plan.partitions, plan.gpu_seconds, plan.cpu_seconds,
-            plan.merge_seconds,
-        )
-    if tracer is not None:
-        tracer.instant(
-            "pathselect.partition",
-            operator=operator, partition=decision.partition,
-            partitions=decision.partitions,
-            working_set=int(plan.working_set_bytes) if plan else 0,
-            capacity=int(plan.capacity_bytes) if plan else 0,
-            gpu_seconds=decision.gpu_seconds,
-            cpu_seconds=decision.cpu_seconds,
-            merge_seconds=decision.merge_seconds,
-            reason=decision.reason,
-        )
-    return decision
-
-
-@dataclass(frozen=True)
-class ShardDecision:
-    """Whether a GPU-bound operator splits across N devices, and why.
-
-    ``shard`` is only True when the shard planner produced a plan whose
-    estimate beats *both* rivals: the same job on a single device, and
-    the stock CPU chain (``docs/scale_out.md``).  Everything else keeps
-    the paper's whole-job dispatch.
-    """
-
-    shard: bool
-    reason: str
-    shards: int = 0
-    devices: tuple[int, ...] = ()
-    gpu_seconds: float = 0.0
-    single_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    exchange_seconds: float = 0.0
-    stall_seconds: float = 0.0
-
-
-def select_sharded_path(
-    *,
-    operator: str,
-    plan,                       # Optional[repro.gpu.shard.ShardPlan]
-    enabled: bool = True,
-    tracer: Optional[Tracer] = None,
-) -> ShardDecision:
-    """Decide whether a GPU-bound ``operator`` runs sharded.
-
-    Four ways to keep whole-job dispatch: the knob is off, the planner
-    declined (fewer than two healthy home devices), the sharded estimate
-    does not beat the single-device run, or it does not beat the CPU
-    chain.  The verdict lands as a ``pathselect.shard`` instant either
-    way so EXPLAIN ANALYZE can show why a query did or did not scale
-    out.
-    """
-    if not enabled:
-        decision = ShardDecision(
-            False, "sharded execution disabled (--shard off)")
-    elif plan is None:
-        decision = ShardDecision(
-            False, "fewer than two healthy home devices: "
-                   "whole-job dispatch")
-    elif not plan.beats_single:
-        decision = ShardDecision(
-            False,
-            f"sharded~{plan.gpu_seconds * 1e3:.3f}ms >= single-device"
-            f"~{plan.single_seconds * 1e3:.3f}ms: contention and merge "
-            "outweigh the split",
-            plan.shards, plan.devices, plan.gpu_seconds,
-            plan.single_seconds, plan.cpu_seconds, plan.exchange_seconds,
-            plan.stall_seconds,
-        )
-    elif not plan.beats_cpu:
-        decision = ShardDecision(
-            False,
-            f"sharded~{plan.gpu_seconds * 1e3:.3f}ms >= "
-            f"cpu~{plan.cpu_seconds * 1e3:.3f}ms: sharding would not pay",
-            plan.shards, plan.devices, plan.gpu_seconds,
-            plan.single_seconds, plan.cpu_seconds, plan.exchange_seconds,
-            plan.stall_seconds,
-        )
-    else:
-        decision = ShardDecision(
-            True,
-            f"{plan.shards} shards on devices {plan.devices}: "
-            f"gpu~{plan.gpu_seconds * 1e3:.3f}ms < single-device"
-            f"~{plan.single_seconds * 1e3:.3f}ms "
-            f"(exchange ~{plan.exchange_seconds * 1e3:.3f}ms)",
-            plan.shards, plan.devices, plan.gpu_seconds,
-            plan.single_seconds, plan.cpu_seconds, plan.exchange_seconds,
-            plan.stall_seconds,
-        )
-    if tracer is not None:
-        tracer.instant(
-            "pathselect.shard",
-            operator=operator, shard=decision.shard,
-            shards=decision.shards,
-            devices=list(decision.devices),
-            gpu_seconds=decision.gpu_seconds,
-            single_seconds=decision.single_seconds,
-            cpu_seconds=decision.cpu_seconds,
-            exchange_seconds=decision.exchange_seconds,
-            stall_seconds=decision.stall_seconds,
-            reason=decision.reason,
-        )
-    return decision
+    if refused is not None:
+        return Verdict(False, refused)
+    for rival in rivals:
+        if not seconds < rival.seconds:
+            return Verdict(
+                False,
+                f"{challenger}~{seconds * 1e3:.3f}ms >= {rival.label}"
+                f"~{rival.seconds * 1e3:.3f}ms: {rival.refusal}")
+    return Verdict(True, wins)
 
 
 def select_sort_offload(rows: int, thresholds: Thresholds,

@@ -18,7 +18,8 @@ a single device launch:
   size instead of joined (fact) size — the late-materialisation win.
 
 Whether a recognised chain actually fuses is a cost decision
-(:func:`repro.core.pathselect.select_fused_path`), gated first by the
+(:meth:`FusedExecutor._decide`, on the shared gate
+:func:`repro.core.pathselect.judge`), gated first by the
 Figure-3 verdict for the terminal group-by so fusion never drags a query
 onto the GPU that path selection would have kept on the CPU.  Results
 are bit-identical to the unfused path by construction: every fused stage
@@ -71,15 +72,17 @@ from repro.core.hybrid_groupby import (
 from repro.core.metadata import RuntimeMetadata
 from repro.core.moderator import GpuModerator
 from repro.core.pathselect import (
-    FusedDecision,
-    select_fused_path,
+    Verdict,
+    judge,
     select_groupby_path,
+    trace_groupby_path,
 )
 from repro.errors import GpuError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.kernels.join import HashJoinKernel
 from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
+from repro.gpu.partition import Rival
 from repro.gpu.transfer import transfer_seconds
 from repro.timing import CostLedger
 
@@ -338,7 +341,7 @@ class FusedExecutor:
         if chain is None or self.dispatch.catalog is None:
             return None
         decision = self._decide(chain, ctx)
-        if not decision.fuse:
+        if not decision.taken:
             return None
         return self._run_fused(chain, ctx, execute, decision)
 
@@ -347,30 +350,60 @@ class FusedExecutor:
     # ------------------------------------------------------------------
 
     def _decide(self, chain: FusableChain,
-                ctx: OperatorContext) -> FusedDecision:
+                ctx: OperatorContext) -> Verdict:
+        """Whether the chain runs fused, and why.
+
+        The Figure-3 verdict for the terminal group-by gates first, so
+        fusion never drags a query onto the GPU that path selection
+        would have kept on the CPU — classes the paper leaves untouched
+        (simple/intermediate) stay untouched.  Then the fused estimate
+        must strictly beat the unfused plan's (the shared gate), and
+        must ship no more bytes than the per-operator GPU alternative —
+        a byte budget, not a price, so that one check stays beside the
+        call instead of teaching the gate about its caller.
+        """
         node = chain.groupby
-        # Figure-3 verdict from optimizer estimates (not tracing here:
-        # the per-operator path emits its own verdict when we decline).
+        tracer = self.dispatch.tracer
+        # Figure 3 from optimizer estimates, marked only when the chain
+        # fuses: the per-operator path emits its own verdict otherwise.
         rows = max(1.0, node.child.estimates.rows)
         groups = max(1.0, node.estimates.groups)
         verdict = select_groupby_path(rows, groups, self.thresholds)
         estimate = estimate_chain(chain, ctx.config, self.dispatch.catalog,
                                   ctx.degree)
-        decision = select_fused_path(
-            stages=chain.stages,
-            groupby_decision=verdict,
-            fused_seconds=estimate.fused_seconds,
-            unfused_seconds=estimate.unfused_seconds,
-            fused_bytes=estimate.fused_bytes,
-            per_op_gpu_bytes=estimate.per_op_gpu_bytes,
-            tracer=self.dispatch.tracer,
+        fused, unfused = estimate.fused_seconds, estimate.unfused_seconds
+        fused_bytes = estimate.fused_bytes
+        per_op_gpu_bytes = estimate.per_op_gpu_bytes
+        decision = judge(
+            "fused", fused,
+            (Rival("unfused", unfused, "fusion would not pay"),),
+            f"{chain.stages}-stage chain: fused~{fused * 1e3:.3f}ms < "
+            f"unfused~{unfused * 1e3:.3f}ms, "
+            f"elides {per_op_gpu_bytes - fused_bytes} transfer bytes",
+            refused=None if verdict.use_gpu else
+            f"group-by verdict is {verdict.path.value}: "
+            "chain stays on the per-operator path",
         )
-        if decision.fuse:
-            # The per-operator group-by will never run, so record its
-            # Figure-3 verdict here — every executed group-by keeps a
-            # ``pathselect.groupby`` instant either way.
-            select_groupby_path(rows, groups, self.thresholds,
-                                tracer=self.dispatch.tracer)
+        if decision.taken and fused_bytes > per_op_gpu_bytes:
+            decision = Verdict(
+                False,
+                f"fused bytes {fused_bytes} > per-op GPU bytes "
+                f"{per_op_gpu_bytes}: fusion would ship more over PCIe")
+        if tracer is not None:
+            tracer.instant(
+                "pathselect.fused",
+                stages=chain.stages, fuse=decision.taken,
+                reason=decision.reason,
+                fused_seconds=fused, unfused_seconds=unfused,
+                fused_bytes=int(fused_bytes),
+                per_op_gpu_bytes=int(per_op_gpu_bytes),
+            )
+            if decision.taken:
+                # The per-operator group-by will never run, so record
+                # its Figure-3 verdict here — every executed group-by
+                # keeps a ``pathselect.groupby`` instant either way.
+                trace_groupby_path(tracer, verdict, rows, groups,
+                                   self.thresholds)
         return decision
 
     # ------------------------------------------------------------------
@@ -379,7 +412,7 @@ class FusedExecutor:
 
     def _run_fused(self, chain: FusableChain, ctx: OperatorContext,
                    execute: SubtreeExecutor,
-                   decision: FusedDecision) -> Table:
+                   decision: Verdict) -> Table:
         node = chain.groupby
         tracer = self.dispatch.tracer
         if tracer is None:
@@ -396,7 +429,7 @@ class FusedExecutor:
 
     def _run_fused_body(self, chain: FusableChain, ctx: OperatorContext,
                         execute: SubtreeExecutor,
-                        decision: FusedDecision,
+                        decision: Verdict,
                         groupby_span=None) -> Table:
         node = chain.groupby
         cost = ctx.config.cost

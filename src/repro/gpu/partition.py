@@ -1,47 +1,38 @@
-"""Out-of-core partition planning for over-memory GPU jobs.
+"""Split planning: one plan value and one price, in time and in space.
 
 The paper's Figure-3 T3 verdict sends every group-by whose working set
 exceeds device memory to the CPU ("in our current implementation, all of
-the large queries are processed in the CPU").  This module removes that
-cliff: it plans *execution* chunking — the generalisation of the stream
+the large queries are processed in the CPU"), and its section-2.2
+scheduler hands each whole job to *one* card.  This module prices the
+two ways past that: pieces *in time* — device-sized partitions streamed
+back-to-back through the cards, the generalisation of the stream
 pipeline's transfer chunking (:mod:`repro.gpu.streams`) from one
-launch's staged bytes to one operator's whole input.
+launch's staged bytes to one operator's whole input — and pieces *in
+space*, one shard per healthy home device (:mod:`repro.gpu.shard`).
 
-A :class:`PartitionPlan` splits an over-memory sort or hash group-by
-into device-sized partitions and prices both sides of the decision:
-
-- the partitioned GPU side steps the stream pipeline's own
-  :class:`~repro.gpu.streams.FlowShop`, one job per partition, so
-  partition k+1's host->device copy overlaps partition k's kernel and
-  partition k-1's device->host drain — plus the host-side split and
-  merge passes;
-- the CPU side reprices the stock evaluator chain
-  (:func:`repro.blu.evaluators.build_cpu_groupby_chain`) at the wall
-  clock the processor-sharing simulator would grant it.
-
-The partition count satisfies two constraints at once: per-partition
-working sets must fit device memory, and per-partition rows must stay
-under T3 (the threshold calibrated for one resident working set).  A
-plan *declines* (returns ``None``) when no admissible count exists
-within ``max_partitions`` — e.g. a single partition would still exceed
-device memory — and the executors then keep the paper's CPU fallback.
-
-See ``docs/out_of_core.md`` for the planner's cost model and knobs.
+Both are one :class:`SplitPlan` priced by one :func:`price` from the
+operator's own :class:`SplitTerms`; the plan keeps every rival's
+predicted seconds for the gate that judges it
+(:meth:`repro.core.dispatch.Dispatcher.split`).  The model is laid out
+in ``docs/cost_model.md`` ("How a split is priced and judged").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from repro.blu.evaluators import (
-    build_cpu_groupby_chain,
-    build_gpu_host_chain,
-)
-from repro.config import CostModel, GpuSpec, HostSpec, Thresholds
+from repro.config import GpuSpec
+from repro.gpu.interconnect import Interconnect
 from repro.gpu.streams import DISPATCH_SECONDS, FlowShop
 from repro.gpu.transfer import transfer_seconds
+
+
+#: The split gates' instants (emitted by ``Dispatcher.split``) and the
+#: offload-decision paths a taken plan runs as; ``repro.obs.profile``
+#: reads both.
+PARTITION_GATE, SHARD_GATE = "pathselect.partition", "pathselect.shard"
+PARTITIONED_PATH, SHARDED_PATH = "gpu-partitioned", "gpu-sharded"
 
 
 class PartitionStreamState:
@@ -76,34 +67,92 @@ class PartitionStreamState:
 
 
 @dataclass(frozen=True)
-class PartitionPlan:
-    """One over-memory operator's partitioning, with both costed sides.
+class Rival:
+    """An alternative a split must strictly beat: its predicted seconds
+    and the phrase the refusal prints when it is not beaten."""
 
-    ``gpu_seconds`` is the estimated wall clock of the partitioned GPU
-    execution (host split + per-partition host chains + the overlapped
-    device makespan + merge); ``cpu_seconds`` is the stock CPU chain's
-    estimated wall clock for the same job.  ``merge_seconds`` is broken
-    out so EXPLAIN ANALYZE can show what the merge costs on its own.
+    label: str
+    seconds: float
+    refusal: str
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """One operator split into pieces, priced against its rivals.
+
+    ``devices`` are the pieces' home devices — empty for a split in
+    time, which is how every reader tells the two axes apart.
+    ``seconds`` is the predicted wall clock of the split execution;
+    ``rivals`` are what it is judged against, in order — the stock CPU
+    chain in time; the same job whole on one device, then the CPU chain,
+    in space.  Merge, exchange and switch-contention stall are broken
+    out so EXPLAIN ANALYZE can show what each costs on its own.
     """
 
-    partitions: int
+    operator: str
+    pieces: int
     rows: int
-    working_set_bytes: int
-    capacity_bytes: int
-    gpu_seconds: float
-    cpu_seconds: float
+    devices: tuple[int, ...]
+    seconds: float
+    rivals: tuple[Rival, ...]
     merge_seconds: float
-    reason: str
+    exchange_seconds: float = 0.0
+    stall_seconds: float = 0.0
+    working_set_bytes: int = 0
+    capacity_bytes: int = 0
+    reason: str = ""
 
     @property
-    def partition_rows(self) -> int:
-        """Rows per partition (ceiling; hash partitions are near-even)."""
-        return -(-self.rows // self.partitions)
+    def path(self) -> str:
+        """The offload-decision path this plan runs as."""
+        return SHARDED_PATH if self.devices else PARTITIONED_PATH
 
-    @property
-    def beats_cpu(self) -> bool:
-        """Does the partitioned GPU plan beat the stock CPU chain?"""
-        return self.gpu_seconds < self.cpu_seconds
+    def rival_seconds(self, label: str) -> float:
+        """Predicted seconds of the rival called ``label`` (0 if none)."""
+        return next((r.seconds for r in self.rivals if r.label == label),
+                    0.0)
+
+
+@dataclass(frozen=True)
+class PieceTerms:
+    """An operator's own numbers at one piece count.
+
+    ``kernel`` lists the piece's kernel-second addends; :func:`price`
+    sums them onto the launch overhead in order (kept apart so every
+    predicted float keeps the association it has always had).
+    ``host_seconds`` and ``merge_seconds`` are wall clock
+    (:meth:`~repro.blu.engine.OperatorContext.wall_seconds`).  ``reason``
+    is how a split in time describes itself; one in space is described
+    by its home devices.
+    """
+
+    staged_bytes: int
+    result_bytes: int
+    kernel: tuple[float, ...]
+    host_seconds: float = 0.0
+    merge_seconds: float = 0.0
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class SplitTerms:
+    """What an operator hands :func:`price`: only its own terms.
+
+    ``piece(n)`` gives the numbers at ``n`` pieces (``piece(1)``, the
+    whole job, prices the single-device rival); ``cpu_seconds`` is the
+    CPU rival's wall clock; ``exchange_bytes`` is what a hash
+    repartition moves between shards.  A split in time adds its
+    admissibility test ``fits(n)`` and the analytic ``floor`` the search
+    for the smallest admissible count starts from.
+    """
+
+    rows: int
+    piece: Callable[[int], PieceTerms]
+    cpu_seconds: float
+    exchange_bytes: int = 0
+    working_set_bytes: int = 0
+    fits: Optional[Callable[[int], bool]] = None
+    floor: int = 1
 
 
 def groupby_working_set_bytes(rows: int, groups: int, num_aggs: int) -> int:
@@ -120,207 +169,101 @@ def groupby_working_set_bytes(rows: int, groups: int, num_aggs: int) -> int:
     return int(staged + table + result)
 
 
-def _chain_wall_seconds(chain, host: HostSpec, degree: int) -> float:
-    """Wall clock of an evaluator chain under processor sharing."""
-    total = 0.0
-    for e in chain.evaluators:
-        capacity = host.effective_capacity(min(e.max_degree, degree))
-        total += e.cpu_seconds / max(1.0, capacity)
-    return total
-
-
-def _admissible_partition_count(
-    rows: int,
-    fits,                      # fits(partitions) -> bool
-    floor: int,
-    max_partitions: int,
-) -> Optional[int]:
-    """Smallest partition count >= ``floor`` whose partitions fit.
-
-    Working sets are not perfectly linear in the partition count (the
-    hash table's group share shrinks too), so the count steps up from
-    the analytic floor until the per-partition working set fits; ``None``
-    when even ``max_partitions`` partitions do not.
-    """
-    partitions = max(1, min(floor, max_partitions))
-    while partitions <= max_partitions:
-        if fits(partitions):
-            return partitions
-        partitions += 1
-    return None
-
-
-def plan_groupby_partitions(
-    *,
-    rows: int,
-    estimated_groups: int,
-    num_keys: int,
-    num_aggs: int,
-    thresholds: Thresholds,
-    cost: CostModel,
+def price(
+    operator: str,
+    terms: SplitTerms,
     spec: GpuSpec,
-    host: HostSpec,
-    degree: int,
-    capacity_bytes: int,
-    max_partitions: int,
-    devices: int = 1,
-) -> Optional[PartitionPlan]:
-    """Plan an over-memory hash group-by; ``None`` declines to the CPU.
-
-    The partition count is the smallest value that (a) brings every
-    partition's working set under ``capacity_bytes``, (b) keeps
-    per-partition rows under T3, and (c) stays within
-    ``max_partitions``.  Hash partitioning on the grouping key makes the
-    partitions' group sets disjoint, so the merge is a renumber-and-
-    concatenate pass priced at the CPU merge rate — no re-aggregation.
-    """
-    if rows <= 0 or capacity_bytes <= 0 or max_partitions < 1:
-        return None
-    groups = max(1, int(estimated_groups))
-    working_set = groupby_working_set_bytes(rows, groups, num_aggs)
-    payload_bytes = 8 * max(1, num_aggs)
-
-    def fits(partitions: int) -> bool:
-        rows_p = -(-rows // partitions)
-        groups_p = -(-groups // partitions)
-        return (groupby_working_set_bytes(rows_p, groups_p, num_aggs)
-                <= capacity_bytes
-                and rows_p <= thresholds.t3_max_rows)
-
-    floor = max(
-        -(-working_set // capacity_bytes),
-        -(-rows // max(1, thresholds.t3_max_rows)),
-    )
-    partitions = _admissible_partition_count(rows, fits, floor,
-                                             max_partitions)
-    if partitions is None:
-        return None
-
-    rows_p = -(-rows // partitions)
-    groups_p = -(-groups // partitions)
-    staged_p = rows_p * (8 + payload_bytes)
-    result_p = groups_p * (8 + payload_bytes)
-    kernel_p = (spec.kernel_launch_overhead
-                + rows_p / cost.gpu_ht_insert_rate
-                + rows_p * max(1, num_aggs) / cost.gpu_atomic_agg_rate)
-    # Partitions stream through the devices on the three-engine pipeline;
-    # multiple cards drain the per-partition kernel slices data-parallel.
-    shop = FlowShop()
-    for _ in range(partitions):
-        shop.push(transfer_seconds(staged_p, spec),
-                  kernel_p / max(1, devices),
-                  transfer_seconds(result_p, spec))
-    device_seconds = shop.schedule().total_seconds
-
-    capacity = max(1.0, host.effective_capacity(degree))
-    split_seconds = rows / cost.cpu_scan_rate / capacity
-    host_chain = build_gpu_host_chain(
-        rows=rows_p, num_keys=num_keys, num_aggs=max(1, num_aggs),
-        staged_bytes=staged_p, cost=cost,
-    )
-    host_seconds = partitions * _chain_wall_seconds(host_chain, host, degree)
-    merge_seconds = (groups / cost.cpu_merge_rate
-                     + rows / cost.cpu_scan_rate) / capacity
-    # The single dispatching thread serialises across device waves.
-    waves = -(-partitions // max(1, devices))
-    gpu_seconds = split_seconds + host_seconds + device_seconds \
-        + waves * DISPATCH_SECONDS + merge_seconds
-
-    cpu_chain = build_cpu_groupby_chain(
-        rows=rows, num_keys=num_keys, num_aggs=num_aggs, groups=groups,
-        cost=cost,
-    )
-    cpu_seconds = _chain_wall_seconds(cpu_chain, host, degree)
-
-    return PartitionPlan(
-        partitions=partitions,
-        rows=rows,
-        working_set_bytes=working_set,
-        capacity_bytes=capacity_bytes,
-        gpu_seconds=gpu_seconds,
-        cpu_seconds=cpu_seconds,
-        merge_seconds=merge_seconds,
-        # Name the constraint that forced the split (Figure 3 sends an
-        # input here over T3 by rows *or* over device memory by bytes).
-        reason=((f"working set ~{working_set} bytes > device "
-                 f"{capacity_bytes}" if working_set > capacity_bytes
-                 else f"{rows} rows > T3 {thresholds.t3_max_rows}")
-                + f": {partitions} partitions of ~{rows_p} rows"),
-    )
-
-
-def plan_sort_partitions(
     *,
-    rows: int,
-    device_bytes_per_row: int,
-    staged_bytes_per_row: int,
-    cost: CostModel,
-    spec: GpuSpec,
-    host: HostSpec,
-    degree: int,
-    capacity_bytes: int,
-    max_partitions: int,
-    devices: int = 1,
-) -> Optional[PartitionPlan]:
-    """Plan an over-memory sort job; ``None`` declines to the CPU sort.
+    capacity_bytes: int = 0,
+    max_pieces: int = 0,
+    device_count: int = 1,
+    devices: Optional[Sequence[int]] = None,
+    interconnect: Optional[Interconnect] = None,
+) -> Optional[SplitPlan]:
+    """Price splitting ``operator``; ``None`` when it cannot be split.
 
-    Partitions are *contiguous slices* of the job: each slice radix-sorts
-    on the device independently, and the slices k-way merge on the host
-    (stable, so the merged order equals one global stable sort).  The
-    merge is priced like the CPU sort's comparison model over
-    ``rows * log2(partitions)``.
+    Without ``devices`` the split is *in time*: the smallest piece count
+    within ``max_pieces`` whose pieces fit a card (working sets are not
+    perfectly linear in the count — the hash table's group share shrinks
+    too — so it steps up from the analytic floor) streams through one
+    flow shop, ``device_count`` cards draining the kernel slices
+    data-parallel, the single dispatching thread paying one latency per
+    device wave.  With ``devices`` it is *in space*: one piece per home
+    device, each on its own flow shop with both copy legs at the switch-
+    contended bandwidth (every shard's staging departs in one wave, so
+    the host pays one dispatch latency), plus the exchange, with the
+    whole job on one device as the first rival.  Fewer than two home
+    devices, or a CPU-routed one, is no split at all.
     """
-    if rows <= 0 or capacity_bytes <= 0 or max_partitions < 1:
-        return None
-    working_set = rows * device_bytes_per_row
+    rows = terms.rows
+    overhead = spec.kernel_launch_overhead
+    if devices is None:
+        if rows <= 0 or capacity_bytes <= 0:
+            return None
+        pieces = max(1, min(terms.floor, max_pieces))
+        while pieces <= max_pieces and not terms.fits(pieces):
+            pieces += 1
+        if pieces > max_pieces:
+            return None
+        homes = ()
+        rivals = (Rival("cpu", terms.cpu_seconds,
+                        "partitioning would not pay"),)
+    else:
+        homes, pieces = tuple(devices), len(devices)
+        if rows <= 0 or pieces < 2 or any(d < 0 for d in homes):
+            return None
+        whole = terms.piece(1)
+        single = transfer_seconds(whole.staged_bytes, spec) + overhead
+        for addend in whole.kernel:
+            single += addend
+        single = (single + transfer_seconds(whole.result_bytes, spec)
+                  + DISPATCH_SECONDS)
+        rivals = (Rival("single-device", single,
+                        "contention and merge outweigh the split"),
+                  Rival("cpu", terms.cpu_seconds, "sharding would not pay"))
 
-    def fits(partitions: int) -> bool:
-        rows_p = -(-rows // partitions)
-        return rows_p * device_bytes_per_row <= capacity_bytes
+    own = terms.piece(pieces)
+    kernel = overhead
+    for addend in own.kernel:
+        kernel += addend
+    if homes:
+        legs = interconnect.wave_legs([(d, own.staged_bytes) for d in homes])
+        out_legs = interconnect.wave_legs(
+            [(d, own.result_bytes) for d in homes])
+        lanes = [[(leg.seconds, kernel, out.seconds)]
+                 for leg, out in zip(legs, out_legs)]
+        stall = sum(leg.stall_seconds for leg in legs) \
+            + sum(leg.stall_seconds for leg in out_legs)
+        exchange = interconnect.exchange_seconds(terms.exchange_bytes, pieces)
+        waves = 1
+        reason = (f"{pieces} shards of ~{-(-rows // pieces)} rows across "
+                  f"devices {homes}")
+    else:
+        cards = max(1, device_count)
+        lanes = [[(transfer_seconds(own.staged_bytes, spec), kernel / cards,
+                   transfer_seconds(own.result_bytes, spec))] * pieces]
+        stall = exchange = 0.0
+        waves = -(-pieces // cards)
+        reason = own.reason
+    makespan = 0.0
+    for lane in lanes:
+        shop = FlowShop()
+        for job in lane:
+            shop.push(*job)
+        makespan = max(makespan, shop.schedule().total_seconds)
 
-    floor = -(-working_set // capacity_bytes)
-    partitions = _admissible_partition_count(rows, fits, floor,
-                                             max_partitions)
-    if partitions is None:
-        return None
-
-    rows_p = -(-rows // partitions)
-    staged_p = rows_p * staged_bytes_per_row
-    kernel_p = (spec.kernel_launch_overhead
-                + rows_p / cost.gpu_radix_sort_rate
-                + rows_p / cost.gpu_scan_rate)
-    shop = FlowShop()
-    for _ in range(partitions):
-        shop.push(transfer_seconds(staged_p, spec),
-                  kernel_p / max(1, devices),
-                  transfer_seconds(staged_p, spec))
-    device_seconds = shop.schedule().total_seconds
-
-    merge_capacity = max(1.0, host.effective_capacity(min(degree, 8)))
-    merge_seconds = 0.0
-    if partitions > 1:
-        merge_comparisons = rows * math.log2(partitions)
-        merge_seconds = merge_comparisons / (cost.cpu_sort_rate * 16) \
-            / merge_capacity
-    waves = -(-partitions // max(1, devices))
-    gpu_seconds = device_seconds + waves * DISPATCH_SECONDS \
-        + merge_seconds
-
-    cpu_seconds = 0.0
-    if rows > 1:
-        comparisons = rows * math.log2(rows)
-        cpu_seconds = comparisons / (cost.cpu_sort_rate * 16) \
-            / merge_capacity
-
-    return PartitionPlan(
-        partitions=partitions,
+    return SplitPlan(
+        operator=operator,
+        pieces=pieces,
         rows=rows,
-        working_set_bytes=working_set,
-        capacity_bytes=capacity_bytes,
-        gpu_seconds=gpu_seconds,
-        cpu_seconds=cpu_seconds,
-        merge_seconds=merge_seconds,
-        reason=(f"sort job ~{working_set} device bytes > "
-                f"{capacity_bytes}: {partitions} slices of ~{rows_p} "
-                "rows, k-way merged"),
+        devices=homes,
+        seconds=(own.host_seconds + makespan + waves * DISPATCH_SECONDS
+                 + exchange + own.merge_seconds),
+        rivals=rivals,
+        merge_seconds=own.merge_seconds,
+        exchange_seconds=exchange,
+        stall_seconds=stall,
+        working_set_bytes=0 if homes else terms.working_set_bytes,
+        capacity_bytes=0 if homes else capacity_bytes,
+        reason=reason,
     )

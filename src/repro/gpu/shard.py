@@ -1,47 +1,32 @@
-"""Sharded N-device execution planning (scale-out across the cards).
+"""Shard maps and row splits for N-device execution (scale-out).
 
 The paper's §2.2 scheduler dispatches each whole job to *one* of the two
-K40s.  This module splits a single group-by, join probe or sort across
+K40s.  Sharding splits a single group-by, join probe or sort across
 every healthy device instead: the catalog carries a versioned
 :class:`ShardMap` per fact table, the executors cut the operator's input
 along it, each shard runs on its home device, and an exchange + merge
 step reassembles a result byte-identical to the CPU chain (PR 9's
 renumber-merge for group-by, k-way stable merge for sort, order-
-preserving concatenation for join probes).
-
-:func:`plan_sharded` prices the decision on the same
-:class:`~repro.gpu.streams.FlowShop` as the stream pipeline and the
-out-of-core partition planner, plus two costs single-device plans never
-pay:
-
-- the host->device staging leaves as one *wave* — every shard transfers
-  at once — so each leg is priced at the switch-contended bandwidth from
-  :mod:`repro.gpu.interconnect`, and
-- the exchange + merge tail (peer-to-peer over NVLink when enabled,
-  otherwise bounced through host memory, then the host-side merge).
+preserving concatenation for join probes).  This module holds the
+placement (:class:`ShardMap`, :func:`home_devices`) and the row-split
+helpers; the decision is priced as a split in space by
+:func:`repro.gpu.partition.price`.
 
 The sharded data path ships BLU-*encoded* columns and decodes, hashes
 and repartitions on the shards (Amdahl's law: the classic path's
 host-side evaluator chain would cap N-device speedup near 2x, so
-scale-out moves that work onto the devices it multiplies).  The plan is
-gated against both the single-device estimate and the CPU chain;
-sharding only wins when the device time it divides across N cards
-outweighs the contention, exchange and merge it adds.  See
+scale-out moves that work onto the devices it multiplies).  See
 ``docs/scale_out.md`` for the full contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.config import CostModel, GpuSpec, HostSpec
 from repro.errors import ReproError
-from repro.gpu.interconnect import Interconnect
-from repro.gpu.streams import DISPATCH_SECONDS, FlowShop
-from repro.gpu.transfer import transfer_seconds
 
 
 class ShardError(ReproError):
@@ -144,135 +129,3 @@ def split_rows(part_of_row: np.ndarray, parts: int) -> list[np.ndarray]:
 def range_shard_bounds(rows: int, shards: int) -> np.ndarray:
     """Slice boundaries for range sharding: ``shards + 1`` int offsets."""
     return np.linspace(0, rows, shards + 1).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# The plan
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """One operator's sharded execution, priced against both rivals.
-
-    ``gpu_seconds`` is the sharded estimate (host staging + contended
-    H2D wave + the max per-device flow-shop makespan + exchange + merge);
-    ``single_seconds`` is the same job on one device; ``cpu_seconds`` is
-    the stock CPU chain.  ``stall_seconds`` breaks out the switch-
-    contention penalty so EXPLAIN ANALYZE can show what the topology
-    cost on its own.
-    """
-
-    operator: str
-    shards: int
-    rows: int
-    devices: tuple[int, ...]
-    gpu_seconds: float
-    single_seconds: float
-    cpu_seconds: float
-    exchange_seconds: float
-    merge_seconds: float
-    stall_seconds: float
-    reason: str
-
-    @property
-    def shard_rows(self) -> int:
-        """Rows per shard (ceiling; hash shards are near-even)."""
-        return -(-self.rows // self.shards)
-
-    @property
-    def beats_single(self) -> bool:
-        """Does sharding beat running whole on one device?"""
-        return self.gpu_seconds < self.single_seconds
-
-    @property
-    def beats_cpu(self) -> bool:
-        """Does sharding beat the stock CPU chain?"""
-        return self.gpu_seconds < self.cpu_seconds
-
-
-def plan_sharded(
-    *,
-    operator: str,
-    rows: int,
-    staged_bytes: int,
-    result_bytes: int,
-    kernel_seconds: float,
-    exchange_bytes: int,
-    merge_core_seconds: float,
-    devices: Sequence[int],
-    cost: CostModel,
-    spec: GpuSpec,
-    host: HostSpec,
-    degree: int,
-    interconnect: Interconnect,
-    cpu_seconds: float,
-    host_core_seconds: float = 0.0,
-    broadcast_bytes: int = 0,
-    replicated_kernel_seconds: float = 0.0,
-) -> Optional[ShardPlan]:
-    """Price splitting one operator across ``devices``; ``None`` declines.
-
-    ``kernel_seconds`` is the whole-input kernel time on one device;
-    each shard's slice scales by its row share plus one launch overhead.
-    ``broadcast_bytes`` and ``replicated_kernel_seconds`` are the parts
-    that do *not* divide — a join ships the whole build side to every
-    shard and each shard builds the full hash table — so they ride each
-    shard whole (and the single-device rival once).
-    ``merge_core_seconds`` and ``host_core_seconds`` are core-seconds
-    (divided by the processor-sharing capacity here).  The three-engine
-    flow-shop recurrence runs per device with the H2D legs priced at the
-    switch-contended bandwidth, since every shard's staging departs in
-    one wave.
-    """
-    shards = len(devices)
-    if rows <= 0 or shards == 0:
-        return None
-    if shards == 1 or any(d < 0 for d in devices):
-        return None
-
-    staged_p = -(-staged_bytes // shards) + broadcast_bytes
-    result_p = -(-result_bytes // shards)
-    kernel_p = (spec.kernel_launch_overhead + kernel_seconds / shards
-                + replicated_kernel_seconds)
-
-    legs = interconnect.wave_legs([(d, staged_p) for d in devices])
-    out_legs = interconnect.wave_legs([(d, result_p) for d in devices])
-    makespan = 0.0
-    for leg, out in zip(legs, out_legs):
-        shop = FlowShop()
-        shop.push(leg.seconds, kernel_p, out.seconds)
-        makespan = max(makespan, shop.schedule().total_seconds)
-    stall_seconds = sum(leg.stall_seconds for leg in legs) \
-        + sum(leg.stall_seconds for leg in out_legs)
-
-    capacity = max(1.0, host.effective_capacity(degree))
-    exchange = interconnect.exchange_seconds(exchange_bytes, shards)
-    merge_seconds = merge_core_seconds / capacity
-    host_seconds = host_core_seconds / capacity
-    # Shards dispatch as one wave (one per device), so the host pays one
-    # dispatch latency, not ``shards`` of them — execution collapses the
-    # per-shard dispatch events into one parallel group the same way.
-    gpu_seconds = (host_seconds + makespan + DISPATCH_SECONDS
-                   + exchange + merge_seconds)
-
-    single_seconds = (transfer_seconds(staged_bytes + broadcast_bytes, spec)
-                      + spec.kernel_launch_overhead + kernel_seconds
-                      + replicated_kernel_seconds
-                      + transfer_seconds(result_bytes, spec)
-                      + DISPATCH_SECONDS)
-
-    return ShardPlan(
-        operator=operator,
-        shards=shards,
-        rows=rows,
-        devices=tuple(devices),
-        gpu_seconds=gpu_seconds,
-        single_seconds=single_seconds,
-        cpu_seconds=cpu_seconds,
-        exchange_seconds=exchange,
-        merge_seconds=merge_seconds,
-        stall_seconds=stall_seconds,
-        reason=(f"{shards} shards of ~{-(-rows // shards)} rows across "
-                f"devices {tuple(devices)}"),
-    )

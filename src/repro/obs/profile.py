@@ -933,6 +933,10 @@ def _collect_verdicts(trace: Sequence[Span]) -> list[PathVerdict]:
     optimizer estimate and (after execution) the actual group count plus
     the KMV refinement the hybrid executor stamped.
     """
+    # Imported here: repro.gpu itself imports repro.obs (the tracer).
+    from repro.gpu.partition import (PARTITION_GATE, PARTITIONED_PATH,
+                                     SHARD_GATE, SHARDED_PATH)
+
     by_id = {s.span_id: s for s in trace}
     out: list[PathVerdict] = []
     for span in trace:
@@ -964,12 +968,12 @@ def _collect_verdicts(trace: Sequence[Span]) -> list[PathVerdict]:
                     "stages": span.attributes.get("stages"),
                 },
             ))
-        elif span.name == "pathselect.partition":
+        elif span.name == PARTITION_GATE:
             partitioned = bool(span.attributes.get("partition", False))
             out.append(PathVerdict(
                 operator=f"{span.attributes.get('operator', '?')}-partition",
                 rows=0,
-                path="gpu-partitioned" if partitioned else "cpu-large",
+                path=PARTITIONED_PATH if partitioned else "cpu-large",
                 reason=str(span.attributes.get("reason", "")),
                 thresholds={
                     "partitions": span.attributes.get("partitions"),
@@ -977,12 +981,12 @@ def _collect_verdicts(trace: Sequence[Span]) -> list[PathVerdict]:
                     "capacity": span.attributes.get("capacity"),
                 },
             ))
-        elif span.name == "pathselect.shard":
+        elif span.name == SHARD_GATE:
             sharded = bool(span.attributes.get("shard", False))
             out.append(PathVerdict(
                 operator=f"{span.attributes.get('operator', '?')}-shard",
                 rows=0,
-                path="gpu-sharded" if sharded else "whole-job",
+                path=SHARDED_PATH if sharded else "whole-job",
                 reason=str(span.attributes.get("reason", "")),
                 thresholds={
                     "shards": span.attributes.get("shards"),

@@ -19,6 +19,10 @@ behaviour change re-records the cases it names (CHANGES.md lists them).
 
     python -m tests.core.test_dispatch_transcripts            # re-record
     python -m tests.core.test_dispatch_transcripts --dump ID  # one case
+    python -m tests.core.test_dispatch_transcripts --dump-all DIR
+
+``--dump-all`` writes one file per case (``DIR/<scenario>/<case>``), so
+two checkouts' recordings compare with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -321,6 +325,13 @@ if __name__ == "__main__":
         _kwargs = dict(cases(_scenario))[sys.argv[2]]
         for _entry in run_case(_scenario, _tables, _kwargs):
             print(json.dumps(_entry, sort_keys=True))
+    elif sys.argv[1:2] == ["--dump-all"]:
+        for _scenario in SCENARIOS:
+            os.makedirs(os.path.join(sys.argv[2], _scenario.name))
+            for _case_id, _kwargs in cases(_scenario):
+                with open(os.path.join(sys.argv[2], _case_id), "w") as f:
+                    for _entry in run_case(_scenario, _tables, _kwargs):
+                        f.write(json.dumps(_entry, sort_keys=True) + "\n")
     else:
         _digests: dict[str, str] = {}
         for _scenario in SCENARIOS:

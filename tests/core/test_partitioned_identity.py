@@ -17,7 +17,7 @@ from repro.blu import BluEngine
 from repro.config import GpuSpec, paper_testbed
 from repro.core import GpuAcceleratedEngine
 from repro.faults import FAULT_SITES, FaultPlan, FaultRule
-from repro.gpu.partition import PartitionPlan
+from repro.gpu.partition import Rival, SplitPlan
 
 GROUPBY_SQL = ("SELECT s_item, SUM(s_qty) AS q, SUM(s_paid) AS paid, "
                "COUNT(*) AS c FROM sales GROUP BY s_item")
@@ -52,13 +52,13 @@ class TestPartitionCountOne:
         """Partition count 1 must degenerate to the unpartitioned result
         bit-for-bit: one hash partition holds every row in global order,
         and the merge renumber is the identity permutation."""
-        forced = PartitionPlan(
-            partitions=1, rows=50_000, working_set_bytes=1,
-            capacity_bytes=10**9, gpu_seconds=0.0, cpu_seconds=1.0,
-            merge_seconds=0.0, reason="forced single partition")
-        monkeypatch.setattr(
-            "repro.core.hybrid_groupby.plan_groupby_partitions",
-            lambda **kw: forced)
+        forced = SplitPlan(
+            operator="groupby", pieces=1, rows=50_000, devices=(),
+            seconds=0.0, rivals=(Rival("cpu", 1.0, "would not pay"),),
+            merge_seconds=0.0, working_set_bytes=1, capacity_bytes=10**9,
+            reason="forced single partition")
+        monkeypatch.setattr("repro.core.dispatch.price",
+                            lambda *args, **kw: forced)
         engine = make_engine(small_catalog)
         result = engine.execute_sql(GROUPBY_SQL, query_id="one")
         decisions = engine.monitor.decisions_for("one")

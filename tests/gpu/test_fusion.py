@@ -8,6 +8,7 @@ and fault plans.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.blu import BluEngine, Catalog, Schema, Table
 from repro.blu.datatypes import float64, int32, varchar
+from repro.blu.engine import OperatorContext
 from repro.blu.plan import FilterNode, GroupByNode, JoinNode, ScanNode
 from repro.blu.sql import parse_query
-from repro.config import paper_testbed
+from repro.config import Thresholds, paper_testbed
 from repro.core import GpuAcceleratedEngine
-from repro.core.pathselect import ExecutionPath, PathDecision, select_fused_path
+from repro.core.dispatch import Dispatcher
 from repro.faults import FaultPlan, FaultRule
-from repro.gpu.fusion import estimate_chain, find_fusable_chain
+from repro.gpu.fusion import (
+    FusedChainEstimate,
+    FusedExecutor,
+    estimate_chain,
+    find_fusable_chain,
+)
 from repro.obs.tracing import Tracer
+from repro.timing import CostLedger
 from tests.conftest import tables_equal
 
 
@@ -170,48 +178,102 @@ class TestChainRecognition:
 # ---------------------------------------------------------------------------
 
 
-GPU_VERDICT = PathDecision(ExecutionPath.GPU, "test")
-CPU_VERDICT = PathDecision(ExecutionPath.CPU_SMALL, "test")
-
-
 class TestDecisionGates:
-    def _decide(self, verdict=GPU_VERDICT, fused_s=1e-3, unfused_s=2e-3,
+    """``FusedExecutor._decide`` over injected estimates: Figure 3 gates
+    first, then the shared cost gate on seconds, then the byte budget."""
+
+    @pytest.fixture(autouse=True)
+    def _chain(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.catalog = make_catalog(n=500)
+        plan = parse_query(TWO_JOIN_SQL, catalog=self.catalog)
+        BluEngine(self.catalog).optimizer.annotate(plan)
+        self.chain = find_fusable_chain(groupby_of(plan))
+
+    def _decide(self, gpu_verdict=True, fused_s=1e-3, unfused_s=2e-3,
                 fused_b=100, per_op_b=200, tracer=None):
-        return select_fused_path(
-            stages=3, groupby_decision=verdict, fused_seconds=fused_s,
-            unfused_seconds=unfused_s, fused_bytes=fused_b,
-            per_op_gpu_bytes=per_op_b, tracer=tracer)
+        self.monkeypatch.setattr(
+            "repro.gpu.fusion.estimate_chain",
+            lambda *args: FusedChainEstimate(fused_s, unfused_s, fused_b,
+                                             per_op_b))
+        # T1 decides the Figure-3 verdict for the 500-row chain.
+        thresholds = Thresholds(
+            t1_min_rows=1 if gpu_verdict else 10**12, t2_min_groups=1)
+        monitor = SimpleNamespace(tracer=tracer) if tracer else None
+        executor = FusedExecutor(
+            dispatch=Dispatcher(scheduler=None, pinned=None,
+                                monitor=monitor, catalog=self.catalog),
+            moderator=None, thresholds=thresholds,
+            groupby_fallback=None, join_fallback=None)
+        ctx = OperatorContext(fused_config(), CostLedger(), 8)
+        return executor._decide(self.chain, ctx)
 
     def test_cpu_verdict_blocks_fusion(self):
-        decision = self._decide(verdict=CPU_VERDICT)
-        assert not decision.fuse
-        assert "per-operator path" in decision.reason
+        decision = self._decide(gpu_verdict=False)
+        assert not decision.taken
+        assert decision.reason == ("group-by verdict is cpu-small: chain "
+                                   "stays on the per-operator path")
 
     def test_slower_fused_time_blocks_fusion(self):
         decision = self._decide(fused_s=3e-3, unfused_s=2e-3)
-        assert not decision.fuse
-        assert "would not pay" in decision.reason
+        assert not decision.taken
+        assert decision.reason == ("fused~3.000ms >= unfused~2.000ms: "
+                                   "fusion would not pay")
+
+    def test_a_tie_on_time_blocks_fusion(self):
+        assert not self._decide(fused_s=2e-3, unfused_s=2e-3).taken
 
     def test_more_bytes_blocks_fusion(self):
         decision = self._decide(fused_b=300, per_op_b=200)
-        assert not decision.fuse
-        assert "more over PCIe" in decision.reason
+        assert not decision.taken
+        assert decision.reason == ("fused bytes 300 > per-op GPU bytes 200: "
+                                   "fusion would ship more over PCIe")
+
+    def test_time_is_judged_before_bytes(self):
+        decision = self._decide(fused_s=3e-3, fused_b=300)
+        assert "would not pay" in decision.reason
 
     def test_all_gates_open_fuses(self):
         decision = self._decide()
-        assert decision.fuse
-        assert "3-stage chain" in decision.reason
-        assert "elides 100 transfer bytes" in decision.reason
+        assert decision.taken
+        assert decision.reason == (
+            "3-stage chain: fused~1.000ms < unfused~2.000ms, "
+            "elides 100 transfer bytes")
 
     def test_decision_emits_pathselect_instant(self):
         tracer = Tracer()
         with tracer.span("query"):
             self._decide(tracer=tracer)
-            self._decide(verdict=CPU_VERDICT, tracer=tracer)
+            self._decide(gpu_verdict=False, tracer=tracer)
         instants = [s for s in tracer.spans if s.name == "pathselect.fused"]
         assert len(instants) == 2
         assert instants[0].attributes["fuse"] is True
         assert instants[1].attributes["fuse"] is False
+        # The estimates ride the instant whatever the verdict.
+        for instant in instants:
+            assert instant.attributes["fused_seconds"] == 1e-3
+            assert instant.attributes["per_op_gpu_bytes"] == 200
+
+    def test_figure3_mark_follows_a_fused_verdict_only(self):
+        """Figure 3 is evaluated once; its ``pathselect.groupby`` mark
+        lands after the fused one, and only when the chain fuses (a
+        declined chain's per-operator path leaves its own)."""
+        from repro.core import pathselect
+
+        evaluations = []
+        figure3 = pathselect._groupby_decision
+        self.monkeypatch.setattr(
+            pathselect, "_groupby_decision",
+            lambda *args: evaluations.append(args) or figure3(*args))
+        tracer = Tracer()
+        with tracer.span("query"):
+            self._decide(tracer=tracer)
+            self._decide(fused_s=3e-3, tracer=tracer)
+        marks = [s.name for s in tracer.spans
+                 if s.name.startswith("pathselect.")]
+        assert marks == ["pathselect.fused", "pathselect.groupby",
+                         "pathselect.fused"]
+        assert len(evaluations) == 2
 
 
 # ---------------------------------------------------------------------------

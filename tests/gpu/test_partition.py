@@ -1,56 +1,58 @@
-"""Unit tests for the out-of-core partition planner (repro.gpu.partition)."""
+"""Unit tests for splits in time: the group-by and sort terms priced by
+``repro.gpu.partition.price`` (the out-of-core planner)."""
 
 import pytest
 
-from repro.config import CostModel, GpuSpec, HostSpec, Thresholds
+from repro.blu.engine import OperatorContext
+from repro.config import GpuSpec, SystemConfig, Thresholds
+from repro.core.hybrid_groupby import partition_terms
+from repro.core.hybrid_sort import slice_terms
+from repro.core.pathselect import judge
+from repro.gpu.kernels.radix_sort import RadixSortKernel
 from repro.gpu.partition import (
     PartitionStreamState,
     groupby_working_set_bytes,
-    plan_groupby_partitions,
-    plan_sort_partitions,
+    price,
 )
 from repro.gpu.streams import PipelineSpec, StreamChunk, StreamPlan
+from repro.timing import CostLedger
 
 
-COST = CostModel()
 SPEC = GpuSpec()
-HOST = HostSpec()
 THRESHOLDS = Thresholds()
+CTX = OperatorContext(SystemConfig(), CostLedger(), degree=48)
 
 
-def groupby_plan(rows=200_000, groups=2_000, capacity=1_000_000, **kw):
-    args = dict(rows=rows, estimated_groups=groups, num_keys=1, num_aggs=3,
-                thresholds=THRESHOLDS, cost=COST, spec=SPEC, host=HOST,
-                degree=48, capacity_bytes=capacity, max_partitions=64,
-                devices=2)
-    args.update(kw)
-    return plan_groupby_partitions(**args)
+def groupby_plan(rows=200_000, groups=2_000, capacity=1_000_000,
+                 thresholds=THRESHOLDS, max_partitions=64):
+    terms = partition_terms(rows, groups, 1, 3, thresholds, capacity, CTX)
+    return price("groupby", terms, SPEC, capacity_bytes=capacity,
+                 max_pieces=max_partitions, device_count=2)
 
 
-def sort_plan(rows=200_000, capacity=1_000_000, **kw):
-    args = dict(rows=rows, device_bytes_per_row=16, staged_bytes_per_row=8,
-                cost=COST, spec=SPEC, host=HOST, degree=48,
-                capacity_bytes=capacity, max_partitions=64, devices=2)
-    args.update(kw)
-    return plan_sort_partitions(**args)
+def sort_plan(rows=200_000, capacity=1_000_000):
+    terms = slice_terms(rows, RadixSortKernel(CTX.config.cost), capacity,
+                        CTX)
+    return price("sort", terms, SPEC, capacity_bytes=capacity,
+                 max_pieces=64, device_count=2)
 
 
 class TestGroupbyPlanner:
     def test_over_memory_input_splits(self):
         plan = groupby_plan()
         assert plan is not None
-        assert plan.partitions >= 2
+        assert plan.pieces >= 2 and plan.devices == ()
         assert plan.working_set_bytes > plan.capacity_bytes
         # Every partition's own working set must fit the card.
-        groups_p = -(-2_000 // plan.partitions)
+        groups_p = -(-2_000 // plan.pieces)
         assert groupby_working_set_bytes(
-            plan.partition_rows, groups_p, 3) <= plan.capacity_bytes
+            -(-plan.rows // plan.pieces), groups_p, 3) <= plan.capacity_bytes
 
     def test_partitions_respect_t3(self):
         thresholds = Thresholds(t3_max_rows=10_000)
         plan = groupby_plan(capacity=10**12, thresholds=thresholds)
         assert plan is not None
-        assert plan.partition_rows <= 10_000
+        assert -(-plan.rows // plan.pieces) <= 10_000
 
     def test_reason_names_the_constraint_that_forced_the_split(self):
         by_bytes = groupby_plan()
@@ -74,22 +76,32 @@ class TestGroupbyPlanner:
 
     def test_costs_both_sides(self):
         plan = groupby_plan()
-        assert plan.gpu_seconds > 0.0
-        assert plan.cpu_seconds > 0.0
-        assert 0.0 < plan.merge_seconds < plan.gpu_seconds
-        assert str(plan.partitions) in plan.reason
+        assert plan.seconds > 0.0
+        assert [rival.label for rival in plan.rivals] == ["cpu"]
+        assert plan.rival_seconds("cpu") > 0.0
+        assert 0.0 < plan.merge_seconds < plan.seconds
+        assert str(plan.pieces) in plan.reason
 
     def test_beats_cpu_reflects_estimates(self):
         plan = groupby_plan()
-        assert plan.beats_cpu == (plan.gpu_seconds < plan.cpu_seconds)
+        verdict = judge("partitioned gpu", plan.seconds, plan.rivals, "pays")
+        assert verdict.taken == (plan.seconds < plan.rival_seconds("cpu"))
+
+    def test_more_devices_shrink_the_makespan(self):
+        terms = partition_terms(200_000, 2_000, 1, 3, THRESHOLDS,
+                                1_000_000, CTX)
+        one, four = (price("groupby", terms, SPEC, capacity_bytes=1_000_000,
+                           max_pieces=64, device_count=n) for n in (1, 4))
+        assert four.pieces == one.pieces
+        assert four.seconds < one.seconds
 
 
 class TestSortPlanner:
     def test_over_memory_job_splits(self):
         plan = sort_plan()
         assert plan is not None
-        assert plan.partitions >= 2
-        assert plan.partition_rows * 16 <= plan.capacity_bytes
+        assert plan.pieces >= 2
+        assert -(-plan.rows // plan.pieces) * 16 <= plan.capacity_bytes
 
     def test_declines_when_no_slice_fits(self):
         # 64 slices of >3k rows each still need >48 KB of device memory.
@@ -97,7 +109,7 @@ class TestSortPlanner:
 
     def test_merge_priced_only_when_split(self):
         wide = sort_plan(rows=50_000, capacity=10**12)
-        assert wide is None or wide.partitions == 1
+        assert wide.pieces == 1 and wide.merge_seconds == 0.0
         split = sort_plan()
         assert split.merge_seconds > 0.0
 

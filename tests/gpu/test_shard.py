@@ -1,22 +1,30 @@
-"""Unit tests for shard maps and the sharded-execution planner."""
+"""Unit tests for shard maps, splits in space as ``repro.gpu.partition.
+price`` prices them, and the shard gate behind ``Dispatcher.split``."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.config import CostModel, GpuSpec, HostSpec
-from repro.core.pathselect import select_sharded_path
+from repro.blu.engine import OperatorContext
+from repro.config import GpuSpec, paper_testbed
+from repro.core.dispatch import Dispatcher
+from repro.core.scheduler import MultiGpuScheduler
+from repro.gpu.device import make_devices
 from repro.gpu.interconnect import Interconnect
+from repro.gpu.partition import PieceTerms, SplitTerms, price
 from repro.gpu.shard import (
     ShardError,
     ShardMap,
     build_shard_map,
     hash_shard_assignment,
     home_devices,
-    plan_sharded,
     range_shard_bounds,
     split_rows,
 )
 from repro.obs.tracing import Tracer
+from repro.timing import CostLedger
 
 
 class TestShardMap:
@@ -111,8 +119,24 @@ class TestHomeDevices:
         assert home_devices(scheduler, catalog, "sales") == (0, 1, 2)
 
 
-def make_plan(devices=(0, 1, 2, 3), *, rows=1_000_000,
-              nvlink=True, **overrides):
+def make_terms(rows=1_000_000, *, staged_bytes=None, result_bytes=None,
+               kernel_seconds=0.040, exchange_bytes=None, cpu_seconds=0.100,
+               broadcast_bytes=0, replicated_kernel_seconds=0.0):
+    """A hash-shard shaped operator: everything divides by the piece
+    count except the broadcast bytes and the replicated kernel work."""
+    staged = rows * 16 if staged_bytes is None else staged_bytes
+    result = rows if result_bytes is None else result_bytes
+    return SplitTerms(
+        rows=rows, cpu_seconds=cpu_seconds,
+        exchange_bytes=rows if exchange_bytes is None else exchange_bytes,
+        piece=lambda pieces: PieceTerms(
+            staged_bytes=-(-staged // pieces) + broadcast_bytes,
+            result_bytes=-(-result // pieces),
+            kernel=(kernel_seconds / pieces, replicated_kernel_seconds),
+            merge_seconds=4e-5))
+
+
+def make_plan(devices=(0, 1, 2, 3), *, nvlink=True, **terms):
     spec = GpuSpec()
     interconnect = Interconnect(
         link_bandwidth=spec.pcie_pinned_bw,
@@ -120,27 +144,13 @@ def make_plan(devices=(0, 1, 2, 3), *, rows=1_000_000,
         setup_overhead=spec.transfer_setup_overhead,
         nvlink_enabled=nvlink,
     )
-    kwargs = dict(
-        operator="groupby",
-        rows=rows,
-        staged_bytes=rows * 16,
-        result_bytes=rows,
-        kernel_seconds=0.040,
-        exchange_bytes=rows,
-        merge_core_seconds=0.001,
-        devices=tuple(devices),
-        cost=CostModel(),
-        spec=spec,
-        host=HostSpec(),
-        degree=32,
-        interconnect=interconnect,
-        cpu_seconds=0.100,
-    )
-    kwargs.update(overrides)
-    return plan_sharded(**kwargs)
+    return price("groupby", make_terms(**terms), spec,
+                 devices=tuple(devices), interconnect=interconnect)
 
 
 class TestPlanSharded:
+    """``price`` with home devices: a split in space."""
+
     def test_declines_degenerate_splits(self):
         assert make_plan(devices=(0,)) is None          # one device
         assert make_plan(devices=()) is None            # no devices
@@ -149,14 +159,17 @@ class TestPlanSharded:
 
     def test_kernel_heavy_job_beats_single_device(self):
         plan = make_plan()
-        assert plan is not None and plan.shards == 4
-        assert plan.beats_single and plan.beats_cpu
-        assert plan.gpu_seconds < plan.single_seconds
+        assert plan is not None and plan.pieces == 4
+        assert plan.devices == (0, 1, 2, 3)
+        # The rivals, in the order the gate judges them.
+        assert [r.label for r in plan.rivals] == ["single-device", "cpu"]
+        assert plan.seconds < plan.rival_seconds("single-device")
+        assert plan.seconds < plan.rival_seconds("cpu")
 
     def test_more_devices_shrink_the_makespan(self):
         two = make_plan(devices=(0, 1))
         four = make_plan(devices=(0, 1, 2, 3))
-        assert four.gpu_seconds < two.gpu_seconds
+        assert four.seconds < two.seconds
 
     def test_broadcast_and_replicated_work_ride_every_shard(self):
         base = make_plan()
@@ -164,14 +177,17 @@ class TestPlanSharded:
                           replicated_kernel_seconds=0.010)
         # The replicated parts do not divide, so both rivals pay more —
         # but the sharded side pays them once *per shard wave*.
-        assert heavy.gpu_seconds > base.gpu_seconds
-        assert heavy.single_seconds > base.single_seconds
+        assert heavy.seconds > base.seconds
+        assert heavy.rival_seconds("single-device") \
+            > base.rival_seconds("single-device")
 
     def test_exchange_and_stall_are_reported(self):
         plan = make_plan(nvlink=False)
         assert plan.exchange_seconds > 0
         assert plan.stall_seconds >= 0
-        assert plan.shard_rows == 250_000
+        assert -(-plan.rows // plan.pieces) == 250_000
+        assert plan.reason == ("4 shards of ~250000 rows across devices "
+                               "(0, 1, 2, 3)")
 
     def test_nvlink_cheapens_the_exchange(self):
         meshed = make_plan(nvlink=True)
@@ -179,47 +195,82 @@ class TestPlanSharded:
         assert meshed.exchange_seconds < bounced.exchange_seconds
 
 
+def make_dispatch(devices=4, shard=True):
+    """A dispatcher over ``devices`` healthy cards, and a context."""
+    config = dataclasses.replace(
+        paper_testbed(), gpus=(GpuSpec(),) * devices, shard_enabled=shard,
+        nvlink_enabled=True, switch_bandwidth=96.0e9)
+    dispatch = Dispatcher(
+        scheduler=MultiGpuScheduler(make_devices(config.gpus)),
+        pinned=None, monitor=SimpleNamespace(tracer=Tracer()),
+        interconnect=Interconnect.from_config(config))
+    return dispatch, OperatorContext(config, CostLedger(), degree=32)
+
+
+def shard_instants(dispatch):
+    return [s for s in dispatch.tracer.spans if s.name == "pathselect.shard"]
+
+
 class TestSelectShardedPath:
+    """The shard gate, through ``Dispatcher.split``."""
+
     def test_disabled_knob_keeps_whole_job(self):
-        decision = select_sharded_path(
-            operator="groupby", plan=make_plan(), enabled=False)
-        assert not decision.shard
-        assert "disabled" in decision.reason
+        """A filtered candidate is not enumerated: no terms, no price,
+        no instant."""
+        dispatch, ctx = make_dispatch(shard=False)
+
+        def terms():
+            raise AssertionError("a filtered candidate's terms were built")
+
+        assert dispatch.split("groupby", ctx, terms, across="t") \
+            == (None, "")
+        assert dispatch.tracer.spans == []
 
     def test_no_plan_keeps_whole_job(self):
-        decision = select_sharded_path(operator="groupby", plan=None)
-        assert not decision.shard
-        assert "healthy home devices" in decision.reason
+        dispatch, ctx = make_dispatch(devices=1)
+        plan, reason = dispatch.split("groupby", ctx, make_terms, across="t")
+        assert plan is None
+        assert reason == ("fewer than two healthy home devices: "
+                          "whole-job dispatch")
+        (instant,) = shard_instants(dispatch)
+        assert instant.attributes["shard"] is False
+        assert instant.attributes["shards"] == 0
+        assert instant.attributes["devices"] == []
 
     def test_winning_plan_shards(self):
-        tracer = Tracer()
-        decision = select_sharded_path(
-            operator="groupby", plan=make_plan(), tracer=tracer)
-        assert decision.shard
-        assert decision.shards == 4 and decision.devices == (0, 1, 2, 3)
-        (instant,) = [s for s in tracer.spans
-                      if s.name == "pathselect.shard"]
+        dispatch, ctx = make_dispatch()
+        plan, reason = dispatch.split("groupby", ctx, make_terms, across="t")
+        assert plan.pieces == 4 and plan.devices == (0, 1, 2, 3)
+        assert reason.startswith("4 shards on devices (0, 1, 2, 3): gpu~")
+        (instant,) = shard_instants(dispatch)
         assert instant.attributes["shard"] is True
         assert instant.attributes["devices"] == [0, 1, 2, 3]
+        assert instant.attributes["gpu_seconds"] == plan.seconds
+        assert instant.attributes["single_seconds"] \
+            == plan.rival_seconds("single-device")
+        assert instant.attributes["reason"] == reason
 
     def test_losing_plan_explains_itself(self):
         # A tiny kernel makes the split overhead-bound: the sharded
         # estimate loses to the single-device run and the verdict says
         # which rival won.
-        plan = make_plan(rows=1000, staged_bytes=16_000, result_bytes=1000,
-                         kernel_seconds=1e-6, exchange_bytes=1000,
-                         cpu_seconds=10.0)
-        tracer = Tracer()
-        decision = select_sharded_path(
-            operator="sort", plan=plan, tracer=tracer)
-        assert not decision.shard
-        assert "single-device" in decision.reason
-        (instant,) = [s for s in tracer.spans
-                      if s.name == "pathselect.shard"]
+        dispatch, ctx = make_dispatch()
+        plan, reason = dispatch.split(
+            "sort", ctx, lambda: make_terms(
+                rows=1000, staged_bytes=16_000, result_bytes=1000,
+                kernel_seconds=1e-6, exchange_bytes=1000, cpu_seconds=10.0),
+            across="t")
+        assert plan is None
+        assert "single-device" in reason
+        assert reason.endswith("contention and merge outweigh the split")
+        (instant,) = shard_instants(dispatch)
         assert instant.attributes["shard"] is False
+        assert instant.attributes["shards"] == 4     # priced, then refused
 
     def test_plan_that_loses_to_cpu_keeps_whole_job(self):
-        plan = make_plan(cpu_seconds=1e-9)
-        decision = select_sharded_path(operator="join", plan=plan)
-        assert not decision.shard
-        assert "cpu" in decision.reason
+        dispatch, ctx = make_dispatch()
+        plan, reason = dispatch.split(
+            "join", ctx, lambda: make_terms(cpu_seconds=1e-9), across="t")
+        assert plan is None
+        assert reason.startswith("sharded~")
+        assert reason.endswith("cpu~0.000ms: sharding would not pay")
