@@ -15,6 +15,7 @@ until the result is read.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -54,6 +55,21 @@ class Dictionary:
         return int(matches[0]) if len(matches) else -1
 
 
+def content_digest(*arrays: Optional[np.ndarray]) -> str:
+    """Stable hex digest of the encoded bytes of one column segment.
+
+    ``None`` entries (e.g. an absent null mask) are folded in as a
+    marker byte so ``(data, None)`` and ``(data, mask)`` never collide.
+    """
+    digest = hashlib.blake2b(digest_size=12)
+    for array in arrays:
+        if array is None:
+            digest.update(b"\x00")
+            continue
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 def as_row_ids(indices) -> np.ndarray:
     """``indices`` as a row-id array (a boolean mask selects its set rows)."""
     indices = np.asarray(indices)
@@ -80,7 +96,8 @@ class Column:
     ``dictionary`` and the presence of a null mask need no gather.
     """
 
-    __slots__ = ("dtype", "dictionary", "_data", "_mask", "_source", "_rows")
+    __slots__ = ("dtype", "dictionary", "_data", "_mask", "_source", "_rows",
+                 "_digest")
 
     def __init__(
         self,
@@ -102,6 +119,7 @@ class Column:
         self._data = np.ascontiguousarray(data, dtype=dtype.numpy_dtype)
         self._mask = null_mask
         self._source = self._rows = None  # set only while a take is deferred
+        self._digest = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,6 +148,14 @@ class Column:
             self._mask = self._mask[self._rows]
         self._data = self._source[self._rows]
         self._source = self._rows = None
+
+    def digest(self) -> str:
+        """Content digest of ``data`` + ``null_mask`` — the column's name in
+        the device cache — hashed on first request and kept (immutable, so
+        never stale); equal bytes ⇔ equal digest, whatever the lineage."""
+        if self._digest is None:
+            self._digest = content_digest(self.data, self.null_mask)
+        return self._digest
 
     @property
     def has_nulls(self) -> bool:
@@ -187,7 +213,7 @@ class Column:
         out = object.__new__(Column)
         out.dtype, out.dictionary = self.dtype, self.dictionary
         out._data, out._mask = None, self._mask
-        out._source, out._rows = source, rows
+        out._source, out._rows, out._digest = source, rows, None
         return out
 
     def slice(self, start: int, stop: int) -> "Column":

@@ -32,11 +32,6 @@ class ExprResult:
     nulls: Optional[np.ndarray]
     dtype: DataType
 
-    def valid_mask(self) -> np.ndarray:
-        if self.nulls is None:
-            return np.ones(len(self.values), dtype=bool)
-        return ~self.nulls
-
 
 def _merge_nulls(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
     if a is None:

@@ -3,14 +3,14 @@
 The GPU kernels must produce results bit-identical to the CPU chain, so both
 sides reduce to the same primitives: :func:`group_encode` assigns a dense
 group index to every row, and :func:`apply_aggregates` folds payload columns
-per group.  The GPU kernels compute *their own* group assignment through the
-simulated hash table and then verify/aggregate with equivalent numpy
-reductions; tests cross-check the two paths.
+per group.  The GPU kernels walk the simulated hash table over the same
+factorisation (:func:`factorise`, computed once per operator by the host
+chain) and aggregate with these reductions; tests cross-check the two paths.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,9 @@ def group_encode(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
         for key in key_arrays:
             sorted_key = key[order]
             changed[1:] |= sorted_key[1:] != sorted_key[:-1]
+        if changed.all():
+            # No equal neighbours: every row is its own group, in row order.
+            return np.arange(n), np.arange(n), n
         run_starts = np.flatnonzero(changed)
         first_of_run = np.minimum.reduceat(order, run_starts)
         first_of_row = np.empty(n, dtype=np.int64)
@@ -67,6 +70,26 @@ def group_encode(key_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return (np.cumsum(is_first) - 1)[first_of_row], first_row, len(first_row)
 
 
+class Factorisation(NamedTuple):
+    """One operator's combined keys, factorised once by the host chain and
+    read by everything downstream (insert, KMV, kernels, the piece split):
+    row ``r``'s dense group id ``group_index[r]`` — groups numbered by first
+    appearance — group ``g``'s key ``keys[g]`` and row count ``counts[g]``.
+    """
+
+    group_index: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
+
+
+def factorise(keys: np.ndarray) -> tuple[Factorisation, np.ndarray]:
+    """``(factorisation, first row of each group)`` of one key word per row."""
+    keys = np.asarray(keys, dtype=np.int64)
+    group_index, first_row, n_groups = group_encode([keys])
+    return Factorisation(group_index, keys[first_row], np.bincount(
+        group_index, minlength=n_groups)), first_row
+
+
 def dense_span(keys: np.ndarray, rows: int) -> Optional[tuple]:
     """``(min, span)`` when ``keys`` can index a table directly, else None.
 
@@ -74,7 +97,9 @@ def dense_span(keys: np.ndarray, rows: int) -> Optional[tuple]:
     span ``max - min + 1`` is at most 4x the ``rows`` that will touch the
     table (surrogate keys and dictionary codes; hashed composites are not).
     A span-sized table then costs no more memory traffic than the sort it
-    replaces.  ``keys - min`` stays inside the keys' own dtype.
+    replaces.  A caller's ``keys - min`` runs in the keys' own dtype: exact
+    for the int32/int64 a ``Column`` stores, but an int8/int16 span above
+    the signed maximum (-100..100 in int8) wraps — widen such keys first.
     """
     if keys.dtype.kind not in "iu" or not len(keys):
         return None
@@ -95,25 +120,19 @@ def appearance_rank(first: np.ndarray,
     return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
 
 
-def first_rows(group_index: np.ndarray, n_groups: int) -> np.ndarray:
-    """First row of each dense group id (groups are appearance-ordered)."""
-    first = np.full(n_groups, len(group_index), dtype=np.int64)
-    np.minimum.at(first, group_index, np.arange(len(group_index)))
-    return first
-
-
 def _reduce(func: AggFunc, group_index: np.ndarray, n_groups: int,
-            values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Apply one aggregation function per group over numeric values."""
-    gi = group_index[valid]
-    vals = values[valid]
+            values: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
+    """Apply one aggregation per group (``valid`` None: no NULL to mask)."""
+    gi, vals = group_index, values
+    if valid is not None:
+        gi, vals = group_index[valid], values[valid]
     if func is AggFunc.COUNT:
         return np.bincount(gi, minlength=n_groups).astype(np.int64)
     if func is AggFunc.SUM:
         if vals.dtype.kind == "f":
             return np.bincount(gi, weights=vals, minlength=n_groups)
         out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(out, gi, vals.astype(np.int64))
+        np.add.at(out, gi, vals.astype(np.int64, copy=False))
         return out
     if func is AggFunc.MIN:
         fill = np.iinfo(np.int64).max if vals.dtype.kind != "f" else np.inf
@@ -152,7 +171,7 @@ def apply_aggregates(
             out.append((spec.alias, int64(), Column(int64(), counts)))
             continue
         res = spec.expr.evaluate(table)
-        valid = res.valid_mask()
+        valid = None if res.nulls is None else ~res.nulls
         if res.dtype.is_string:
             if spec.func is AggFunc.COUNT:
                 # COUNT([DISTINCT] string): count on factorised codes.
@@ -191,9 +210,10 @@ def apply_aggregates(
 
 
 def _distinct_pairs(group_index: np.ndarray, values: np.ndarray,
-                    valid: np.ndarray):
+                    valid: Optional[np.ndarray]):
     """Keep one row per distinct (group, value) pair (DISTINCT aggregates)."""
-    positions = np.nonzero(valid)[0]
+    positions = (np.arange(len(values)) if valid is None
+                 else np.nonzero(valid)[0])
     if not len(positions):
         return group_index, values, valid
     gi = group_index[positions]
@@ -203,8 +223,7 @@ def _distinct_pairs(group_index: np.ndarray, values: np.ndarray,
     keep[1:] = (gi[order][1:] != gi[order][:-1]) \
         | (vals[order][1:] != vals[order][:-1])
     selected = positions[order[keep]]
-    return (group_index[selected], values[selected],
-            np.ones(len(selected), dtype=bool))
+    return group_index[selected], values[selected], None
 
 
 def _string_min_max(spec: AggSpec, group_index: np.ndarray, n_groups: int,
@@ -247,7 +266,7 @@ def grouping_key_arrays(table: Table, keys: Sequence[str]) -> list[np.ndarray]:
     arrays = []
     for name in keys:
         col = table.column(name)
-        arr = col.data.astype(np.int64)
+        arr = col.data.astype(np.int64, copy=False)
         if col.null_mask is not None:
             arr = np.where(col.null_mask, NULL_KEY_SENTINEL, arr)
         arrays.append(arr)

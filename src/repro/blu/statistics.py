@@ -29,7 +29,7 @@ def murmur3_fmix64(keys: np.ndarray) -> np.ndarray:
     MurmurHash3's 128-bit variant; applied to whole words it is the usual way
     engines hash fixed-width keys "with murmur".
     """
-    h = keys.astype(np.int64).view(np.uint64).copy()
+    h = np.array(keys, dtype=np.int64).view(np.uint64)     # the one copy
     with np.errstate(over="ignore"):
         h ^= h >> _U64(33)
         h *= _U64(0xFF51AFD7ED558CCD)

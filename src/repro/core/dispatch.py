@@ -89,7 +89,9 @@ class Piece:
 
     ``memory`` is the up-front reservation, ``staged`` the bytes MEMCPY
     stages for the H2D copy and ``segments`` the cacheable slices within
-    them (cache hits shrink the copy).  ``run`` receives the bytes that
+    them (cache hits shrink the copy) — a callable like
+    :attr:`Kernel.resident`, asked only when some device caches, so a key
+    nobody looks up is never digested.  ``run`` receives the bytes that
     will actually cross the bus and does the operator's functional work
     under the lease — anything it raises is classified by ``launch``.
     ``index`` names the piece's home device and H2D leg in a shard wave.
@@ -106,7 +108,7 @@ class Piece:
     tag: str
     staged: int
     run: Callable[[int], Kernel]
-    segments: Sequence[StagedSegment] = ()
+    segments: Callable[[], Sequence[StagedSegment]] = tuple
     index: int = 0
     on_lease: Optional[Callable[[int], None]] = None
     device_id: int = -1
@@ -143,6 +145,12 @@ class Dispatcher:
     def catalog_version(self) -> int:
         """The DDL version cached segments are keyed on."""
         return self.catalog.version if self.catalog is not None else 0
+
+    @property
+    def caching(self) -> bool:
+        """Whether any device has an enabled column cache."""
+        return any(d.cache is not None and d.cache.enabled
+                   for d in self.scheduler.devices)
 
     @property
     def device_capacity(self) -> int:
@@ -356,6 +364,7 @@ class Wave:
         scheduler = dispatch.scheduler
         monitor = dispatch.monitor
         piece.fallback = f"no GPU could reserve {piece.memory} bytes"
+        segments = piece.segments() if dispatch.caching else ()
         preferences = [None]
         if self.homes:
             preferences = [self._home(piece.index), None]
@@ -363,7 +372,7 @@ class Wave:
             lease = scheduler.try_acquire(
                 piece.memory,
                 tag=piece.tag,
-                affinity=[s.key for s in piece.segments],
+                affinity=[s.key for s in segments],
                 prefer_device=prefer,
             )
             if lease is None:
@@ -380,7 +389,7 @@ class Wave:
                 hit_bytes = 0
                 missed: list[StagedSegment] = []
                 if caching:
-                    for segment in piece.segments:
+                    for segment in segments:
                         if cache.lookup(segment.key):
                             hit_bytes += segment.nbytes
                         else:

@@ -30,10 +30,9 @@ from repro.blu.engine import OperatorContext, cpu_groupby_executor
 from repro.blu.expressions import ColumnRef
 from repro.blu.evaluators import build_cpu_groupby_chain, build_gpu_host_chain
 from repro.blu.operators.aggregate import (
-    appearance_rank,
+    Factorisation,
     build_group_output,
-    first_rows,
-    group_encode,
+    factorise,
     grouping_key_arrays,
 )
 from repro.blu.plan import GroupByNode
@@ -44,7 +43,7 @@ from repro.core.dispatch import Dispatcher, Kernel, Piece
 from repro.core.metadata import RuntimeMetadata
 from repro.core.moderator import GpuModerator
 from repro.core.pathselect import ExecutionPath, select_groupby_path
-from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
+from repro.gpu.cache import SegmentKey, StagedSegment
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.partition import (
     PieceTerms,
@@ -109,9 +108,10 @@ class HybridGroupByExecutor:
             if plan is not None:
                 combined, exact = combine_keys(
                     grouping_key_arrays(table, node.keys))
+                factors, first_row = factorise(combined)
                 return self._run_pieces(
-                    table, node, ctx, plan, combined, exact,
-                    murmur3_fmix64(combined), optimizer_groups)
+                    table, node, ctx, plan, factors, first_row, exact,
+                    murmur3_fmix64(factors.keys), optimizer_groups)
             reason = refusal or reason
         if not decision.use_gpu:
             dispatch.record("groupby", decision.path.value, reason,
@@ -130,10 +130,14 @@ class HybridGroupByExecutor:
         dispatch = self.dispatch
 
         # Host half of the Figure-2 chain: load, concat, hash, KMV, memcpy.
+        # The keys are factorised once, here, for everything downstream;
+        # Murmur is a bijection and a KMV sketch keeps distinct values, so
+        # hashing the distinct keys gives the sketch hashing every row does.
         key_arrays = grouping_key_arrays(table, node.keys)
         combined, exact = combine_keys(key_arrays)
         key_bits = sum(table.schema.field(k).dtype.bits for k in node.keys)
-        hashes = murmur3_fmix64(combined)
+        factors, first_row = factorise(combined)
+        hashes = murmur3_fmix64(factors.keys)
         kmv = estimate_distinct(hashes, k=1024)
 
         payloads = _payload_specs(table, node)
@@ -156,8 +160,9 @@ class HybridGroupByExecutor:
                 metadata, len(node.keys), len(node.aggs), ctx),
             across=table.name)
         if plan is not None:
-            return self._run_pieces(table, node, ctx, plan, combined,
-                                    exact, hashes, optimizer_groups)
+            return self._run_pieces(table, node, ctx, plan, factors,
+                                    first_row, exact, hashes,
+                                    optimizer_groups)
 
         # Up-front device memory reservation, sized from optimizer metadata
         # (the KMV refinement may grow it below).  The reservation stays
@@ -167,6 +172,7 @@ class HybridGroupByExecutor:
         request = GroupByRequest(
             keys=combined, key_bits=key_bits, payloads=payloads,
             estimated_groups=metadata.estimated_groups, exact_keys=exact,
+            factors=factors,
         )
         kernel, _reason = self.moderator.choose(metadata)
         staged = metadata.staged_input_bytes()
@@ -191,7 +197,8 @@ class HybridGroupByExecutor:
 
         piece = Piece(
             rows=rows, memory=memory_needed, tag="groupby", staged=staged,
-            segments=groupby_segments(table, node, dispatch.catalog_version),
+            segments=lambda: groupby_segments(table, node,
+                                              dispatch.catalog_version),
             run=run,
             on_lease=lambda device_id: dispatch.record(
                 "groupby", "gpu",
@@ -210,7 +217,6 @@ class HybridGroupByExecutor:
             return out
 
         self._note_kmv(kmv.groups, winner.n_groups)
-        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             table, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{table.name}_grouped",
@@ -223,16 +229,20 @@ class HybridGroupByExecutor:
 
     def _run_pieces(self, table: Table, node: GroupByNode,
                     ctx: OperatorContext, plan: SplitPlan,
-                    combined: np.ndarray, exact: bool, hashes: np.ndarray,
+                    factors: Factorisation, first_row: np.ndarray,
+                    exact: bool, hashes: np.ndarray,
                     optimizer_groups: float) -> Table:
         """Hash-split one group-by into pieces that run independently.
 
-        Splitting on the grouping-key hash makes the pieces' group sets
-        disjoint, so the merge is a renumber-and-concatenate pass — no
-        re-aggregation.  The final group numbering follows global first
-        appearance, which makes the output *bit-identical* to the stock
-        CPU chain's for any piece count and any mix of per-piece GPU
-        faults (a faulted piece redoes its slice on the CPU chain and
+        Splitting on the grouping-key hash (``hashes``, of the distinct
+        keys) makes the pieces' group sets disjoint, so the merge is a
+        renumber-and-concatenate pass — no re-aggregation — and a piece
+        is a slice of the operator's one factorisation: the keys hashed
+        to it, already in piece-local appearance order, and their
+        counts.  The final numbering is that factorisation's — global
+        first appearance — which makes the output *bit-identical* to the
+        stock CPU chain's for any piece count and any mix of per-piece
+        GPU faults (a faulted piece is charged the CPU chain instead and
         changes nothing downstream).
 
         A plan in time streams device-sized partitions of an over-
@@ -253,8 +263,10 @@ class HybridGroupByExecutor:
         key_bits = sum(table.schema.field(k).dtype.bits for k in node.keys)
         payloads = _payload_specs(table, node)
         num_cols = len(node.keys) + max(1, len(payloads))
-        piece_rows = split_rows(hash_shard_assignment(hashes, pieces),
-                                pieces)
+        group_index, distinct, counts = factors
+        piece_of_group = hash_shard_assignment(hashes, pieces)
+        piece_groups = split_rows(piece_of_group, pieces)
+        piece_rows = split_rows(piece_of_group[group_index], pieces)
         if sharded:
             # The host only builds the shard index vectors (bandwidth-
             # bound); computing the per-row hash is on-device work,
@@ -274,25 +286,29 @@ class HybridGroupByExecutor:
             RuntimeMetadata(
                 rows=len(rows_p),
                 optimizer_groups=optimizer_groups / pieces,
-                kmv_groups=estimate_distinct(hashes[rows_p], k=1024).groups,
+                kmv_groups=estimate_distinct(hashes[groups_p],
+                                             k=1024).groups,
                 key_bits=key_bits, num_keys=len(node.keys),
                 payloads=payloads, exact_keys=exact,
             ) if len(rows_p) else None
-            for rows_p in piece_rows
+            for rows_p, groups_p in zip(piece_rows, piece_groups)
         ]
         piece_bytes = [m.staged_input_bytes() if m else 0 for m in metas]
 
-        group_index = np.empty(rows, dtype=np.int64)
-        offset = 0
+        local = np.empty(len(distinct), dtype=np.int64)
         with dispatch.wave("groupby", ctx, plan, piece_bytes) as wave:
-            for p, (rows_p, meta) in enumerate(zip(piece_rows, metas)):
+            for p, (rows_p, groups_p, meta) in enumerate(
+                    zip(piece_rows, piece_groups, metas)):
                 if meta is None:
                     continue
-                keys_p = combined[rows_p]
+                local[groups_p] = np.arange(len(groups_p))
                 request = GroupByRequest(
-                    keys=keys_p, key_bits=key_bits, payloads=payloads,
+                    keys=None, key_bits=key_bits, payloads=payloads,
                     estimated_groups=meta.estimated_groups,
                     exact_keys=exact,
+                    factors=Factorisation(local[group_index[rows_p]],
+                                          distinct[groups_p],
+                                          counts[groups_p]),
                 )
                 staged = meta.staged_input_bytes()
                 kernel, _reason = self.moderator.choose(meta)
@@ -328,13 +344,9 @@ class HybridGroupByExecutor:
                 if winner is None:
                     # The piece runs on the CPU chain instead (truly
                     # hybrid; the reroute of last resort for a shard).
-                    sub_index, n_sub = _piece_on_cpu(keys_p, node,
-                                                     payloads, ctx)
-                else:
-                    sub_index, n_sub = winner.group_index, winner.n_groups
-                self._note_kmv(meta.kmv_groups, n_sub, stamp_span=False)
-                group_index[rows_p] = sub_index + offset
-                offset += n_sub
+                    _piece_on_cpu(len(rows_p), node, payloads, ctx)
+                self._note_kmv(meta.kmv_groups, len(groups_p),
+                               stamp_span=False)
 
         exchange_seconds, cross_bytes = 0.0, 0
         if sharded:
@@ -354,24 +366,23 @@ class HybridGroupByExecutor:
                 gpu_seconds=exchange_seconds,
             ))
 
-        # The merge: renumber the disjoint per-piece group ids into
-        # global first-appearance order (one remap pass over the group
-        # index), which makes the concatenated output bit-identical to
-        # the stock CPU chain's hash-insertion order.
-        remap, first_row = appearance_rank(first_rows(group_index, offset),
-                                           rows)
-        group_index = remap[group_index]
-        merge_core_seconds = _merge_core_seconds(offset, rows, cost, sharded)
+        # The merge the modelled machine pays for: renumbering the
+        # disjoint per-piece group ids into global first-appearance order
+        # (the stock CPU chain's hash-insertion order).  The host already
+        # holds that numbering: the pieces were cut from it.
+        n_groups = len(distinct)
+        merge_core_seconds = _merge_core_seconds(n_groups, rows, cost,
+                                                 sharded)
         ctx.ledger.cpu("SHARD-MERGE" if sharded else "PARTITION-MERGE",
                        rows, merge_core_seconds, max_degree=ctx.degree)
         wave.report(
-            rows=rows, groups=int(offset),
+            rows=rows, groups=n_groups,
             merge_seconds=ctx.wall_seconds(merge_core_seconds),
             exchange_seconds=exchange_seconds,
             exchange_bytes=int(cross_bytes),
         )
         return build_group_output(
-            table, node.keys, node.aggs, group_index, first_row, offset,
+            table, node.keys, node.aggs, group_index, first_row, n_groups,
             name=f"{table.name}_grouped",
         )
 
@@ -545,19 +556,16 @@ def shard_terms(metadata: RuntimeMetadata, num_keys: int, num_aggs: int,
     )
 
 
-def _piece_on_cpu(keys: np.ndarray, node: GroupByNode, payloads: list,
-                  ctx: OperatorContext):
-    """One partition or shard on the CPU chain; returns its (dense
-    group index, group count)."""
+def _piece_on_cpu(rows: int, node: GroupByNode, payloads: list,
+                  ctx: OperatorContext) -> None:
+    """Charge one partition or shard to the CPU chain (its groups are
+    already numbered: a slice of the operator's factorisation)."""
     cost = ctx.config.cost
-    sub_index, _, n_sub = group_encode([keys])
     ctx.ledger.extend(build_gpu_host_chain(
-        rows=len(keys), num_keys=len(node.keys),
+        rows=rows, num_keys=len(node.keys),
         num_aggs=max(1, len(payloads)), staged_bytes=0, cost=cost,
     ).cost_events(ctx.degree))
-    ctx.ledger.cpu("LGHT", len(keys), len(keys) / cost.cpu_groupby_rate,
-                   ctx.degree)
-    return sub_index, n_sub
+    ctx.ledger.cpu("LGHT", rows, rows / cost.cpu_groupby_rate, ctx.degree)
 
 
 def groupby_segments(table: Table, node: GroupByNode,
@@ -573,33 +581,18 @@ def groupby_segments(table: Table, node: GroupByNode,
     join shares entries with its base table.  The fused chain admits
     its materialised group-by input under these same keys.
     """
-    rows = table.num_rows
-    segments = []
-    for name in node.keys:
-        col = table.column(name)
-        segments.append(StagedSegment(
-            key=SegmentKey(
-                table=table.name, column=name,
-                segment="key:" + content_digest(col.data,
-                                                col.null_mask),
-                catalog_version=version,
-            ),
-            nbytes=packed_key_bytes(col),
-        ))
-    for agg in node.aggs:
-        if not isinstance(agg.expr, ColumnRef):
-            continue
-        col = table.column(agg.expr.name)
-        segments.append(StagedSegment(
-            key=SegmentKey(
-                table=table.name, column=agg.expr.name,
-                segment="agg:" + content_digest(col.data,
-                                                col.null_mask),
-                catalog_version=version,
-            ),
-            nbytes=rows * 4,
-        ))
-    return segments
+    staged = [("key:", name, packed_key_bytes(table.column(name)))
+              for name in node.keys]
+    staged += [("agg:", agg.expr.name, table.num_rows * 4)
+               for agg in node.aggs if isinstance(agg.expr, ColumnRef)]
+    return [
+        StagedSegment(
+            key=SegmentKey(table=table.name, column=name,
+                           segment=role + table.column(name).digest(),
+                           catalog_version=version),
+            nbytes=nbytes)
+        for role, name, nbytes in staged
+    ]
 
 
 def _payload_specs(table: Table, node: GroupByNode) -> list[PayloadSpec]:

@@ -86,24 +86,23 @@ class HybridJoinExecutor:
         # row id per probe hit.
         staged = build_rows * 8 + probe_rows * 4
         version = dispatch.catalog_version
-        segments = [
-            StagedSegment(
-                key=SegmentKey(
-                    table=right.name, column=node.right_key,
-                    segment="join-build:" + content_digest(build_keys),
-                    catalog_version=version,
-                ),
-                nbytes=build_rows * 8,
-            ),
-            StagedSegment(
-                key=SegmentKey(
-                    table=left.name, column=node.left_key,
-                    segment="join-probe:" + content_digest(probe_keys),
-                    catalog_version=version,
-                ),
-                nbytes=probe_rows * 4,
-            ),
-        ]
+
+        def segments() -> list[StagedSegment]:
+            return [
+                StagedSegment(
+                    key=SegmentKey(
+                        table=table.name, column=column,
+                        segment=role + content_digest(keys),
+                        catalog_version=version,
+                    ),
+                    nbytes=nbytes,
+                )
+                for table, column, role, keys, nbytes in (
+                    (right, node.right_key, "join-build:", build_keys,
+                     build_rows * 8),
+                    (left, node.left_key, "join-probe:", probe_keys,
+                     probe_rows * 4))
+            ]
 
         def run(_bytes_in: int) -> Kernel:
             try:

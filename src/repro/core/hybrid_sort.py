@@ -235,20 +235,9 @@ class HybridSortExecutor:
                 ))
 
                 if job.length >= cost.cpu_sort_job_threshold:
-                    # A job is identified by its exact key/payload pairs:
-                    # the same slice of the same data sorted again (a
-                    # repeated ORDER BY across the query stream) hits.
-                    segment = StagedSegment(
-                        key=SegmentKey(
-                            table=table.name, column=keys_label,
-                            segment="sort:" + content_digest(partial,
-                                                             rows_idx),
-                            catalog_version=dispatch.catalog_version,
-                        ),
-                        nbytes=job.length * 8,
-                    )
-                    result = self._gpu_sort_job(partial, radix, ctx,
-                                                stats, segment)
+                    result = self._gpu_sort_job(
+                        partial, rows_idx, radix, ctx, stats, table.name,
+                        keys_label)
                 else:
                     result = None
                 if result is None:
@@ -283,9 +272,9 @@ class HybridSortExecutor:
             dispatch.monitor.record_sort_stats(stats)
         return order
 
-    def _gpu_sort_job(self, partial: np.ndarray, radix: RadixSortKernel,
-                      ctx: OperatorContext, stats: SortRunStats,
-                      segment: StagedSegment):
+    def _gpu_sort_job(self, partial: np.ndarray, rows_idx: np.ndarray,
+                      radix: RadixSortKernel, ctx: OperatorContext,
+                      stats: SortRunStats, table_name: str, keys_label: str):
         """Dispatch one job to the GPUs; None means fall back to the CPU.
 
         In order of preference: range shards across the healthy devices,
@@ -296,7 +285,7 @@ class HybridSortExecutor:
         length = len(partial)
         plan, _ = dispatch.split(
             "sort", ctx, lambda: shard_terms(length, ctx),
-            across=segment.key.table)
+            across=table_name)
         if plan is not None:
             return self._split_sort_job(partial, radix, ctx, stats, plan)
         memory_needed = radix.device_bytes(length)
@@ -312,7 +301,18 @@ class HybridSortExecutor:
         result = dispatch.launch("sort", ctx, Piece(
             rows=length, memory=memory_needed, tag="sort",
             staged=length * 8,         # key + payload pairs
-            segments=[segment],
+            # A job is identified by its exact key/payload pairs: the
+            # same slice of the same data sorted again (a repeated ORDER
+            # BY across the query stream) hits.  Only this whole-job
+            # branch looks the key up, so only it digests.
+            segments=lambda: [StagedSegment(
+                key=SegmentKey(
+                    table=table_name, column=keys_label,
+                    segment="sort:" + content_digest(partial, rows_idx),
+                    catalog_version=dispatch.catalog_version,
+                ),
+                nbytes=length * 8,
+            )],
             run=lambda _bytes_in: _radix_kernel(radix, partial),
         ))
         if result is None:

@@ -22,7 +22,7 @@ observed kernel times per query-shape bucket and converges on the winner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -168,29 +168,21 @@ def _run_with_regrow(
     """
     wasted = 0.0
     headroom = 1.5
-    request_groups = max(1, request.estimated_groups)
+    grown = replace(request, factors=request.factorisation(),
+                    estimated_groups=max(1, request.estimated_groups))
     for attempt in range(max_attempts):
         try:
-            grown = GroupByRequest(
-                keys=request.keys, key_bits=request.key_bits,
-                payloads=request.payloads, estimated_groups=request_groups,
-                exact_keys=request.exact_keys,
-            )
             result = kernel.run(grown, headroom=headroom)
             return result, wasted, attempt
         except HashTableOverflowError:
-            # Charge the aborted attempt: it initialised and partially
-            # filled the undersized table before detecting overflow.
-            wasted += (kernel.table_bytes(
-                GroupByRequest(
-                    keys=request.keys, key_bits=request.key_bits,
-                    payloads=request.payloads,
-                    estimated_groups=request_groups,
-                )
-            ) / kernel.cost.gpu_init_rate) + (
-                len(request.keys) / kernel.cost.gpu_ht_insert_rate
+            # Charge the aborted attempt: it initialised the undersized
+            # table and streamed the keys at it before detecting overflow.
+            wasted += (kernel.table_bytes(grown)
+                       / kernel.cost.gpu_init_rate) + (
+                request.rows / kernel.cost.gpu_ht_insert_rate
             )
-            request_groups *= 4
+            grown = replace(grown,
+                            estimated_groups=grown.estimated_groups * 4)
     raise HashTableOverflowError(
         f"group-by did not fit after {max_attempts} regrow attempts"
     )

@@ -93,6 +93,11 @@ class DeviceLostError(GpuError):
     to the CPU."""
 
 
+class HashTableReuseError(ReproError):
+    """A second ``insert`` into one ``GpuHashTable`` (misuse: starting
+    empty is what lets overflow be decided before the first round)."""
+
+
 class SchedulerError(ReproError):
     """The multi-GPU scheduler was *misused* (double release, negative
     request).  Note: "no device available right now" is NOT an error —

@@ -11,10 +11,11 @@ this module is our reservation-friendly version of that idea:
   after load (:mod:`repro.blu.column`), so a cached copy can never go
   stale; the ``segment`` component is a role-prefixed content digest of
   the encoded bytes, standing in for the segment/TSN identity a real
-  column store would carry.  Identical digest implies identical staged
+  column store would carry.  The column owns it (:meth:`~repro.blu.
+  column.Column.digest`: hashed once, kept) and identity stays content-
+  addressed, not lineage: identical digest implies identical staged
   bytes, so derived tables (a fact table gathered through an
-  order-preserving N:1 dimension join) hit on the same entries as their
-  base columns.
+  order-preserving N:1 dimension join) hit on their base columns' entries.
 - A hit elides the host->device transfer entirely: the executor stages
   and ships only the missed bytes (``transfer_seconds(0) == 0.0`` -- no
   setup overhead either).
@@ -32,31 +33,14 @@ this module is our reservation-friendly version of that idea:
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-import numpy as np
-
+from repro.blu.column import content_digest  # noqa: F401  (re-export)
 from repro.errors import DeviceMemoryError
 from repro.gpu.memory import DeviceMemoryManager, Reservation
 from repro.obs.tracing import NULL_TRACER
-
-
-def content_digest(*arrays: Optional[np.ndarray]) -> str:
-    """Stable hex digest of the encoded bytes of one column segment.
-
-    ``None`` entries (e.g. an absent null mask) are folded in as a
-    marker byte so ``(data, None)`` and ``(data, mask)`` never collide.
-    """
-    digest = hashlib.blake2b(digest_size=12)
-    for array in arrays:
-        if array is None:
-            digest.update(b"\x00")
-            continue
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

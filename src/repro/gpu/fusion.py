@@ -50,7 +50,7 @@ from repro.blu.operators.join import _aligned_keys, _assemble, cpu_probe_rate
 from repro.blu.operators.scan import execute_scan
 from repro.blu.operators.aggregate import (
     build_group_output,
-    first_rows,
+    factorise,
     grouping_key_arrays,
 )
 from repro.blu.plan import (
@@ -442,7 +442,8 @@ class FusedExecutor:
         build_outs = [execute(b, ctx) for b in chain.builds]
 
         plan = _plan_external_inputs(chain, probe_out, build_outs,
-                                     dispatch.catalog_version)
+                                     dispatch.catalog_version,
+                                     dispatch.caching)
 
         # One up-front reservation for the whole chain (section 2.1.1
         # discipline): staged inputs + every stage's hash table +
@@ -551,13 +552,15 @@ class FusedExecutor:
             # pass inside the launch.  Sizing still comes from the
             # optimizer (the reservation predates the join, so a refined
             # estimate cannot grow it) — the sketch feeds the paper's
-            # central estimate-vs-actual monitoring signal instead.
-            kmv = estimate_distinct(murmur3_fmix64(combined), k=1024)
+            # central estimate-vs-actual monitoring signal instead (the
+            # host sketches the distinct keys, as ``_run_on_gpu`` does).
+            factors, first_row = factorise(combined)
+            kmv = estimate_distinct(murmur3_fmix64(factors.keys), k=1024)
             fused_seconds += current.num_rows / cost.gpu_scan_rate
             request = GroupByRequest(
                 keys=combined, key_bits=key_bits, payloads=payloads,
                 estimated_groups=metadata.estimated_groups,
-                exact_keys=exact,
+                exact_keys=exact, factors=factors,
             )
 
             ctx.ledger.extend(build_fused_host_chain(
@@ -581,7 +584,8 @@ class FusedExecutor:
                 seconds=fused_seconds,
                 bytes_out=metadata.result_bytes(),
                 outcome=(winner, current, kmv, matches_total,
-                         max(0, int(per_op_bytes) - plan.staged_bytes)),
+                         max(0, int(per_op_bytes) - plan.staged_bytes),
+                         first_row),
                 stages=chain.stages,
                 # The final gather left the group-by's own staged slices
                 # (packed keys, 4 B/row payloads) resident too, so admit
@@ -594,13 +598,14 @@ class FusedExecutor:
 
         piece = Piece(
             rows=probe_out.num_rows, memory=memory_needed, tag="fused",
-            staged=plan.staged_bytes, segments=plan.segments, run=run,
+            staged=plan.staged_bytes, run=run,
+            segments=lambda: plan.segments,
         )
         fused = dispatch.launch("fused", ctx, piece)
         if fused is None:
             return self._degrade(chain, ctx, probe_out, build_outs,
                                  piece.fallback, piece.device_id)
-        winner, current, kmv, matches_total, elided = fused
+        winner, current, kmv, matches_total, elided, first_row = fused
 
         self._observe_chain(chain, piece.device_id, elided, matches_total,
                             winner.kernel)
@@ -612,7 +617,6 @@ class FusedExecutor:
                 groupby_span.attributes["kmv_groups"] = int(kmv.groups)
                 groupby_span.attributes["kmv_relative_error"] = error
 
-        first_row = first_rows(winner.group_index, winner.n_groups)
         return build_group_output(
             current, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{current.name}_grouped",
@@ -703,8 +707,8 @@ class _ExternalInputs:
 
 
 def _plan_external_inputs(chain: FusableChain, probe_out: Table,
-                          build_outs: Sequence[Table],
-                          version: int) -> _ExternalInputs:
+                          build_outs: Sequence[Table], version: int,
+                          caching: bool) -> _ExternalInputs:
     """Plan what crosses the bus for a fused launch, at owner granularity.
 
     Every external column ships exactly once from the base table that
@@ -715,7 +719,8 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
     than one stage (a probe key that is also a grouping key) are
     deduplicated.  Computed expressions and ``COUNT(*)`` have no stable
     column identity: they charge probe-granularity bytes but produce no
-    cacheable segment.
+    cacheable segment.  Nor does anything when no device is ``caching``:
+    a key nobody will look up is not digested.
     """
     tables = [probe_out, *build_outs]
     plan = _ExternalInputs()
@@ -726,34 +731,36 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
             return
         shipped.add((table.name, column))
         plan.staged_bytes += nbytes
-        col = table.column(column)
-        plan.segments.append(StagedSegment(
-            key=SegmentKey(
-                table=table.name, column=column,
-                segment=prefix + content_digest(col.data, col.null_mask),
-                catalog_version=version,
-            ),
-            nbytes=nbytes,
-        ))
+        if caching:
+            plan.segments.append(StagedSegment(
+                key=SegmentKey(
+                    table=table.name, column=column,
+                    segment=prefix + table.column(column).digest(),
+                    catalog_version=version,
+                ),
+                nbytes=nbytes,
+            ))
 
     # Join keys: build side as 8-byte words (hybrid-join-compatible
     # segments, so the two paths share cache entries), probe side packed.
     for join, build in zip(chain.joins, build_outs):
         build_col = build.column(join.right_key)
+        owner = _owner_of(join.left_key, tables)
         if (build.name, join.right_key) not in shipped:
             shipped.add((build.name, join.right_key))
             plan.staged_bytes += build.num_rows * 8
-            build_keys, _ = _aligned_keys(
-                build_col, _probe_column(join, tables) or build_col)
-            plan.segments.append(StagedSegment(
-                key=SegmentKey(
-                    table=build.name, column=join.right_key,
-                    segment="join-build:" + content_digest(build_keys),
-                    catalog_version=version,
-                ),
-                nbytes=build.num_rows * 8,
-            ))
-        owner = _owner_of(join.left_key, tables)
+            if caching:
+                probe_col = owner.column(join.left_key) if owner else None
+                build_keys, _ = _aligned_keys(build_col,
+                                              probe_col or build_col)
+                plan.segments.append(StagedSegment(
+                    key=SegmentKey(
+                        table=build.name, column=join.right_key,
+                        segment="join-build:" + content_digest(build_keys),
+                        catalog_version=version,
+                    ),
+                    nbytes=build.num_rows * 8,
+                ))
         if owner is not None:
             ship(owner, join.left_key, owner.num_rows * _PACKED,
                  "fused-col:")
@@ -798,11 +805,6 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
         else:
             plan.staged_bytes += probe_out.num_rows * _PACKED
     return plan
-
-
-def _probe_column(join: JoinNode, tables: Sequence[Table]):
-    owner = _owner_of(join.left_key, tables)
-    return owner.column(join.left_key) if owner is not None else None
 
 
 def _owner_of(column: Optional[str],

@@ -10,58 +10,18 @@ overhead is pure waste.
 
 from __future__ import annotations
 
-from repro.config import CostModel
-from repro.gpu.kernels.atomics import AtomicsModel
-from repro.gpu.kernels.hashtable import GpuHashTable
+from repro.gpu.kernels.groupby_regular import RegularGroupByKernel
 from repro.gpu.kernels.request import GroupByKernelResult, GroupByRequest
 
-_WIDE_KEY_LOCK_PENALTY = 3.0
 
-
-class GlobalLockGroupByKernel:
+class GlobalLockGroupByKernel(RegularGroupByKernel):
     """Row-lock aggregation variant of the hash group-by."""
 
     name = "groupby_biglock"
-
-    def __init__(self, cost: CostModel) -> None:
-        self.cost = cost
-        self.atomics = AtomicsModel(cost)
-
-    def table_bytes(self, request: GroupByRequest,
-                    headroom: float = 1.5) -> int:
-        table = GpuHashTable.sized_for(
-            request.estimated_groups, request.key_bits, request.payloads,
-            headroom=headroom,
-        )
-        return table.table_bytes
+    row_lock = True
 
     def run(self, request: GroupByRequest,
             headroom: float = 1.5) -> GroupByKernelResult:
-        table = GpuHashTable.sized_for(
-            request.estimated_groups, request.key_bits, request.payloads,
-            headroom=headroom,
-        )
-        _row_slot, stats = table.insert(request.keys)
-        n_groups = stats.groups         # fresh table: one entry per group
-
-        init_seconds = table.table_bytes / self.cost.gpu_init_rate
-        insert_seconds = stats.total_accesses / self.cost.gpu_ht_insert_rate
-        if request.key_bits > 64:
-            insert_seconds *= _WIDE_KEY_LOCK_PENALTY
-        agg_seconds = self.atomics.total_aggregation_seconds(
-            request.payloads, request.rows, n_groups, row_lock=True,
-        )
-        return GroupByKernelResult(
-            kernel=self.name,
-            group_index=stats.group_index,
-            n_groups=n_groups,
-            kernel_seconds=init_seconds + insert_seconds + agg_seconds,
-            table_bytes=table.table_bytes,
-            stats={
-                "probes": stats.probes,
-                "fill_ratio": stats.fill_ratio,
-                "init_seconds": init_seconds,
-                "insert_seconds": insert_seconds,
-                "agg_seconds": agg_seconds,
-            },
-        )
+        """Kernel 1's insert, then one row lock per matched entry (its own
+        method, so a tracer can tell the two kernels' launches apart)."""
+        return super().run(request, headroom)

@@ -20,6 +20,8 @@ class RegularGroupByKernel:
     """The default hash-based group-by/aggregation kernel."""
 
     name = "groupby_regular"
+    #: One atomic per payload; kernel 3 takes one row lock instead.
+    row_lock = False
 
     def __init__(self, cost: CostModel) -> None:
         self.cost = cost
@@ -42,7 +44,8 @@ class RegularGroupByKernel:
             request.estimated_groups, request.key_bits, request.payloads,
             headroom=headroom,
         )
-        _row_slot, stats = table.insert(request.keys)
+        factors = request.factorisation()
+        _row_slot, stats = table.insert(factors)
         n_groups = stats.groups         # fresh table: one entry per group
 
         init_seconds = table.table_bytes / self.cost.gpu_init_rate
@@ -50,11 +53,11 @@ class RegularGroupByKernel:
         if request.key_bits > 64:
             insert_seconds *= _WIDE_KEY_LOCK_PENALTY
         agg_seconds = self.atomics.total_aggregation_seconds(
-            request.payloads, request.rows, n_groups, row_lock=False,
+            request.payloads, request.rows, n_groups, row_lock=self.row_lock,
         )
         return GroupByKernelResult(
             kernel=self.name,
-            group_index=stats.group_index,
+            group_index=factors.group_index,
             n_groups=n_groups,
             kernel_seconds=init_seconds + insert_seconds + agg_seconds,
             table_bytes=table.table_bytes,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blu.operators.aggregate import group_encode
 from repro.config import CostModel
 from repro.gpu.kernels.atomics import AtomicsModel
 from repro.gpu.kernels.hashtable import HashTableLayout
@@ -62,7 +61,6 @@ class SharedMemoryGroupByKernel:
 
     def run(self, request: GroupByRequest,
             headroom: float = 1.5) -> GroupByKernelResult:
-        keys = request.keys
         rows = request.rows
         capacity = self.shared_capacity_groups(request)
 
@@ -71,7 +69,8 @@ class SharedMemoryGroupByKernel:
         # contiguous slice, holding the groups seen there; a slice whose
         # group count exceeds shared capacity must flush (merge early)
         # once per overflow.
-        group_index, _first, n_groups = group_encode([keys])
+        group_index, distinct, _counts = request.factorisation()
+        n_groups = len(distinct)
         bounds = np.linspace(0, rows, self.smx_count + 1, dtype=np.int64)
         smx_of_row = np.repeat(np.arange(self.smx_count), np.diff(bounds))
         seen = np.zeros((self.smx_count, n_groups), dtype=bool)

@@ -19,16 +19,15 @@ Three pieces of section 4.3.1 live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.blu.datatypes import TypeKind
 from repro.blu.expressions import AggFunc
-from repro.blu.operators.aggregate import group_encode
+from repro.blu.operators.aggregate import Factorisation
 from repro.blu.statistics import murmur3_fmix64, murmur3_combine
-from repro.errors import HashTableOverflowError
+from repro.errors import HashTableOverflowError, HashTableReuseError
 from repro.gpu.kernels.request import PayloadSpec
 
 _EMPTY = np.int64(np.iinfo(np.int64).min)       # sentinel for a free slot
@@ -120,7 +119,7 @@ def combine_keys(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, bool]:
     if not key_arrays:
         raise ValueError("combine_keys requires at least one key column")
     if len(key_arrays) == 1:
-        return key_arrays[0].astype(np.int64), True
+        return key_arrays[0].astype(np.int64, copy=False), True
 
     shifted_bits = []
     offsets = []
@@ -158,10 +157,6 @@ class InsertStats:
     rounds: int               # CAS retry rounds
     groups: int
     slots: int
-    #: Dense first-appearance group id per inserted row: the insert's own
-    #: factorisation, so callers need not re-derive it from the slots.
-    group_index: Optional[np.ndarray] = field(default=None, compare=False,
-                                              repr=False)
 
     @property
     def fill_ratio(self) -> float:
@@ -216,42 +211,44 @@ class GpuHashTable:
         hashed = murmur3_fmix64(keys)
         return (hashed % np.uint64(self.slots)).astype(np.int64)
 
-    def insert(self, keys: np.ndarray) -> tuple[np.ndarray, InsertStats]:
+    def insert(self,
+               factors: Factorisation) -> tuple[np.ndarray, InsertStats]:
         """Insert every row's key; return (slot per row, stats).
 
         Simulates the massively-parallel loop: all unresolved rows act each
         round; empty slots are claimed first-writer-wins (atomicCAS), losers
         retry, occupied mismatches probe linearly.  Every row of a key walks
         the same probe path, so the rounds run over the *distinct* keys
-        (ordered by first appearance, weighted by multiplicity): the key
-        with the earliest first row wins a contested empty slot, and its
-        key-mates find the entry one round later.
+        (``factors``: ordered by first appearance, weighted by multiplicity):
+        the key with the earliest first row wins a contested empty slot, and
+        its key-mates find the entry one round later.  A table takes one
+        insert: starting empty, it overflows iff the batch has more distinct
+        keys than slots, which is decided before the first round.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        group_index, first_row, n_keys = group_encode([keys])
-        dkeys = keys[first_row]
-        weight = np.bincount(group_index, minlength=n_keys)
+        if self.filled:
+            raise HashTableReuseError(
+                "insert runs once per table (it must start empty)")
+        group_index, dkeys, weight = factors
+        n_keys = len(dkeys)
+        if n_keys > self.slots:
+            raise HashTableOverflowError(
+                f"{n_keys} distinct keys cannot fit {self.slots} slots "
+                "(group estimate too small)")
         if (dkeys == _EMPTY).any():
             # The all-F pattern marks a free slot, so a key equal to it
             # rides under the nearest value absent from this (only) batch.
             alias = _EMPTY + 1
             while (dkeys == alias).any():
                 alias += 1
-            dkeys[dkeys == _EMPTY] = alias
+            dkeys = np.where(dkeys == _EMPTY, alias, dkeys)
         key_slot = np.full(n_keys, -1, dtype=np.int64)
         cur = self._slot_of(dkeys)
         active = np.arange(n_keys)
         probes = 0
         rounds = 0
         mates_pending = False
-        max_rounds = 4 * self.slots + 64
-        while active.size:
+        while active.size:      # keys <= slots: every path ends at a free slot
             rounds += 1
-            if rounds > max_rounds:
-                raise HashTableOverflowError(
-                    f"insert did not converge after {rounds} rounds "
-                    f"(slots={self.slots})"
-                )
             slots_now = cur[active]
             active_keys = dkeys[active]
             occupants = self.table[slots_now]
@@ -268,8 +265,6 @@ class GpuHashTable:
                 resolved[won] = True
                 self.filled += len(won)
                 mates_pending = bool((weight[active[won]] > 1).any())
-                if self.filled > self.slots:
-                    raise HashTableOverflowError("slot accounting corrupted")
 
             key_slot[active[resolved]] = slots_now[resolved]
             active = active[~resolved]
@@ -278,22 +273,10 @@ class GpuHashTable:
             # Everyone left faces an occupied mismatch: probe onward.
             cur[active] = (cur[active] + 1) % self.slots
             probes += int(weight[active].sum())
-
-            if self.filled >= self.slots:
-                # Table is full: any unresolved key absent from the table
-                # can never be inserted — the estimate was too small.
-                missing = ~np.isin(dkeys[active], self.table)
-                if missing.any():
-                    raise HashTableOverflowError(
-                        f"hash table full at {self.slots} slots with "
-                        f"{int(weight[active][missing].sum())} unplaced keys "
-                        "(group estimate too small)"
-                    )
         if mates_pending:
             # The last winners' key-mates lost the CAS and match one
             # round later.
             rounds += 1
-        stats = InsertStats(rows=len(keys), probes=probes, rounds=rounds,
-                            groups=self.filled, slots=self.slots,
-                            group_index=group_index)
-        return key_slot[group_index], stats
+        return key_slot[group_index], InsertStats(
+            rows=len(group_index), probes=probes, rounds=rounds,
+            groups=self.filled, slots=self.slots)

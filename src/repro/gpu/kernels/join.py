@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.blu.operators.aggregate import group_encode
+from repro.blu.operators.aggregate import dense_span, factorise
 from repro.config import CostModel
 from repro.errors import GpuError
 from repro.gpu.kernels.hashtable import GpuHashTable, HashTableLayout, MaskField
@@ -74,14 +74,15 @@ class HashJoinKernel:
         Raises :class:`~repro.errors.GpuError` when the build side has
         duplicate keys (the kernel's documented scope).
         """
-        build_keys = build_keys.astype(np.int64)
-        probe_keys = probe_keys.astype(np.int64)
+        build_keys = build_keys.astype(np.int64, copy=False)
+        probe_keys = probe_keys.astype(np.int64, copy=False)
         table = GpuHashTable(
             slots=max(16, int(len(build_keys) * headroom)),
             key_bits=key_bits,
             layout=_join_layout(key_bits),
         )
-        row_slot, insert_stats = table.insert(build_keys)
+        # The build side has no host chain behind it: it factorises itself.
+        row_slot, insert_stats = table.insert(factorise(build_keys)[0])
         if insert_stats.groups != len(build_keys):
             raise GpuError(
                 "hash_join kernel requires unique build keys "
@@ -127,11 +128,21 @@ def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Parallel linear-probing lookups: slot of each key's match or -1.
 
     Rows with equal keys walk the same path, so the walk runs once per
-    distinct key and its probe steps count once per row of that key.
+    distinct key and its probe steps count once per row of that key.  A
+    read-only walk does not depend on the order the keys appeared in, so
+    on a dense span the distinct keys and their row counts come from one
+    ``bincount`` and the answers map back through the span table; only
+    off it is a first-appearance factorisation worth its sort.
     """
-    key_of_row, first_row, n_keys = group_encode([keys])
-    distinct = keys[first_row]
-    weight = np.bincount(key_of_row, minlength=n_keys)
+    span = dense_span(keys, len(keys))
+    if span is not None:
+        key_of_row = keys - span[0]
+        counts = np.bincount(key_of_row, minlength=span[1])
+        present = np.flatnonzero(counts)
+        distinct, weight = present + span[0], counts[present]
+    else:
+        (key_of_row, distinct, weight), _first = factorise(keys)
+    n_keys = len(distinct)
     found = np.full(n_keys, -1, dtype=np.int64)
     cur = table._slot_of(distinct)
     active = np.arange(n_keys)
@@ -147,4 +158,9 @@ def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
         active = active[~hit & (occupants != empty)]
         cur[active] = (cur[active] + 1) % table.slots
         extra_probes += int(weight[active].sum())
+    if span is not None:
+        # Back through the span table (values no row carries stay -1).
+        by_value = np.full(span[1], -1, dtype=np.int64)
+        by_value[present] = found
+        found = by_value
     return found[key_of_row], extra_probes

@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blu.datatypes import decimal, float64, int32, int64
 from repro.blu.expressions import AggFunc
-from repro.blu.operators.aggregate import group_encode
-from repro.errors import HashTableOverflowError
+from repro.blu.operators.aggregate import (
+    NULL_KEY_SENTINEL,
+    factorise,
+    group_encode,
+)
+from repro.errors import HashTableOverflowError, HashTableReuseError
 from repro.gpu.kernels.hashtable import (
     GpuHashTable,
     HashTableLayout,
@@ -16,6 +20,11 @@ from repro.gpu.kernels.hashtable import (
 from repro.gpu.kernels.request import PayloadSpec
 from repro.gpu.kernels.join import _probe
 from tests.gpu.row_level_oracles import insert_row_level, probe_row_level
+
+
+def _insert(table, keys):
+    """``insert`` as a caller with raw keys reaches it: factorise first."""
+    return table.insert(factorise(keys)[0])
 
 
 class TestTable1Mask:
@@ -112,7 +121,7 @@ class TestInsertion:
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 300, 20_000).astype(np.int64)
         table = GpuHashTable.sized_for(300, 64, self._payloads())
-        row_slot, stats = table.insert(keys)
+        row_slot, stats = _insert(table, keys)
         assert stats.groups == len(np.unique(keys))
         # Same slot iff same key.
         gi, _, n = group_encode([row_slot])
@@ -127,8 +136,8 @@ class TestInsertion:
                                        headroom=4.0)
         tight = GpuHashTable.sized_for(10_000, 64, self._payloads(),
                                        headroom=1.15)
-        _, stats_roomy = roomy.insert(keys)
-        _, stats_tight = tight.insert(keys)
+        _, stats_roomy = _insert(roomy, keys)
+        _, stats_tight = _insert(tight, keys)
         assert stats_tight.probes > stats_roomy.probes
 
     def test_overflow_when_estimate_too_small(self):
@@ -136,20 +145,20 @@ class TestInsertion:
         keys = np.arange(5000, dtype=np.int64)
         table = GpuHashTable.sized_for(100, 64, self._payloads())
         with pytest.raises(HashTableOverflowError):
-            table.insert(keys)
+            _insert(table, keys)
 
     def test_exact_fit_does_not_overflow(self):
         keys = np.arange(64, dtype=np.int64)
         table = GpuHashTable(slots=64, key_bits=64,
                              layout=HashTableLayout.build(64, self._payloads()))
-        row_slot, stats = table.insert(keys)
+        row_slot, stats = _insert(table, keys)
         assert stats.groups == 64
         assert stats.fill_ratio == 1.0
 
     def test_sentinel_key_remapped(self):
         keys = np.array([np.iinfo(np.int64).min, 0, 1], dtype=np.int64)
         table = GpuHashTable.sized_for(8, 64, self._payloads())
-        row_slot, stats = table.insert(keys)
+        row_slot, stats = _insert(table, keys)
         assert stats.groups == 3
 
     def test_sequential_keys_spread_uniformly(self):
@@ -161,7 +170,7 @@ class TestInsertion:
         slots = table._slot_of(keys)
         distinct = len(np.unique(slots))
         assert distinct > 0.6 * len(keys)       # near-uniform occupancy
-        _, stats = table.insert(keys)
+        _, stats = _insert(table, keys)
         assert stats.probes < 3 * len(keys)
 
     def test_structured_keys_no_probe_explosion(self):
@@ -171,15 +180,15 @@ class TestInsertion:
         combined, _ = combine_keys([date, store])
         table = GpuHashTable.sized_for(200_000, 64,
                                        self._payloads(), headroom=1.5)
-        _, stats = table.insert(combined)
+        _, stats = _insert(table, combined)
         assert stats.probes < 5 * len(combined)
 
     def test_deterministic(self):
         keys = np.random.default_rng(10).integers(0, 99, 1000).astype(np.int64)
         t1 = GpuHashTable.sized_for(99, 64, self._payloads())
         t2 = GpuHashTable.sized_for(99, 64, self._payloads())
-        s1, st1 = t1.insert(keys)
-        s2, st2 = t2.insert(keys)
+        s1, st1 = _insert(t1, keys)
+        s2, st2 = _insert(t2, keys)
         assert np.array_equal(s1, s2)
         assert st1.probes == st2.probes
 
@@ -191,9 +200,15 @@ class TestInsertion:
 _distinct_batch = st.lists(st.integers(0, 10_000), max_size=80, unique=True)
 _duplicate_heavy_batch = st.integers(1, 12).flatmap(
     lambda card: st.lists(st.integers(0, card - 1), max_size=120))
+#: The empty-slot pattern and the NULL-group sentinel beside ordinary keys.
+_sentinel_batch = st.lists(st.sampled_from(
+    [np.iinfo(np.int64).min, int(NULL_KEY_SENTINEL), -1, 0, 3]), max_size=40)
 _key_batches = st.lists(
-    st.one_of(_distinct_batch, _duplicate_heavy_batch)
-    .map(lambda rows: np.asarray(rows, dtype=np.int64) * 7919),
+    st.one_of(
+        st.one_of(_distinct_batch, _duplicate_heavy_batch)      # sparse span
+        .map(lambda rows: np.asarray(rows, dtype=np.int64) * 7919),
+        st.one_of(_sentinel_batch, _duplicate_heavy_batch)      # dense span
+        .map(lambda rows: np.asarray(rows, dtype=np.int64))),
     min_size=1, max_size=3)
 
 
@@ -207,8 +222,8 @@ def _attempt(insert, keys):
 
 class TestInsertMatchesRowLevelOracle:
     """Every simulated quantity of the per-distinct-key insert equals the
-    row-at-a-time loop it replaced: one batch or several into the same
-    (pre-filled) table, roomy or too small (overflow)."""
+    row-at-a-time loop it replaced, on a table roomy or too small (where
+    both overflow — the new one before it has touched a slot)."""
 
     @given(batches=_key_batches, slots=st.integers(1, 96))
     @settings(max_examples=300, deadline=None)
@@ -216,33 +231,42 @@ class TestInsertMatchesRowLevelOracle:
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
         new = GpuHashTable(slots, 64, layout)
         old = GpuHashTable(slots, 64, layout)
-        for keys in batches:
-            got = _attempt(new.insert, keys)
-            want = _attempt(lambda k: insert_row_level(old, k), keys)
-            assert np.array_equal(new.table, old.table)
-            assert new.filled == old.filled
-            if isinstance(want, HashTableOverflowError):
-                assert isinstance(got, HashTableOverflowError)
-                assert str(got) == str(want)
-                return
-            (row_slot, stats), (ref_slot, ref_stats) = got, want
-            assert np.array_equal(row_slot, ref_slot)
-            assert stats == ref_stats        # rows/probes/rounds/groups/slots
-            assert stats.fill_ratio == ref_stats.fill_ratio
-            assert np.array_equal(stats.group_index,
-                                  group_encode([ref_slot])[0])
+        keys = np.concatenate(batches)
+        got = _attempt(lambda k: _insert(new, k), keys)
+        want = _attempt(lambda k: insert_row_level(old, k), keys)
+        if isinstance(want, HashTableOverflowError):
+            assert isinstance(got, HashTableOverflowError)
+            assert new.filled == 0
+            return
+        assert np.array_equal(new.table, old.table)
+        assert new.filled == old.filled
+        (row_slot, stats), (ref_slot, ref_stats) = got, want
+        assert np.array_equal(row_slot, ref_slot)
+        assert stats == ref_stats        # rows/probes/rounds/groups/slots
+        assert stats.fill_ratio == ref_stats.fill_ratio
+        assert np.array_equal(factorise(keys)[0].group_index,
+                              group_encode([ref_slot])[0])
+
+    def test_second_insert_is_a_typed_misuse_error(self):
+        layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
+        table = GpuHashTable(8, 64, layout)
+        _insert(table, np.array([3, 4], dtype=np.int64))
+        with pytest.raises(HashTableReuseError):
+            _insert(table, np.array([5], dtype=np.int64))
 
     @given(build=_distinct_batch,
-           probe=_duplicate_heavy_batch | _distinct_batch,
+           probe=_duplicate_heavy_batch | _distinct_batch | _sentinel_batch,
            slack=st.integers(0, 40))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_join_probe_same_matches_and_probe_count(self, build, probe,
                                                      slack):
-        """The join's lookups walk distinct probe keys too; a full table
-        (``slack`` 0) exercises the bounded walk of absent keys."""
+        """The join's lookups walk distinct probe keys too — taken by value
+        from one ``bincount`` on a dense span, by first appearance off it;
+        a full table (``slack`` 0) exercises the bounded walk of absent
+        keys."""
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
         table = GpuHashTable(max(1, len(build) + slack), 64, layout)
-        table.insert(np.asarray(build, dtype=np.int64))
+        _insert(table, np.asarray(build, dtype=np.int64))
         keys = np.asarray(probe, dtype=np.int64)
         found, extra = _probe(table, keys)
         ref_found, ref_extra = probe_row_level(table, keys)
@@ -256,7 +280,7 @@ class TestInsertMatchesRowLevelOracle:
         keys = np.array([lo, 0, 1, lo, 1], dtype=np.int64)
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
         new, old = GpuHashTable(8, 64, layout), GpuHashTable(8, 64, layout)
-        row_slot, stats = new.insert(keys)
+        row_slot, stats = _insert(new, keys)
         ref_slot, ref_stats = insert_row_level(old, keys)
         assert np.array_equal(row_slot, ref_slot)
         assert stats == ref_stats
@@ -274,11 +298,12 @@ class TestSentinelKeyRegression:
                          self.LO + 2], dtype=np.int64)
         table = GpuHashTable.sized_for(
             4, 64, [PayloadSpec(int64(), AggFunc.SUM)])
-        row_slot, stats = table.insert(keys)
+        row_slot, stats = _insert(table, keys)
         assert stats.groups == 4
         assert np.array_equal(group_encode([row_slot])[0],
                               group_encode([keys])[0])
-        assert np.array_equal(stats.group_index, group_encode([keys])[0])
+        assert np.array_equal(factorise(keys)[0].group_index,
+                              group_encode([keys])[0])
 
     def test_engine_aggregates_match_cpu(self):
         from repro.blu import BluEngine, Catalog, Schema, Table

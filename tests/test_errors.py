@@ -11,7 +11,8 @@ ALL_ERRORS = [
     errors.DeviceMemoryError, errors.ReservationError,
     errors.PinnedMemoryError, errors.HashTableOverflowError,
     errors.KernelAbortedError, errors.KernelLaunchError,
-    errors.DeviceLostError, errors.SchedulerError,
+    errors.DeviceLostError, errors.HashTableReuseError,
+    errors.SchedulerError,
     errors.FaultPlanError, errors.SimulationError, errors.WorkloadError,
 ]
 

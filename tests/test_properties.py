@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blu.compression import build_dictionary
 from repro.blu.datatypes import int64
 from repro.blu.expressions import AggFunc
-from repro.blu.operators.aggregate import group_encode
+from repro.blu.operators.aggregate import factorise, group_encode
 from repro.blu.statistics import KmvSketch, estimate_distinct, murmur3_fmix64
 from repro.config import CostModel, HostSpec
 from repro.gpu.kernels.groupby_biglock import GlobalLockGroupByKernel
@@ -82,7 +82,7 @@ class TestKernelProperties:
     def test_hash_table_slots_partition_keys(self, keys):
         table = GpuHashTable.sized_for(len(np.unique(keys)), 64,
                                        [PayloadSpec(int64(), AggFunc.SUM)])
-        row_slot, stats = table.insert(keys)
+        row_slot, stats = table.insert(factorise(keys)[0])
         assert stats.groups == len(np.unique(keys))
         for slot in np.unique(row_slot):
             members = keys[row_slot == slot]
@@ -195,6 +195,22 @@ class TestKmvProperties:
         for a in reversed(arrays):
             backward.update(a)
         assert forward.estimate().groups == backward.estimate().groups
+
+
+    @given(keys=st.lists(st.integers(-40, 400), min_size=1, max_size=600)
+           .map(lambda xs: np.asarray(xs, dtype=np.int64) * 104_729),
+           k=st.sampled_from([2, 8, 64, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_sketch_of_the_distinct_keys_is_the_sketch_of_the_rows(self, keys,
+                                                                   k):
+        """Murmur is a bijection and the sketch keeps distinct values, so
+        the host chain hashes each distinct key once: the estimate is the
+        same field for field, saturated (``k`` below the distinct count)
+        or exact."""
+        distinct = factorise(keys)[0].keys
+        assert len(distinct) == len(np.unique(keys))
+        assert (estimate_distinct(murmur3_fmix64(distinct), k=k)
+                == estimate_distinct(murmur3_fmix64(keys), k=k))
 
 
 class TestWaterFillingProperties:
