@@ -15,7 +15,9 @@ oversized kernel would need in device memory.
 import dataclasses
 
 from repro.bench import ExperimentReport
+from repro.config import paper_prototype
 from repro.core.accelerator import GpuAcceleratedEngine
+from repro.workloads.datagen import scaled_config
 
 
 SQL = ("SELECT ss_item_sk, SUM(ss_net_paid) AS rev, SUM(ss_quantity) AS q, "
@@ -24,16 +26,18 @@ SQL = ("SELECT ss_item_sk, SUM(ss_net_paid) AS rev, SUM(ss_quantity) AS q, "
 
 def test_ext_partitioned_groupby(benchmark, catalog, config, results_dir):
     rows = catalog.table("store_sales").num_rows
-    # Force the over-T3 regime: a T3 at a quarter of the fact table.
-    tight = dataclasses.replace(
-        config,
-        thresholds=dataclasses.replace(config.thresholds,
-                                       t3_max_rows=rows // 4,
-                                       sort_min_rows=10**9),
-    )
-    prototype = GpuAcceleratedEngine(catalog, config=tight)
-    partitioned = GpuAcceleratedEngine(catalog, config=tight,
-                                       partition_large_groupby=True)
+    def tighten(base):
+        """Force the over-T3 regime: a T3 at a quarter of the fact table."""
+        return dataclasses.replace(
+            base, thresholds=dataclasses.replace(base.thresholds,
+                                                 t3_max_rows=rows // 4,
+                                                 sort_min_rows=10**9))
+
+    tight = tighten(config)
+    # The prototype is every extension off, not just this one.
+    prototype = GpuAcceleratedEngine(catalog, config=tighten(
+        scaled_config(catalog, base=paper_prototype())))
+    partitioned = GpuAcceleratedEngine(catalog, config=tight)
 
     def run():
         a = prototype.execute_sql(SQL, query_id="proto")

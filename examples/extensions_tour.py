@@ -62,9 +62,9 @@ def main(scale: float = 0.05) -> None:
     tight = dataclasses.replace(
         config, thresholds=dataclasses.replace(
             config.thresholds, t3_max_rows=rows // 4, sort_min_rows=10**9))
-    prototype = GpuAcceleratedEngine(catalog, config=tight)
-    partitioned = GpuAcceleratedEngine(catalog, config=tight,
-                                       partition_large_groupby=True)
+    prototype = GpuAcceleratedEngine(catalog, config=dataclasses.replace(
+        tight, partition_enabled=False))
+    partitioned = GpuAcceleratedEngine(catalog, config=tight)
     r_proto = prototype.execute_sql(BIG_GROUPBY_SQL)
     r_part = partitioned.execute_sql(BIG_GROUPBY_SQL, query_id="part-tour")
     waves = [e for e in r_part.profile.events if e.op == "GPU-GROUPBY"]

@@ -30,11 +30,13 @@ Commands
                failing compare's delta to operator x phase x device via
                the profile sidecar; ``--slow-component`` stretches one
                attribution component (self-test for the explainer);
-               ``--cache-fraction`` overrides the device column-cache
-               budget, ``--pipeline-depth``/``--chunk-bytes`` override
-               the stream-pipeline knobs (depth 1 disables overlap),
-               and ``--out`` saves the run's JSON without touching the
-               baseline
+               one flag per row of ``repro.config.KNOBS`` overrides
+               that execution knob (``--cache-fraction 0``,
+               ``--pipeline-depth 1``, ``--fusion off``, ...); ``--out``
+               saves the run's JSON without touching the baseline;
+               ``--gate NAME`` instead runs one row of the ablation
+               matrix (both sides, their committed files, the relation
+               between them) and exits 0/1
 ``profile-diff`` structurally align two profile-bearing files (single
                ``profile --json`` dumps, PROFILE_* sidecars, or BENCH_*
                baselines) and attribute the end-to-end delta to
@@ -77,6 +79,7 @@ Examples::
     python -m repro bench bd_insights --compare --explain
     python -m repro bench cognos_rolap --update
     python -m repro bench bd_insights --cache-fraction 0 --out run.json
+    python -m repro bench --gate cache
     python -m repro profile-diff benchmarks/baselines/BENCH_bd_insights.json \
         run.json
     python -m repro faults --plan "device_loss@0:nth=1;device_loss@1:nth=1" \
@@ -98,8 +101,38 @@ from repro.bench.reporting import format_table
 from repro.errors import WorkloadError
 
 
+def _add_gate_arguments(parser, default_file: str) -> None:
+    """The flags of the regression gate ``bench`` and ``serve-bench``
+    share (consumed by :func:`_gated`)."""
+    parser.add_argument("--baseline", metavar="PATH", default=None,
+                        help="baseline file (default benchmarks/baselines/"
+                             f"{default_file})")
+    parser.add_argument("--compare", action="store_true",
+                        help="diff against the baseline; non-zero exit on "
+                             "any move beyond --tolerance (regression or "
+                             "stale-baseline improvement)")
+    parser.add_argument("--update", action="store_true",
+                        help="(re)write the baseline file from this run")
+    parser.add_argument("--tolerance", type=float, default=0.10,
+                        help="relative tolerance for --compare "
+                             "(default 0.10)")
+    parser.add_argument("--classes", default=None,
+                        help="comma-separated class subset "
+                             "(e.g. simple,complex)")
+    parser.add_argument("--degree", type=int, default=48,
+                        help="driver degree (default 48)")
+    parser.add_argument("--slowdown", type=float, default=1.0,
+                        help="multiply measured latencies — a self-test "
+                             "hook proving the gate trips (default 1.0)")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="also write this run's result JSON to PATH "
+                             "(independent of --update)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Assemble the argparse tree for every subcommand."""
+    from repro.config import register_knobs
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DB2 BLU + GPU hybrid query processing (SIGMOD 2016 "
@@ -202,28 +235,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="benchmark harness: write or compare a BENCH_* baseline")
-    p_bench.add_argument("workload",
+    p_bench.add_argument("workload", nargs="?",
                          choices=["bd_insights", "cognos_rolap",
                                   "over_memory", "scale_out"])
-    p_bench.add_argument("--baseline", metavar="PATH", default=None,
-                         help="baseline file (default benchmarks/baselines/"
-                              "BENCH_<workload>.json)")
-    p_bench.add_argument("--compare", action="store_true",
-                         help="diff against the baseline; non-zero exit on "
-                              "regression beyond --tolerance")
-    p_bench.add_argument("--update", action="store_true",
-                         help="(re)write the baseline file from this run")
-    p_bench.add_argument("--tolerance", type=float, default=0.10,
-                         help="relative latency tolerance for --compare "
-                              "(default 0.10)")
-    p_bench.add_argument("--classes", default=None,
-                         help="comma-separated class subset "
-                              "(e.g. simple,complex)")
-    p_bench.add_argument("--degree", type=int, default=48,
-                         help="driver degree (default 48)")
-    p_bench.add_argument("--slowdown", type=float, default=1.0,
-                         help="multiply measured latencies — a self-test "
-                              "hook proving the gate trips (default 1.0)")
+    p_bench.add_argument("--gate", metavar="NAME",
+                         help="instead of one workload, run a row of the "
+                              "ablation matrix (repro.obs.bench.GATES: "
+                              "cache, overlap, fusion, out-of-core, "
+                              "scale-out) — every side in one process, "
+                              "each compared against its committed file, "
+                              "then the row's relations; exits 0/1")
+    _add_gate_arguments(p_bench, "BENCH_<workload>.json")
     p_bench.add_argument("--explain", action="store_true",
                          help="with --compare: attribute the delta to "
                               "operator x phase x device via the "
@@ -237,57 +259,16 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="confine --slowdown to one attribution "
                               "component — the self-test hook proving "
                               "--explain blames the right phase")
-    p_bench.add_argument("--cache-fraction", type=float, default=None,
-                         metavar="F",
-                         help="device column-cache budget as a fraction of "
-                              "device memory (0 disables; default: config, "
-                              "or the baseline's value on --compare)")
-    p_bench.add_argument("--pipeline-depth", type=int, default=None,
-                         metavar="N",
-                         help="stream-pipeline chunks per launch (1 disables "
-                              "transfer/compute overlap; default: config, or "
-                              "the baseline's value on --compare)")
-    p_bench.add_argument("--chunk-bytes", type=int, default=None,
-                         metavar="B",
-                         help="max bytes per pipelined chunk (default: "
-                              "config, or the baseline's value on --compare)")
-    p_bench.add_argument("--partition", choices=["on", "off"], default=None,
-                         help="out-of-core partitioned execution of "
-                              "over-memory sorts/group-bys (default: on; "
-                              "off restores the paper's T3 CPU fallback)")
-    p_bench.add_argument("--max-partitions", type=int, default=None,
-                         help="cap on how finely one over-memory operator "
-                              "may split (default: config value 64)")
+    register_knobs(p_bench.add_argument_group(
+        "execution knobs",
+        "one per row of repro.config.KNOBS; default: the config's value, "
+        "or the baseline's on --compare"))
     p_bench.add_argument("--flight-record", metavar="DIR",
                          help="write flight-record snapshots (JSONL + "
                               "postmortem-ready) of the bench run into DIR")
-    p_bench.add_argument("--fusion", choices=["on", "off"], default=None,
-                         help="fuse filter/join/group-by chains into one "
-                              "kernel launch (default: config, or the "
-                              "baseline's value on --compare)")
     p_bench.add_argument("--join-offload", action="store_true",
                          help="route hash joins through the GPU per-operator "
                               "path (the fusion gate's unfused reference)")
-    p_bench.add_argument("--devices", default=None, metavar="N,N,...",
-                         help="scale_out only: device counts to sweep "
-                              "(default 1,2,4,8, or the baseline's counts "
-                              "on --compare)")
-    p_bench.add_argument("--shard", choices=["on", "off"], default=None,
-                         help="scale_out only: shard fact tables across "
-                              "the devices (default on; off measures the "
-                              "whole-job dispatch rival)")
-    p_bench.add_argument("--nvlink", choices=["on", "off"], default=None,
-                         help="scale_out only: NVLink-class peer-to-peer "
-                              "exchange instead of the host bounce "
-                              "(default on)")
-    p_bench.add_argument("--switch-bandwidth", type=float, default=None,
-                         metavar="B",
-                         help="scale_out only: shared PCIe switch uplink "
-                              "bytes/s (default: config; the committed "
-                              "baseline uses 96e9 — a gen4-class switch)")
-    p_bench.add_argument("--out", metavar="PATH", default=None,
-                         help="also write this run's result JSON to PATH "
-                              "(independent of --update)")
 
     p_diff = sub.add_parser(
         "profile-diff",
@@ -319,10 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--category", default="complex",
                          choices=["simple", "intermediate", "complex"],
                          help="query class to run (default complex)")
-    p_cache.add_argument("--cache-fraction", type=float, default=None,
-                         metavar="F",
-                         help="override the column-cache budget fraction "
-                              "(0 disables; default: config)")
+    register_knobs(p_cache, ["cache_fraction"])
     p_cache.add_argument("--json", action="store_true",
                          help="print the engine stats snapshot as JSON "
                               "instead of a table")
@@ -333,23 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "BENCH_serving_sweep.json baseline")
     p_serve.add_argument("workload", nargs="?", default="bd_insights",
                          choices=["bd_insights", "cognos_rolap"])
-    p_serve.add_argument("--baseline", metavar="PATH", default=None,
-                         help="baseline file (default benchmarks/baselines/"
-                              "BENCH_serving_sweep.json)")
-    p_serve.add_argument("--compare", action="store_true",
-                         help="diff against the baseline; non-zero exit on "
-                              "any move beyond --tolerance (regression or "
-                              "stale-baseline improvement)")
-    p_serve.add_argument("--update", action="store_true",
-                         help="(re)write the baseline file from this sweep")
-    p_serve.add_argument("--tolerance", type=float, default=0.10,
-                         help="relative tolerance for --compare "
-                              "(default 0.10)")
-    p_serve.add_argument("--classes", default=None,
-                         help="comma-separated class subset "
-                              "(e.g. simple,complex)")
-    p_serve.add_argument("--degree", type=int, default=48,
-                         help="driver degree (default 48)")
+    _add_gate_arguments(p_serve, "BENCH_serving_sweep.json")
     p_serve.add_argument("--sessions", default=None, metavar="N,N,...",
                          help="comma-separated session ladder (default "
                               "1,8,32,128, or the baseline's ladder on "
@@ -362,12 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="think time between a session's requests "
                               "(default 0, or the baseline's value on "
                               "--compare)")
-    p_serve.add_argument("--slowdown", type=float, default=1.0,
-                         help="multiply measured latencies — a self-test "
-                              "hook proving the gate trips (default 1.0)")
-    p_serve.add_argument("--out", metavar="PATH", default=None,
-                         help="also write this sweep's JSON to PATH "
-                              "(independent of --update)")
 
     p_top = sub.add_parser(
         "top",
@@ -659,113 +615,59 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """``bench``: write, compare, or update a BENCH_* baseline."""
-    import dataclasses
+def _class_subset(args) -> Optional[list[str]]:
+    return args.classes.split(",") if args.classes else None
 
-    from repro.obs import bench
-    from repro.workloads.datagen import generate_database, scaled_config
-    from repro.workloads.driver import WorkloadDriver
 
-    path = args.baseline or bench.baseline_path(args.workload)
-    scale, seed = args.scale, args.seed
-    cache_fraction = args.cache_fraction
-    pipeline_depth = args.pipeline_depth
-    chunk_bytes = args.chunk_bytes
-    fusion = None if args.fusion is None else args.fusion == "on"
-    partition = None if args.partition is None else args.partition == "on"
-    max_partitions = args.max_partitions
+def _gated(args, path: str, kind, run, after_update=None,
+           explain=None) -> int:
+    """The tail ``bench`` and ``serve-bench`` share: on ``--compare``
+    load the committed document and adopt its run identity, ``run`` (and
+    print) the workload, then ``--out`` / ``--update`` / ``--compare``."""
+    from repro.obs.baseline import BenchError, compare
+
     baseline = None
+    try:
+        if args.compare:
+            baseline = kind.load(path)
+            # Deterministic simulation: a compare only means something at
+            # the baseline's exact configuration, so adopt it.
+            if (args.scale, args.seed) != (baseline["scale"],
+                                           baseline["seed"]):
+                print(f"note  using baseline config "
+                      f"scale={baseline['scale']} seed={baseline['seed']} "
+                      f"(overrides CLI)")
+            args.scale, args.seed = baseline["scale"], baseline["seed"]
+            args.degree = baseline["degree"]
+        result = run(baseline)
+    except BenchError as exc:
+        print(f"FAIL  {exc}")
+        return 1
+
+    if args.out:
+        result.write(args.out)
+        print(f"wrote {args.out}")
+    if args.update:
+        result.write(path)
+        print(f"wrote baseline {path}")
+        if after_update is not None:
+            after_update(result)
+        return 0
     if args.compare:
-        try:
-            baseline = bench.load_baseline(path)
-        except bench.BenchError as exc:
-            print(f"FAIL  {exc}")
-            return 1
-        # Deterministic simulation: a compare only means something at the
-        # baseline's exact configuration, so adopt it.
-        if (scale, seed) != (baseline["scale"], baseline["seed"]):
-            print(f"note  using baseline config scale={baseline['scale']} "
-                  f"seed={baseline['seed']} (overrides CLI)")
-        scale, seed = baseline["scale"], baseline["seed"]
-        degree = baseline["degree"]
-        if cache_fraction is None and "cache_fraction" in baseline:
-            cache_fraction = baseline["cache_fraction"]
-        if pipeline_depth is None and "pipeline_depth" in baseline:
-            pipeline_depth = baseline["pipeline_depth"]
-        if chunk_bytes is None and "chunk_bytes" in baseline:
-            chunk_bytes = baseline["chunk_bytes"]
-        if fusion is None and "fusion_enabled" in baseline:
-            fusion = baseline["fusion_enabled"]
-        if partition is None and "partition_enabled" in baseline:
-            partition = baseline["partition_enabled"]
-        if max_partitions is None and "max_partitions" in baseline:
-            max_partitions = baseline["max_partitions"]
-    else:
-        degree = args.degree
+        comparison = compare(result, baseline, tolerance=args.tolerance,
+                             baseline_path=path)
+        print(comparison.to_text())
+        if explain is not None and not comparison.ok:
+            explain(result)
+        return 0 if comparison.ok else 1
+    print(f"(dry run: --update writes {path}, --compare diffs against it)")
+    return 0
 
-    driver = None
-    if args.workload == "scale_out":
-        devices = ([int(n) for n in args.devices.split(",")]
-                   if args.devices else None)
-        shard = None if args.shard is None else args.shard == "on"
-        nvlink = None if args.nvlink is None else args.nvlink == "on"
-        switch_bw = args.switch_bandwidth
-        if baseline is not None:
-            # Same determinism rule as the other knobs: adopt the
-            # baseline's sweep shape unless the CLI overrides it.
-            if devices is None and "device_counts" in baseline:
-                devices = [int(n) for n in baseline["device_counts"]]
-            if shard is None and "shard_enabled" in baseline:
-                shard = bool(baseline["shard_enabled"])
-            if nvlink is None and "nvlink_enabled" in baseline:
-                nvlink = bool(baseline["nvlink_enabled"])
-            if switch_bw is None and "switch_bandwidth" in baseline:
-                switch_bw = float(baseline["switch_bandwidth"])
-        try:
-            result = bench.run_scale_out(
-                scale=scale, seed=seed, degree=degree,
-                shard=True if shard is None else shard,
-                nvlink=True if nvlink is None else nvlink,
-                switch_bandwidth=switch_bw,
-                device_counts=devices or bench.SCALE_OUT_DEVICES)
-        except bench.BenchError as exc:
-            print(f"FAIL  {exc}")
-            return 1
-    else:
-        catalog = generate_database(scale=scale, seed=seed)
-        config = scaled_config(catalog)
-        if cache_fraction is not None:
-            config = dataclasses.replace(config,
-                                         cache_fraction=cache_fraction)
-        if pipeline_depth is not None:
-            config = dataclasses.replace(config,
-                                         pipeline_depth=pipeline_depth)
-        if chunk_bytes is not None:
-            config = dataclasses.replace(config, chunk_bytes=chunk_bytes)
-        if fusion is not None:
-            config = dataclasses.replace(config, fusion_enabled=fusion)
-        if partition is not None:
-            config = dataclasses.replace(config, partition_enabled=partition)
-        if max_partitions is not None:
-            config = dataclasses.replace(config,
-                                         max_partitions=max_partitions)
-        driver = WorkloadDriver(catalog, config, degree=degree,
-                                enable_join_offload=args.join_offload)
-        if args.flight_record:
-            import os
 
-            os.makedirs(args.flight_record, exist_ok=True)
-            driver.gpu_engine.recorder.dump_dir = args.flight_record
-        classes = args.classes.split(",") if args.classes else None
-        try:
-            result = bench.run_workload(driver, args.workload, scale=scale,
-                                        seed=seed, classes=classes,
-                                        slowdown=args.slowdown,
-                                        slow_component=args.slow_component)
-        except bench.BenchError as exc:
-            print(f"FAIL  {exc}")
-            return 1
+def _print_bench(result, driver=None, flight_record=None) -> None:
+    """One bench run's class table (and the flight-record note)."""
+    from repro.config import knob_title
+    from repro.obs import bench
 
     rows = [
         (cls, stat.queries, f"{stat.p50_ms:.3f}", f"{stat.p95_ms:.3f}",
@@ -776,68 +678,83 @@ def cmd_bench(args) -> int:
     print(format_table(
         ["class", "queries", "p50 ms", "p95 ms", "total ms",
          "MB moved", "offload"],
-        rows, title=f"{args.workload}  scale={scale} seed={seed} "
-                    f"degree={degree} cache={result.cache_fraction} "
-                    f"pipeline={result.pipeline_depth}"
-                    f"x{result.chunk_bytes}B "
-                    f"fusion={'on' if result.fusion_enabled else 'off'} "
-                    f"partition="
-                    f"{'on' if result.partition_enabled else 'off'}"))
+        rows, title=f"{result.workload}  scale={result.scale} "
+                    f"seed={result.seed} degree={result.degree}"
+                    + knob_title(result.config)))
     print()
-
-    if args.workload == "scale_out":
-        speedups = bench.scale_out_speedups(result)
+    if result.workload == "scale_out":
+        speedups = bench.scale_out_speedups(result.to_dict())
         print("speedup vs 1 device: " + "  ".join(
             f"{n}x={s:.2f}" for n, s in sorted(speedups.items())))
-        print(f"(shard={'on' if result.shard_enabled else 'off'} "
-              f"nvlink={'on' if result.nvlink_enabled else 'off'} "
-              f"switch={result.switch_bandwidth:g} B/s; all GPU results "
-              f"checksum-identical to the CPU engine)")
+        print(f"({knob_title(result.config, scale_out=True)}; all GPU "
+              f"results checksum-identical to the CPU engine)")
         print()
-
-    if driver is not None and args.flight_record:
+    if driver is not None and flight_record:
         engine = driver.gpu_engine
-        dumped = engine.dump_flight_record(args.flight_record)
+        dumped = engine.dump_flight_record(flight_record)
         print(f"flight record: {len(engine.recorder.snapshots)} auto "
-              f"snapshot(s) in {args.flight_record}/, final snapshot "
+              f"snapshot(s) in {flight_record}/, final snapshot "
               f"{dumped['jsonl']} ({dumped['events']} events)")
         print()
 
-    if args.out:
-        result.write(args.out)
-        print(f"wrote {args.out}")
-    if args.update:
-        from repro.obs import diff
 
-        result.write(path)
-        print(f"wrote baseline {path}")
+def cmd_bench(args) -> int:
+    """``bench``: write, compare, or update a BENCH_* baseline — or run
+    one ``--gate`` row of the ablation matrix."""
+    from repro.config import chosen_knobs
+    from repro.obs import bench, diff
+
+    if (args.workload is None) == (args.gate is None):
+        print("FAIL  give a workload or --gate NAME (exactly one)")
+        return 1
+    if args.gate:
+        try:
+            runs, verdict = bench.run_gate(
+                args.gate, classes=_class_subset(args),
+                slowdown=args.slowdown, tolerance=args.tolerance,
+                flight_record=args.flight_record)
+        except bench.BenchError as exc:
+            print(f"FAIL  {exc}")
+            return 1
+        for side, (result, driver) in runs.items():
+            print(f"== gate {args.gate}: {side} side ==")
+            _print_bench(result, driver,
+                         args.flight_record if side == "on" else None)
+        print(verdict.to_text(ok=f"gate {args.gate} holds"))
+        return 0 if verdict.ok else 1
+
+    path = args.baseline or bench.baseline_path(args.workload)
+
+    def run(baseline):
+        result, driver = bench.run_bench(
+            args.workload, scale=args.scale, seed=args.seed,
+            degree=args.degree, knobs=chosen_knobs(args, baseline),
+            classes=_class_subset(args), join_offload=args.join_offload,
+            flight_record=args.flight_record, slowdown=args.slowdown,
+            slow_component=args.slow_component)
+        _print_bench(result, driver, args.flight_record)
+        return result
+
+    def write_sidecar(result):
         sidecar = diff.sidecar_path(path)
         diff.write_profile_sidecar(
             sidecar, result.profiles,
             meta={"workload": result.workload, "scale": result.scale,
                   "seed": result.seed, "degree": result.degree})
         print(f"wrote profile sidecar {sidecar}")
-        return 0
-    if args.compare:
-        comparison = bench.compare(result, baseline,
-                                   tolerance=args.tolerance,
-                                   baseline_path=path)
-        print(comparison.to_text())
-        if args.explain and not comparison.ok:
-            from repro.obs import diff
 
-            print()
-            try:
-                doc = diff.load_profile_sidecar(diff.sidecar_path(path))
-            except diff.DiffError as exc:
-                print(f"(cannot explain: {exc})")
-            else:
-                explanation = diff.explain_bench_delta(
-                    result.profiles, doc["profiles"])
-                print(explanation.to_text())
-        return 0 if comparison.ok else 1
-    print(f"(dry run: --update writes {path}, --compare diffs against it)")
-    return 0
+    def explain(result):
+        print()
+        try:
+            doc = diff.ProfileSidecar.load(diff.sidecar_path(path))
+        except diff.DiffError as exc:
+            print(f"(cannot explain: {exc})")
+        else:
+            print(diff.explain_bench_delta(result.profiles,
+                                           doc["profiles"]).to_text())
+
+    return _gated(args, path, bench.BenchResult, run, write_sidecar,
+                  explain if args.explain else None)
 
 
 def cmd_profile_diff(args) -> int:
@@ -881,16 +798,13 @@ def cmd_postmortem(args) -> int:
 
 def cmd_cache_stats(args) -> int:
     """``cache-stats``: per-device column-cache counters."""
-    import dataclasses
-
+    from repro.config import apply_knobs, chosen_knobs
     from repro.core.accelerator import GpuAcceleratedEngine
     from repro.workloads.bdinsights import queries_by_category
     from repro.workloads.query import QueryCategory
 
     catalog, config = _make_database(args)
-    if args.cache_fraction is not None:
-        config = dataclasses.replace(config,
-                                     cache_fraction=args.cache_fraction)
+    config = apply_knobs(config, chosen_knobs(args))
     engine = GpuAcceleratedEngine(catalog, config=config)
     for query in queries_by_category(QueryCategory(args.category)):
         engine.execute_sql(query.sql, query_id=query.query_id)
@@ -941,99 +855,56 @@ def cmd_serve_bench(args) -> int:
     from repro.obs import serving
     from repro.workloads.datagen import generate_database, scaled_config
 
-    path = args.baseline or serving.SWEEP_BASELINE
-    workload = args.workload
-    scale, seed, degree = args.scale, args.seed, args.degree
-    loops, think = args.loops, args.think_seconds
-    sessions = ([int(s) for s in args.sessions.split(",")]
-                if args.sessions else None)
-    baseline = None
-    if args.compare:
-        try:
-            baseline = serving.load_sweep_baseline(path)
-        except serving.ServingError as exc:
-            print(f"FAIL  {exc}")
-            return 1
-        # Deterministic simulation: a compare only means something at the
-        # baseline's exact configuration, so adopt it.
-        if (scale, seed) != (baseline["scale"], baseline["seed"]):
-            print(f"note  using baseline config scale={baseline['scale']} "
-                  f"seed={baseline['seed']} (overrides CLI)")
-        workload = baseline["workload"]
-        scale, seed = baseline["scale"], baseline["seed"]
-        degree = baseline["degree"]
-        if loops is None:
-            loops = baseline["loops"]
-        if think is None:
-            think = baseline["think_seconds"]
-        if sessions is None:
-            sessions = sorted(int(k) for k in baseline["points"])
-    loops = 1 if loops is None else loops
-    think = 0.0 if think is None else think
-    if sessions is None:
-        sessions = list(serving.DEFAULT_SESSIONS)
-
-    catalog = generate_database(scale=scale, seed=seed)
-    config = scaled_config(catalog)
-    classes = args.classes.split(",") if args.classes else None
-    try:
+    def run(baseline):
+        recorded = baseline or {}
+        # Adopt the baseline's sweep shape unless the CLI overrides it.
+        loops = args.loops if args.loops is not None \
+            else recorded.get("loops", 1)
+        think = args.think_seconds if args.think_seconds is not None \
+            else recorded.get("think_seconds", 0.0)
+        if args.sessions:
+            sessions = [int(s) for s in args.sessions.split(",")]
+        else:
+            sessions = sorted(int(k) for k in recorded.get(
+                "points", serving.DEFAULT_SESSIONS))
+        catalog = generate_database(scale=args.scale, seed=args.seed)
+        config = scaled_config(catalog)
         sweep, runs = serving.run_sweep(
-            catalog, config, workload=workload, scale=scale, seed=seed,
-            degree=degree, classes=classes, session_counts=sessions,
+            catalog, config,
+            workload=recorded.get("workload", args.workload),
+            scale=args.scale, seed=args.seed, degree=args.degree,
+            classes=_class_subset(args), session_counts=sessions,
             loops=loops, think_seconds=think, slowdown=args.slowdown,
             slos=_serving_slos(config))
-    except serving.ServingError as exc:
-        print(f"FAIL  {exc}")
-        return 1
-
-    print(sweep.to_text())
-    alerts = {n: len(run.slo.alerts) for n, run in sorted(runs.items())
-              if run.slo is not None and run.slo.alerts}
-    if alerts:
+        print(sweep.to_text())
+        alerts = {n: len(run.slo.alerts) for n, run in sorted(runs.items())
+                  if run.slo is not None and run.slo.alerts}
+        if alerts:
+            print()
+            for n, count in alerts.items():
+                print(f"note  {n} sessions: {count} SLO alert(s) fired")
         print()
-        for n, count in alerts.items():
-            print(f"note  {n} sessions: {count} SLO alert(s) fired")
-    print()
+        return sweep
 
-    if args.out:
-        sweep.write(args.out)
-        print(f"wrote {args.out}")
-    if args.update:
-        sweep.write(path)
-        print(f"wrote baseline {path}")
-        return 0
-    if args.compare:
-        comparison = serving.compare_sweep(sweep, baseline,
-                                           tolerance=args.tolerance)
-        print(comparison.to_text())
-        return 0 if comparison.ok else 1
-    print(f"(dry run: --update writes {path}, --compare diffs against it)")
-    return 0
+    return _gated(args, args.baseline or serving.SWEEP_BASELINE,
+                  serving.SweepResult, run)
 
 
 def cmd_top(args) -> int:
     """``top``: render the one-shot serving dashboard."""
     from repro.obs import serving
-    from repro.obs.bench import workload_classes
+    from repro.obs.bench import BenchError, workload_classes
     from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
 
     catalog, config = _make_database(args)
     sessions = args.sessions or config.serving.sessions
     driver = WorkloadDriver(catalog, config, degree=args.degree)
     try:
-        available = workload_classes(args.workload, driver)
-    except Exception as exc:
+        available = workload_classes(args.workload, driver,
+                                   _class_subset(args))
+    except BenchError as exc:
         print(f"FAIL  {exc}")
         return 1
-    if args.classes:
-        wanted = args.classes.split(",")
-        unknown = [c for c in wanted if c not in available]
-        if unknown:
-            print(f"FAIL  unknown class(es) {unknown}; "
-                  f"available: {sorted(available)}")
-            return 1
-        available = {name: qs for name, qs in available.items()
-                     if name in wanted}
     queries = [q for name in sorted(available) for q in available[name]]
     concurrent = ConcurrentDriver(driver, queries, loops=args.loops,
                                   think_seconds=args.think_seconds,

@@ -17,9 +17,10 @@ Units: time in seconds (floats), sizes in bytes, rates in units/second.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
 if TYPE_CHECKING:   # runtime import would cycle: faults -> obs -> sim -> here
     from repro.faults.plan import FaultPlan
@@ -281,9 +282,155 @@ class SystemConfig:
         return len(self.gpus)
 
 
+# ---------------------------------------------------------------------------
+# Execution knobs, as data
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One execution knob: everything any surface needs to know about it.
+
+    ``key`` is the :class:`SystemConfig` field, the top-level key of a
+    ``BENCH_*`` document and the argparse ``dest``; ``flag`` is the CLI
+    spelling; ``parse`` / ``render`` convert between CLI text and the
+    value (``parse(render(v)) == v``); ``off`` is the value at which the
+    extension does not run at all — the paper's prototype — where one
+    exists.  ``title`` is the knob's fragment of the ``repro bench``
+    heading.  ``scale_out`` rows describe the N-device sweep and appear
+    only on ``scale_out`` documents; ``device_counts`` is the one row
+    that is a property of the sweep rather than a ``SystemConfig`` field,
+    so it is never applied to, or read off, a config.
+    """
+
+    key: str
+    flag: str
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
+    help: str
+    metavar: Optional[str] = None
+    off: Any = None
+    title: str = ""
+    scale_out: bool = False
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
+def _render_on_off(value: bool) -> str:
+    return "on" if value else "off"
+
+
+def _switch(flag: str, key: str, help: str, **row) -> Knob:
+    """An on/off row (off is always the prototype's value)."""
+    return Knob(key, flag, _on_off, _render_on_off, help,
+                metavar="{on,off}", off=False, **row)
+
+
+#: The knob table.  argparse registration, adopt-from-baseline, applying
+#: to a config, a document's config identity, the mismatch hint and the
+#: bench heading all iterate it: adding a knob is adding a row here
+#: (plus the engine code that reads the ``SystemConfig`` field).
+KNOBS: dict[str, Knob] = {row.key: row for row in (
+    Knob("cache_fraction", "--cache-fraction", float, str,
+         "device column-cache budget as a fraction of device memory "
+         "(0 disables)", metavar="F", off=0.0, title=" cache={}"),
+    Knob("pipeline_depth", "--pipeline-depth", int, str,
+         "stream-pipeline chunks per launch (1 disables transfer/compute "
+         "overlap)", metavar="N", off=1, title=" pipeline={}"),
+    Knob("chunk_bytes", "--chunk-bytes", int, str,
+         "max bytes per pipelined chunk", metavar="B", title="x{}B"),
+    _switch("--fusion", "fusion_enabled",
+            "fuse filter/join/group-by chains into one kernel launch",
+            title=" fusion={}"),
+    _switch("--partition", "partition_enabled",
+            "out-of-core partitioned execution of over-memory "
+            "sorts/group-bys (off restores the paper's T3 CPU fallback)",
+            title=" partition={}"),
+    Knob("max_partitions", "--max-partitions", int, str,
+         "cap on how finely one over-memory operator may split"),
+    Knob("device_counts", "--devices",
+         lambda text: [int(n) for n in text.split(",")],
+         lambda counts: ",".join(str(n) for n in counts),
+         "scale_out only: device counts to sweep (default 1,2,4,8)",
+         metavar="N,N,...", scale_out=True),
+    _switch("--shard", "shard_enabled",
+            "scale_out only: shard fact tables across the devices "
+            "(default on; off measures the whole-job dispatch rival)",
+            title="shard={}", scale_out=True),
+    _switch("--nvlink", "nvlink_enabled",
+            "scale_out only: NVLink-class peer-to-peer exchange instead "
+            "of the host bounce (default on)",
+            title=" nvlink={}", scale_out=True),
+    Knob("switch_bandwidth", "--switch-bandwidth", float, "{:g}".format,
+         "scale_out only: shared PCIe switch uplink bytes/s (the "
+         "committed baseline uses 96e9 — a gen4-class switch)",
+         metavar="B", title=" switch={} B/s", scale_out=True),
+)}
+
+
+def register_knobs(parser, keys: Optional[Iterable[str]] = None) -> None:
+    """Add one ``default=None`` argparse option per knob row (unset means
+    "the config's value, or the baseline's on ``--compare``")."""
+    for row in map(KNOBS.get, KNOBS if keys is None else keys):
+        parser.add_argument(row.flag, dest=row.key, type=row.parse,
+                            default=None, metavar=row.metavar,
+                            help=row.help)
+
+
+def chosen_knobs(args, baseline: Optional[Mapping] = None) -> dict:
+    """The knob values a run is pinned to: what the CLI set, else what
+    the baseline being compared against recorded — a deterministic
+    simulation is only comparable at the baseline's exact configuration.
+    """
+    chosen = {}
+    for row in KNOBS.values():
+        value = getattr(args, row.key, None)
+        if value is None and baseline is not None:
+            value = baseline.get(row.key)
+        if value is not None:
+            chosen[row.key] = value
+    return chosen
+
+
+def apply_knobs(config: SystemConfig, values: Mapping) -> SystemConfig:
+    """``config`` with every ``SystemConfig`` knob in ``values`` set."""
+    return dataclasses.replace(config, **{
+        key: value for key, value in values.items()
+        if key in SystemConfig.__dataclass_fields__})
+
+
+def knob_values(config: SystemConfig, scale_out: bool = False) -> dict:
+    """The config identity a ``BENCH_*`` document records: one entry per
+    knob row that is a config field (``scale_out`` rows on request)."""
+    return {row.key: getattr(config, row.key) for row in KNOBS.values()
+            if hasattr(config, row.key) and (scale_out or not row.scale_out)}
+
+
+def knob_title(values: Mapping, scale_out: bool = False) -> str:
+    """The heading fragments of the ``scale_out`` (or other) rows."""
+    return "".join(row.title.format(row.render(values[row.key]))
+                   for row in KNOBS.values()
+                   if row.title and row.scale_out == scale_out)
+
+
 def paper_testbed() -> SystemConfig:
     """The configuration of section 5: S824 + 2x K40."""
     return SystemConfig()
+
+
+def paper_prototype() -> SystemConfig:
+    """The section-5 testbed running only what the paper's prototype ran:
+    every knob row at its ``off`` value — no column cache, no stream
+    pipeline, no fusion, no out-of-core partitioning, no sharding, no
+    peer-to-peer exchange.  What "every extension off" means is defined
+    here and nowhere else."""
+    return apply_knobs(SystemConfig(), {
+        row.key: row.off for row in KNOBS.values()
+        if row.off is not None})
 
 
 def single_gpu_testbed() -> SystemConfig:

@@ -17,7 +17,6 @@ Typical use::
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.blu.catalog import Catalog
@@ -62,17 +61,11 @@ class GpuAcceleratedEngine:
         race_kernels: bool = False,
         learning_moderator: bool = False,
         enable_join_offload: bool = False,
-        partition_large_groupby: Optional[bool] = None,
         pinned_pool_bytes: int = _DEFAULT_PINNED_POOL,
         default_degree: int = 48,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config or paper_testbed()
-        if partition_large_groupby is not None:
-            # Out-of-core partitioned execution (docs/out_of_core.md):
-            # the explicit kwarg wins over the config knob.
-            self.config = dataclasses.replace(
-                self.config, partition_enabled=partition_large_groupby)
         if self.config.gpu_count == 0:
             raise ValueError(
                 "GpuAcceleratedEngine needs at least one GPU; "

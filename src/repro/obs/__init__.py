@@ -61,56 +61,15 @@ from repro.obs.profile import (
     write_html,
 )
 from repro.obs.recorder import FlightEvent, FlightRecorder, FlightSnapshot
-# repro.obs.bench and repro.obs.serving sit above the engine (they drive
-# WorkloadDriver), so an eager import here would be circular:
-# core.monitoring imports repro.obs.metrics, which initialises this
-# package.  Load them lazily.
-_BENCH_EXPORTS = (
-    "BenchComparison", "BenchError", "BenchResult",
-    "baseline_path", "compare", "load_baseline", "run_workload",
-)
-_SERVING_EXPORTS = (
-    "ServingError", "ServingRun", "SweepComparison", "SweepPoint",
-    "SweepResult", "build_serving_run", "compare_sweep",
-    "load_sweep_baseline", "render_top", "request_phases", "run_sweep",
-)
-# repro.obs.diff reads BENCH_*/PROFILE_* sidecars through repro.obs.bench,
-# and repro.obs.postmortem renders diff output — same lazy treatment.
-_DIFF_EXPORTS = (
-    "DiffError", "ProfileDiff", "diff_baselines", "diff_profiles",
-    "load_profile_sidecar", "profile_to_dict", "profile_from_dict",
-    "sidecar_path", "write_profile_sidecar",
-)
-_POSTMORTEM_EXPORTS = (
-    "PostmortemReport", "build_postmortem",
-)
-
-
-def __getattr__(name: str):
-    """PEP 562 lazy re-export of the bench and serving harness names."""
-    if name in _BENCH_EXPORTS:
-        import repro.obs.bench as _bench
-        return getattr(_bench, name)
-    if name in _SERVING_EXPORTS:
-        import repro.obs.serving as _serving
-        return getattr(_serving, name)
-    if name in _DIFF_EXPORTS:
-        import repro.obs.diff as _diff
-        return getattr(_diff, name)
-    if name in _POSTMORTEM_EXPORTS:
-        import repro.obs.postmortem as _postmortem
-        return getattr(_postmortem, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# repro.obs.bench / serving / diff / postmortem sit above the
+# engine (they drive WorkloadDriver), so importing them here would be
+# circular: core.monitoring imports repro.obs.metrics, which initialises
+# this package.  Import those modules directly.
 
 __all__ = [
-    "BenchComparison",
-    "BenchError",
-    "BenchResult",
     "BurnRateRule",
     "Counter",
     "DEFAULT_RULES",
-    "DiffError",
     "FlightEvent",
     "FlightRecorder",
     "FlightSnapshot",
@@ -122,45 +81,20 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PostmortemReport",
-    "ProfileDiff",
     "ProfileError",
     "QueryProfile",
     "RELATIVE_ERROR_BUCKETS",
     "SLObjective",
-    "ServingError",
-    "ServingRun",
     "SloAlert",
     "SloError",
     "SloTracker",
     "Span",
     "StreamingHistogram",
-    "SweepComparison",
-    "SweepPoint",
-    "SweepResult",
     "TraceLog",
     "Tracer",
-    "baseline_path",
-    "build_postmortem",
     "build_profile",
-    "build_serving_run",
     "chrome_trace",
-    "compare",
-    "compare_sweep",
-    "diff_baselines",
-    "diff_profiles",
-    "load_baseline",
-    "load_profile_sidecar",
-    "load_sweep_baseline",
-    "profile_from_dict",
-    "profile_to_dict",
     "prometheus_text",
-    "render_top",
-    "request_phases",
-    "run_sweep",
-    "run_workload",
-    "sidecar_path",
     "write_chrome_trace",
     "write_html",
-    "write_profile_sidecar",
 ]

@@ -17,14 +17,25 @@ Baselines live in ``benchmarks/baselines/`` and are updated on purpose
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
+from repro.config import KNOBS, apply_knobs, knob_values
+from repro.gpu.partition import PARTITIONED_PATH
+from repro.obs.baseline import (
+    LOWER,
+    BenchError,
+    Comparison,
+    Document,
+    _relative_delta,
+    compare,
+    row_dict,
+)
 from repro.obs.hist import StreamingHistogram
 from repro.workloads.bdinsights import queries_by_category
 from repro.workloads.cognos_rolap import screen_queries
+from repro.workloads.datagen import generate_database, scaled_config
 from repro.workloads.driver import WorkloadDriver
 from repro.workloads.query import QueryCategory, WorkloadQuery
 
@@ -48,10 +59,6 @@ SCALE_OUT_DEVICES = (1, 2, 4, 8)
 BASELINE_DIR = os.path.join("benchmarks", "baselines")
 
 
-class BenchError(Exception):
-    """Unknown workload / malformed or missing baseline."""
-
-
 def baseline_path(workload: str, directory: str = BASELINE_DIR) -> str:
     """``benchmarks/baselines/BENCH_<workload>.json``."""
     return os.path.join(directory, f"BENCH_{workload}.json")
@@ -59,31 +66,40 @@ def baseline_path(workload: str, directory: str = BASELINE_DIR) -> str:
 
 def workload_classes(
     workload: str, driver: WorkloadDriver,
+    classes: Optional[Sequence[str]] = None,
 ) -> dict[str, list[WorkloadQuery]]:
-    """The named query classes of ``workload``, in a stable order.
+    """The named query classes of ``workload``, in a stable order,
+    restricted to ``classes`` when given — the one class filter behind
+    ``bench``, ``serve-bench`` and ``top``.
 
     ``cognos_rolap`` is pre-screened against the driver's GPU engine the
     way section 5.1.2 screened against the K40's memory: only the
     queries that fit the device participate.
     """
     if workload == "bd_insights":
-        return {
+        available = {
             category.value: queries_by_category(category)
             for category in (QueryCategory.SIMPLE, QueryCategory.INTERMEDIATE,
                              QueryCategory.COMPLEX)
         }
-    if workload == "cognos_rolap":
-        runnable, _oversized = screen_queries(driver.gpu_engine)
-        return {"rolap": runnable}
-    if workload == "over_memory":
-        _runnable, oversized = screen_queries(driver.gpu_engine)
-        return {"over_memory": oversized}
-    if workload == "scale_out":
+    elif workload in ("cognos_rolap", "over_memory"):
+        runnable, oversized = screen_queries(driver.gpu_engine)
+        available = ({"rolap": runnable} if workload == "cognos_rolap"
+                     else {"over_memory": oversized})
+    elif workload == "scale_out":
         raise BenchError(
             "scale_out builds one engine per device count; run it via "
             "run_scale_out(), not run_workload()")
-    raise BenchError(
-        f"unknown workload {workload!r} (expected one of {WORKLOADS})")
+    else:
+        raise BenchError(
+            f"unknown workload {workload!r} (expected one of {WORKLOADS})")
+    unknown = [c for c in classes or () if c not in available]
+    if unknown:
+        raise BenchError(
+            f"unknown class(es) {unknown} for {workload!r}; "
+            f"available: {sorted(available)}")
+    return {name: queries for name, queries in available.items()
+            if not classes or name in classes}
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -121,14 +137,8 @@ class QueryStat:
     kernel_launches: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.cls,
-            "elapsed_ms": round(self.elapsed_ms, 6),
-            "offloaded": self.offloaded,
-            "bytes_moved": self.bytes_moved,
-            "checksum": self.checksum,
-            "kernel_launches": self.kernel_launches,
-        }
+        return {"class": self.cls,
+                **row_dict(self, drop=("query_id", "cls"))}
 
 
 @dataclass(frozen=True)
@@ -145,37 +155,43 @@ class ClassStat:
     kernel_launches: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "p50_ms": round(self.p50_ms, 6),
-            "p95_ms": round(self.p95_ms, 6),
-            "total_ms": round(self.total_ms, 6),
-            "bytes_moved": self.bytes_moved,
-            "gpu_offload_ratio": round(self.gpu_offload_ratio, 6),
-            "kernel_launches": self.kernel_launches,
-        }
+        return row_dict(self, drop=("cls",))
 
 
 @dataclass
-class BenchResult:
-    """One full harness run over a workload's classes."""
+class BenchResult(Document):
+    """One full harness run over a workload's classes.
+
+    As a :class:`~repro.obs.baseline.Document` family: latency moves on
+    p50 and p95 fail in both directions; bytes-moved growth and
+    offload-ratio drops are warnings — they often *explain* a latency
+    failure but can legitimately move when thresholds are retuned;
+    result checksums must match exactly when both sides carry them — a
+    perf knob is never allowed to change an answer.
+    """
+
+    missing = ("no baseline at {path} — run `repro bench <workload> "
+               "--update` and commit the file")
+    rows = "classes"
+    count = ("queries", "query")
+    metrics = {"p50_ms": LOWER, "p95_ms": LOWER}
+    regressed = ("regressed {pct:.1f}% ({ref:.3f} -> {value:.3f} ms, "
+                 "tolerance {tol:.0f}%)")
+    improved = ("improved {pct:.1f}% ({ref:.3f} -> {value:.3f} ms, "
+                "tolerance {tol:.0f}%) — baseline is stale; run "
+                "`repro bench {workload} --update` and commit the "
+                "refreshed file")
+    knob_flags = True
 
     workload: str
     scale: float
     seed: int
     degree: int
-    cache_fraction: float = 0.0
-    pipeline_depth: int = 1
-    chunk_bytes: int = 0
-    fusion_enabled: bool = True
-    partition_enabled: bool = True
-    max_partitions: int = 64
-    #: Scale-out knobs (``None`` on single-engine workloads, so their
-    #: baselines' byte-frozen JSON shape is untouched).
-    device_counts: Optional[list[int]] = None
-    shard_enabled: Optional[bool] = None
-    nvlink_enabled: Optional[bool] = None
-    switch_bandwidth: Optional[float] = None
+    #: Knob key -> value (:func:`repro.config.knob_values`): the run's
+    #: config identity, serialised at the document's top level.  The
+    #: scale-out rows appear only on ``scale_out`` runs, so every other
+    #: baseline's byte-frozen JSON shape is untouched.
+    config: dict = field(default_factory=dict)
     classes: dict[str, ClassStat] = field(default_factory=dict)
     queries: dict[str, QueryStat] = field(default_factory=dict)
     #: Attributed per-query profile dumps (``QueryProfile.to_dict``).
@@ -185,53 +201,71 @@ class BenchResult:
     profiles: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "format": BASELINE_FORMAT,
             "workload": self.workload,
             "scale": self.scale,
             "seed": self.seed,
             "degree": self.degree,
-            "cache_fraction": self.cache_fraction,
-            "pipeline_depth": self.pipeline_depth,
-            "chunk_bytes": self.chunk_bytes,
-            "fusion_enabled": self.fusion_enabled,
-            "partition_enabled": self.partition_enabled,
-            "max_partitions": self.max_partitions,
+            **self.config,
             "classes": {name: stat.to_dict()
                         for name, stat in sorted(self.classes.items())},
             "queries": {qid: stat.to_dict()
                         for qid, stat in sorted(self.queries.items())},
         }
-        if self.device_counts is not None:
-            out["device_counts"] = list(self.device_counts)
-            out["shard_enabled"] = self.shard_enabled
-            out["nvlink_enabled"] = self.nvlink_enabled
-            out["switch_bandwidth"] = self.switch_bandwidth
-        return out
 
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, rounded floats, trailing \\n)."""
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+    @staticmethod
+    def row_warnings(label: str, row: dict, base: dict,
+                     tolerance: float) -> list[str]:
+        warnings = []
+        ref_bytes = int(base.get("bytes_moved", 0))
+        if _relative_delta(row["bytes_moved"], ref_bytes) > tolerance:
+            warnings.append(f"{label}: bytes moved grew {ref_bytes} -> "
+                            f"{row['bytes_moved']}")
+        ref_ratio = float(base.get("gpu_offload_ratio", 0.0))
+        if row["gpu_offload_ratio"] < ref_ratio - 1e-9:
+            warnings.append(
+                f"{label}: GPU-offload ratio dropped {ref_ratio:.3f} -> "
+                f"{row['gpu_offload_ratio']:.3f}")
+        return warnings
 
-    def write(self, path: str) -> str:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-        return path
+    def finish(self, out: Comparison, baseline: dict,
+               tolerance: float) -> None:
+        base_queries = baseline.get("queries", {})
+        for qid in sorted(set(base_queries) & set(self.queries)):
+            base_ck = str(base_queries[qid].get("checksum", ""))
+            cur_ck = self.queries[qid].checksum
+            # Only judged when both sides recorded one (older baselines
+            # predate checksums); any mismatch means the answers changed.
+            if base_ck and cur_ck and base_ck != cur_ck:
+                out.failures.append(
+                    f"{qid}: result checksum changed "
+                    f"({base_ck} -> {cur_ck}) — query answers differ")
+        if set(base_queries) != set(self.queries):
+            missing = sorted(set(base_queries) - set(self.queries))
+            new = sorted(set(self.queries) - set(base_queries))
+            # A subset run (CI's small query set) is fine; a *different* set
+            # at full coverage means the workload itself changed.
+            if new:
+                out.failures.append(
+                    f"query set changed: new {new}, missing {missing}")
+        else:
+            out.notes += _worst_query_regressions(self, baseline, tolerance)
 
 
-def run_workload(
+def _measure_class(
+    result: BenchResult,
     driver: WorkloadDriver,
-    workload: str,
-    scale: float,
-    seed: int,
-    classes: Optional[Sequence[str]] = None,
+    cls: str,
+    queries: Sequence[WorkloadQuery],
+    *,
+    prefix: str = "",
     slowdown: float = 1.0,
     slow_component: Optional[str] = None,
-) -> BenchResult:
-    """Run ``workload``'s classes through the driver's GPU engine.
+    verify_cpu: bool = False,
+) -> None:
+    """Measure one class through ``driver``'s GPU engine into ``result``.
 
-    ``classes`` restricts the run to a subset (CI uses a small set);
     ``slowdown`` multiplies every measured latency — a self-test hook
     that lets CI (and the acceptance test) prove the gate actually trips
     on a regression without planting one in the engine.
@@ -240,77 +274,86 @@ def run_workload(
     grows by that component's share times ``(slowdown - 1)`` and the
     collected profile dump scales only that bucket, so ``--compare
     --explain`` must attribute the whole delta to it — the attributable
-    variant of the self-test.
+    variant of the self-test.  ``verify_cpu`` checksums every answer
+    against the stock CPU engine and raises :class:`BenchError` on the
+    first divergence, so a run that completes *is* the byte-identity
+    gate, independent of any committed baseline.
     """
-    available = workload_classes(workload, driver)
-    if classes:
-        unknown = [c for c in classes if c not in available]
-        if unknown:
-            raise BenchError(
-                f"unknown class(es) {unknown} for {workload!r}; "
-                f"available: {sorted(available)}")
-        available = {name: available[name] for name in available
-                     if name in classes}
+    from repro.obs.diff import scale_profile_dict
 
+    tracer = driver.gpu_engine.tracer
+    latencies: list[float] = []
+    cls_bytes = 0
+    cls_launches = 0
+    offloaded = 0
+    for query in queries:
+        profile = driver.profile(query, gpu=True)
+        attributed = _attributed_profile(driver, query.query_id)
+        elapsed = driver.elapsed_ms(query, gpu=True)
+        if slow_component is not None:
+            duration = float(attributed.get("duration_seconds", 0.0))
+            share = (
+                float(attributed.get("component_totals", {})
+                      .get(slow_component, 0.0)) / duration
+                if duration else 0.0
+            )
+            elapsed *= 1.0 + (slowdown - 1.0) * share
+            attributed = scale_profile_dict(
+                attributed, slowdown, component=slow_component)
+        elif slowdown != 1.0:
+            elapsed *= slowdown
+            attributed = scale_profile_dict(attributed, slowdown)
+        checksum = driver.result_checksum(query, gpu=True)
+        qid = prefix + query.query_id
+        if verify_cpu:
+            cpu_checksum = driver.result_checksum(query, gpu=False)
+            if checksum != cpu_checksum:
+                raise BenchError(
+                    f"{qid}: GPU result checksum {checksum} != CPU engine "
+                    f"{cpu_checksum} — the accelerated path changed an "
+                    "answer")
+        result.profiles[qid] = attributed
+        moved, launches = _traffic(tracer, query.query_id)
+        latencies.append(elapsed)
+        cls_bytes += moved
+        cls_launches += launches
+        offloaded += int(profile.offloaded)
+        result.queries[qid] = QueryStat(
+            query_id=qid, cls=cls, elapsed_ms=elapsed,
+            offloaded=profile.offloaded, bytes_moved=moved,
+            checksum=checksum, kernel_launches=launches)
+    result.classes[cls] = ClassStat(
+        cls=cls,
+        queries=len(queries),
+        p50_ms=percentile(latencies, 0.50),
+        p95_ms=percentile(latencies, 0.95),
+        total_ms=sum(latencies),
+        bytes_moved=cls_bytes,
+        gpu_offload_ratio=offloaded / len(queries) if queries else 0.0,
+        kernel_launches=cls_launches,
+    )
+
+
+def run_workload(
+    driver: WorkloadDriver,
+    workload: str,
+    scale: float,
+    seed: int,
+    classes: Optional[Sequence[str]] = None,
+    **measure,
+) -> BenchResult:
+    """Run ``workload``'s classes through the driver's GPU engine.
+
+    ``classes`` restricts the run to a subset (CI uses a small set);
+    ``measure`` is handed to :func:`_measure_class` (``slowdown``,
+    ``slow_component``, ``verify_cpu``).
+    """
     result = BenchResult(workload=workload, scale=scale, seed=seed,
                          degree=driver.degree,
-                         cache_fraction=driver.config.cache_fraction,
-                         pipeline_depth=driver.config.pipeline_depth,
-                         chunk_bytes=driver.config.chunk_bytes,
-                         fusion_enabled=driver.config.fusion_enabled,
-                         partition_enabled=driver.config.partition_enabled,
-                         max_partitions=driver.config.max_partitions)
-    tracer = driver.gpu_engine.tracer
-    for cls, queries in available.items():
-        latencies: list[float] = []
-        cls_bytes = 0
-        cls_launches = 0
-        offloaded = 0
-        for query in queries:
-            profile = driver.profile(query, gpu=True)
-            attributed = _attributed_profile(driver, query.query_id)
-            if slow_component is not None:
-                from repro.obs.diff import scale_profile_dict
-
-                duration = float(attributed.get("duration_seconds", 0.0))
-                share = (
-                    float(attributed.get("component_totals", {})
-                          .get(slow_component, 0.0)) / duration
-                    if duration else 0.0
-                )
-                elapsed = driver.elapsed_ms(query, gpu=True) * (
-                    1.0 + (slowdown - 1.0) * share
-                )
-                attributed = scale_profile_dict(
-                    attributed, slowdown, component=slow_component)
-            else:
-                elapsed = driver.elapsed_ms(query, gpu=True) * slowdown
-                if slowdown != 1.0:
-                    from repro.obs.diff import scale_profile_dict
-
-                    attributed = scale_profile_dict(attributed, slowdown)
-            result.profiles[query.query_id] = attributed
-            moved = _bytes_moved(tracer, query.query_id)
-            launches = _kernel_launches(tracer, query.query_id)
-            latencies.append(elapsed)
-            cls_bytes += moved
-            cls_launches += launches
-            offloaded += int(profile.offloaded)
-            result.queries[query.query_id] = QueryStat(
-                query_id=query.query_id, cls=cls, elapsed_ms=elapsed,
-                offloaded=profile.offloaded, bytes_moved=moved,
-                checksum=driver.result_checksum(query, gpu=True),
-                kernel_launches=launches)
-        result.classes[cls] = ClassStat(
-            cls=cls,
-            queries=len(queries),
-            p50_ms=percentile(latencies, 0.50),
-            p95_ms=percentile(latencies, 0.95),
-            total_ms=sum(latencies),
-            bytes_moved=cls_bytes,
-            gpu_offload_ratio=offloaded / len(queries) if queries else 0.0,
-            kernel_launches=cls_launches,
-        )
+                         config=knob_values(driver.config))
+    for cls, queries in workload_classes(workload, driver,
+                                         classes).items():
+        _measure_class(result, driver, cls, queries, **measure)
     return result
 
 
@@ -318,129 +361,102 @@ def run_scale_out(
     scale: float,
     seed: int,
     degree: int,
-    *,
-    shard: bool = True,
-    nvlink: bool = True,
-    switch_bandwidth: Optional[float] = None,
-    device_counts: Sequence[int] = SCALE_OUT_DEVICES,
+    knobs: Optional[Mapping] = None,
+    slowdown: float = 1.0,
 ) -> BenchResult:
     """The N-device scale-out sweep (``docs/scale_out.md``).
 
     Runs the BD Insights complex class once per device count, each count
     on a freshly generated (hence identical) database with its own
     engine: class ``devices_<n>`` holds that count's latencies, query
-    ids are prefixed ``d<n>:``.  ``shard`` turns the shard maps on for
-    every multi-device count (the knob is inert at one device, so the
-    1-device class is the honest whole-job baseline either way);
-    ``nvlink`` and ``switch_bandwidth`` set the interconnect topology.
-
-    Every query's GPU result is checksummed against the stock CPU
-    engine at every device count and any mismatch raises
-    :class:`BenchError` — a scale-out run that completes *is* the
-    byte-identity gate, independent of any committed baseline.
+    ids are prefixed ``d<n>:``.  ``knobs`` overrides the sweep's
+    defaults — ``device_counts`` 1/2/4/8, ``shard_enabled`` and
+    ``nvlink_enabled`` on.  Sharding is on for every multi-device count
+    (the knob is inert at one device, so the 1-device class is the
+    honest whole-job baseline either way).  Every answer is verified
+    against the CPU engine at every device count.
 
     Fusion is pinned off: the fused single-launch chain runs whole on
     one device by design, and letting it absorb the join + group-by
     would quietly turn the sweep back into a single-device benchmark.
     """
-    import dataclasses
-
-    from repro.workloads.bdinsights import queries_by_category
-    from repro.workloads.datagen import generate_database, scaled_config
-    from repro.workloads.query import QueryCategory
-
-    counts = sorted(set(int(n) for n in device_counts))
+    knobs = {"device_counts": SCALE_OUT_DEVICES, "shard_enabled": True,
+             "nvlink_enabled": True, **(knobs or {}),
+             "fusion_enabled": False}
+    counts = sorted(set(int(n) for n in knobs["device_counts"]))
     if not counts or counts[0] < 1:
-        raise BenchError(f"bad device counts {list(device_counts)}: "
-                         "need positive integers")
+        raise BenchError(f"bad device counts {list(knobs['device_counts'])}"
+                         ": need positive integers")
     result: Optional[BenchResult] = None
     for n in counts:
         catalog = generate_database(scale=scale, seed=seed)
-        config = dataclasses.replace(
+        config = apply_knobs(
             scaled_config(catalog, gpus=n),
-            shard_enabled=shard and n > 1,
-            fusion_enabled=False,
-            nvlink_enabled=nvlink,
-        )
-        if switch_bandwidth is not None:
-            config = dataclasses.replace(
-                config, switch_bandwidth=float(switch_bandwidth))
+            {**knobs, "shard_enabled": knobs["shard_enabled"] and n > 1})
         driver = WorkloadDriver(catalog, config, degree=degree,
                                 enable_join_offload=True)
         if result is None:
             result = BenchResult(
                 workload="scale_out", scale=scale, seed=seed, degree=degree,
-                cache_fraction=config.cache_fraction,
-                pipeline_depth=config.pipeline_depth,
-                chunk_bytes=config.chunk_bytes,
-                fusion_enabled=config.fusion_enabled,
-                partition_enabled=config.partition_enabled,
-                max_partitions=config.max_partitions,
-                device_counts=list(counts),
-                shard_enabled=shard,
-                nvlink_enabled=nvlink,
-                switch_bandwidth=config.switch_bandwidth,
-            )
-        cls = f"devices_{n}"
-        tracer = driver.gpu_engine.tracer
-        latencies: list[float] = []
-        cls_bytes = 0
-        cls_launches = 0
-        offloaded = 0
-        queries = queries_by_category(QueryCategory.COMPLEX)
-        for query in queries:
-            profile = driver.profile(query, gpu=True)
-            elapsed = driver.elapsed_ms(query, gpu=True)
-            checksum = driver.result_checksum(query, gpu=True)
-            cpu_checksum = driver.result_checksum(query, gpu=False)
-            if checksum != cpu_checksum:
-                raise BenchError(
-                    f"{query.query_id} at {n} device(s): GPU result "
-                    f"checksum {checksum} != CPU engine {cpu_checksum} — "
-                    "sharded execution changed an answer")
-            qid = f"d{n}:{query.query_id}"
-            result.profiles[qid] = _attributed_profile(
-                driver, query.query_id)
-            moved = _bytes_moved(tracer, query.query_id)
-            launches = _kernel_launches(tracer, query.query_id)
-            latencies.append(elapsed)
-            cls_bytes += moved
-            cls_launches += launches
-            offloaded += int(profile.offloaded)
-            result.queries[qid] = QueryStat(
-                query_id=qid, cls=cls, elapsed_ms=elapsed,
-                offloaded=profile.offloaded, bytes_moved=moved,
-                checksum=checksum, kernel_launches=launches)
-        result.classes[cls] = ClassStat(
-            cls=cls, queries=len(queries),
-            p50_ms=percentile(latencies, 0.50),
-            p95_ms=percentile(latencies, 0.95),
-            total_ms=sum(latencies),
-            bytes_moved=cls_bytes,
-            gpu_offload_ratio=offloaded / len(queries) if queries else 0.0,
-            kernel_launches=cls_launches,
-        )
+                config={**knob_values(config, scale_out=True),
+                        "device_counts": counts,
+                        "shard_enabled": knobs["shard_enabled"]})
+        _measure_class(result, driver, f"devices_{n}",
+                       queries_by_category(QueryCategory.COMPLEX),
+                       prefix=f"d{n}:", slowdown=slowdown, verify_cpu=True)
     return result
 
 
-def scale_out_speedups(result_or_dict) -> dict[int, float]:
+def run_bench(
+    workload: str,
+    *,
+    scale: float,
+    seed: int,
+    degree: int,
+    knobs: Optional[Mapping] = None,
+    classes: Optional[Sequence[str]] = None,
+    join_offload: bool = False,
+    flight_record: Optional[str] = None,
+    slowdown: float = 1.0,
+    **measure,
+) -> tuple[BenchResult, Optional[WorkloadDriver]]:
+    """Generate the database, build the driver and run one workload.
+
+    The entry point behind ``repro bench`` and every side of a
+    :data:`GATES` row.  Returns the result and the driver that produced
+    it (``None`` for ``scale_out``, which builds one per device count).
+    ``flight_record`` arms the engine's flight recorder to dump into
+    that directory.
+    """
+    knobs = knobs or {}
+    if workload == "scale_out":
+        return run_scale_out(scale, seed, degree, knobs, slowdown), None
+    catalog = generate_database(scale=scale, seed=seed)
+    # The scale-out rows are not part of a class document's identity, so
+    # they are not allowed to shape the run it records either.
+    config = apply_knobs(scaled_config(catalog), {
+        key: value for key, value in knobs.items()
+        if not KNOBS[key].scale_out})
+    driver = WorkloadDriver(catalog, config, degree=degree,
+                            enable_join_offload=join_offload)
+    if flight_record:
+        os.makedirs(flight_record, exist_ok=True)
+        driver.gpu_engine.recorder.dump_dir = flight_record
+    return run_workload(driver, workload, scale, seed, classes,
+                        slowdown=slowdown, **measure), driver
+
+
+def scale_out_speedups(doc: dict) -> dict[int, float]:
     """Total-latency speedup of each device count over the 1-device run.
 
-    Accepts a :class:`BenchResult` or a loaded baseline dict; returns
-    ``{device_count: speedup}`` (1-device maps to 1.0).  Raises
+    Takes a scale-out document (``to_dict()`` or a loaded baseline) and
+    returns ``{device_count: speedup}`` (1-device maps to 1.0).  Raises
     :class:`BenchError` when the 1-device class is missing — there is
     nothing honest to normalise against.
     """
-    if isinstance(result_or_dict, BenchResult):
-        classes = {name: stat.to_dict()
-                   for name, stat in result_or_dict.classes.items()}
-    else:
-        classes = dict(result_or_dict.get("classes", {}))
-    totals: dict[int, float] = {}
-    for name, stat in classes.items():
-        if name.startswith("devices_"):
-            totals[int(name.split("_", 1)[1])] = float(
-                stat.get("total_ms", 0.0))
+    totals = {int(name.split("_", 1)[1]): float(stat.get("total_ms", 0.0))
+              for name, stat in doc.get("classes", {}).items()
+              if name.startswith("devices_")}
     base = totals.get(1, 0.0)
     if base <= 0.0:
         raise BenchError("no 1-device class to normalise speedups against")
@@ -466,217 +482,18 @@ def _attributed_profile(driver: WorkloadDriver, query_id: str) -> dict:
     return profile.to_dict()
 
 
-def _bytes_moved(tracer, query_id: str) -> int:
-    """PCIe bytes (in + out) of the traced run of ``query_id``."""
-    root = tracer.root_for(query_id)
-    if root is None:
-        return 0
-    return sum(
-        int(s.attributes.get("bytes", 0))
-        for s in tracer.trace(root.trace_id)
-        if s.name in ("gpu.transfer_in", "gpu.transfer_out")
-    )
-
-
-def _kernel_launches(tracer, query_id: str) -> int:
-    """Device launches of the traced run (the fusion gate's counter).
+def _traffic(tracer, query_id: str) -> tuple[int, int]:
+    """``(PCIe bytes in + out, device launches)`` of the traced run.
 
     One fused chain is one ``gpu.launch`` span regardless of how many
     plan operators ran inside it, so fusion-on runs launch strictly
     fewer kernels than per-operator-GPU runs of the same queries.
     """
     root = tracer.root_for(query_id)
-    if root is None:
-        return 0
-    return sum(1 for s in tracer.trace(root.trace_id)
-               if s.name == "gpu.launch")
-
-
-# ---------------------------------------------------------------------------
-# Baseline IO + comparison
-# ---------------------------------------------------------------------------
-
-
-def load_baseline(path: str) -> dict:
-    """Parse a committed baseline; raises :class:`BenchError` when unusable."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except FileNotFoundError:
-        raise BenchError(
-            f"no baseline at {path} — run `repro bench <workload> --update` "
-            "and commit the file") from None
-    except json.JSONDecodeError as exc:
-        raise BenchError(f"baseline {path} is not valid JSON: {exc}") from None
-    if data.get("format") != BASELINE_FORMAT:
-        raise BenchError(
-            f"baseline {path} has format {data.get('format')!r}, "
-            f"expected {BASELINE_FORMAT}")
-    return data
-
-
-@dataclass
-class BenchComparison:
-    """The verdict of one current-vs-baseline diff."""
-
-    failures: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_text(self) -> str:
-        lines = []
-        for failure in self.failures:
-            lines.append(f"FAIL  {failure}")
-        for warning in self.warnings:
-            lines.append(f"warn  {warning}")
-        for note in self.notes:
-            lines.append(f"note  {note}")
-        if self.ok:
-            lines.append("OK    within tolerance of committed baseline")
-        return "\n".join(lines)
-
-
-#: The exact ``repro bench`` flag that sets each config-identity knob.
-#: The mismatch hint renders these verbatim — a bare
-#: ``--{knob.replace('_', '-')}={value}`` would name flags that do not
-#: exist (``--fusion-enabled=True`` instead of ``--fusion on``).
-_KNOB_FLAGS = {
-    "cache_fraction": lambda v: f"--cache-fraction {v}",
-    "pipeline_depth": lambda v: f"--pipeline-depth {v}",
-    "chunk_bytes": lambda v: f"--chunk-bytes {v}",
-    "fusion_enabled": lambda v: f"--fusion {'on' if v else 'off'}",
-    "partition_enabled": lambda v: f"--partition {'on' if v else 'off'}",
-    "max_partitions": lambda v: f"--max-partitions {v}",
-    "device_counts": lambda v: "--devices " + ",".join(str(n) for n in v),
-    "shard_enabled": lambda v: f"--shard {'on' if v else 'off'}",
-    "nvlink_enabled": lambda v: f"--nvlink {'on' if v else 'off'}",
-    "switch_bandwidth": lambda v: f"--switch-bandwidth {v:g}",
-}
-
-
-def compare(current: BenchResult, baseline: dict,
-            tolerance: float = 0.10,
-            baseline_path: Optional[str] = None) -> BenchComparison:
-    """Diff a fresh run against a committed baseline.
-
-    Latency moves beyond ``tolerance`` (relative, per class, on p50 and
-    p95) are failures in *both* directions: a regression means the
-    engine got slower, and an improvement means the committed baseline
-    is stale — either way the tree no longer matches its recorded
-    trajectory, and the fix for the latter is to rerun with
-    ``--update`` and commit the refreshed file.  Bytes-moved growth and
-    offload-ratio drops are warnings — they often *explain* a latency
-    failure but can legitimately move when thresholds are retuned.
-    Config mismatches (workload/scale/seed/degree/cache_fraction/
-    pipeline_depth/chunk_bytes/fusion/partition knobs/query set) are
-    failures outright: the simulation is deterministic, so comparing
-    different configs is comparing nothing.  The optional knobs (every
-    key in :data:`_KNOB_FLAGS`) are only checked when the baseline
-    records them, so baselines written before a knob existed stay
-    comparable; the mismatch hint names the exact CLI flag that restores
-    each baseline value.  Query
-    result checksums must match exactly when both sides carry them — a
-    perf knob is never allowed to change an answer.
-    """
-    out = BenchComparison()
-    cur = current.to_dict()
-    config_keys = ["workload", "scale", "seed", "degree"]
-    for knob in _KNOB_FLAGS:
-        if knob in baseline:
-            config_keys.append(knob)
-    mismatched = [key for key in config_keys
-                  if cur.get(key) != baseline.get(key)]
-    if mismatched:
-        for key in mismatched:
-            out.failures.append(
-                f"config mismatch: {key} is {cur.get(key)!r}, baseline has "
-                f"{baseline.get(key)!r}")
-        where = baseline_path or "the committed baseline"
-        hints = " ".join(
-            _KNOB_FLAGS[key](baseline.get(key))
-            for key in mismatched if key in _KNOB_FLAGS)
-        out.failures.append(
-            f"config identity failed on {', '.join(mismatched)} — the "
-            f"simulation is deterministic per config, so this run is not "
-            f"comparable to {where}; rerun with matching knobs"
-            + (f" (e.g. {hints})" if hints else "")
-            + " or refresh the baseline with --update")
-        return out
-
-    base_classes = baseline.get("classes", {})
-    for cls in sorted(current.classes):
-        if cls not in base_classes:
-            out.warnings.append(f"class {cls!r} has no baseline entry")
-            continue
-        stat = current.classes[cls]
-        base = base_classes[cls]
-        if stat.queries != base.get("queries"):
-            out.failures.append(
-                f"{cls}: query count {stat.queries} != baseline "
-                f"{base.get('queries')}")
-        for metric, value in (("p50_ms", stat.p50_ms),
-                              ("p95_ms", stat.p95_ms)):
-            ref = float(base.get(metric, 0.0))
-            delta = _relative_delta(value, ref)
-            if delta > tolerance:
-                out.failures.append(
-                    f"{cls}: {metric} regressed {delta * 100:.1f}% "
-                    f"({ref:.3f} -> {value:.3f} ms, tolerance "
-                    f"{tolerance * 100:.0f}%)")
-            elif delta < -tolerance:
-                out.failures.append(
-                    f"{cls}: {metric} improved {-delta * 100:.1f}% "
-                    f"({ref:.3f} -> {value:.3f} ms, tolerance "
-                    f"{tolerance * 100:.0f}%) — baseline is stale; run "
-                    f"`repro bench {current.workload} --update` and commit "
-                    "the refreshed file")
-        ref_bytes = int(base.get("bytes_moved", 0))
-        if _relative_delta(stat.bytes_moved, ref_bytes) > tolerance:
-            out.warnings.append(
-                f"{cls}: bytes moved grew {ref_bytes} -> {stat.bytes_moved}")
-        ref_ratio = float(base.get("gpu_offload_ratio", 0.0))
-        # Baselines store the ratio rounded; compare at the same precision
-        # so a byte-identical rerun never warns.
-        if round(stat.gpu_offload_ratio, 6) < ref_ratio - 1e-9:
-            out.warnings.append(
-                f"{cls}: GPU-offload ratio dropped "
-                f"{ref_ratio:.3f} -> {stat.gpu_offload_ratio:.3f}")
-
-    base_queries = set(baseline.get("queries", {}))
-    cur_queries = set(current.queries)
-    for qid in sorted(base_queries & cur_queries):
-        base_ck = str(baseline["queries"][qid].get("checksum", ""))
-        cur_ck = current.queries[qid].checksum
-        # Only judged when both sides recorded one (older baselines
-        # predate checksums); any mismatch means the answers changed.
-        if base_ck and cur_ck and base_ck != cur_ck:
-            out.failures.append(
-                f"{qid}: result checksum changed "
-                f"({base_ck} -> {cur_ck}) — query answers differ")
-    if base_queries != cur_queries:
-        missing = sorted(base_queries - cur_queries)
-        new = sorted(cur_queries - base_queries)
-        # A subset run (CI's small query set) is fine; a *different* set
-        # at full coverage means the workload itself changed.
-        if new:
-            out.failures.append(
-                f"query set changed: new {new}, missing {missing}")
-    else:
-        worst = _worst_query_regressions(current, baseline, tolerance)
-        for line in worst:
-            out.notes.append(line)
-    return out
-
-
-def _relative_delta(value: float, reference: float) -> float:
-    """Signed relative change, with an epsilon floor against 0-baselines."""
-    if reference <= 1e-12:
-        return 0.0 if value <= 1e-12 else float("inf")
-    return (value - reference) / reference
+    spans = tracer.trace(root.trace_id) if root is not None else ()
+    moved = sum(int(s.attributes.get("bytes", 0)) for s in spans
+                if s.name in ("gpu.transfer_in", "gpu.transfer_out"))
+    return moved, sum(1 for s in spans if s.name == "gpu.launch")
 
 
 def _worst_query_regressions(current: BenchResult, baseline: dict,
@@ -697,3 +514,231 @@ def _worst_query_regressions(current: BenchResult, baseline: dict,
         f"{qid}: {ref:.3f} -> {now:.3f} ms (+{delta * 100:.1f}%)"
         for delta, qid, ref, now in rows[:limit]
     ]
+
+
+# ---------------------------------------------------------------------------
+# The ablation matrix: workload x configuration -> expected relation
+# ---------------------------------------------------------------------------
+#
+# Relations are plain functions over documents (the ``to_dict`` /
+# committed-JSON shape), each returning its own verdict, so a test can
+# hand them a synthetic pair.
+
+
+def _total(doc: dict, metric: str):
+    return sum(row[metric] for row in doc["classes"].values())
+
+
+def _show(value) -> str:
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
+
+
+def strictly_lower(on: dict, other: dict, metric: str,
+                   claim: str) -> Comparison:
+    """``on`` totals strictly less ``metric`` over its classes than
+    ``other``; ``claim`` is what it means when it does not."""
+    out = Comparison()
+    ours, theirs = _total(on, metric), _total(other, metric)
+    out.notes.append(f"{metric}: {_show(ours)} against {_show(theirs)}")
+    if ours >= theirs:
+        out.failures.append(f"{claim}: {_show(ours)} >= {_show(theirs)}")
+    return out
+
+
+def same_answers(on: dict, other: dict, claim: str) -> Comparison:
+    """Every query of ``other`` has ``on``'s result checksum."""
+    out = Comparison()
+    diverged = [qid for qid, query in other["queries"].items()
+                if query["checksum"] != on["queries"][qid]["checksum"]]
+    if diverged:
+        out.failures.append(f"{claim}: {diverged}")
+    return out
+
+
+def ran_partitioned(profiles: Mapping[str, dict]) -> Comparison:
+    """Every profiled query ran ``gpu-partitioned`` and none took the
+    Figure-3 T3 verdict back to the CPU."""
+    out = Comparison()
+    bad = []
+    for qid in sorted(profiles):
+        paths = [d["path"] for d in profiles[qid]["offload_decisions"]]
+        if PARTITIONED_PATH not in paths:
+            bad.append(f"{qid}: never partitioned ({paths})")
+        fallen = [p for p in paths if p in ("cpu-large", "cpu-fallback")]
+        if fallen:
+            bad.append(f"{qid}: T3 fallback {fallen}")
+    if bad:
+        out.failures.append("out-of-core gate: " + "; ".join(bad))
+    else:
+        out.notes.append(f"{len(profiles)} over-memory queries ran "
+                         "partitioned, none fell back")
+    return out
+
+
+def speedup_floor(on: dict, committed: dict, devices: int = 4,
+                  floor: float = 3.0) -> Comparison:
+    """``devices`` devices are at least ``floor`` times faster than the
+    *committed* 1-device run (a fresh denominator could hide a slide)."""
+    out = Comparison()
+    ratio = (committed["classes"]["devices_1"]["total_ms"]
+             / on["classes"][f"devices_{devices}"]["total_ms"])
+    out.notes.append(
+        f"{devices}-device speedup over committed 1-device: {ratio:.2f}x")
+    if ratio < floor:
+        out.failures.append(
+            f"scale-out gate: {devices}-device speedup {ratio:.2f}x < "
+            f"{floor}x over the committed 1-device run")
+    return out
+
+
+def same_answers_across_counts(on: dict) -> Comparison:
+    """One checksum per query over every device count of the ladder."""
+    out = Comparison()
+    by_query: dict[str, set] = {}
+    for qid, query in on["queries"].items():
+        by_query.setdefault(qid.split(":", 1)[1], set()).add(
+            query["checksum"])
+    diverged = sorted(q for q, sums in by_query.items() if len(sums) != 1)
+    if diverged:
+        out.failures.append(
+            "scale-out gate: checksums diverged across device counts: "
+            f"{diverged}")
+    return out
+
+
+class Side(NamedTuple):
+    """One configuration of a gate besides the committed default."""
+
+    knobs: Mapping
+    #: Committed twin under :data:`BASELINE_DIR` the side must reproduce.
+    twin: Optional[str] = None
+    join_offload: bool = False
+
+
+def _relation(check: Callable[..., Comparison], *inputs: str, **params):
+    return lambda sides: check(*(sides[name] for name in inputs), **params)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One row of the ablation matrix (``repro bench --gate <name>``).
+
+    The ``on`` side is the workload at its committed identity —
+    ``scale`` / ``seed`` / ``degree`` / ``knobs`` here must be those of
+    ``BENCH_<workload>.json`` or the compare says so; every entry of
+    ``sides`` overrides knobs on top of it.  ``relations`` take a
+    mapping of side name -> document, plus ``committed`` (the primary
+    baseline as loaded) and ``profiles`` (the ``on`` side's dumps).
+    """
+
+    name: str
+    workload: str
+    sides: Mapping[str, Side]
+    relations: tuple[Callable[[Mapping], Comparison], ...]
+    scale: float = 0.05
+    seed: int = 7
+    degree: int = 48
+    knobs: Mapping = field(default_factory=dict)
+    verify_cpu: bool = False
+
+
+GATES: tuple[Gate, ...] = (
+    Gate("cache", "bd_insights",
+         {"off": Side({"cache_fraction": 0.0},
+                      "BENCH_bd_insights_cache_off.json")},
+         (_relation(strictly_lower, "on", "off", metric="bytes_moved",
+                    claim="column cache elided no PCIe traffic"),)),
+    Gate("overlap", "bd_insights",
+         {"off": Side({"pipeline_depth": 1},
+                      "BENCH_bd_insights_pipeline_off.json")},
+         (_relation(strictly_lower, "on", "off", metric="total_ms",
+                    claim="stream pipeline saved no simulated latency"),
+          _relation(same_answers, "on", "off",
+                    claim="pipelining changed query answers"))),
+    # ``perop`` is the honest unfused reference: the same work on the
+    # device, one launch per operator.
+    Gate("fusion", "bd_insights",
+         {"off": Side({"fusion_enabled": False},
+                      "BENCH_bd_insights_fusion_off.json"),
+          "perop": Side({"fusion_enabled": False}, join_offload=True)},
+         (_relation(strictly_lower, "on", "perop", metric="bytes_moved",
+                    claim="fusion elided no PCIe traffic vs per-operator "
+                          "offload"),
+          _relation(strictly_lower, "on", "perop", metric="kernel_launches",
+                    claim="fusion saved no kernel launches"),
+          _relation(strictly_lower, "on", "off", metric="total_ms",
+                    claim="fusion saved no simulated latency"),
+          _relation(same_answers, "on", "off",
+                    claim="fusion changed answers vs fusion-off"),
+          _relation(same_answers, "on", "perop",
+                    claim="fusion changed answers vs per-op"))),
+    Gate("out-of-core", "over_memory",
+         {"off": Side({"partition_enabled": False},
+                      "BENCH_over_memory_partition_off.json")},
+         (_relation(ran_partitioned, "profiles"),
+          _relation(strictly_lower, "on", "off", metric="total_ms",
+                    claim="partitioned execution saved no simulated "
+                          "latency"),
+          _relation(same_answers, "on", "off",
+                    claim="partitioning changed query answers")),
+         verify_cpu=True),
+    Gate("scale-out", "scale_out",
+         {"off": Side({"shard_enabled": False},
+                      "BENCH_scale_out_shard_off.json")},
+         (_relation(speedup_floor, "on", "committed"),
+          _relation(same_answers_across_counts, "on")),
+         scale=0.4, seed=7, degree=64, knobs={"switch_bandwidth": 96e9}),
+)
+
+
+def run_gate(
+    name: str,
+    *,
+    classes: Optional[Sequence[str]] = None,
+    slowdown: float = 1.0,
+    tolerance: float = 0.10,
+    flight_record: Optional[str] = None,
+) -> tuple[dict[str, tuple], Comparison]:
+    """Run every side of gate ``name`` in this process and judge it.
+
+    Each side with a committed file is compared against it with the one
+    :func:`~repro.obs.baseline.compare`; then the row's relations are
+    applied.  ``slowdown`` (the self-test hook) and ``flight_record``
+    reach the ``on`` side only.  Returns ``{side: (result, driver)}``
+    and the combined verdict.
+    """
+    gate = next((g for g in GATES if g.name == name), None)
+    if gate is None:
+        raise BenchError(f"unknown gate {name!r} (expected one of "
+                         f"{[g.name for g in GATES]})")
+    # Every committed file is loaded before anything runs: a missing
+    # twin should not cost a minute-long ladder to find out.
+    primary = baseline_path(gate.workload)
+    baselines = {"on": (primary, BenchResult.load(primary))}
+    for side_name, side in gate.sides.items():
+        if side.twin:
+            path = os.path.join(BASELINE_DIR, side.twin)
+            baselines[side_name] = (path, BenchResult.load(path))
+    runs: dict[str, tuple] = {}
+    verdict = Comparison()
+    for side_name, side in {"on": Side({}), **gate.sides}.items():
+        on = side_name == "on"
+        runs[side_name] = result, _driver = run_bench(
+            gate.workload, scale=gate.scale, seed=gate.seed,
+            degree=gate.degree, knobs={**gate.knobs, **side.knobs},
+            classes=classes, join_offload=side.join_offload,
+            flight_record=flight_record if on else None,
+            slowdown=slowdown if on else 1.0,
+            verify_cpu=gate.verify_cpu)
+        if side_name in baselines:
+            path, baseline = baselines[side_name]
+            verdict.absorb(
+                compare(result, baseline, tolerance, baseline_path=path),
+                f"{os.path.basename(path)}: ")
+    inputs = {side_name: result.to_dict()
+              for side_name, (result, _driver) in runs.items()}
+    inputs["committed"] = baselines["on"][1]
+    inputs["profiles"] = runs["on"][0].profiles
+    for relation in gate.relations:
+        verdict.absorb(relation(inputs))
+    return runs, verdict

@@ -30,11 +30,11 @@ Two file-level entry points feed the CLI:
 from __future__ import annotations
 
 import copy
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from repro.obs.baseline import Document, write_json
 from repro.obs.profile import (
     COMPONENTS,
     KernelChoice,
@@ -497,34 +497,29 @@ def sidecar_path(bench_path: str) -> str:
 def write_profile_sidecar(path: str, profiles: dict[str, dict],
                           meta: Optional[dict] = None) -> str:
     """Write per-query profile dumps as a byte-stable sidecar file."""
-    doc = {
+    return write_json(path, {
         "format": SIDECAR_FORMAT,
         **(meta or {}),
         "profiles": {qid: profiles[qid] for qid in sorted(profiles)},
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return path
+    })
 
 
-def load_profile_sidecar(path: str) -> dict:
-    """Parse a sidecar; :class:`DiffError` when missing or malformed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DiffError(
-            f"no profile sidecar at {path} — rerun "
-            "`repro bench <workload> --update` (it writes the sidecar "
-            "next to the baseline) and commit both files") from None
-    except json.JSONDecodeError as exc:
-        raise DiffError(f"sidecar {path} is not valid JSON: {exc}") from None
-    if doc.get("format") != SIDECAR_FORMAT:
-        raise DiffError(
-            f"sidecar {path} has format {doc.get('format')!r}, expected "
-            f"{SIDECAR_FORMAT}")
-    return doc
+class ProfileSidecar(Document):
+    """The ``PROFILE_*`` family (loaded, never gated)."""
+
+    error = DiffError
+    noun = "sidecar "
+    missing = ("no profile sidecar at {path} — rerun "
+               "`repro bench <workload> --update` (it writes the sidecar "
+               "next to the baseline) and commit both files")
+
+
+class ProfileFile(ProfileSidecar):
+    """Any JSON file ``repro profile-diff`` is pointed at."""
+
+    noun = ""
+    missing = "no such file: {path}"
+    accepts = {}
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +608,12 @@ def _load_profiles_for(path: str) -> dict[str, dict]:
     """Profile dumps keyed by query id, from either supported file kind."""
     name = os.path.basename(path)
     if name.startswith("BENCH_"):
-        doc = load_profile_sidecar(sidecar_path(path))
+        doc = ProfileSidecar.load(sidecar_path(path))
         return dict(doc.get("profiles", {}))
     if name.startswith("PROFILE_"):
-        doc = load_profile_sidecar(path)
+        doc = ProfileSidecar.load(path)
         return dict(doc.get("profiles", {}))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DiffError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DiffError(f"{path} is not valid JSON: {exc}") from None
+    doc = ProfileFile.load(path)
     if "profiles" in doc:
         return dict(doc["profiles"])
     if "operators" in doc:

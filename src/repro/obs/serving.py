@@ -32,12 +32,11 @@ the bench harness.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.errors import ReproError
+from repro.obs.baseline import HIGHER, LOWER, Document, row_dict
 from repro.obs.hist import StreamingHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import DEFAULT_RULES, SLObjective, SloTracker
@@ -54,9 +53,8 @@ SWEEP_BASELINE = os.path.join("benchmarks", "baselines",
 #: Default Table-3-style session ladder.
 DEFAULT_SESSIONS = (1, 8, 32, 128)
 
-
-class ServingError(ReproError):
-    """Serving harness misuse or malformed sweep baseline."""
+#: The :data:`repro.config.KNOBS` rows a sweep document records.
+SWEEP_KNOBS = ("cache_fraction", "pipeline_depth", "chunk_bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +348,45 @@ class SweepPoint:
     queue_wait_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "requests": self.requests,
-            "makespan_s": round(self.makespan_s, 6),
-            "throughput_per_hour": round(self.throughput_per_hour, 6),
-            "p50_ms": round(self.p50_ms, 6),
-            "p99_ms": round(self.p99_ms, 6),
-            "p999_ms": round(self.p999_ms, 6),
-            "offload_ratio": round(self.offload_ratio, 6),
-            "max_queue_depth": self.max_queue_depth,
-            "queue_wait_s": round(self.queue_wait_s, 6),
-        }
+        return row_dict(self)
 
 
 @dataclass
-class SweepResult:
-    """One full users-vs-throughput sweep (``repro serve-bench``)."""
+class SweepResult(Document):
+    """One full users-vs-throughput sweep (``repro serve-bench``).
+
+    As a :class:`~repro.obs.baseline.Document` family: per-point
+    throughput and latency percentiles are gated both ways; request
+    counts and the session ladder must match exactly; a queue-depth
+    change or an offload-ratio drop is a warning — they usually
+    *explain* a latency failure rather than constitute one.
+    """
+
+    missing = ("no baseline at {path} — run `repro serve-bench --update` "
+               "and commit the file")
+    accepts = {"format": SWEEP_FORMAT, "kind": "serving_sweep"}
+    wrong = ("is not a serving-sweep baseline "
+             "(format={format!r} kind={kind!r})")
+    rows = "points"
+    label = "{} sessions"
+    count = ("requests", "request")
+    # Throughput regresses downward; latency regresses upward.
+    metrics = {"throughput_per_hour": HIGHER, "p50_ms": LOWER,
+               "p99_ms": LOWER, "p999_ms": LOWER}
+    regressed = ("regressed {pct:.1f}% ({ref:.3f} -> {value:.3f}, "
+                 "tolerance {tol:.0f}%)")
+    improved = ("improved {pct:.1f}% ({ref:.3f} -> {value:.3f}) — baseline "
+                "is stale; run `repro serve-bench --update` and commit the "
+                "refreshed file")
+    identity = ("loops", "think_seconds")
+    ladder = "session ladder"
 
     workload: str
     scale: float
     seed: int
     degree: int
-    cache_fraction: float
-    pipeline_depth: int
-    chunk_bytes: int
+    #: The knobs a sweep document records (:data:`SWEEP_KNOBS`).
+    config: dict
     loops: int
     think_seconds: float
     points: dict[int, SweepPoint] = field(default_factory=dict)
@@ -387,24 +399,27 @@ class SweepResult:
             "scale": self.scale,
             "seed": self.seed,
             "degree": self.degree,
-            "cache_fraction": self.cache_fraction,
-            "pipeline_depth": self.pipeline_depth,
-            "chunk_bytes": self.chunk_bytes,
+            **self.config,
             "loops": self.loops,
             "think_seconds": self.think_seconds,
             "points": {str(n): p.to_dict()
                        for n, p in sorted(self.points.items())},
         }
 
-    def to_json(self) -> str:
-        """Byte-stable JSON (sorted keys, rounded floats, trailing \\n)."""
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
-
-    def write(self, path: str) -> str:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-        return path
+    @staticmethod
+    def row_warnings(label: str, row: dict, base: dict,
+                     tolerance: float) -> list[str]:
+        warnings = []
+        if row["max_queue_depth"] != base.get("max_queue_depth"):
+            warnings.append(
+                f"{label}: max queue depth {base.get('max_queue_depth')} "
+                f"-> {row['max_queue_depth']}")
+        ref_ratio = float(base.get("offload_ratio", 0.0))
+        if row["offload_ratio"] < ref_ratio - 1e-9:
+            warnings.append(
+                f"{label}: offload ratio dropped {ref_ratio:.3f} -> "
+                f"{row['offload_ratio']:.3f}")
+        return warnings
 
     def to_text(self) -> str:
         """The users-vs-throughput table (Table 3 shape)."""
@@ -450,24 +465,14 @@ def run_sweep(
     from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
 
     driver = WorkloadDriver(catalog, config, degree=degree)
-    available = workload_classes(workload, driver)
-    if classes:
-        unknown = [c for c in classes if c not in available]
-        if unknown:
-            raise ServingError(
-                f"unknown class(es) {unknown} for {workload!r}; "
-                f"available: {sorted(available)}")
-        available = {name: qs for name, qs in available.items()
-                     if name in classes}
+    available = workload_classes(workload, driver, classes)
     queries = [q for name in sorted(available) for q in available[name]]
     concurrent = ConcurrentDriver(driver, queries, loops=loops,
                                   think_seconds=think_seconds, slos=slos)
 
     sweep = SweepResult(
         workload=workload, scale=scale, seed=seed, degree=degree,
-        cache_fraction=config.cache_fraction,
-        pipeline_depth=config.pipeline_depth,
-        chunk_bytes=config.chunk_bytes,
+        config={key: getattr(config, key) for key in SWEEP_KNOBS},
         loops=loops, think_seconds=think_seconds,
     )
     runs: dict[int, ServingRun] = {}
@@ -487,125 +492,6 @@ def run_sweep(
             queue_wait_s=run.queue_wait_seconds() * slowdown,
         )
     return sweep, runs
-
-
-def load_sweep_baseline(path: str) -> dict:
-    """Parse a committed sweep baseline (raises ServingError when unusable)."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except FileNotFoundError:
-        raise ServingError(
-            f"no baseline at {path} — run `repro serve-bench --update` "
-            "and commit the file") from None
-    except json.JSONDecodeError as exc:
-        raise ServingError(
-            f"baseline {path} is not valid JSON: {exc}") from None
-    if (
-        data.get("format") != SWEEP_FORMAT
-        or data.get("kind") != "serving_sweep"
-    ):
-        raise ServingError(
-            f"baseline {path} is not a serving-sweep baseline "
-            f"(format={data.get('format')!r} kind={data.get('kind')!r})")
-    return data
-
-
-@dataclass
-class SweepComparison:
-    """Verdict of one sweep-vs-baseline diff (mirrors the bench gate)."""
-
-    failures: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_text(self) -> str:
-        lines = [f"FAIL  {f}" for f in self.failures]
-        lines += [f"warn  {w}" for w in self.warnings]
-        if self.ok:
-            lines.append("OK    within tolerance of committed baseline")
-        return "\n".join(lines)
-
-
-def compare_sweep(current: SweepResult, baseline: dict,
-                  tolerance: float = 0.10) -> SweepComparison:
-    """Two-sided gate: regression AND unexplained improvement both fail.
-
-    Config identity (workload/scale/seed/degree/cache/pipeline/loops/
-    think time) must match exactly; per-point throughput and latency
-    percentiles must stay within ``tolerance``; request counts and the
-    session ladder must match exactly.  A queue-depth change or an
-    offload-ratio drop is a warning — they usually *explain* a latency
-    failure rather than constitute one.
-    """
-    out = SweepComparison()
-    cur = current.to_dict()
-    for key in ("workload", "scale", "seed", "degree", "cache_fraction",
-                "pipeline_depth", "chunk_bytes", "loops", "think_seconds"):
-        if cur[key] != baseline.get(key):
-            out.failures.append(
-                f"config mismatch: {key} is {cur[key]!r}, baseline has "
-                f"{baseline.get(key)!r}")
-    if out.failures:
-        return out
-
-    base_points = baseline.get("points", {})
-    cur_points = cur["points"]
-    if sorted(base_points) != sorted(cur_points):
-        out.failures.append(
-            f"session ladder changed: {sorted(cur_points)} vs baseline "
-            f"{sorted(base_points)}")
-        return out
-    for key in sorted(base_points, key=int):
-        base = base_points[key]
-        point = cur_points[key]
-        label = f"{key} sessions"
-        if point["requests"] != base.get("requests"):
-            out.failures.append(
-                f"{label}: request count {point['requests']} != baseline "
-                f"{base.get('requests')}")
-            continue
-        for metric in ("throughput_per_hour", "p50_ms", "p99_ms",
-                       "p999_ms"):
-            ref = float(base.get(metric, 0.0))
-            value = float(point[metric])
-            delta = _relative_delta(value, ref)
-            # Throughput regresses downward; latency regresses upward.
-            if metric == "throughput_per_hour":
-                delta = -delta
-            if delta > tolerance:
-                out.failures.append(
-                    f"{label}: {metric} regressed {delta * 100:.1f}% "
-                    f"({ref:.3f} -> {value:.3f}, tolerance "
-                    f"{tolerance * 100:.0f}%)")
-            elif delta < -tolerance:
-                out.failures.append(
-                    f"{label}: {metric} improved {-delta * 100:.1f}% "
-                    f"({ref:.3f} -> {value:.3f}) — baseline is stale; "
-                    "run `repro serve-bench --update` and commit the "
-                    "refreshed file")
-        if point["max_queue_depth"] != base.get("max_queue_depth"):
-            out.warnings.append(
-                f"{label}: max queue depth "
-                f"{base.get('max_queue_depth')} -> "
-                f"{point['max_queue_depth']}")
-        ref_ratio = float(base.get("offload_ratio", 0.0))
-        if float(point["offload_ratio"]) < ref_ratio - 1e-9:
-            out.warnings.append(
-                f"{label}: offload ratio dropped {ref_ratio:.3f} -> "
-                f"{float(point['offload_ratio']):.3f}")
-    return out
-
-
-def _relative_delta(value: float, reference: float) -> float:
-    """Signed relative change with an epsilon floor (throughput is never
-    legitimately compared against a zero baseline)."""
-    if reference <= 1e-12:
-        return 0.0 if value <= 1e-12 else float("inf")
-    return (value - reference) / reference
 
 
 # ---------------------------------------------------------------------------

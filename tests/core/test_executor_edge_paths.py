@@ -87,8 +87,7 @@ class TestPartitionedFallbackMix:
                                          sort_min_rows=10**9)
         config = dataclasses.replace(config, gpus=(tiny,),
                                      thresholds=thresholds)
-        engine = GpuAcceleratedEngine(small_catalog, config=config,
-                                      partition_large_groupby=True)
+        engine = GpuAcceleratedEngine(small_catalog, config=config)
         cpu = BluEngine(small_catalog)
         result = engine.execute_sql(GROUPBY_SQL)
         ref = cpu.execute_sql(GROUPBY_SQL)

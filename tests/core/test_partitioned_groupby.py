@@ -17,9 +17,9 @@ def make_engine(small_catalog, t3: int, partition: bool):
     config = paper_testbed()
     thresholds = dataclasses.replace(config.thresholds, t1_min_rows=1000,
                                      t3_max_rows=t3, sort_min_rows=10**9)
-    config = dataclasses.replace(config, thresholds=thresholds)
-    return GpuAcceleratedEngine(small_catalog, config=config,
-                                partition_large_groupby=partition)
+    config = dataclasses.replace(config, thresholds=thresholds,
+                                 partition_enabled=partition)
+    return GpuAcceleratedEngine(small_catalog, config=config)
 
 
 def sorted_dict(table):

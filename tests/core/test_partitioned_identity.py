@@ -35,11 +35,10 @@ def make_engine(small_catalog, t3=20_000, partition=True, faults=None,
     thresholds = dataclasses.replace(config.thresholds, t1_min_rows=1000,
                                      t3_max_rows=t3, sort_min_rows=10**9)
     config = dataclasses.replace(config, thresholds=thresholds,
-                                 faults=faults)
+                                 faults=faults, partition_enabled=partition)
     if gpus is not None:
         config = dataclasses.replace(config, gpus=gpus)
-    return GpuAcceleratedEngine(small_catalog, config=config,
-                                partition_large_groupby=partition)
+    return GpuAcceleratedEngine(small_catalog, config=config)
 
 
 def cpu_baseline(small_catalog, sql):

@@ -79,7 +79,7 @@ class TestRun:
 class TestBaselineIO:
     def test_round_trip(self, result, tmp_path):
         path = result.write(str(tmp_path / "BENCH_bd_insights.json"))
-        loaded = bench.load_baseline(path)
+        loaded = bench.BenchResult.load(path)
         assert loaded == result.to_dict()
         assert loaded["format"] == bench.BASELINE_FORMAT
 
@@ -92,15 +92,15 @@ class TestBaselineIO:
 
     def test_missing_and_malformed_baseline(self, tmp_path):
         with pytest.raises(bench.BenchError, match="no baseline"):
-            bench.load_baseline(str(tmp_path / "absent.json"))
+            bench.BenchResult.load(str(tmp_path / "absent.json"))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(bench.BenchError, match="not valid JSON"):
-            bench.load_baseline(str(bad))
+            bench.BenchResult.load(str(bad))
         wrong = tmp_path / "wrong.json"
         wrong.write_text('{"format": 99}')
         with pytest.raises(bench.BenchError, match="format"):
-            bench.load_baseline(str(wrong))
+            bench.BenchResult.load(str(wrong))
 
     def test_default_path(self):
         assert bench.baseline_path("bd_insights") == \
@@ -214,19 +214,20 @@ class TestScaleOut:
     def scale_out(self):
         """A tiny 1-vs-2-device scale-out run (fresh DB per count)."""
         return bench.run_scale_out(scale=0.02, seed=11, degree=48,
-                                   device_counts=(1, 2))
+                                   knobs={"device_counts": (1, 2)})
 
     def test_one_class_per_device_count(self, scale_out):
         assert sorted(scale_out.classes) == ["devices_1", "devices_2"]
-        assert scale_out.device_counts == [1, 2]
-        assert scale_out.shard_enabled and scale_out.nvlink_enabled
+        assert scale_out.config["device_counts"] == [1, 2]
+        assert scale_out.config["shard_enabled"]
+        assert scale_out.config["nvlink_enabled"]
         # Same queries at both counts, keyed by device prefix.
         d1 = [q for q in scale_out.queries if q.startswith("d1:")]
         d2 = [q for q in scale_out.queries if q.startswith("d2:")]
         assert len(d1) == len(d2) > 0
 
     def test_speedups_normalised_to_one_device(self, scale_out):
-        speedups = bench.scale_out_speedups(scale_out)
+        speedups = bench.scale_out_speedups(scale_out.to_dict())
         assert speedups[1] == 1.0
         assert speedups[2] > 1.0    # sharding must actually pay
 
@@ -276,4 +277,4 @@ class TestScaleOut:
 
     def test_speedups_require_a_single_device_class(self, result):
         with pytest.raises(bench.BenchError, match="1-device"):
-            bench.scale_out_speedups(result)
+            bench.scale_out_speedups(result.to_dict())

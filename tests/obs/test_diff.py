@@ -12,7 +12,7 @@ from repro.obs.diff import (
     DiffError,
     diff_profiles,
     explain_bench_delta,
-    load_profile_sidecar,
+    ProfileSidecar,
     operator_paths,
     profile_from_dict,
     profile_to_dict,
@@ -225,16 +225,16 @@ class TestSidecars:
         write_profile_sidecar(p1, profiles, meta={"workload": "w"})
         write_profile_sidecar(p2, profiles, meta={"workload": "w"})
         assert open(p1, "rb").read() == open(p2, "rb").read()
-        doc = load_profile_sidecar(p1)
+        doc = ProfileSidecar.load(p1)
         assert doc["profiles"] == profiles
 
     def test_missing_sidecar_names_the_remedy(self, tmp_path):
         with pytest.raises(DiffError, match="--update"):
-            load_profile_sidecar(str(tmp_path / "PROFILE_none.json"))
+            ProfileSidecar.load(str(tmp_path / "PROFILE_none.json"))
 
     def test_committed_sidecars_exist_and_parse(self):
         for workload in ("bd_insights", "cognos_rolap"):
-            doc = load_profile_sidecar(
+            doc = ProfileSidecar.load(
                 f"benchmarks/baselines/PROFILE_{workload}.json")
             assert doc["profiles"], workload
             for qid, data in doc["profiles"].items():
@@ -243,7 +243,7 @@ class TestSidecars:
 
 class TestBenchExplanation:
     def test_explanation_names_top_component_and_operators(self):
-        doc = load_profile_sidecar(
+        doc = ProfileSidecar.load(
             "benchmarks/baselines/PROFILE_bd_insights.json")
         baseline = doc["profiles"]
         current = {qid: scale_profile_dict(data, 2.0, component="kernel")

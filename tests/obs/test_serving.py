@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.obs import serving
+from repro.obs.baseline import BenchError, compare
 from repro.obs.export import MetricsLog, prometheus_text
 from repro.obs.profile import build_profile
 from repro.obs.slo import SLObjective
@@ -215,20 +216,20 @@ class TestSweep:
     def test_write_and_load(self, sweep, tmp_path):
         result, _ = sweep
         path = result.write(str(tmp_path / "BENCH_serving_sweep.json"))
-        loaded = serving.load_sweep_baseline(path)
+        loaded = serving.SweepResult.load(path)
         assert loaded == json.loads(result.to_json())
 
     def test_load_rejects_missing_and_malformed(self, tmp_path):
-        with pytest.raises(serving.ServingError, match="no baseline"):
-            serving.load_sweep_baseline(str(tmp_path / "absent.json"))
+        with pytest.raises(BenchError, match="no baseline"):
+            serving.SweepResult.load(str(tmp_path / "absent.json"))
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": 99, "kind": "bench"}')
-        with pytest.raises(serving.ServingError, match="not a serving"):
-            serving.load_sweep_baseline(str(bad))
+        with pytest.raises(BenchError, match="not a serving"):
+            serving.SweepResult.load(str(bad))
 
     def test_self_compare_passes(self, sweep):
         result, _ = sweep
-        comparison = serving.compare_sweep(
+        comparison = compare(
             result, json.loads(result.to_json()))
         assert comparison.ok, comparison.failures
 
@@ -239,13 +240,13 @@ class TestSweep:
         slowed, _ = serving.run_sweep(
             bd_catalog, bd_config, scale=0.02, seed=11,
             classes=["complex"], session_counts=(1, 4), slowdown=1.5)
-        comparison = serving.compare_sweep(slowed, baseline)
+        comparison = compare(slowed, baseline)
         assert not comparison.ok
         assert any("regressed" in f for f in comparison.failures)
         faster, _ = serving.run_sweep(
             bd_catalog, bd_config, scale=0.02, seed=11,
             classes=["complex"], session_counts=(1, 4), slowdown=0.5)
-        comparison = serving.compare_sweep(faster, baseline)
+        comparison = compare(faster, baseline)
         assert not comparison.ok
         assert any("improved" in f and "--update" in f
                    for f in comparison.failures)
@@ -254,15 +255,15 @@ class TestSweep:
         result, _ = sweep
         baseline = json.loads(result.to_json())
         baseline["degree"] = 16
-        comparison = serving.compare_sweep(result, baseline)
+        comparison = compare(result, baseline)
         assert any("config mismatch" in f for f in comparison.failures)
         baseline = json.loads(result.to_json())
         del baseline["points"]["4"]
-        comparison = serving.compare_sweep(result, baseline)
+        comparison = compare(result, baseline)
         assert any("session ladder" in f for f in comparison.failures)
 
     def test_unknown_class_rejected(self, bd_catalog, bd_config):
-        with pytest.raises(serving.ServingError, match="unknown class"):
+        with pytest.raises(BenchError, match="unknown class"):
             serving.run_sweep(bd_catalog, bd_config, scale=0.02, seed=11,
                               classes=["nope"], session_counts=(1,))
 
