@@ -66,6 +66,8 @@ def content_digest(*arrays: Optional[np.ndarray]) -> str:
         if array is None:
             digest.update(b"\x00")
             continue
+        # A bytes copy, not the array: freeing it lifts glibc's mmap/trim
+        # thresholds, which keeps the CPU join's temporaries from faulting.
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 

@@ -97,13 +97,12 @@ def _encode_float64(values: np.ndarray) -> np.ndarray:
 
 def extract_partial_keys(encoded: np.ndarray, rows: np.ndarray,
                          offset: int) -> np.ndarray:
-    """The 4-byte partial key of each row at ``offset`` (zero-padded)."""
-    n = len(rows)
-    window = np.zeros((n, 4), dtype=np.uint8)
-    available = max(0, min(4, encoded.shape[1] - offset))
-    if available:
-        window[:, :available] = encoded[rows, offset:offset + available]
-    return window.view(">u4").reshape(n).astype(np.uint32)
+    """The 4-byte partial key of each row at ``offset`` (zero past the end):
+    every encoded key is 4 or 8 bytes wide and every offset a multiple of 4,
+    so it is one big-endian word of the row — one gather."""
+    if offset >= encoded.shape[1]:
+        return np.zeros(len(rows), dtype=np.uint32)
+    return encoded.view(">u4")[rows, offset // 4].astype(np.uint32)
 
 
 # ---------------------------------------------------------------------------

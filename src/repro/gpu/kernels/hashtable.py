@@ -15,6 +15,9 @@ Three pieces of section 4.3.1 live here:
   path) and counts every row's probes, so the cost model charges the real
   probe traffic, and raises :class:`~repro.errors.HashTableOverflowError` when
   the table was sized too small — the error path the KMV estimate guards.
+  On the host a CAS round is a reversed scatter of key ids into a slot-owner
+  array and a gather back, over a compacted ``(key id, slot)`` walk; the key
+  words land in ``table`` once, from the final slots.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ class GpuHashTable:
         self.layout = layout
         self.table = np.full(self.slots, _EMPTY, dtype=np.int64)
         self.filled = 0
+        self.alias: np.int64 | None = None  # what the empty-marker key rides as
 
     @classmethod
     def sized_for(cls, estimated_groups: int, key_bits: int,
@@ -211,6 +215,15 @@ class GpuHashTable:
         hashed = murmur3_fmix64(keys)
         return (hashed % np.uint64(self.slots)).astype(np.int64)
 
+    def as_stored(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as this table stores them: the empty marker rides under
+        the insert's alias, and a real key equal to that alias becomes the
+        marker, which (like every free slot) matches nothing."""
+        if self.alias is None:
+            return keys
+        return np.where(keys == _EMPTY, self.alias,
+                        np.where(keys == self.alias, _EMPTY, keys))
+
     def insert(self,
                factors: Factorisation) -> tuple[np.ndarray, InsertStats]:
         """Insert every row's key; return (slot per row, stats).
@@ -240,43 +253,36 @@ class GpuHashTable:
             alias = _EMPTY + 1
             while (dkeys == alias).any():
                 alias += 1
-            dkeys = np.where(dkeys == _EMPTY, alias, dkeys)
-        key_slot = np.full(n_keys, -1, dtype=np.int64)
-        cur = self._slot_of(dkeys)
-        active = np.arange(n_keys)
-        probes = 0
-        rounds = 0
-        mates_pending = False
+            self.alias = alias
+            dkeys = self.as_stored(dkeys)
+        # owner[s] is the id of the key holding slot s (-1: free).  Ids
+        # ascend by first row, so scattering them in reverse leaves the
+        # earliest contender in each free slot: the atomicCAS winner.
+        owner = np.full(self.slots, -1, dtype=np.int64)
+        key_slot = np.empty(n_keys, dtype=np.int64)
+        unit = not n_keys or int(weight.max()) == 1
+        active = bid = np.arange(n_keys)     # round 1: every slot is free
+        pos = self._slot_of(dkeys)
+        probes = rounds = 0
         while active.size:      # keys <= slots: every path ends at a free slot
             rounds += 1
-            slots_now = cur[active]
-            active_keys = dkeys[active]
-            occupants = self.table[slots_now]
-            resolved = occupants == active_keys     # key already present
-            empty = np.flatnonzero(occupants == _EMPTY)
-
-            # atomicCAS: ``active`` ascends by first row, so scattering in
-            # reverse leaves the earliest contender in each empty slot.
-            mates_pending = False
-            if empty.size:
-                target, claim = slots_now[empty], active_keys[empty]
-                self.table[target[::-1]] = claim[::-1]
-                won = empty[self.table[target] == claim]
-                resolved[won] = True
-                self.filled += len(won)
-                mates_pending = bool((weight[active[won]] > 1).any())
-
-            key_slot[active[resolved]] = slots_now[resolved]
-            active = active[~resolved]
-            if not active.size:
+            owner[pos[::-1]] = bid[::-1]
+            key_slot[active] = pos          # a loser's is rewritten later
+            lost = np.flatnonzero(owner[pos] != active)
+            if not lost.size:
+                # The last winners' key-mates lost the CAS and match one
+                # round later.
+                rounds += int(not unit and weight[active].max() > 1)
                 break
             # Everyone left faces an occupied mismatch: probe onward.
-            cur[active] = (cur[active] + 1) % self.slots
-            probes += int(weight[active].sum())
-        if mates_pending:
-            # The last winners' key-mates lost the CAS and match one
-            # round later.
-            rounds += 1
+            active, pos = active[lost], pos[lost] + 1
+            pos[pos == self.slots] = 0
+            probes += active.size if unit else int(weight[active].sum())
+            # An occupied slot bids its owner, so only free slots change.
+            occupant = owner[pos]
+            bid = np.where(occupant < 0, active, occupant)
+        self.table[key_slot] = dkeys
+        self.filled = n_keys
         return key_slot[group_index], InsertStats(
             rows=len(group_index), probes=probes, rounds=rounds,
             groups=self.filled, slots=self.slots)

@@ -132,7 +132,8 @@ def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
     read-only walk does not depend on the order the keys appeared in, so
     on a dense span the distinct keys and their row counts come from one
     ``bincount`` and the answers map back through the span table; only
-    off it is a first-appearance factorisation worth its sort.
+    off it is a first-appearance factorisation worth its sort.  Keys walk
+    as the table stores them (:meth:`GpuHashTable.as_stored`).
     """
     span = dense_span(keys, len(keys))
     if span is not None:
@@ -142,6 +143,7 @@ def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
         distinct, weight = present + span[0], counts[present]
     else:
         (key_of_row, distinct, weight), _first = factorise(keys)
+    distinct = table.as_stored(distinct)
     n_keys = len(distinct)
     found = np.full(n_keys, -1, dtype=np.int64)
     cur = table._slot_of(distinct)
@@ -158,6 +160,8 @@ def _probe(table: GpuHashTable, keys: np.ndarray) -> tuple[np.ndarray, int]:
         active = active[~hit & (occupants != empty)]
         cur[active] = (cur[active] + 1) % table.slots
         extra_probes += int(weight[active].sum())
+    # The marker "hit" the free slot that ended its walk: a miss.
+    found[distinct == empty] = -1
     if span is not None:
         # Back through the span table (values no row carries stay -1).
         by_value = np.full(span[1], -1, dtype=np.int64)

@@ -25,29 +25,17 @@ _KEY_BITS = 32
 _PASSES = _KEY_BITS // _RADIX_BITS
 
 
-@dataclass(frozen=True)
-class DuplicateRange:
-    """A run of tuples sharing the same 4-byte partial key."""
-
-    start: int
-    length: int
-
-
 @dataclass
 class RadixSortResult:
     """Sorted order, duplicate ranges, and simulated timing."""
 
     order: np.ndarray
-    #: Start and length of every duplicate range, as parallel int64 arrays.
+    #: Start and length of every duplicate range (a run of tuples sharing
+    #: one 4-byte partial key), as parallel int64 arrays.
     duplicate_starts: np.ndarray
     duplicate_lengths: np.ndarray
     kernel_seconds: float
     device_bytes: int
-
-    @property
-    def duplicate_ranges(self) -> list[DuplicateRange]:
-        return [DuplicateRange(s, n) for s, n in zip(
-            self.duplicate_starts.tolist(), self.duplicate_lengths.tolist())]
 
 
 class RadixSortKernel:

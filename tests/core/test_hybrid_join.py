@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.blu import BluEngine
+from repro.blu import BluEngine, Catalog, Schema, Table
+from repro.blu.datatypes import int64
+from repro.blu.operators.join import match_rows
 from repro.config import CostModel, GpuSpec, paper_testbed
 from repro.core import GpuAcceleratedEngine
 from repro.errors import GpuError
@@ -13,6 +15,7 @@ from repro.gpu.kernels.join import HashJoinKernel
 from tests.conftest import tables_equal
 
 
+LO = np.iinfo(np.int64).min
 JOIN_SQL = ("SELECT st_state, SUM(s_paid) AS rev, COUNT(*) AS c "
             "FROM sales JOIN stores ON s_store = st_id "
             "GROUP BY st_state ORDER BY rev DESC")
@@ -63,6 +66,23 @@ class TestJoinKernel:
         large = kernel.run(build, np.arange(200_000, dtype=np.int64) % 1000)
         assert large.kernel_seconds > 5 * small.kernel_seconds
 
+    @pytest.mark.parametrize("build, probe", [
+        ([LO, 5, 9], [LO, 5, 7, LO]),
+        ([LO, LO + 1, 5], [LO + 1, LO, 3, LO]),
+        ([LO, 5], [LO + 1, LO, 5]),         # LO + 1 is the build's alias
+        ([5, 9], [LO, 5, LO]),              # no alias: LO matches nothing
+    ])
+    def test_int64_min_keys_match_like_the_host_join(self, build, probe):
+        """A key equal to the empty-slot marker joins by value: it never
+        "matches" a free slot, and a real key equal to the marker's alias
+        never matches the marker's row."""
+        build = np.array(build, dtype=np.int64)
+        probe = np.array(probe, dtype=np.int64)
+        result = HashJoinKernel(CostModel()).run(build, probe)
+        left_idx, right_idx = match_rows(build, probe)
+        assert result.left_idx.tolist() == left_idx.tolist()
+        assert result.right_idx.tolist() == right_idx.tolist()
+
     def test_stats(self):
         kernel = HashJoinKernel(CostModel())
         result = kernel.run(np.arange(100, dtype=np.int64),
@@ -81,6 +101,33 @@ class TestHybridJoinExecutor:
         decisions = [d for d in join_engine.monitor.decisions_for("j1")
                      if d.operator == "join"]
         assert decisions and decisions[0].path == "gpu"
+
+    def test_int64_min_keys_join_like_the_cpu_engine(self):
+        """``INT64_MIN`` in both key columns: the offloaded join pairs those
+        rows with each other, not with the last dimension row."""
+        rows = 6_000
+        dim_keys = [LO] + list(range(1, 500))
+        fact = Table.from_pydict(
+            "fact", Schema.of(("fk", int64()), ("v", int64())),
+            {"fk": [LO if i % 5 == 0 else i % 700 for i in range(rows)],
+             "v": list(range(rows))})
+        dim = Table.from_pydict(
+            "dim", Schema.of(("dk", int64()), ("w", int64())),
+            {"dk": dim_keys, "w": [10 * i for i in range(len(dim_keys))]})
+        catalog = Catalog()
+        catalog.register(fact)
+        catalog.register(dim)
+        config = paper_testbed()
+        config = dataclasses.replace(config, thresholds=dataclasses.replace(
+            config.thresholds, t1_min_rows=1_000))
+        engine = GpuAcceleratedEngine(catalog, config=config,
+                                      enable_join_offload=True)
+        sql = "SELECT fk, w, v FROM fact JOIN dim ON fk = dk"
+        gpu = engine.execute_sql(sql)
+        assert any(e.op == "GPU-JOIN" for e in gpu.profile.events)
+        got = gpu.table.to_pydict()
+        assert {w for fk, w in zip(got["fk"], got["w"]) if fk == LO} == {0}
+        assert tables_equal(gpu.table, BluEngine(catalog).execute_sql(sql).table)
 
     def test_small_probe_stays_on_cpu(self, join_engine):
         result = join_engine.execute_sql(

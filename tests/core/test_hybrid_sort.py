@@ -3,11 +3,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blu import BluEngine
+from repro.blu.column import column_from_values
 from repro.blu.plan import SortKey
 from repro.blu.table import Schema, Table
-from repro.blu.datatypes import float64, int32, int64, varchar
+from repro.blu.datatypes import (DataType, TypeKind, date, decimal, float64,
+                                 int32, int64, varchar)
 from repro.core.hybrid_sort import (
     encode_sort_keys,
     extract_partial_keys,
@@ -15,6 +18,28 @@ from repro.core.hybrid_sort import (
 from repro.core.hybrid_sort import HybridSortExecutor
 from tests.conftest import tables_equal
 from tests.gpu.row_level_oracles import drain_duplicate_ranges_list
+
+#: One column per kind of sort key: name -> (type, value from a small int).
+_KEY_KINDS = {
+    "b": (DataType(TypeKind.INTEGER, 8), lambda v: v % 2 == 0),
+    "i8": (DataType(TypeKind.INTEGER, 8), lambda v: v % 256 - 128),
+    "i16": (DataType(TypeKind.INTEGER, 16), lambda v: v),
+    "i32": (int32(), lambda v: v * 65_535),
+    "i64": (int64(), lambda v: v * 2**40),
+    "f": (float64(), lambda v: v / 7),
+    "d": (date(), lambda v: v),
+    "dec": (decimal(12), lambda v: v * 100),
+    "s": (varchar(8), lambda v: f"s{v % 13}"),
+}
+
+
+def _byte_window(encoded, rows, offset):
+    """The partial key as first defined: a zero-filled 4-byte window."""
+    window = np.zeros((len(rows), 4), dtype=np.uint8)
+    available = max(0, min(4, encoded.shape[1] - offset))
+    if available:
+        window[:, :available] = encoded[rows, offset:offset + available]
+    return window.view(">u4").reshape(len(rows)).astype(np.uint32)
 
 
 class TestKeyEncoding:
@@ -57,6 +82,37 @@ class TestKeyEncoding:
         encoded = encode_sort_keys(t, [SortKey("v")])
         partial = extract_partial_keys(encoded, np.array([0, 1]), offset=8)
         assert list(partial) == [0, 0]           # fully past the key bytes
+
+    @given(values=st.lists(st.none() | st.integers(-2**15, 2**15),
+                           min_size=1, max_size=40),
+           keys=st.lists(st.tuples(st.sampled_from(sorted(_KEY_KINDS)),
+                                   st.booleans()),
+                         min_size=1, max_size=4, unique_by=lambda k: k[0]),
+           width=st.sampled_from([4, 8, 12, 16]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_word_gather_equals_byte_window(self, values, keys, width, seed):
+        """Every key kind encodes to a multiple of 4 bytes — the
+        precondition of the one-word gather — and the gather equals the
+        zero-filled byte window at every offset up to one word past the
+        end, on real encodings and on random bytes of width 4-16."""
+        schema = Schema.of(*((name, dtype) for name, (dtype, _)
+                             in _KEY_KINDS.items()))
+        table = Table("t", schema, [
+            column_from_values(dtype, [None if v is None else convert(v)
+                                       for v in values])
+            for dtype, convert in _KEY_KINDS.values()])
+        encoded = encode_sort_keys(
+            table, [SortKey(name, ascending) for name, ascending in keys])
+        assert encoded.shape[1] % 4 == 0
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 256, (len(values), width), dtype=np.uint8)
+        rows = rng.integers(0, len(values), 2 * len(values))
+        for words in (encoded, raw):
+            for offset in range(0, words.shape[1] + 5, 4):
+                got = extract_partial_keys(words, rows, offset)
+                assert got.dtype == np.uint32
+                assert np.array_equal(got, _byte_window(words, rows, offset))
 
 
 class TestHybridSortExecution:

@@ -97,6 +97,7 @@ def probe_row_level(table: GpuHashTable,
     result = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return result, 0
+    keys = table.as_stored(keys)
     cur = table._slot_of(keys)
     active = np.arange(n)
     extra_probes = 0
@@ -106,8 +107,8 @@ def probe_row_level(table: GpuHashTable,
             break
         occupants = table.table[cur[active]]
         active_keys = keys[active]
-        hit = occupants == active_keys
         miss = occupants == empty               # definitively absent
+        hit = (occupants == active_keys) & ~miss
         result[active[hit]] = cur[active[hit]]
         unresolved = ~(hit | miss)
         still = active[unresolved]

@@ -212,6 +212,25 @@ _key_batches = st.lists(
     min_size=1, max_size=3)
 
 
+def _large_table(n_keys, fill, repeated, seed):
+    """``(keys, slots)``: ``n_keys`` sparse distinct keys at ``fill``, each
+    on one row or on one to three shuffled rows."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(10**12, n_keys, replace=False).astype(np.int64)
+    if repeated:
+        keys = rng.permutation(np.repeat(keys, rng.integers(1, 4, n_keys)))
+    return keys, int(np.ceil(n_keys / fill))
+
+
+#: Small tables fed the batches above, and large ones (hundreds to
+#: ~3 000 keys, fill 0.6-1.0) whose walks take dozens to thousands of
+#: rounds and wrap past the last slot.
+_insert_cases = st.one_of(
+    st.tuples(_key_batches.map(np.concatenate), st.integers(1, 96)),
+    st.builds(_large_table, st.integers(200, 3_000), st.floats(0.6, 1.0),
+              st.booleans(), st.integers(0, 2**32 - 1)))
+
+
 def _attempt(insert, keys):
     """``(row_slot, stats)`` or the overflow the insert raised."""
     try:
@@ -225,13 +244,13 @@ class TestInsertMatchesRowLevelOracle:
     row-at-a-time loop it replaced, on a table roomy or too small (where
     both overflow — the new one before it has touched a slot)."""
 
-    @given(batches=_key_batches, slots=st.integers(1, 96))
+    @given(case=_insert_cases)
     @settings(max_examples=300, deadline=None)
-    def test_same_simulation(self, batches, slots):
+    def test_same_simulation(self, case):
+        keys, slots = case
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
         new = GpuHashTable(slots, 64, layout)
         old = GpuHashTable(slots, 64, layout)
-        keys = np.concatenate(batches)
         got = _attempt(lambda k: _insert(new, k), keys)
         want = _attempt(lambda k: insert_row_level(old, k), keys)
         if isinstance(want, HashTableOverflowError):

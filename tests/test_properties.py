@@ -113,7 +113,7 @@ class TestRadixSortProperties:
         result = RadixSortKernel(_COST).run(arr)
         assert np.array_equal(arr[result.order], np.sort(arr))
         # Duplicate ranges exactly cover repeated keys.
-        covered = sum(r.length for r in result.duplicate_ranges)
+        covered = result.duplicate_lengths.sum()
         _, counts = np.unique(arr, return_counts=True)
         assert covered == counts[counts > 1].sum()
 
