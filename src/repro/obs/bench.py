@@ -281,7 +281,6 @@ def _measure_class(
     """
     from repro.obs.diff import scale_profile_dict
 
-    tracer = driver.gpu_engine.tracer
     latencies: list[float] = []
     cls_bytes = 0
     cls_launches = 0
@@ -313,7 +312,12 @@ def _measure_class(
                     f"{cpu_checksum} — the accelerated path changed an "
                     "answer")
         result.profiles[qid] = attributed
-        moved, launches = _traffic(tracer, query.query_id)
+        # PCIe bytes in + out and device launches of the traced run.  One
+        # fused chain is one launch however many plan operators ran in
+        # it, so fusion-on runs launch strictly fewer kernels than
+        # per-operator-GPU runs of the same queries.
+        moved = attributed["bytes_in"] + attributed["bytes_out"]
+        launches = len(attributed["occupancy"])
         latencies.append(elapsed)
         cls_bytes += moved
         cls_launches += launches
@@ -480,20 +484,6 @@ def _attributed_profile(driver: WorkloadDriver, query_id: str) -> dict:
         decisions=engine.monitor.decisions_for(query_id),
     )
     return profile.to_dict()
-
-
-def _traffic(tracer, query_id: str) -> tuple[int, int]:
-    """``(PCIe bytes in + out, device launches)`` of the traced run.
-
-    One fused chain is one ``gpu.launch`` span regardless of how many
-    plan operators ran inside it, so fusion-on runs launch strictly
-    fewer kernels than per-operator-GPU runs of the same queries.
-    """
-    root = tracer.root_for(query_id)
-    spans = tracer.trace(root.trace_id) if root is not None else ()
-    moved = sum(int(s.attributes.get("bytes", 0)) for s in spans
-                if s.name in ("gpu.transfer_in", "gpu.transfer_out"))
-    return moved, sum(1 for s in spans if s.name == "gpu.launch")
 
 
 def _worst_query_regressions(current: BenchResult, baseline: dict,

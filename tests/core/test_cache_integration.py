@@ -48,10 +48,10 @@ class TestCrossQueryHits:
         engine = _engine(small_catalog, 0.25)
         _res, first = engine.profile_sql(GROUPBY_SQL, query_id="p1")
         _res, second = engine.profile_sql(GROUPBY_SQL, query_id="p2")
-        assert second.cache_summary()["hits"] > 0
+        assert second.summary("cache")["hits"] > 0
         assert second.bytes_in < first.bytes_in
         # The elided bytes account exactly for the difference.
-        assert second.bytes_in + second.cache_summary()["hit_bytes"] \
+        assert second.bytes_in + second.summary("cache")["hit_bytes"] \
             == first.bytes_in
 
     def test_profile_renders_cache_section(self, small_catalog):

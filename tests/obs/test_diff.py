@@ -4,6 +4,7 @@ sum to the end-to-end delta — the accounting identities ``repro
 profile-diff`` and ``bench --compare --explain`` rest on."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,15 @@ from repro.obs.diff import (
     sidecar_path,
     write_profile_sidecar,
 )
-from repro.obs.profile import COMPONENTS
+from repro.obs.profile import (
+    COMPONENTS,
+    SECTIONS,
+    KernelChoice,
+    OccupancySlice,
+    OperatorNode,
+    PathVerdict,
+    QueryProfile,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +83,57 @@ def _node_dicts(draw, depth=0, start=0.0, span_ids=None):
     }
 
 
+_words = st.text(max_size=5)
+#: A value of each type a section field's default can have.
+_typed_values = {int: st.integers(-1, 99), float: _times, str: _words,
+                 bool: st.booleans(),
+                 list: st.lists(st.integers(0, 3), max_size=3)}
+
+
+def _section_events(section):
+    """Events as ``section`` projects them: every field typed, or — for a
+    section keeping whole spans — a span name plus attributes."""
+    if section.fields:
+        return st.fixed_dictionaries({
+            name: _typed_values[type(default)]
+            for name, default, *_source in section.fields})
+    return st.fixed_dictionaries(
+        {"name": st.sampled_from(section.spans)},
+        optional={"device_id": st.integers(0, 3),
+                  "bytes": st.integers(0, 1 << 20), "reason": _words})
+
+
+_verdicts = st.builds(
+    PathVerdict,
+    operator=st.sampled_from(["groupby", "sort", "fused", "groupby-shard"]),
+    rows=st.integers(0, 99), path=_words, reason=_words,
+    thresholds=st.dictionaries(
+        st.sampled_from(["t1", "t2", "t3", "devices"]),
+        st.one_of(st.none(), st.integers(0, 99), _words), max_size=3),
+    optimizer_groups=st.one_of(st.none(), _times),
+    kmv_groups=st.one_of(st.none(), st.integers(0, 99)),
+    actual_groups=st.one_of(st.none(), st.integers(0, 99)))
+_kernel_choices = st.builds(
+    KernelChoice, kernel=_words, reason=_words, raced=st.booleans(),
+    cancelled=st.lists(_words, max_size=2).map(tuple),
+    overflow_retries=st.integers(0, 3))
+_occupancy = st.builds(OccupancySlice, device_id=st.integers(0, 3),
+                       kernel=_words, start=_times, end=_times)
+_decisions = st.builds(
+    SimpleNamespace, operator=_words, path=_words, reason=_words,
+    kernel=st.one_of(st.none(), _words), device_id=st.integers(-1, 3))
+_pcie_links = st.dictionaries(
+    st.integers(0, 3).map(lambda d: f"pcie{d}"),
+    st.fixed_dictionaries({"bytes_total": st.integers(0, 1 << 30),
+                           "busy_seconds": _times,
+                           "stall_seconds": _times}))
+
+
 @st.composite
 def _profile_dicts(draw):
+    """A profile dump: a hand-built operator tree plus every event
+    section, verdict, kernel choice, occupancy slice, decision and PCIe
+    link the profile serialises."""
     root = draw(_node_dicts())
 
     def totals(node, acc):
@@ -85,16 +143,30 @@ def _profile_dicts(draw):
             totals(child, acc)
         return acc
 
+    profile = QueryProfile(
+        query_id=draw(st.text(min_size=1, max_size=8)),
+        trace_id=draw(st.integers(1, 99)),
+        degree=draw(st.integers(1, 64)),
+        gpu_enabled=draw(st.booleans()),
+        root=OperatorNode.from_dict(root),
+        verdicts=draw(st.lists(_verdicts, max_size=3)),
+        kernel_choices=draw(st.lists(_kernel_choices, max_size=2)),
+        occupancy=draw(st.lists(_occupancy, max_size=3)),
+        decisions=draw(st.lists(_decisions, max_size=2)),
+        bytes_in=draw(st.integers(0, 1 << 30)),
+        bytes_out=draw(st.integers(0, 1 << 30)),
+        events={section.key: draw(st.lists(_section_events(section),
+                                           max_size=3))
+                for section in SECTIONS},
+        pcie_links=draw(_pcie_links),
+    )
+    # The tree, its duration and its totals stay hand-built, so the
+    # round trip is also checked against values made without the loader.
     return {
-        "query_id": draw(st.text(min_size=1, max_size=8)),
-        "trace_id": draw(st.integers(1, 99)),
-        "degree": draw(st.integers(1, 64)),
-        "gpu_enabled": draw(st.booleans()),
+        **profile.to_dict(),
         "duration_seconds": root["duration"],
         "component_totals": {c: v for c, v in totals(root, {}).items()
                              if v},
-        "bytes_in": draw(st.integers(0, 1 << 30)),
-        "bytes_out": draw(st.integers(0, 1 << 30)),
         "operators": root,
     }
 
@@ -103,15 +175,13 @@ class TestRoundTrip:
     @given(data=_profile_dicts())
     @settings(max_examples=40, deadline=None)
     def test_profile_json_profile_is_exact(self, data):
-        """QueryProfile -> JSON -> QueryProfile keeps every node, time
-        and component bit-identical."""
+        """QueryProfile -> JSON -> QueryProfile keeps the whole dump
+        bit-identical: every node, time and component, every section's
+        events and summary, verdict, kernel choice, occupancy slice,
+        decision and per-link row."""
         wire = json.loads(json.dumps(data))
         profile = profile_from_dict(wire)
-        again = profile_to_dict(profile)
-        for key in ("query_id", "trace_id", "degree", "gpu_enabled",
-                    "duration_seconds", "bytes_in", "bytes_out",
-                    "operators"):
-            assert again[key] == data[key], key
+        assert profile_to_dict(profile) == data
 
     @given(data=_profile_dicts())
     @settings(max_examples=40, deadline=None)
@@ -158,6 +228,32 @@ class TestEngineProfiles:
         again = profile_to_dict(profile_from_dict(profile_dict))
         for key in ("duration_seconds", "component_totals", "operators"):
             assert again[key] == profile_dict[key]
+
+    @pytest.mark.parametrize("case", ["over_memory", "sharded"])
+    def test_whole_dump_round_trips(self, case, bd_catalog, bd_config,
+                                    sales_table):
+        """The exact inverse on the *whole* dict, for the profiles whose
+        partition and shard sections (and per-link rows) the reload
+        used to drop."""
+        from repro.core.accelerator import GpuAcceleratedEngine
+        from repro.workloads.cognos_rolap import screen_queries
+        from tests.obs.test_profile_transcripts import (SHARD_SQL,
+                                                        sharded_engine)
+
+        if case == "sharded":
+            engine = sharded_engine(sales_table, nvlink=True)
+            _result, profile = engine.profile_sql(SHARD_SQL, query_id="s")
+        else:
+            engine = GpuAcceleratedEngine(bd_catalog, config=bd_config)
+            query = screen_queries(engine)[1][0]
+            _result, profile = engine.profile_sql(query.sql,
+                                                  query_id=query.query_id)
+        doc = profile.to_dict()
+        assert doc[{"over_memory": "partitions",
+                    "sharded": "shards"}[case]]["events"]
+        assert profile_from_dict(doc).to_dict() == doc
+        wire = json.loads(profile.to_json())
+        assert profile_from_dict(wire).to_dict() == wire
 
     def test_real_profile_self_diff_zero(self, profile_dict):
         diff = diff_profiles(profile_dict, profile_dict)
