@@ -293,7 +293,6 @@ class Dispatcher:
         ctx: OperatorContext,
         plan: SplitPlan,
         piece_bytes: Sequence[int] = (),
-        instants: bool = True,
     ) -> Iterator["Wave"]:
         """A wave of pieces streaming through the devices together.
 
@@ -305,7 +304,7 @@ class Dispatcher:
         its *exposed* makespan growth on its device; the events flush,
         grouped by per-device rank, when the block exits.
         """
-        wave = Wave(self, operator, ctx, plan, piece_bytes, instants)
+        wave = Wave(self, operator, ctx, plan, piece_bytes)
         yield wave
         wave.close()
 
@@ -320,7 +319,6 @@ class Wave:
         ctx: OperatorContext,
         plan: Optional[SplitPlan] = None,
         piece_bytes: Sequence[int] = (),
-        instants: bool = True,
     ) -> None:
         self.dispatch = dispatch
         self.operator = operator
@@ -335,7 +333,7 @@ class Wave:
             )
         # The instant family a traced wave's pieces and summary use.
         self._part = ""
-        if plan is not None and instants:
+        if plan is not None:
             self._part = "shard" if self.homes else "partition"
         self.gpu_parts = self.cpu_parts = self.rerouted = 0
         self._stream = PartitionStreamState()

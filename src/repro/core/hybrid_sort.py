@@ -499,11 +499,8 @@ class HybridSortExecutor:
         if plan is not None:
             shards = plan.pieces
             sizes = np.diff(range_shard_bounds(rows, shards)).tolist()
-            # No shard.part / shard.exec instants and no reroute count
-            # for this wave (ROADMAP item 3: EXPLAIN's shard section is
-            # blind to segmented waves; PROFILE_scale_out pins that).
-            with dispatch.wave("sort", ctx, plan, [n * 8 for n in sizes],
-                               instants=False) as wave:
+            with dispatch.wave("sort", ctx, plan,
+                               [n * 8 for n in sizes]) as wave:
                 for s, rows_s in enumerate(sizes):
                     if rows_s <= 0:
                         continue
@@ -511,6 +508,8 @@ class HybridSortExecutor:
                         # This shard's segments sort on the host workers.
                         host_sort(rows_s,
                                   rows_s // max(1, segments // shards))
+            # Segment boundaries split it: no exchange and no merge.
+            wave.report(rows=rows, merge_seconds=0.0)
             stats.jobs_gpu += 1
             stats.sharded_jobs += 1
             return
