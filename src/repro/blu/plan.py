@@ -32,10 +32,6 @@ class PlanEstimates:
     groups: float = 0.0
     width_bytes: float = 0.0
 
-    @property
-    def output_bytes(self) -> float:
-        return self.rows * self.width_bytes
-
 
 class PlanNode:
     """Base class for plan nodes."""

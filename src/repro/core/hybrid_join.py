@@ -11,6 +11,7 @@ the stock CPU join.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.config import Thresholds
 from repro.core.dispatch import Declined, Dispatcher, Kernel, Piece
 from repro.errors import GpuError
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
-from repro.gpu.kernels.join import HashJoinKernel
+from repro.gpu.kernels.join import HashJoinKernel, JoinKernelResult
 from repro.gpu.partition import PieceTerms, SplitPlan, SplitTerms
 from repro.gpu.shard import range_shard_bounds
 
@@ -106,7 +107,7 @@ class HybridJoinExecutor:
 
         def run(_bytes_in: int) -> Kernel:
             try:
-                return _probe_kernel(kernel, build_keys, probe_keys)
+                return _probe_kernel(kernel.run(build_keys, probe_keys))
             except GpuError:
                 raise Declined("kernel rejected the join") from None
 
@@ -146,10 +147,13 @@ class HybridJoinExecutor:
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Probe as contiguous range shards, build broadcast to each.
 
-        The kernel emits matches in ascending probe order, so the
-        ordered concatenation of per-shard matches is bit-identical to
-        probing whole, for any shard count and fault mix.  Each shard
-        also gathers its ``num_cols`` joined columns on-device (the
+        The host builds and probes once, when the first shard reaches a
+        device; each shard takes its row range of that one result, priced
+        as its own build and probe (:meth:`JoinKernelResult.shard`).  The
+        kernel emits matches in ascending probe order, so the ordered
+        concatenation of per-shard matches is bit-identical to probing
+        whole, for any shard count and fault mix.  Each shard also
+        gathers its ``num_cols`` joined columns on-device (the
         scale-out data path — the classic path's host materialiser is
         the single biggest non-scaling residue, so the work moves onto
         the devices it divides across).  A shard whose home device dies
@@ -164,6 +168,7 @@ class HybridJoinExecutor:
         shards = plan.pieces
         self.dispatch.record("join", plan.path, plan.reason)
         bounds = range_shard_bounds(probe_rows, shards)
+        whole = functools.cache(lambda: kernel.run(build_keys, probe_keys))
 
         left_parts: list[np.ndarray] = []
         right_parts: list[np.ndarray] = []
@@ -182,7 +187,7 @@ class HybridJoinExecutor:
                             + kernel.table_bytes(build_rows)),
                     tag="join-shard", staged=staged, index=s,
                     run=lambda _bytes_in: _probe_kernel(
-                        kernel, build_keys, sub, gather_cols=num_cols),
+                        whole().shard(lo, hi), gather_cols=num_cols),
                 ))
                 if result is not None:
                     left_parts.append(lo + result.left_idx)
@@ -258,16 +263,14 @@ def shard_terms(probe_rows: int, build_rows: int, table_bytes: int,
                       cpu_seconds=ctx.wall_seconds(cpu_core))
 
 
-def _probe_kernel(kernel: HashJoinKernel, build_keys: np.ndarray,
-                  probe_keys: np.ndarray, gather_cols: int = 0) -> Kernel:
-    """Build + probe; one compact 4-byte match row id back per hit.
+def _probe_kernel(result: JoinKernelResult, gather_cols: int = 0) -> Kernel:
+    """A join result as a launch; one compact 4-byte match row id per hit.
 
     A shard also gathers its ``gather_cols`` joined columns on-device,
     which rides the kernel slice; the classic path gathers none (its
     host materialiser does that work).
     """
-    result = kernel.run(build_keys, probe_keys)
     gather_seconds = (len(result.left_idx) * gather_cols
-                      / kernel.cost.gpu_gather_rate)
+                      / result.build.cost.gpu_gather_rate)
     return Kernel(result.kernel, result.kernel_seconds + gather_seconds,
                   len(result.left_idx) * 4, outcome=result)

@@ -24,10 +24,6 @@ class SharedMemoryConfig:
         """The 48 KB shared / 16 KB L1 split of section 4.3.2."""
         return cls(shared_bytes=48 * 1024, l1_bytes=16 * 1024)
 
-    @classmethod
-    def prefer_l1(cls) -> "SharedMemoryConfig":
-        return cls(shared_bytes=16 * 1024, l1_bytes=48 * 1024)
-
 
 @dataclass(frozen=True)
 class LaunchResult:

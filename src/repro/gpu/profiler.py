@@ -70,10 +70,6 @@ class GpuProfiler:
         self.records.append(record)
 
     @property
-    def total_kernel_seconds(self) -> float:
-        return sum(r.kernel_seconds for r in self.records)
-
-    @property
     def total_transfer_seconds(self) -> float:
         return sum(r.transfer_seconds for r in self.records)
 

@@ -178,16 +178,6 @@ class Tracer:
     def children_of(self, span_id: int) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span_id]
 
-    def root_for(self, query_id: str) -> Optional[Span]:
-        """The last root span stamped with ``query_id`` (None if absent)."""
-        for span in reversed(self.spans):
-            if (
-                span.parent_id is None
-                and span.attributes.get("query_id") == query_id
-            ):
-                return span
-        return None
-
     def clear(self) -> None:
         """Drop recorded spans (open spans, if any, stay on the stack)."""
         self.spans.clear()

@@ -282,15 +282,16 @@ class TestInsertMatchesRowLevelOracle:
         """The join's lookups walk distinct probe keys too — taken by value
         from one ``bincount`` on a dense span, by first appearance off it;
         a full table (``slack`` 0) exercises the bounded walk of absent
-        keys."""
+        keys.  Each row's own steps add up to the oracle's probe count."""
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
         table = GpuHashTable(max(1, len(build) + slack), 64, layout)
         _insert(table, np.asarray(build, dtype=np.int64))
         keys = np.asarray(probe, dtype=np.int64)
-        found, extra = _probe(table, keys)
+        found, steps = _probe(table, keys)
         ref_found, ref_extra = probe_row_level(table, keys)
         assert np.array_equal(found, ref_found)
-        assert extra == ref_extra
+        assert steps.shape == keys.shape and (steps >= 0).all()
+        assert int(steps.sum()) == ref_extra
 
     def test_lone_sentinel_key_keeps_its_old_alias(self):
         """Without a real ``INT64_MIN + 1`` key the sentinel still rides
