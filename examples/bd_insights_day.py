@@ -49,10 +49,8 @@ def main(scale: float = 0.05) -> None:
                 print(f"      {a.query_id}: {a.elapsed_ms:8.2f} vs "
                       f"{b.elapsed_ms:8.2f} ms ({per:+.1f}%)")
     print()
-    print("kernel-level view of what the GPU executed:")
-    for device in driver.gpu_engine.devices:
-        if device.profiler.records:
-            print(device.profiler.report())
+    print("the monitor's view, down to the kernels the GPU executed:")
+    print(driver.gpu_engine.monitor.report())
 
 
 if __name__ == "__main__":

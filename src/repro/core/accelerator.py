@@ -284,14 +284,13 @@ class GpuAcceleratedEngine:
         """Run ``sql`` and render the plan, the offload decisions the hybrid
         executors took, and the per-event cost trace — the paper's
         monitoring view for a single query."""
-        query_id = f"explain-{id(sql) & 0xFFFF:x}"
         plan_text = self.explain_sql(sql)
-        result = self.execute_sql(sql, query_id=query_id, degree=degree)
+        result, profile = self.profile_sql(sql, query_id="explain",
+                                           degree=degree)
         lines = ["== plan ==", plan_text, "", "== offload decisions =="]
-        decisions = self.monitor.decisions_for(query_id)
-        if not decisions:
+        if not profile.decisions:
             lines.append("(none — no offloadable operators)")
-        for d in decisions:
+        for d in profile.decisions:
             kernel = f" kernel={d.kernel}" if d.kernel else ""
             device = f" device={d.device_id}" if d.device_id >= 0 else ""
             lines.append(f"{d.operator:8} -> {d.path:{16}}{kernel}{device}"
@@ -316,16 +315,12 @@ class GpuAcceleratedEngine:
 
         Returns ``(result, profile)`` where ``profile`` is a
         :class:`repro.obs.profile.QueryProfile` over the query's span
-        tree, joined with the monitor's offload-decision records.
+        tree, offload decisions included.
         """
         from repro.obs.profile import build_profile
 
         result = self.execute_sql(sql, query_id=query_id, degree=degree)
-        profile = build_profile(
-            self.tracer, query_id=query_id,
-            decisions=self.monitor.decisions_for(query_id),
-        )
-        return result, profile
+        return result, build_profile(self.tracer, query_id=query_id)
 
     def explain_analyze(self, sql: str, query_id: str = "profile",
                         degree: Optional[int] = None) -> str:

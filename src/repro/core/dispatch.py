@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from repro.blu.catalog import Catalog
 from repro.blu.engine import OperatorContext
-from repro.core.monitoring import OffloadDecision, PerformanceMonitor
+from repro.core.monitoring import PATH_COUNTERS, PerformanceMonitor
 from repro.core.pathselect import judge
 from repro.core.scheduler import GpuLease, MultiGpuScheduler
 from repro.errors import GpuError, PinnedMemoryError
@@ -49,6 +49,7 @@ from repro.gpu.pinned import PinnedMemoryPool
 from repro.gpu.shard import home_devices
 from repro.gpu.streams import DISPATCH_SECONDS, PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
+from repro.obs.profile import DECISION
 from repro.obs.tracing import NULL_TRACER
 from repro.timing import CostEvent
 
@@ -250,33 +251,33 @@ class Dispatcher:
         kernel: Optional[str] = None,
         device_id: int = -1,
     ) -> None:
-        """Record one offload decision (trace instant + monitor entry).
+        """Record one offload decision: an ``offload.decision`` instant
+        (the monitor's record of it) plus its registry counters.
 
         ``kernel`` is passed (``""`` for "none chosen") only by the
         operators that choose one — group-by and the fused chain; sort
         and join decisions carry no kernel field at all.
         """
-        if self.monitor is None:
+        monitor = self.monitor
+        if monitor is None:
             return
         chosen = {} if kernel is None else {"kernel": kernel}
-        self.monitor.tracer.instant(
-            "offload.decision",
+        monitor.tracer.instant(
+            DECISION,
             operator=operator,
             path=path,
             reason=reason,
             **chosen,
             query_id=self.query_id,
+            device_id=device_id,
         )
-        self.monitor.record_decision(
-            OffloadDecision(
-                query_id=self.query_id,
-                operator=operator,
-                path=path,
-                reason=reason,
-                kernel=kernel or None,
-                device_id=device_id,
-            )
-        )
+        monitor.registry.counter(
+            "repro_offload_decisions_total",
+            "Path-selection outcomes by operator and path",
+            labelnames=("operator", "path"),
+        ).labels(operator=operator, path=path).inc()
+        if path in PATH_COUNTERS:
+            monitor.count(PATH_COUNTERS[path])
 
     def launch(self, operator: str, ctx: OperatorContext, piece: Piece):
         """Run one lone piece; its outcome, or ``None`` to fall back.

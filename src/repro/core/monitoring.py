@@ -1,119 +1,68 @@
 """Integrated CPU+GPU performance monitoring (section 2.3).
 
 The paper built its own monitor because nvidia-smi cannot profile kernels
-inside a host application.  :class:`PerformanceMonitor` plays that role:
-it collects per-query profiles from the engine, offload decisions from the
-hybrid executors, and kernel records from every device's
-:class:`~repro.gpu.profiler.GpuProfiler`, and renders the combined view
-used for kernel tuning.
-
-Since the observability layer landed, the monitor is a *facade* over
-:mod:`repro.obs`: every counter in :class:`Counters` is backed by a metric
-in a :class:`~repro.obs.metrics.MetricsRegistry` (attribute reads/writes
-proxy through), decisions additionally feed the labelled
-``repro_offload_decisions_total`` counter, and profiles feed the query
-latency histogram.  The public recording/report API and its output are
-unchanged; ``prometheus()`` and ``chrome_trace()`` expose the new exports.
+inside a host application.  :class:`PerformanceMonitor` plays that role
+without a record of its own beyond the query profiles: its stores are
+the engine's :class:`~repro.obs.tracing.Tracer` — every offload decision
+is an ``offload.decision`` instant, every kernel launch a ``gpu.launch``
+span carrying the timings its :class:`~repro.gpu.device.LaunchResult`
+returned — and the :class:`~repro.obs.metrics.MetricsRegistry`.  The
+recording methods write into those stores; :meth:`decisions_for`,
+:meth:`export_events` and :meth:`report` (the kernel-tuning view) read
+them back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from repro.gpu.device import GpuDevice
-from repro.obs.export import chrome_trace, prometheus_text
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     RELATIVE_ERROR_BUCKETS,
     MetricsRegistry,
 )
+from repro.obs.profile import DECISION, LAUNCH, DecisionRecord
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.timing import QueryProfile
 
-
-@dataclass
-class OffloadDecision:
-    """One path-selection / kernel-choice event."""
-
-    query_id: str
-    operator: str              # "groupby" | "sort"
-    path: str                  # "gpu" | "cpu-small" | "cpu-large" | ...
-    reason: str
-    kernel: Optional[str] = None
-    device_id: int = -1
-
-
-# Legacy counter attribute -> (registry counter name, help).
-_COUNTER_SPECS: dict[str, tuple[str, str]] = {
-    "gpu_offloads": (
-        "repro_gpu_offloads_total",
-        "Operators routed to the GPU path"),
-    "cpu_small": (
-        "repro_cpu_small_total",
-        "Operators kept on the CPU below T1/T2"),
-    "cpu_large": (
-        "repro_cpu_large_total",
-        "Operators kept on the CPU above T3"),
-    "reservation_fallbacks": (
-        "repro_reservation_fallbacks_total",
-        "GPU-path operators that fell back: no device could reserve"),
-    "overflow_retries": (
-        "repro_overflow_retries_total",
-        "Hash-table overflow regrow-and-retry attempts"),
-    "kernels_raced": (
-        "repro_kernels_raced_total",
-        "Group-bys whose kernels were raced"),
-    "kernels_cancelled": (
-        "repro_kernels_cancelled_total",
-        "Raced kernels cancelled after losing"),
+#: Offload path -> the counter its decisions bump, beside the labelled
+#: ``repro_offload_decisions_total``.
+PATH_COUNTERS = {
+    "gpu": "repro_gpu_offloads_total",
+    "cpu-small": "repro_cpu_small_total",
+    "cpu-large": "repro_cpu_large_total",
+    "cpu-fallback": "repro_reservation_fallbacks_total",
 }
 
 
-class Counters:
-    """Engine-wide offload accounting, backed by the metrics registry.
-
-    Keeps the original dataclass-style attribute API (``c.gpu_offloads``,
-    ``c.kernels_raced += 1``) while every value lives in a registry
-    counter, so the Prometheus export and the legacy report always agree.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        object.__setattr__(self, "_registry", registry or MetricsRegistry())
-        for field in _COUNTER_SPECS:     # zero samples appear in exports
-            self._counter(field)
-
-    def _counter(self, field: str):
-        name, help = _COUNTER_SPECS[field]
-        return self._registry.counter(name, help)
-
-    def __getattr__(self, field: str) -> int:
-        if field in _COUNTER_SPECS:
-            return int(self._counter(field).value)
-        raise AttributeError(field)
-
-    def __setattr__(self, field: str, value: int) -> None:
-        if field not in _COUNTER_SPECS:
-            raise AttributeError(f"Counters has no counter {field!r}")
-        self._counter(field).set(value)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)}" for f in _COUNTER_SPECS)
-        return f"Counters({body})"
-
-
 class PerformanceMonitor:
-    """Collects everything the tuning loop needs in one place."""
+    """The tuning loop's one view: recording methods and read-backs over
+    the tracer and the registry it is handed (fresh ones by default)."""
 
     def __init__(self, devices: Sequence[GpuDevice] = (),
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None) -> None:
         self.devices = list(devices)
         self.registry = registry or MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else Tracer()
         self.profiles: list[QueryProfile] = []
-        self.decisions: list[OffloadDecision] = []
-        self.counters = Counters(self.registry)
+        # The monitor's own series, registered so exports show them at 0.
+        for name, help in (
+            ("repro_gpu_offloads_total", "Operators routed to the GPU path"),
+            ("repro_cpu_small_total", "Operators kept on the CPU below T1/T2"),
+            ("repro_cpu_large_total", "Operators kept on the CPU above T3"),
+            ("repro_reservation_fallbacks_total",
+             "GPU-path operators that fell back: no device could reserve"),
+            ("repro_overflow_retries_total",
+             "Hash-table overflow regrow-and-retry attempts"),
+            ("repro_kernels_raced_total",
+             "Group-bys whose kernels were raced"),
+            ("repro_kernels_cancelled_total",
+             "Raced kernels cancelled after losing"),
+        ):
+            self.registry.counter(name, help)
         for device in self.devices:
             # Wire the observability sinks into the GPU substrate so kernel
             # launches feed the latency histograms and device trace lanes.
@@ -144,21 +93,16 @@ class PerformanceMonitor:
             "GPU device-seconds across all queries",
         ).inc(profile.gpu_seconds)
 
-    def record_decision(self, decision: OffloadDecision) -> None:
-        self.decisions.append(decision)
-        self.registry.counter(
-            "repro_offload_decisions_total",
-            "Path-selection outcomes by operator and path",
-            labelnames=("operator", "path"),
-        ).labels(operator=decision.operator, path=decision.path).inc()
-        if decision.path == "gpu":
-            self.counters.gpu_offloads += 1
-        elif decision.path == "cpu-small":
-            self.counters.cpu_small += 1
-        elif decision.path == "cpu-large":
-            self.counters.cpu_large += 1
-        elif decision.path == "cpu-fallback":
-            self.counters.reservation_fallbacks += 1
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to one of the monitor's own counters.
+
+        Written, not announced (no flight-recorder delta): the trace the
+        recorder already holds carries what these counts summarise — the
+        ``offload.decision`` instants and the ``moderator.run`` span's
+        race and retry attributes.
+        """
+        counter = self.registry.counter(name)
+        counter.set(counter.value + amount)
 
     def record_kmv_estimate(self, estimated: int, actual: int) -> float:
         """One KMV group-count estimate judged against the truth.
@@ -179,13 +123,13 @@ class PerformanceMonitor:
 
     def record_race(self, cancelled: Sequence[str]) -> None:
         """One raced group-by: the losers were cancelled mid-flight."""
-        self.counters.kernels_raced += 1
-        self.counters.kernels_cancelled += len(cancelled)
+        self.count("repro_kernels_raced_total")
+        self.count("repro_kernels_cancelled_total", len(cancelled))
 
     def record_overflow_retries(self, retries: int) -> None:
         """Hash-table regrow attempts the error path performed."""
         if retries > 0:
-            self.counters.overflow_retries += retries
+            self.count("repro_overflow_retries_total", retries)
 
     def record_fault_fallback(self, operator: str, error: Exception,
                               device_id: int = -1) -> None:
@@ -238,26 +182,30 @@ class PerformanceMonitor:
                 out[op] = out.get(op, 0.0) + seconds
         return out
 
-    def decisions_for(self, query_id: str) -> list[OffloadDecision]:
-        return [d for d in self.decisions if d.query_id == query_id]
+    def decisions_for(self, query_id: str) -> list[DecisionRecord]:
+        """The offload decisions stamped with ``query_id``, in trace
+        order — of every run that used the id."""
+        return [DecisionRecord.of(s) for s in self.tracer.spans
+                if s.name == DECISION
+                and s.attributes["query_id"] == query_id]
+
+    def launches(self) -> dict[int, list[dict]]:
+        """Each device's ``gpu.launch`` span attributes, in launch order."""
+        out: dict[int, list[dict]] = {d.device_id: [] for d in self.devices}
+        for span in self.tracer.spans:
+            if span.name == LAUNCH and span.attributes["device_id"] in out:
+                out[span.attributes["device_id"]].append(span.attributes)
+        return out
 
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
 
-    def prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        return prometheus_text(self.registry)
-
-    def chrome_trace(self) -> dict:
-        """Every recorded span as a Chrome trace-event JSON object."""
-        return chrome_trace(self.tracer.spans)
-
     def export_events(self) -> list[dict]:
         """Machine-readable dump of everything the monitor collected.
 
         One dict per record — query profiles (with their event traces),
-        offload decisions, and device kernel records — suitable for
+        offload decisions, and device kernel launches — suitable for
         json.dump or downstream analysis.
         """
         out: list[dict] = []
@@ -282,33 +230,36 @@ class PerformanceMonitor:
                     for e in profile.events
                 ],
             })
-        for d in self.decisions:
-            out.append({
-                "kind": "decision",
-                "query_id": d.query_id, "operator": d.operator,
-                "path": d.path, "reason": d.reason, "kernel": d.kernel,
-                "device_id": d.device_id,
-            })
-        for device in self.devices:
-            for r in device.profiler.records:
+        for span in self.tracer.spans:
+            if span.name == DECISION:
+                out.append({"kind": "decision",
+                            "query_id": span.attributes["query_id"],
+                            **asdict(DecisionRecord.of(span))})
+        for device_id, launches in self.launches().items():
+            for a in launches:
                 out.append({
                     "kind": "kernel",
-                    "device_id": r.device_id, "kernel": r.kernel,
-                    "rows": r.rows,
-                    "kernel_seconds": r.kernel_seconds,
-                    "transfer_seconds": r.transfer_seconds,
-                    "device_bytes": r.device_bytes,
+                    "device_id": device_id, "kernel": a["kernel"],
+                    "rows": a["rows"],
+                    "kernel_seconds": a["kernel_seconds"],
+                    "transfer_seconds": (a["transfer_in_seconds"]
+                                         + a["transfer_out_seconds"]),
+                    "device_bytes": a["device_bytes"],
                 })
         return out
 
     def report(self) -> str:
+        def n(name: str) -> int:
+            return int(self.registry.counter(name).value)
+
         lines = ["=== DB2 BLU + GPU performance monitor ==="]
-        c = self.counters
         lines.append(
-            f"queries={len(self.profiles)}  gpu_offloads={c.gpu_offloads}  "
-            f"cpu_small={c.cpu_small}  cpu_large={c.cpu_large}  "
-            f"fallbacks={c.reservation_fallbacks}  "
-            f"overflow_retries={c.overflow_retries}"
+            f"queries={len(self.profiles)}  "
+            f"gpu_offloads={n('repro_gpu_offloads_total')}  "
+            f"cpu_small={n('repro_cpu_small_total')}  "
+            f"cpu_large={n('repro_cpu_large_total')}  "
+            f"fallbacks={n('repro_reservation_fallbacks_total')}  "
+            f"overflow_retries={n('repro_overflow_retries_total')}"
         )
         lines.append(
             f"cpu core-seconds={self.total_cpu_core_seconds:.3f}  "
@@ -320,7 +271,29 @@ class PerformanceMonitor:
             for op, seconds in sorted(breakdown.items(),
                                       key=lambda kv: -kv[1]):
                 lines.append(f"  {op:16} {seconds:10.4f}")
-        for device in self.devices:
-            if device.profiler.records:
-                lines.append(device.profiler.report())
+        for device_id, launches in self.launches().items():
+            if launches:
+                lines.extend(_kernel_table(device_id, launches))
         return "\n".join(lines)
+
+
+def _kernel_table(device_id: int, launches: list[dict]) -> list[str]:
+    """One device's per-kernel totals (the tuning view), folded over its
+    ``gpu.launch`` span attributes."""
+    totals: dict[str, list] = {}     # kernel -> calls, rows, kernel s, xfer s
+    for a in launches:
+        row = totals.setdefault(a["kernel"], [0, 0, 0.0, 0.0])
+        row[0] += 1
+        row[1] += a["rows"]
+        row[2] += a["kernel_seconds"]
+        row[3] += a["transfer_in_seconds"] + a["transfer_out_seconds"]
+    header = (f"{'kernel':24} {'calls':>6} {'rows':>12} "
+              f"{'kernel ms':>10} {'xfer ms':>10} {'xfer %':>7}")
+    lines = [f"GPU {device_id} kernel profile", header, "-" * len(header)]
+    for name, (calls, rows, kernel_s, xfer_s) in sorted(totals.items()):
+        total = kernel_s + xfer_s
+        lines.append(
+            f"{name:24} {calls:>6} {rows:>12} {kernel_s * 1e3:>10.3f} "
+            f"{xfer_s * 1e3:>10.3f} "
+            f"{(xfer_s / total if total else 0.0) * 100:>6.1f}%")
+    return lines

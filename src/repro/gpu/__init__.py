@@ -11,13 +11,11 @@ reporting simulated durations from the calibrated cost model.
 from repro.gpu.device import GpuDevice, make_devices
 from repro.gpu.memory import DeviceMemoryManager, Reservation
 from repro.gpu.pinned import PinnedMemoryPool
-from repro.gpu.profiler import GpuProfiler
 from repro.gpu.transfer import transfer_seconds
 
 __all__ = [
     "DeviceMemoryManager",
     "GpuDevice",
-    "GpuProfiler",
     "PinnedMemoryPool",
     "Reservation",
     "make_devices",

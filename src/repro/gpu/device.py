@@ -1,4 +1,4 @@
-"""The simulated GPU device: geometry, memory, launches, profiling."""
+"""The simulated GPU device: geometry, memory, launches."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from repro.config import GpuSpec
 from repro.errors import DeviceLostError, GpuError, KernelLaunchError
 from repro.gpu.memory import DeviceMemoryManager, Reservation
-from repro.gpu.profiler import GpuProfiler, KernelRecord
 from repro.gpu.transfer import transfer_seconds
 from repro.obs.metrics import BYTES_BUCKETS, LATENCY_BUCKETS
 from repro.obs.tracing import NULL_TRACER
@@ -54,7 +53,7 @@ class LaunchResult:
 
 
 class GpuDevice:
-    """One simulated K40: spec + memory manager + profiler + job count.
+    """One simulated K40: spec + memory manager + job count.
 
     The multi-GPU scheduler (section 2.2) consults ``outstanding_jobs`` and
     ``memory.free`` when choosing a device.
@@ -65,7 +64,6 @@ class GpuDevice:
         self.spec = spec
         self.memory = DeviceMemoryManager(spec.device_memory_bytes,
                                           device_id=device_id)
-        self.profiler = GpuProfiler(device_id)
         self.outstanding_jobs = 0
         self.shared_config = SharedMemoryConfig.prefer_shared()
         # Observability sinks, wired in by the PerformanceMonitor.
@@ -155,13 +153,24 @@ class GpuDevice:
         stall = self._transfer_stall()
         total_kernel = self.spec.kernel_launch_overhead + kernel_seconds
         fused_attrs = {"fused_stages": stages} if stages > 1 else {}
+        res = LaunchResult(
+            kernel=kernel,
+            device_id=self.device_id,
+            transfer_in_seconds=t_in + stall,
+            kernel_seconds=total_kernel,
+            transfer_out_seconds=t_out,
+            device_bytes=reservation.nbytes,
+        )
         with self.tracer.span("gpu.launch", device_id=self.device_id,
                               kernel=kernel, rows=rows,
                               device_bytes=reservation.nbytes,
-                              **fused_attrs):
+                              **fused_attrs,
+                              kernel_seconds=res.kernel_seconds,
+                              transfer_in_seconds=res.transfer_in_seconds,
+                              transfer_out_seconds=res.transfer_out_seconds):
             if stall > 0.0:
                 # Injected PCIe stall: degrades the inbound copy without
-                # failing it; accounted into transfer_in_seconds below.
+                # failing it; accounted into transfer_in_seconds above.
                 with self.tracer.timed_span("gpu.transfer_stall", stall,
                                             device_id=self.device_id,
                                             injected=True):
@@ -179,30 +188,8 @@ class GpuDevice:
                                         device_id=self.device_id,
                                         bytes=bytes_out, pinned=pinned):
                 pass
-        t_in += stall
-        self._observe_launch(kernel, total_kernel, t_in, t_out,
-                             bytes_in, bytes_out)
-        record = KernelRecord(
-            kernel=kernel,
-            device_id=self.device_id,
-            rows=rows,
-            transfer_in_seconds=t_in,
-            kernel_seconds=total_kernel,
-            transfer_out_seconds=t_out,
-            device_bytes=reservation.nbytes,
-            launch_overhead=self.spec.kernel_launch_overhead,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-        )
-        self.profiler.record(record)
-        return LaunchResult(
-            kernel=kernel,
-            device_id=self.device_id,
-            transfer_in_seconds=t_in,
-            kernel_seconds=total_kernel,
-            transfer_out_seconds=t_out,
-            device_bytes=reservation.nbytes,
-        )
+        self._observe_launch(res, bytes_in, bytes_out)
+        return res
 
     def _launch_pipelined(self, plan, pool, *, kernel: str, rows: int,
                           reservation: Reservation,
@@ -215,9 +202,8 @@ class GpuDevice:
         that chunk's H2D copy inside the overlapped schedule (a stall a
         kernel slice hides costs nothing).  On any fault every live
         staging buffer is released before the error propagates — no
-        spans, metrics or profiler records are emitted for the failed
-        launch, matching the serial path where faults fire before
-        accounting.
+        spans or metrics are emitted for the failed launch, matching the
+        serial path where faults fire before accounting.
         """
         from repro.gpu.streams import DOUBLE_BUFFERS
 
@@ -254,6 +240,17 @@ class GpuDevice:
         d_in = schedule.exposed_in - d_stall
         launch_overhead = n * self.spec.kernel_launch_overhead
         fused_attrs = {"fused_stages": stages} if stages > 1 else {}
+        res = LaunchResult(
+            kernel=kernel,
+            device_id=self.device_id,
+            transfer_in_seconds=d_stall + d_in,
+            kernel_seconds=schedule.kernel_seconds,
+            transfer_out_seconds=schedule.exposed_out,
+            device_bytes=reservation.nbytes,
+            chunks=n,
+            serial_seconds=serial,
+            overlap_saved_seconds=saved,
+        )
         with self.tracer.span("gpu.launch", device_id=self.device_id,
                               kernel=kernel, rows=rows,
                               device_bytes=reservation.nbytes,
@@ -263,7 +260,10 @@ class GpuDevice:
                               chunk_bytes=plan.max_chunk_bytes,
                               overlapped_seconds=overlapped,
                               serial_seconds=serial,
-                              overlap_saved_seconds=saved):
+                              overlap_saved_seconds=saved,
+                              kernel_seconds=res.kernel_seconds,
+                              transfer_in_seconds=res.transfer_in_seconds,
+                              transfer_out_seconds=res.transfer_out_seconds):
             if d_stall > 0.0:
                 with self.tracer.timed_span("gpu.transfer_stall", d_stall,
                                             device_id=self.device_id,
@@ -287,9 +287,7 @@ class GpuDevice:
                 pass
         for buffer in buffers:
             pool.release(buffer)
-        t_in = d_stall + d_in
-        self._observe_launch(kernel, schedule.kernel_seconds, t_in,
-                             schedule.exposed_out, bytes_in, bytes_out)
+        self._observe_launch(res, bytes_in, bytes_out)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_overlap_saved_seconds_total",
@@ -297,30 +295,7 @@ class GpuDevice:
                 "transfer/compute overlap",
                 labelnames=("device",),
             ).labels(device=str(self.device_id)).inc(saved)
-        record = KernelRecord(
-            kernel=kernel,
-            device_id=self.device_id,
-            rows=rows,
-            transfer_in_seconds=t_in,
-            kernel_seconds=schedule.kernel_seconds,
-            transfer_out_seconds=schedule.exposed_out,
-            device_bytes=reservation.nbytes,
-            launch_overhead=launch_overhead,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-        )
-        self.profiler.record(record)
-        return LaunchResult(
-            kernel=kernel,
-            device_id=self.device_id,
-            transfer_in_seconds=t_in,
-            kernel_seconds=schedule.kernel_seconds,
-            transfer_out_seconds=schedule.exposed_out,
-            device_bytes=reservation.nbytes,
-            chunks=n,
-            serial_seconds=serial,
-            overlap_saved_seconds=saved,
-        )
+        return res
 
     def _check_faults(self, kernel: str) -> None:
         """Evaluate the launch-time fault sites (repro.faults).
@@ -355,15 +330,17 @@ class GpuDevice:
         rule = self.injector.decide("transfer", self.device_id)
         return rule.stall_seconds if rule is not None else 0.0
 
-    def _observe_launch(self, kernel: str, kernel_seconds: float,
-                        t_in: float, t_out: float,
-                        bytes_in: int = 0, bytes_out: int = 0) -> None:
+    def _observe_launch(self, res: LaunchResult,
+                        bytes_in: int, bytes_out: int) -> None:
         """Feed one launch into the metrics registry (when wired)."""
         if self.metrics is None:
             return
+        kernel, kernel_seconds = res.kernel, res.kernel_seconds
+        t_in, t_out = res.transfer_in_seconds, res.transfer_out_seconds
         device = str(self.device_id)
-        # Running totals: the §2.3 per-kernel aggregates the GpuProfiler
-        # keeps, re-published as first-class registry series.
+        # Running totals of the §2.3 per-kernel view; the monitor's
+        # kernel table folds the same numbers off the ``gpu.launch``
+        # span's attributes.
         self.metrics.counter(
             "repro_kernel_seconds_total",
             "Total simulated device-resident seconds by kernel",

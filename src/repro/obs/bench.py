@@ -478,12 +478,8 @@ def _attributed_profile(driver: WorkloadDriver, query_id: str) -> dict:
     """
     from repro.obs.profile import build_profile
 
-    engine = driver.gpu_engine
-    profile = build_profile(
-        engine.tracer, query_id=query_id,
-        decisions=engine.monitor.decisions_for(query_id),
-    )
-    return profile.to_dict()
+    return build_profile(driver.gpu_engine.tracer,
+                         query_id=query_id).to_dict()
 
 
 def _worst_query_regressions(current: BenchResult, baseline: dict,

@@ -190,7 +190,7 @@ class TraceLog:
 class MetricsLog:
     """JSONL metrics writer: one series sample per line, losslessly.
 
-    Counters and gauges serialise as ``{"name", "type", "help",
+    Counter and gauge series serialise as ``{"name", "type", "help",
     "labels", "value"}``; histograms additionally carry their bucket
     bounds and per-bucket counts, so :meth:`restore` can rebuild an
     identical registry — the round-trip the exporter test pins.

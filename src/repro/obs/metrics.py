@@ -53,8 +53,9 @@ def _check_labels(labelnames: tuple[str, ...], labels: dict) -> tuple:
 
 
 class Counter:
-    """Monotonically increasing count (``.set`` exists only so legacy
-    ``Counters`` attribute assignment can rewire onto the registry)."""
+    """Monotonically increasing count (``.set`` exists only for the
+    unannounced writes of :meth:`PerformanceMonitor.count
+    <repro.core.monitoring.PerformanceMonitor.count>`)."""
 
     typename = "counter"
 
@@ -82,7 +83,7 @@ class Counter:
         self.labels().inc(amount)
 
     def set(self, value: float) -> None:
-        """Overwrite the unlabelled series (legacy rewiring only)."""
+        """Overwrite the unlabelled series, unannounced."""
         self.labels().set(value)
 
     @property
@@ -120,8 +121,8 @@ class _CounterChild:
             listener(parent.name, self._labels, amount)
 
     def set(self, value: float) -> None:
-        """Overwrite this series, unannounced (legacy ``Counters``
-        rewiring and the flight recorder's own eviction count only)."""
+        """Overwrite this series, unannounced (the monitor's own
+        counters and the flight recorder's eviction count only)."""
         self._parent._values[self._key] = float(value)
 
     @property

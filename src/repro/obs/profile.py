@@ -209,14 +209,21 @@ class OccupancySlice:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """The fields of an offload decision a profile dump keeps (a live
-    profile holds :class:`~repro.core.monitoring.OffloadDecision`)."""
+    """One offload decision, as its ``offload.decision`` instant
+    records it (``kernel`` is ``None`` when none was chosen)."""
 
     operator: str
     path: str
     reason: str
     kernel: Optional[str]
     device_id: int
+
+    @classmethod
+    def of(cls, span: Span) -> "DecisionRecord":
+        """The decision one ``offload.decision`` instant records."""
+        attributes = span.attributes
+        return _record(cls, {**attributes,
+                             "kernel": attributes.get("kernel") or None})
 
 
 def _record(cls, data: dict):
@@ -236,6 +243,10 @@ def _record(cls, data: dict):
 #: The device launch span: occupancy, the device axis and the stream
 #: pipeline section all read it.
 LAUNCH = "gpu.launch"
+
+#: The offload-decision instant :meth:`Dispatcher.record
+#: <repro.core.dispatch.Dispatcher.record>` writes.
+DECISION = "offload.decision"
 
 #: Field source meaning "the name of the operator row owning the span".
 OWNER = "<owner>"
@@ -516,7 +527,7 @@ class QueryProfile:
     verdicts: list[PathVerdict]
     kernel_choices: list[KernelChoice]
     occupancy: list[OccupancySlice]
-    decisions: list                    # OffloadDecision records (monitor)
+    decisions: list[DecisionRecord]
     bytes_in: int
     bytes_out: int
     #: Section key -> that :data:`SECTIONS` row's events, in trace order.
@@ -812,15 +823,12 @@ def _node_extras(span: Span) -> str:
 def build_profile(
     source: Union[Tracer, Sequence[Span]],
     query_id: Optional[str] = None,
-    decisions: Sequence = (),
 ) -> QueryProfile:
     """Build the profile of one query from recorded spans.
 
     ``source`` is a :class:`Tracer` or a span list.  With ``query_id``
     the *last* root span stamped with that query id is profiled;
-    without, the last root span wins.  ``decisions`` are the monitor's
-    :class:`~repro.core.monitoring.OffloadDecision` records for the
-    query (they carry the device id the trace instants do not).
+    without, the last root span wins.
     """
     spans = source.spans if isinstance(source, Tracer) else list(source)
     root_span = _find_root(spans, query_id)
@@ -930,7 +938,7 @@ def build_profile(
         verdicts=_collect_verdicts(trace),
         kernel_choices=choices,
         occupancy=occupancy,
-        decisions=list(decisions),
+        decisions=[DecisionRecord.of(s) for s in trace if s.name == DECISION],
         bytes_in=moved["gpu.transfer_in"],
         bytes_out=moved["gpu.transfer_out"],
         events=events,

@@ -77,3 +77,31 @@ class TestExplainDecisions:
         text = gpu_engine.explain_decisions(
             "SELECT s_item FROM sales WHERE s_item = 3")
         assert "(none — no offloadable operators)" in text
+
+
+class TestRepeatedQueryIds:
+    """A second run under a query id it has used before shows that run's
+    decisions only: they come from the trace being rendered."""
+
+    SQL = ("SELECT s_item, SUM(s_qty) AS q FROM sales GROUP BY s_item "
+           "ORDER BY q DESC")
+
+    def test_profile_lists_only_its_own_trace_s_decisions(self, gpu_engine):
+        _result, first = gpu_engine.profile_sql(self.SQL)
+        _result, second = gpu_engine.profile_sql(self.SQL)
+        instants = [s for s in gpu_engine.tracer.trace(second.trace_id)
+                    if s.name == "offload.decision"]
+        assert len(instants) == 2
+        assert len(second.decisions) == len(instants)
+        assert second.decisions == first.decisions
+
+    def test_explain_decisions_shows_only_its_own_run(self, gpu_engine):
+        def decision_lines(text: str) -> list[str]:
+            section = text.split("== offload decisions ==\n")[1]
+            return section.split("\n\n")[0].splitlines()
+
+        sql = self.SQL
+        first = decision_lines(gpu_engine.explain_decisions(sql))
+        second = decision_lines(gpu_engine.explain_decisions(sql))
+        assert [line.split()[0] for line in first] == ["groupby", "sort"]
+        assert second == first

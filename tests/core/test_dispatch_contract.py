@@ -55,7 +55,7 @@ def test_fused_launch_releases_when_a_stage_raises(
     assert engine.scheduler.grants == 1         # it did hold a lease
     assert_no_lease_held(engine)
     assert_leases_normally(engine, fused.sql)
-    decisions = [d.path for d in engine.monitor.decisions]
+    decisions = [d.path for d in engine.monitor.decisions_for("")]
     assert decisions[-1] == "gpu-fused"
 
 

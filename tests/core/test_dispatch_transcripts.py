@@ -42,6 +42,7 @@ from repro.blu import Catalog
 from repro.config import GpuSpec, paper_testbed
 from repro.core import GpuAcceleratedEngine
 from repro.faults import FAULT_SITES, FaultPlan, FaultRule
+from repro.obs.profile import DECISION, LAUNCH, DecisionRecord
 from tests.conftest import build_sales_table, build_stores_table
 
 TRANSCRIPT_PATH = os.path.join(os.path.dirname(__file__),
@@ -213,6 +214,18 @@ def _canon(value):
     return repr(value)
 
 
+#: Span attributes the span entries leave out, because another entry
+#: holds them: an ``offload.decision`` instant's ``device_id`` is in the
+#: ``decisions`` entry, and a launch span's ``LaunchResult`` timings are
+#: the durations its timed children (``gpu.transfer_*``, ``gpu.kernel``)
+#: were given (``tests/gpu/test_device.py`` pins them equal).
+ELSEWHERE = {
+    DECISION: ("device_id",),
+    LAUNCH: ("kernel_seconds", "transfer_in_seconds",
+             "transfer_out_seconds"),
+}
+
+
 def transcript(engine: GpuAcceleratedEngine, results) -> list:
     """Everything ``results`` (the engine's runs, in order) emitted."""
     record: list = []
@@ -240,9 +253,14 @@ def transcript(engine: GpuAcceleratedEngine, results) -> list:
         # Instants are ordered, not timed: which side of a neighbouring
         # ledger charge a zero-length mark falls on is not contract.
         times = (span.start, span.end) if span.end > span.start else None
-        record.append(("span", span.name, names.get(span.parent_id),
-                       times, span.attributes))
-    record.append(("decisions", engine.monitor.decisions))
+        skip = ELSEWHERE.get(span.name, ())
+        record.append(("span", span.name, names.get(span.parent_id), times,
+                       {k: v for k, v in span.attributes.items()
+                        if k not in skip}))
+    record.append(("decisions", [
+        {"query_id": s.attributes["query_id"],
+         **dataclasses.asdict(DecisionRecord.of(s))}
+        for s in engine.tracer.spans if s.name == DECISION]))
     record.append(("registry", engine.registry.to_dict()))
     record.append(("sort", engine._sort.last_stats))
     for device in engine.devices:

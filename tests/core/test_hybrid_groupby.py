@@ -73,7 +73,8 @@ class TestOffloadPaths:
         assert not result.profile.offloaded
         decisions = engine.monitor.decisions_for("starved")
         assert any(d.path == "cpu-fallback" for d in decisions)
-        assert engine.monitor.counters.reservation_fallbacks >= 1
+        assert engine.registry.get(
+            "repro_reservation_fallbacks_total").value >= 1
 
 
 class TestFunctionalParity:
@@ -116,11 +117,11 @@ class TestAccounting:
         assert event.device_id in (0, 1)
         assert event.max_degree == 1              # one dispatching thread
 
-    def test_profiler_sees_the_kernel(self, gpu_engine):
+    def test_monitor_sees_the_kernel(self, gpu_engine):
         gpu_engine.execute_sql(GROUPBY_SQL)
-        records = [r for d in gpu_engine.devices
-                   for r in d.profiler.records]
-        assert any(r.kernel.startswith("groupby") for r in records)
+        records = [r for launches in gpu_engine.monitor.launches().values()
+                   for r in launches]
+        assert any(r["kernel"].startswith("groupby") for r in records)
 
     def test_offload_cheaper_on_host_than_cpu_chain(self, gpu_engine,
                                                     small_catalog):
@@ -144,8 +145,9 @@ class TestRacing:
         r1 = racing.execute_sql(GROUPBY_SQL)
         r2 = plain.execute_sql(GROUPBY_SQL)
         assert tables_equal(r1.table, r2.table)
-        assert racing.monitor.counters.kernels_raced >= 1
-        assert racing.monitor.counters.kernels_cancelled >= 1
+        assert racing.registry.get("repro_kernels_raced_total").value >= 1
+        assert racing.registry.get(
+            "repro_kernels_cancelled_total").value >= 1
 
 
 class TestDistinctOnGpuPath:

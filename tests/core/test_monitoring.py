@@ -3,10 +3,8 @@
 import pytest
 
 from repro.config import GpuSpec
-from repro.core.monitoring import (
-    OffloadDecision,
-    PerformanceMonitor,
-)
+from repro.core.dispatch import Dispatcher
+from repro.core.monitoring import PerformanceMonitor
 from repro.gpu.device import GpuDevice
 from repro.timing import CostEvent, QueryProfile
 
@@ -19,42 +17,50 @@ def profile(qid="q", cpu=1.0, gpu=0.0):
     ])
 
 
+def recorder(monitor, query_id="q") -> Dispatcher:
+    """The decision-recording half of a dispatcher over ``monitor``."""
+    return Dispatcher(scheduler=None, pinned=None, monitor=monitor,
+                      query_id=query_id)
+
+
+def counter(monitor, name) -> float:
+    return monitor.registry.get(name).value
+
+
 class TestRecording:
     def test_counters_follow_decisions(self):
         monitor = PerformanceMonitor()
         for path in ("gpu", "gpu", "cpu-small", "cpu-large", "cpu-fallback"):
-            monitor.record_decision(OffloadDecision(
-                query_id="q", operator="groupby", path=path, reason=""))
-        c = monitor.counters
-        assert c.gpu_offloads == 2
-        assert c.cpu_small == 1
-        assert c.cpu_large == 1
-        assert c.reservation_fallbacks == 1
+            recorder(monitor).record("groupby", path, "")
+        assert counter(monitor, "repro_gpu_offloads_total") == 2
+        assert counter(monitor, "repro_cpu_small_total") == 1
+        assert counter(monitor, "repro_cpu_large_total") == 1
+        assert counter(monitor, "repro_reservation_fallbacks_total") == 1
 
     def test_race_counters_follow_outcomes(self):
         monitor = PerformanceMonitor()
         monitor.record_race(cancelled=("groupby_biglock",))
         monitor.record_race(cancelled=())
-        c = monitor.counters
-        assert c.kernels_raced == 2
-        assert c.kernels_cancelled == 1
+        assert counter(monitor, "repro_kernels_raced_total") == 2
+        assert counter(monitor, "repro_kernels_cancelled_total") == 1
 
     def test_overflow_retries_counter(self):
         monitor = PerformanceMonitor()
         monitor.record_overflow_retries(2)
         monitor.record_overflow_retries(0)      # no-op
         monitor.record_overflow_retries(1)
-        assert monitor.counters.overflow_retries == 3
+        assert counter(monitor, "repro_overflow_retries_total") == 3
 
-    def test_counters_proxy_is_registry_backed(self):
+    def test_own_counters_are_registered_at_zero_and_unannounced(self):
         monitor = PerformanceMonitor()
-        c = monitor.counters
-        c.kernels_raced += 1
-        c.kernels_raced += 1
-        assert c.kernels_raced == 2
-        assert monitor.registry.get("repro_kernels_raced_total").value == 2
-        with pytest.raises(AttributeError):
-            c.no_such_counter
+        deltas = []
+        monitor.registry.listeners.append(
+            lambda name, labels, amount: deltas.append(name))
+        assert counter(monitor, "repro_kernels_raced_total") == 0
+        monitor.count("repro_kernels_raced_total")
+        monitor.count("repro_kernels_raced_total")
+        assert counter(monitor, "repro_kernels_raced_total") == 2
+        assert deltas == []
 
     def test_profiles_accumulate(self):
         monitor = PerformanceMonitor()
@@ -65,10 +71,11 @@ class TestRecording:
 
     def test_decisions_for_query(self):
         monitor = PerformanceMonitor()
-        monitor.record_decision(OffloadDecision("a", "groupby", "gpu", ""))
-        monitor.record_decision(OffloadDecision("b", "sort", "cpu-small", ""))
+        recorder(monitor, "a").record("groupby", "gpu", "", device_id=1)
+        recorder(monitor, "b").record("sort", "cpu-small", "")
         assert len(monitor.decisions_for("a")) == 1
         assert monitor.decisions_for("a")[0].operator == "groupby"
+        assert monitor.decisions_for("a")[0].device_id == 1
 
 
 class TestViews:
@@ -82,10 +89,10 @@ class TestViews:
 
     def test_report_renders_devices(self):
         device = GpuDevice(0, GpuSpec())
+        monitor = PerformanceMonitor([device])
         r = device.memory.reserve(1 << 20)
         device.launch("groupby_regular", 0.001, r, rows=10, bytes_in=4096)
         device.memory.release(r)
-        monitor = PerformanceMonitor([device])
         monitor.record_profile(profile())
         report = monitor.report()
         assert "performance monitor" in report
@@ -102,14 +109,13 @@ class TestExportEvents:
         from repro.gpu.device import GpuDevice
 
         device = GpuDevice(0, GpuSpec())
+        monitor = PerformanceMonitor([device])
         r = device.memory.reserve(1 << 20)
         device.launch("groupby_regular", 0.001, r, rows=10, bytes_in=4096)
         device.memory.release(r)
-        monitor = PerformanceMonitor([device])
         monitor.record_profile(profile(cpu=1.0, gpu=0.25))
-        monitor.record_decision(OffloadDecision("q", "groupby", "gpu", "r",
-                                                kernel="groupby_regular",
-                                                device_id=0))
+        recorder(monitor).record("groupby", "gpu", "r",
+                                 kernel="groupby_regular", device_id=0)
         events = monitor.export_events()
         kinds = {e["kind"] for e in events}
         assert kinds == {"query", "decision", "kernel"}

@@ -104,7 +104,8 @@ class TestChaosObservability:
             "GROUP BY s_store").table
         assert tables_match(got, want)
         # Device 1 is healthy, so the engine still offloads.
-        assert broken_device_engine.monitor.counters.gpu_offloads > 0
+        assert broken_device_engine.registry.get(
+            "repro_gpu_offloads_total").value > 0
 
 
 class TestChaosServing:

@@ -1,11 +1,15 @@
-"""Unit tests for the simulated device, transfers and profiler."""
+"""Unit tests for the simulated device, transfers and launch records."""
 
 import pytest
 
 from repro.config import GpuSpec
 from repro.errors import GpuError
+from repro.core.monitoring import PerformanceMonitor
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.gpu.device import GpuDevice, SharedMemoryConfig, make_devices
 from repro.gpu.transfer import transfer_seconds
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture()
@@ -56,41 +60,63 @@ class TestLaunch:
         with pytest.raises(GpuError):
             device.launch("k", 0.001, r)
 
-    def test_launch_records_profile(self, device):
+    def test_launch_records_a_span(self, device):
+        device.tracer = Tracer()
         r = device.memory.reserve(1 << 20)
         result = device.launch("groupby_regular", 0.002, r, rows=1000,
                                bytes_in=1 << 20, bytes_out=1 << 10)
         device.memory.release(r)
         assert result.total_seconds > 0.002
-        assert len(device.profiler.records) == 1
-        record = device.profiler.records[0]
-        assert record.kernel == "groupby_regular"
-        assert record.kernel_seconds > 0.002     # includes launch overhead
-        assert record.transfer_seconds > 0
+        launches = [s for s in device.tracer.spans if s.name == "gpu.launch"]
+        assert len(launches) == 1
+        record = launches[0].attributes
+        assert record["kernel"] == "groupby_regular"
+        assert record["kernel_seconds"] > 0.002   # includes launch overhead
+        assert (record["transfer_in_seconds"]
+                + record["transfer_out_seconds"]) > 0
 
-    def test_profiler_aggregates(self, device):
+    def test_launch_span_carries_the_exact_result(self, device):
+        """The span's timings are the returned ones, bit for bit — an
+        injected stall included — not re-derived from span durations."""
+        device.tracer = Tracer()
+        device.attach_injector(FaultInjector(FaultPlan(rules=(
+            FaultRule(site="transfer", stall_seconds=1e-3, nth=(1,)),))))
+        r = device.memory.reserve(1 << 20)
+        result = device.launch("k", 0.002, r, rows=10, bytes_in=1 << 20,
+                               bytes_out=1 << 10)
+        device.memory.release(r)
+        record = next(s.attributes for s in device.tracer.spans
+                      if s.name == "gpu.launch")
+        assert result.transfer_in_seconds > 1e-3
+        for name in ("kernel_seconds", "transfer_in_seconds",
+                     "transfer_out_seconds"):
+            assert record[name] == getattr(result, name), name
+
+    def test_monitor_aggregates_launches(self, device):
+        monitor = PerformanceMonitor([device])
         r = device.memory.reserve(1 << 20)
         for _ in range(3):
             device.launch("k1", 0.001, r, rows=10, bytes_in=1024)
         device.launch("k2", 0.002, r, rows=20, bytes_in=1024)
         device.memory.release(r)
-        agg = device.profiler.by_kernel()
-        assert agg["k1"].invocations == 3
-        assert agg["k1"].rows == 30
-        assert agg["k2"].invocations == 1
-        assert device.profiler.total_seconds > 0
-        report = device.profiler.report()
-        assert "k1" in report and "k2" in report
+        rows = {line.split()[0]: line.split()[1:]
+                for line in monitor.report().splitlines()[3:]}
+        assert rows["k1"][:2] == ["3", "30"]      # calls, rows
+        assert rows["k2"][:2] == ["1", "20"]
+        assert sum(e["kernel_seconds"] + e["transfer_seconds"]
+                   for e in monitor.export_events()) > 0
 
-    def test_profiler_aggregates_bytes_moved(self, device):
+    def test_launch_trace_records_bytes_moved(self, device):
+        device.tracer = Tracer()
         r = device.memory.reserve(1 << 20)
         device.launch("k", 0.001, r, rows=10, bytes_in=1024, bytes_out=256)
         device.launch("k", 0.001, r, rows=10, bytes_in=512)
         device.memory.release(r)
-        agg = device.profiler.by_kernel()["k"]
-        assert agg.bytes_moved == 1024 + 256 + 512
-        record = device.profiler.records[0]
-        assert (record.bytes_in, record.bytes_out) == (1024, 256)
+        moved = [(s.name, s.attributes["bytes"]) for s in device.tracer.spans
+                 if s.name in ("gpu.transfer_in", "gpu.transfer_out")]
+        assert sum(nbytes for _, nbytes in moved) == 1024 + 256 + 512
+        assert moved[:2] == [("gpu.transfer_in", 1024),
+                             ("gpu.transfer_out", 256)]
 
     def test_make_devices(self):
         devices = make_devices((GpuSpec(), GpuSpec()))
@@ -98,14 +124,15 @@ class TestLaunch:
 
 
 class TestLaunchMetrics:
-    """Satellite of the profiler PR: the GpuProfiler's per-kernel
-    aggregates must surface as first-class registry series."""
+    """The per-kernel aggregates of the launch spans also surface as
+    first-class registry series."""
 
     def _launched_device(self):
         from repro.obs.metrics import MetricsRegistry
 
         device = GpuDevice(0, GpuSpec())
         device.metrics = MetricsRegistry()
+        device.tracer = Tracer()
         r = device.memory.reserve(1 << 20)
         device.launch("groupby_shared", 0.002, r, rows=100,
                       bytes_in=4096, bytes_out=512)
@@ -135,10 +162,13 @@ class TestLaunchMetrics:
         assert moved.labels(direction="in").value == 4096 + 2048
         assert moved.labels(direction="out").value == 512 + 256
 
-    def test_transfer_seconds_total_matches_profiler(self):
+    def test_transfer_seconds_total_matches_the_launch_spans(self):
         device = self._launched_device()
         xfer = device.metrics.counter("repro_transfer_seconds_total",
                                       labelnames=("direction",))
         total = (xfer.labels(direction="in").value
                  + xfer.labels(direction="out").value)
-        assert total == pytest.approx(device.profiler.total_transfer_seconds)
+        spans = sum(s.attributes["transfer_in_seconds"]
+                    + s.attributes["transfer_out_seconds"]
+                    for s in device.tracer.spans if s.name == "gpu.launch")
+        assert total == pytest.approx(spans)

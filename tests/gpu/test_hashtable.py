@@ -349,7 +349,7 @@ class TestSentinelKeyRegression:
         engine = GpuAcceleratedEngine(catalog, config=config)
         gpu = engine.execute_sql(sql)
         cpu = BluEngine(catalog).execute_sql(sql)
-        assert [d.kernel for d in engine.monitor.decisions
+        assert [d.kernel for d in engine.monitor.decisions_for("")
                 if d.path == "gpu"] == ["groupby_regular"]
         assert gpu.table.num_rows == len(np.unique(k))
         assert tables_equal(gpu.table, cpu.table)

@@ -25,6 +25,7 @@ from repro.gpu.streams import (
     streamed_launch,
 )
 from repro.gpu.transfer import transfer_seconds
+from repro.obs.tracing import Tracer
 
 SPEC = GpuSpec()
 MB = 1 << 20
@@ -257,7 +258,8 @@ class TestStreamedLaunch:
 
     def test_per_chunk_launch_fault_rolls_back_buffers(self, device, pool):
         # The third chunk's launch check fails; both live staging buffers
-        # must be released and no profiler record emitted.
+        # must be released and no launch span emitted.
+        device.tracer = Tracer()
         self._arm(device, pool, FaultRule(site="launch", nth=(3,)))
         r = device.memory.reserve(8 * MB)
         with pytest.raises(KernelLaunchError):
@@ -268,7 +270,7 @@ class TestStreamedLaunch:
             )
         device.memory.release(r)
         assert pool.used == 0
-        assert device.profiler.records == []
+        assert device.tracer.spans == []
 
     def test_per_chunk_pinned_fault_rolls_back_buffers(self, device, pool):
         self._arm(device, pool, FaultRule(site="pinned", nth=(2,)))
@@ -296,6 +298,27 @@ class TestStreamedLaunch:
         assert stalled.total_seconds > 0.5       # the stall is exposed
         # The serial reference pays the same stall, so savings survive.
         assert stalled.overlap_saved_seconds > 0.0
+
+    def test_launch_span_carries_the_exact_result(self, device, pool):
+        """The span's timings are the returned ones, bit for bit — the
+        exposed stall included — not re-derived from span durations."""
+        device.tracer = Tracer()
+        self._arm(device, pool,
+                  FaultRule(site="transfer", nth=(1,), stall_seconds=0.5))
+        r = device.memory.reserve(8 * MB)
+        result = streamed_launch(
+            device, pool, kernel="k", kernel_seconds=4e-3, reservation=r,
+            bytes_in=8 * MB, bytes_out=MB,
+            pipeline=PipelineSpec(depth=4, chunk_bytes=MB),
+        )
+        device.memory.release(r)
+        record = next(s.attributes for s in device.tracer.spans
+                      if s.name == "gpu.launch")
+        assert record["chunks"] == result.chunks == 8
+        assert result.transfer_in_seconds > 0.5
+        for name in ("kernel_seconds", "transfer_in_seconds",
+                     "transfer_out_seconds"):
+            assert record[name] == getattr(result, name), name
 
     def test_pipelined_launch_requires_pool(self, device, pool):
         from repro.errors import GpuError
