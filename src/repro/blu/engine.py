@@ -74,9 +74,9 @@ JoinExecutor = Callable[[Table, Table, JoinNode, OperatorContext], Table]
 # here and the window's internal sort rides the same offload/shard path as
 # ORDER BY; ``None`` keeps the stock host sort inside ``execute_rank``.
 RankOrderExecutor = Callable[..., "object"]
-# Fused-chain hook: consulted before the per-operator group-by path with the
-# engine's own subtree-execute callback; ``None`` means "not fused" and the
-# engine proceeds exactly as before (repro.gpu.fusion, docs/fusion.md).
+# Fused-chain hook, tried before the per-operator group-by path with the
+# engine's subtree-execute callback.  ``None`` means "not fused"; a failed
+# chain re-runs through the group-by and join executors installed beside it.
 FusedExecutor = Callable[
     [GroupByNode, OperatorContext,
      Callable[[PlanNode, OperatorContext], Table]],

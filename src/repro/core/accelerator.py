@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.blu.catalog import Catalog
 from repro.blu.engine import BluEngine, OperatorContext
-from repro.blu.plan import GroupByNode, JoinNode, PlanNode, SortNode
+from repro.blu.plan import PlanNode
 from repro.blu.table import Table
 from repro.config import SystemConfig, cpu_only_testbed, paper_testbed
 from repro.core.dispatch import Dispatcher
@@ -195,20 +195,15 @@ class GpuAcceleratedEngine:
         # below, so fusion_enabled=False and fusion-degraded runs are
         # bit-identical to this engine's stock routing.
         self._fused = FusedExecutor(
-            dispatch=self.dispatch,
-            moderator=self.moderator,
-            thresholds=self.config.thresholds,
-            groupby_fallback=self._route_groupby,
-            join_fallback=(self._route_join if enable_join_offload
-                           else cpu_join_executor),
-            race_kernels=race_kernels,
+            groupby=self._groupby,
+            join=self._join if enable_join_offload else cpu_join_executor,
         ) if self.config.fusion_enabled else None
         self.engine = BluEngine(
             catalog,
             config=self.config,
-            groupby_executor=self._route_groupby,
-            sort_executor=self._route_sort,
-            join_executor=self._route_join if enable_join_offload else None,
+            groupby_executor=self._groupby,
+            sort_executor=self._sort,
+            join_executor=self._join,
             fused_executor=self._fused,
             rank_order_executor=self._route_rank_order,
             default_degree=default_degree,
@@ -236,21 +231,11 @@ class GpuAcceleratedEngine:
             catalog_version=catalog.version,
         )
 
-    # Route through bound methods so the harness can wrap the executors.
-    def _route_groupby(self, table: Table, node: GroupByNode,
-                       ctx: OperatorContext) -> Table:
-        return self._groupby(table, node, ctx)
-
-    def _route_sort(self, table: Table, node: SortNode,
-                    ctx: OperatorContext) -> Table:
-        return self._sort(table, node, ctx)
-
-    def _route_join(self, left: Table, right: Table, node: JoinNode,
-                    ctx: OperatorContext) -> Table:
-        return self._join(left, right, node, ctx)
-
     def _route_rank_order(self, table: Table, keys, ctx: OperatorContext):
-        # The sort RANK() drives rides the hybrid sort's offload path.
+        # The sort RANK() drives rides the hybrid sort's offload path.  A
+        # bound ``self._sort.rank_order`` would miss a wrapper installed
+        # on the class later; the executors above need no such route, as
+        # ``__call__`` is looked up on the type at every call.
         return self._sort.rank_order(table, keys, ctx)
 
     # ------------------------------------------------------------------

@@ -50,7 +50,6 @@ from repro.gpu.shard import home_devices
 from repro.gpu.streams import DISPATCH_SECONDS, PipelineSpec, streamed_launch
 from repro.gpu.transfer import effective_transfer_bytes
 from repro.obs.profile import DECISION
-from repro.obs.tracing import NULL_TRACER
 from repro.timing import CostEvent
 
 
@@ -128,7 +127,7 @@ class Dispatcher:
 
     scheduler: MultiGpuScheduler
     pinned: PinnedMemoryPool
-    monitor: Optional[PerformanceMonitor] = None
+    monitor: PerformanceMonitor
     catalog: Optional[Catalog] = None
     pipeline: Optional[PipelineSpec] = None
     #: Prices and accounts the shard waves' contended transfers.
@@ -140,7 +139,7 @@ class Dispatcher:
 
     @property
     def tracer(self):
-        return self.monitor.tracer if self.monitor is not None else None
+        return self.monitor.tracer
 
     @property
     def catalog_version(self) -> int:
@@ -182,7 +181,7 @@ class Dispatcher:
         config = ctx.config
         scheduler = self.scheduler
         spec = scheduler.devices[0].spec
-        tracer = self.tracer or NULL_TRACER
+        tracer = self.tracer
         if across is None:
             if not config.partition_enabled:
                 return None, ""
@@ -259,8 +258,6 @@ class Dispatcher:
         and join decisions carry no kernel field at all.
         """
         monitor = self.monitor
-        if monitor is None:
-            return
         chosen = {} if kernel is None else {"kernel": kernel}
         monitor.tracer.instant(
             DECISION,
@@ -415,8 +412,7 @@ class Wave:
             except PinnedMemoryError as exc:
                 # Host-side staging exhaustion: no device misbehaved, so
                 # the circuit breaker stays out of it.
-                if monitor is not None:
-                    monitor.record_fault_fallback(self.operator, exc)
+                monitor.record_fault_fallback(self.operator, exc)
                 piece.faults += 1
                 piece.fallback = "pinned staging pool exhausted"
                 break
@@ -427,10 +423,9 @@ class Wave:
                 scheduler.record_failure(lease)
                 if not device.alive and self.homes:
                     self._lost.add(device.device_id)
-                if monitor is not None:
-                    monitor.record_fault_fallback(
-                        self.operator, exc, device.device_id
-                    )
+                monitor.record_fault_fallback(
+                    self.operator, exc, device.device_id
+                )
                 piece.faults += 1
                 piece.device_id = device.device_id
                 piece.fallback = f"gpu failure: {exc}"
@@ -524,9 +519,8 @@ class Wave:
             self.gpu_parts += 1
         else:
             self.cpu_parts += 1
-        tracer = self.dispatch.tracer
-        if self._part and tracer is not None:
-            tracer.instant(
+        if self._part:
+            self.dispatch.tracer.instant(
                 self._part + ".part",
                 operator=self.operator,
                 index=piece.index,
@@ -555,8 +549,6 @@ class Wave:
         """Emit the wave's ``partition.exec`` / ``shard.exec`` summary
         (what EXPLAIN ANALYZE's partition and shard sections read)."""
         tracer = self.dispatch.tracer
-        if tracer is None:
-            return
         plan = self.plan
         if not self.homes:
             tracer.instant(

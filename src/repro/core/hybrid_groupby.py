@@ -21,6 +21,7 @@ This is the paper's centrepiece.  For each group-by the executor:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class HybridGroupByExecutor:
         hashes = murmur3_fmix64(factors.keys)
         kmv = estimate_distinct(hashes, k=1024)
 
-        payloads = _payload_specs(table, node)
+        payloads = payload_specs(node, table)
         metadata = RuntimeMetadata(
             rows=rows,
             optimizer_groups=optimizer_groups,
@@ -174,16 +175,9 @@ class HybridGroupByExecutor:
             estimated_groups=metadata.estimated_groups, exact_keys=exact,
             factors=factors,
         )
-        kernel, _reason = self.moderator.choose(metadata)
+        kernel, table_bytes = self._reserve(metadata, request)
         staged = metadata.staged_input_bytes()
-        memory_needed = (staged + metadata.result_bytes()
-                         + kernel.table_bytes(request))
-        if self.race_kernels:
-            memory_needed += sum(
-                k.table_bytes(request)
-                for k in self.moderator.candidates(metadata)
-                if k is not kernel
-            )
+        memory_needed = staged + metadata.result_bytes() + table_bytes
 
         def run(bytes_in: int) -> Kernel:
             # The host chain (including MEMCPY into pinned staging of
@@ -261,7 +255,7 @@ class HybridGroupByExecutor:
         sharded = bool(plan.devices)
         pieces = plan.pieces
         key_bits = sum(table.schema.field(k).dtype.bits for k in node.keys)
-        payloads = _payload_specs(table, node)
+        payloads = payload_specs(node, table)
         num_cols = len(node.keys) + max(1, len(payloads))
         group_index, distinct, counts = factors
         piece_of_group = hash_shard_assignment(hashes, pieces)
@@ -386,16 +380,30 @@ class HybridGroupByExecutor:
             name=f"{table.name}_grouped",
         )
 
+    def _reserve(self, metadata: RuntimeMetadata,
+                 request: GroupByRequest) -> tuple[object, int]:
+        """The moderator's kernel for ``metadata`` and the hash-table
+        bytes to reserve for it — plus every raced candidate's."""
+        kernel, _reason = self.moderator.choose(metadata)
+        table_bytes = kernel.table_bytes(request)
+        if self.race_kernels:
+            table_bytes += sum(
+                k.table_bytes(request)
+                for k in self.moderator.candidates(metadata)
+                if k is not kernel
+            )
+        return kernel, table_bytes
+
     def _moderate(self, request: GroupByRequest, metadata: RuntimeMetadata,
                   race: bool = False, prep_seconds: float = 0.0) -> Kernel:
         """Run the moderator's kernel (or race) for one piece; the launch
-        is charged the device time losers and regrow attempts wasted."""
+        is charged the device time losers and regrow attempts wasted, and
+        ``prep_seconds`` of on-device work ahead of the aggregation."""
         outcome = self.moderator.run(request, metadata, race=race)
         monitor = self.dispatch.monitor
-        if monitor is not None:
-            monitor.record_overflow_retries(outcome.overflow_retries)
-            if outcome.raced:
-                monitor.record_race(outcome.cancelled)
+        monitor.record_overflow_retries(outcome.overflow_retries)
+        if outcome.raced:
+            monitor.record_race(outcome.cancelled)
         winner = outcome.winner
         return Kernel(
             name=winner.kernel,
@@ -416,8 +424,6 @@ class HybridGroupByExecutor:
         estimates have no single span to live on).
         """
         monitor = self.dispatch.monitor
-        if monitor is None:
-            return
         error = monitor.record_kmv_estimate(estimated, actual)
         if not stamp_span:
             return
@@ -595,13 +601,29 @@ def groupby_segments(table: Table, node: GroupByNode,
     ]
 
 
-def _payload_specs(table: Table, node: GroupByNode) -> list[PayloadSpec]:
+def payload_specs(node: GroupByNode, *tables: Table) -> list[PayloadSpec]:
+    """The aggregation payloads' types.  An expression over one column
+    types against the table owning it (the fused chain's external
+    inputs); anything else against the first table."""
     specs = []
     for agg in node.aggs:
-        dtype = (int64_type() if agg.expr is None
-                 else agg.expr.result_type(table))
+        dtype = int64_type()
+        if agg.expr is not None:
+            names = agg.expr.columns()
+            owner = owner_of(names[0], tables) if len(names) == 1 else None
+            dtype = agg.expr.result_type(owner if owner is not None
+                                         else tables[0])
         specs.append(PayloadSpec(dtype=dtype, func=agg.func))
     return specs
+
+
+def owner_of(column: str, tables: Sequence[Table]) -> Optional[Table]:
+    """The first of ``tables`` with a column named ``column``."""
+    for table in tables:
+        for f in table.schema:
+            if f.name.lower() == column.lower():
+                return table
+    return None
 
 
 def packed_key_bytes(col) -> int:

@@ -49,7 +49,8 @@ class HybridJoinExecutor:
         build_rows = right.num_rows
         if probe_rows < self.thresholds.t1_min_rows or build_rows == 0:
             dispatch.record("join", "cpu-small",
-                            f"probe side {probe_rows} rows below T1")
+                            f"probe side {probe_rows} rows below T1"
+                            if build_rows else "build side is empty")
             return cpu_join_executor(left, right, node, ctx)
 
         build_col = right.column(node.right_key)
@@ -90,19 +91,13 @@ class HybridJoinExecutor:
 
         def segments() -> list[StagedSegment]:
             return [
+                build_segment(right, node.right_key, build_keys, version),
                 StagedSegment(
-                    key=SegmentKey(
-                        table=table.name, column=column,
-                        segment=role + content_digest(keys),
-                        catalog_version=version,
-                    ),
-                    nbytes=nbytes,
-                )
-                for table, column, role, keys, nbytes in (
-                    (right, node.right_key, "join-build:", build_keys,
-                     build_rows * 8),
-                    (left, node.left_key, "join-probe:", probe_keys,
-                     probe_rows * 4))
+                    key=SegmentKey(table=left.name, column=node.left_key,
+                                   segment="join-probe:"
+                                   + content_digest(probe_keys),
+                                   catalog_version=version),
+                    nbytes=probe_rows * 4),
             ]
 
         def run(_bytes_in: int) -> Kernel:
@@ -220,6 +215,19 @@ class HybridJoinExecutor:
             rows=probe_rows,
             merge_seconds=ctx.wall_seconds(merge_core))
         return left_idx, right_idx
+
+
+def build_segment(table: Table, column: str, keys: np.ndarray,
+                  version: int) -> StagedSegment:
+    """The cacheable build side of a join: its aligned keys as 8-byte
+    words.  The fused chain stages its build keys under the same key, so
+    the two paths share cache entries."""
+    return StagedSegment(
+        key=SegmentKey(table=table.name, column=column,
+                       segment="join-build:" + content_digest(keys),
+                       catalog_version=version),
+        nbytes=table.num_rows * 8,
+    )
 
 
 def _merge_core_seconds(probe_rows: int, cost) -> float:

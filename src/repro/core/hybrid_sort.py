@@ -36,7 +36,6 @@ from repro.blu.table import Table
 from repro.config import Thresholds
 from repro.core.dispatch import Dispatcher, Kernel, Piece
 from repro.core.pathselect import select_sort_offload
-from repro.obs.tracing import NULL_TRACER
 from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
 from repro.gpu.kernels.radix_sort import (RadixSortKernel,
                                           find_duplicate_ranges)
@@ -207,7 +206,7 @@ class HybridSortExecutor:
         stats = SortRunStats()
 
         dispatch = self.dispatch
-        tracer = dispatch.tracer or NULL_TRACER
+        tracer = dispatch.tracer
         keys_label = ",".join(
             k.column + ("+" if k.ascending else "-") for k in keys)
         # Small jobs are disjoint contiguous slices ("conflict free
@@ -267,8 +266,7 @@ class HybridSortExecutor:
         self.last_stats = stats
         dispatch.record("sort", "gpu", f"{label}: {stats.jobs_gpu} GPU / "
                                        f"{stats.jobs_cpu} CPU jobs")
-        if dispatch.monitor is not None:
-            dispatch.monitor.record_sort_stats(stats)
+        dispatch.monitor.record_sort_stats(stats)
         return order
 
     def _gpu_sort_job(self, partial: np.ndarray, rows_idx: np.ndarray,

@@ -36,14 +36,13 @@ stream pipeline and fault injection live in ``docs/fusion.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.blu.catalog import Catalog
-from repro.blu.datatypes import int64 as int64_type
-from repro.blu.engine import OperatorContext
+from repro.blu.engine import JoinExecutor, OperatorContext
 from repro.blu.evaluators import build_fused_host_chain, build_gpu_host_chain
 from repro.blu.expressions import ColumnRef
 from repro.blu.operators.join import _aligned_keys, _assemble, cpu_probe_rate
@@ -62,15 +61,18 @@ from repro.blu.plan import (
 )
 from repro.blu.statistics import estimate_distinct, murmur3_fmix64
 from repro.blu.table import Table
-from repro.config import SystemConfig, Thresholds
-from repro.core.dispatch import Declined, Dispatcher, Kernel, Piece
+from repro.config import SystemConfig
+from repro.core.dispatch import Declined, Kernel, Piece
 from repro.core.hybrid_groupby import (
+    HybridGroupByExecutor,
     groupby_segments,
+    owner_of,
     packed_key_bytes,
+    payload_specs,
     staged_key_bytes,
 )
+from repro.core.hybrid_join import build_segment
 from repro.core.metadata import RuntimeMetadata
-from repro.core.moderator import GpuModerator
 from repro.core.pathselect import (
     Verdict,
     judge,
@@ -78,10 +80,10 @@ from repro.core.pathselect import (
     trace_groupby_path,
 )
 from repro.errors import GpuError
-from repro.gpu.cache import SegmentKey, StagedSegment, content_digest
+from repro.gpu.cache import SegmentKey, StagedSegment
 from repro.gpu.kernels.hashtable import combine_keys
 from repro.gpu.kernels.join import HashJoinKernel
-from repro.gpu.kernels.request import GroupByRequest, PayloadSpec
+from repro.gpu.kernels.request import GroupByRequest
 from repro.gpu.partition import Rival
 from repro.gpu.transfer import transfer_seconds
 from repro.timing import CostLedger
@@ -322,28 +324,26 @@ class FusedExecutor:
     path.  Returning ``None`` means "not fused" and the engine proceeds
     exactly as before, so a declined chain has zero observable effect.
 
-    ``join_fallback`` / ``groupby_fallback`` are the engine's effective
-    per-operator executors: every mid-flight failure re-runs the chain
-    through them from the already-executed subtree outputs, which keeps
-    results bit-identical under any fault plan.
+    ``groupby`` is the engine's hybrid group-by executor — the fused
+    launch is its launch with a longer kernel, so dispatcher, thresholds,
+    reservation, moderation and KMV note are its — and ``join`` the
+    engine's effective join executor.  Every mid-flight failure re-runs
+    the chain through those two from the already-executed subtree
+    outputs, which keeps results bit-identical under any fault plan.
     """
 
-    dispatch: Dispatcher
-    moderator: GpuModerator
-    thresholds: Thresholds
-    groupby_fallback: Callable[[Table, GroupByNode, OperatorContext], Table]
-    join_fallback: Callable[[Table, Table, JoinNode, OperatorContext], Table]
-    race_kernels: bool = False
+    groupby: HybridGroupByExecutor
+    join: JoinExecutor
 
     def __call__(self, node: GroupByNode, ctx: OperatorContext,
                  execute: SubtreeExecutor) -> Optional[Table]:
         chain = find_fusable_chain(node)
-        if chain is None or self.dispatch.catalog is None:
+        if chain is None or self.groupby.dispatch.catalog is None:
             return None
         decision = self._decide(chain, ctx)
         if not decision.taken:
             return None
-        return self._run_fused(chain, ctx, execute, decision)
+        return self._run(chain, ctx, execute, decision)
 
     # ------------------------------------------------------------------
     # Decision (no side effects beyond trace instants)
@@ -363,13 +363,14 @@ class FusedExecutor:
         call instead of teaching the gate about its caller.
         """
         node = chain.groupby
-        tracer = self.dispatch.tracer
+        dispatch = self.groupby.dispatch
+        thresholds = self.groupby.thresholds
         # Figure 3 from optimizer estimates, marked only when the chain
         # fuses: the per-operator path emits its own verdict otherwise.
         rows = max(1.0, node.child.estimates.rows)
         groups = max(1.0, node.estimates.groups)
-        verdict = select_groupby_path(rows, groups, self.thresholds)
-        estimate = estimate_chain(chain, ctx.config, self.dispatch.catalog,
+        verdict = select_groupby_path(rows, groups, thresholds)
+        estimate = estimate_chain(chain, ctx.config, dispatch.catalog,
                                   ctx.degree)
         fused, unfused = estimate.fused_seconds, estimate.unfused_seconds
         fused_bytes = estimate.fused_bytes
@@ -389,234 +390,206 @@ class FusedExecutor:
                 False,
                 f"fused bytes {fused_bytes} > per-op GPU bytes "
                 f"{per_op_gpu_bytes}: fusion would ship more over PCIe")
-        if tracer is not None:
-            tracer.instant(
-                "pathselect.fused",
-                stages=chain.stages, fuse=decision.taken,
-                reason=decision.reason,
-                fused_seconds=fused, unfused_seconds=unfused,
-                fused_bytes=int(fused_bytes),
-                per_op_gpu_bytes=int(per_op_gpu_bytes),
-            )
-            if decision.taken:
-                # The per-operator group-by will never run, so record
-                # its Figure-3 verdict here — every executed group-by
-                # keeps a ``pathselect.groupby`` instant either way.
-                trace_groupby_path(tracer, verdict, rows, groups,
-                                   self.thresholds)
+        dispatch.tracer.instant(
+            "pathselect.fused",
+            stages=chain.stages, fuse=decision.taken,
+            reason=decision.reason,
+            fused_seconds=fused, unfused_seconds=unfused,
+            fused_bytes=int(fused_bytes),
+            per_op_gpu_bytes=int(per_op_gpu_bytes),
+        )
+        if decision.taken:
+            # The per-operator group-by will never run, so record its
+            # Figure-3 verdict here — every executed group-by keeps a
+            # ``pathselect.groupby`` instant either way.
+            trace_groupby_path(dispatch.tracer, verdict, rows, groups,
+                               thresholds)
         return decision
 
     # ------------------------------------------------------------------
     # Fused run
     # ------------------------------------------------------------------
 
-    def _run_fused(self, chain: FusableChain, ctx: OperatorContext,
-                   execute: SubtreeExecutor,
-                   decision: Verdict) -> Table:
-        node = chain.groupby
-        tracer = self.dispatch.tracer
-        if tracer is None:
-            return self._run_fused_body(chain, ctx, execute, decision)
-        # Capture the engine's enclosing op.groupby span: the KMV
-        # refinement stamp belongs there, next to the optimizer estimate
-        # and actual count the engine stamps.
-        groupby_span = tracer.current
-        with tracer.span("op.fused", stages=chain.stages,
-                         joins=len(chain.joins),
-                         keys=",".join(node.keys)):
-            return self._run_fused_body(chain, ctx, execute, decision,
-                                        groupby_span=groupby_span)
-
-    def _run_fused_body(self, chain: FusableChain, ctx: OperatorContext,
-                        execute: SubtreeExecutor,
-                        decision: Verdict,
-                        groupby_span=None) -> Table:
+    def _run(self, chain: FusableChain, ctx: OperatorContext,
+             execute: SubtreeExecutor, decision: Verdict) -> Table:
+        """The chain as one launch inside an ``op.fused`` span; the KMV
+        note lands after it closes, on the engine's ``op.groupby`` span."""
         node = chain.groupby
         cost = ctx.config.cost
-        dispatch = self.dispatch
-        monitor = dispatch.monitor
+        groupby = self.groupby
+        dispatch = groupby.dispatch
+        with dispatch.tracer.span("op.fused", stages=chain.stages,
+                                  joins=len(chain.joins),
+                                  keys=",".join(node.keys)):
+            # External edges execute normally (their own operator spans
+            # and CPU cost events) — fusion changes nothing below the
+            # chain.
+            probe_out = execute(chain.probe, ctx)
+            build_outs = [execute(b, ctx) for b in chain.builds]
 
-        # External edges execute normally (their own operator spans and
-        # CPU cost events) — fusion changes nothing below the chain.
-        probe_out = execute(chain.probe, ctx)
-        build_outs = [execute(b, ctx) for b in chain.builds]
+            plan = _plan_external_inputs(chain, probe_out, build_outs,
+                                         dispatch.catalog_version,
+                                         dispatch.caching)
 
-        plan = _plan_external_inputs(chain, probe_out, build_outs,
-                                     dispatch.catalog_version,
-                                     dispatch.caching)
-
-        # One up-front reservation for the whole chain (section 2.1.1
-        # discipline): staged inputs + every stage's hash table +
-        # device-resident intermediates + the result, sized from
-        # optimizer estimates exactly like the per-op executors.
-        payloads = _payload_specs(probe_out, build_outs, node)
-        key_bits = plan.key_bits
-        metadata = RuntimeMetadata(
-            rows=max(1, int(node.child.estimates.rows)),
-            optimizer_groups=node.estimates.groups or 0.0,
-            key_bits=key_bits,
-            num_keys=len(node.keys),
-            payloads=payloads,
-            exact_keys=True,
-        )
-        join_kernel = HashJoinKernel(cost)
-        intermediates = sum(
-            max(1, int(j.estimates.rows)) * 4 for j in chain.joins)
-        memory_needed = (
-            plan.staged_bytes
-            + intermediates
-            + metadata.result_bytes()
-            + sum(join_kernel.table_bytes(b.num_rows) for b in build_outs)
-        )
-        groupby_kernel, _reason = self.moderator.choose(metadata)
-        request_probe = GroupByRequest(
-            keys=np.empty(0, dtype=np.int64), key_bits=key_bits,
-            payloads=payloads,
-            estimated_groups=metadata.estimated_groups, exact_keys=True,
-        )
-        memory_needed += groupby_kernel.table_bytes(request_probe)
-        if self.race_kernels:
-            memory_needed += sum(
-                k.table_bytes(request_probe)
-                for k in self.moderator.candidates(metadata)
-                if k is not groupby_kernel
+            # One up-front reservation for the whole chain (section 2.1.1
+            # discipline): staged inputs + every stage's hash table +
+            # device-resident intermediates + the result, sized from
+            # optimizer estimates exactly like the per-op executors.
+            payloads = payload_specs(node, probe_out, *build_outs)
+            key_bits = plan.key_bits
+            metadata = RuntimeMetadata(
+                rows=max(1, int(node.child.estimates.rows)),
+                optimizer_groups=node.estimates.groups or 0.0,
+                key_bits=key_bits,
+                num_keys=len(node.keys),
+                payloads=payloads,
+                exact_keys=True,
+            )
+            join_kernel = HashJoinKernel(cost)
+            intermediates = sum(
+                max(1, int(j.estimates.rows)) * 4 for j in chain.joins)
+            _kernel, table_bytes = groupby._reserve(metadata, GroupByRequest(
+                keys=np.empty(0, dtype=np.int64), key_bits=key_bits,
+                payloads=payloads,
+                estimated_groups=metadata.estimated_groups, exact_keys=True,
+            ))
+            memory_needed = (
+                plan.staged_bytes
+                + intermediates
+                + metadata.result_bytes()
+                + sum(join_kernel.table_bytes(b.num_rows) for b in build_outs)
+                + table_bytes
             )
 
-        def run(bytes_in: int) -> Kernel:
-            """The fused stages: device-charged, host-real."""
-            fused_seconds = 0.0
-            per_op_bytes = 0.0
-            matches_total = 0
-            current = probe_out
-            build_index = 0
-            discard = CostLedger()
-            stage_names: list[str] = []
-            for element in reversed(chain.spine):
-                if isinstance(element, JoinNode):
-                    build = build_outs[build_index]
-                    build_keys, probe_keys = _aligned_keys(
-                        build.column(element.right_key),
-                        current.column(element.left_key))
-                    per_op_bytes += (build.num_rows * 8
-                                     + current.num_rows * _PACKED)
-                    try:
-                        result = join_kernel.run(build_keys, probe_keys)
-                    except GpuError:
-                        # Non-unique build keys: outside the kernel's
-                        # documented scope, not a device failure — the
-                        # whole chain degrades to the per-op executors.
-                        raise Declined(
-                            "build keys not unique: chain degrades to "
-                            "the per-operator path") from None
-                    fused_seconds += result.kernel_seconds
-                    matches = len(result.left_idx)
-                    per_op_bytes += matches * 4        # per-op D2H matches
-                    matches_total += matches
-                    # Gather the surviving probe rows' downstream inputs
-                    # on-device instead of materialising on the host.
-                    fused_seconds += matches / cost.gpu_scan_rate
-                    current = _assemble(current, build, element.left_key,
-                                        element.right_key,
-                                        result.left_idx, result.right_idx)
-                    stage_names.append(result.kernel)
-                    build_index += 1
-                else:                                   # FilterNode
-                    rows_before = current.num_rows
-                    # Host-real evaluation through the stock scan
-                    # operator (bit-identical), charged as a device scan
-                    # — the discard ledger drops the CPU events.
-                    current = execute_scan(
-                        current, element.predicate, cost, discard,
-                        max_degree=min(ctx.degree * 2, 96))
-                    complexity = max(1, element.predicate.complexity())
-                    fused_seconds += (rows_before * complexity
-                                      / cost.gpu_scan_rate)
-                    stage_names.append("scan")
+            def run(bytes_in: int) -> Kernel:
+                """The fused stages: device-charged, host-real."""
+                fused_seconds = 0.0
+                per_op_bytes = 0.0
+                matches_total = 0
+                current = probe_out
+                build_index = 0
+                discard = CostLedger()
+                stage_names: list[str] = []
+                for element in reversed(chain.spine):
+                    if isinstance(element, JoinNode):
+                        build = build_outs[build_index]
+                        build_keys, probe_keys = _aligned_keys(
+                            build.column(element.right_key),
+                            current.column(element.left_key))
+                        per_op_bytes += (build.num_rows * 8
+                                         + current.num_rows * _PACKED)
+                        try:
+                            result = join_kernel.run(build_keys, probe_keys)
+                        except GpuError:
+                            # Non-unique build keys: outside the kernel's
+                            # documented scope, not a device failure — the
+                            # whole chain degrades to the per-op executors.
+                            raise Declined(
+                                "build keys not unique: chain degrades to "
+                                "the per-operator path") from None
+                        fused_seconds += result.kernel_seconds
+                        matches = len(result.left_idx)
+                        per_op_bytes += matches * 4    # per-op D2H matches
+                        matches_total += matches
+                        # Gather the surviving probe rows' downstream
+                        # inputs on-device instead of materialising on
+                        # the host.
+                        fused_seconds += matches / cost.gpu_scan_rate
+                        current = _assemble(
+                            current, build, element.left_key,
+                            element.right_key, result.left_idx,
+                            result.right_idx)
+                        stage_names.append(result.kernel)
+                        build_index += 1
+                    else:                               # FilterNode
+                        rows_before = current.num_rows
+                        # Host-real evaluation through the stock scan
+                        # operator (bit-identical), charged as a device
+                        # scan — the discard ledger drops the CPU events.
+                        current = execute_scan(
+                            current, element.predicate, cost, discard,
+                            max_degree=min(ctx.degree * 2, 96))
+                        complexity = max(1, element.predicate.complexity())
+                        fused_seconds += (rows_before * complexity
+                                          / cost.gpu_scan_rate)
+                        stage_names.append("scan")
 
-            # Final on-device gather of the group-by inputs, then the
-            # group-by kernel itself via the moderator (regrow on
-            # overflow, racing when enabled) — all inside this launch.
-            gather_cols = len(node.keys) + len({
-                a.expr.name for a in node.aggs
-                if isinstance(a.expr, ColumnRef)})
-            fused_seconds += (current.num_rows * gather_cols
-                              / cost.gpu_scan_rate)
-            per_op_bytes += (staged_key_bytes(current, node.keys)
-                             + current.num_rows * _PACKED
-                             * max(1, len(node.aggs)))
-            per_op_bytes += metadata.result_bytes()
+                # Final on-device gather of the group-by inputs, then the
+                # group-by executor's own moderation (regrow on overflow,
+                # racing when enabled) with every stage above as on-device
+                # prep — all inside this launch.
+                gather_cols = len(node.keys) + len({
+                    a.expr.name for a in node.aggs
+                    if isinstance(a.expr, ColumnRef)})
+                fused_seconds += (current.num_rows * gather_cols
+                                  / cost.gpu_scan_rate)
+                per_op_bytes += (staged_key_bytes(current, node.keys)
+                                 + current.num_rows * _PACKED
+                                 * max(1, len(node.aggs)))
+                per_op_bytes += metadata.result_bytes()
 
-            key_arrays = grouping_key_arrays(current, node.keys)
-            combined, exact = combine_keys(key_arrays)
-            # Device-side KMV sketch over the joined keys: one extra scan
-            # pass inside the launch.  Sizing still comes from the
-            # optimizer (the reservation predates the join, so a refined
-            # estimate cannot grow it) — the sketch feeds the paper's
-            # central estimate-vs-actual monitoring signal instead (the
-            # host sketches the distinct keys, as ``_run_on_gpu`` does).
-            factors, first_row = factorise(combined)
-            kmv = estimate_distinct(murmur3_fmix64(factors.keys), k=1024)
-            fused_seconds += current.num_rows / cost.gpu_scan_rate
-            request = GroupByRequest(
-                keys=combined, key_bits=key_bits, payloads=payloads,
-                estimated_groups=metadata.estimated_groups,
-                exact_keys=exact, factors=factors,
+                key_arrays = grouping_key_arrays(current, node.keys)
+                combined, exact = combine_keys(key_arrays)
+                # Device-side KMV sketch over the joined keys: one extra
+                # scan pass inside the launch.  Sizing still comes from
+                # the optimizer (the reservation predates the join, so a
+                # refined estimate cannot grow it) — the sketch feeds the
+                # paper's central estimate-vs-actual monitoring signal
+                # instead (the host sketches the distinct keys, as
+                # ``_run_on_gpu`` does).
+                factors, first_row = factorise(combined)
+                kmv = estimate_distinct(murmur3_fmix64(factors.keys), k=1024)
+                fused_seconds += current.num_rows / cost.gpu_scan_rate
+                request = GroupByRequest(
+                    keys=combined, key_bits=key_bits, payloads=payloads,
+                    estimated_groups=metadata.estimated_groups,
+                    exact_keys=exact, factors=factors,
+                )
+
+                ctx.ledger.extend(build_fused_host_chain(
+                    rows=probe_out.num_rows, num_keys=len(node.keys),
+                    num_aggs=max(1, len(payloads)),
+                    staged_bytes=bytes_in, cost=cost,
+                ).cost_events(ctx.degree))
+
+                kernel = groupby._moderate(request, metadata,
+                                           race=groupby.race_kernels,
+                                           prep_seconds=fused_seconds)
+                winner = kernel.outcome
+                stage_names.append(winner.kernel)
+                return replace(
+                    kernel,
+                    name="fused:" + "+".join(stage_names),
+                    outcome=(winner, current, kmv, matches_total,
+                             max(0, int(per_op_bytes) - plan.staged_bytes),
+                             first_row),
+                    stages=chain.stages,
+                    # The final gather left the group-by's own staged
+                    # slices (packed keys, 4 B/row payloads) resident
+                    # too, so admit them under the per-operator path's
+                    # keys: a later unfused group-by over the same
+                    # materialised input hits exactly as if that path had
+                    # staged them itself.
+                    resident=lambda: groupby_segments(
+                        current, node, dispatch.catalog_version),
+                )
+
+            piece = Piece(
+                rows=probe_out.num_rows, memory=memory_needed, tag="fused",
+                staged=plan.staged_bytes, run=run,
+                segments=lambda: plan.segments,
             )
+            fused = dispatch.launch("fused", ctx, piece)
+            if fused is None:
+                return self._degrade(chain, ctx, probe_out, build_outs,
+                                     piece.fallback, piece.device_id)
+            winner, current, kmv, matches_total, elided, first_row = fused
+            self._observe_chain(chain, piece.device_id, elided,
+                                matches_total, winner.kernel)
+            dispatch.record("fused", "gpu-fused", decision.reason,
+                            kernel=winner.kernel, device_id=piece.device_id)
 
-            ctx.ledger.extend(build_fused_host_chain(
-                rows=probe_out.num_rows, num_keys=len(node.keys),
-                num_aggs=max(1, len(payloads)),
-                staged_bytes=bytes_in, cost=cost,
-            ).cost_events(ctx.degree))
-
-            outcome = self.moderator.run(request, metadata,
-                                         race=self.race_kernels)
-            winner = outcome.winner
-            if monitor is not None:
-                monitor.record_overflow_retries(outcome.overflow_retries)
-                if outcome.raced:
-                    monitor.record_race(outcome.cancelled)
-            fused_seconds += (winner.kernel_seconds
-                              + outcome.wasted_device_seconds)
-            stage_names.append(winner.kernel)
-            return Kernel(
-                name="fused:" + "+".join(stage_names),
-                seconds=fused_seconds,
-                bytes_out=metadata.result_bytes(),
-                outcome=(winner, current, kmv, matches_total,
-                         max(0, int(per_op_bytes) - plan.staged_bytes),
-                         first_row),
-                stages=chain.stages,
-                # The final gather left the group-by's own staged slices
-                # (packed keys, 4 B/row payloads) resident too, so admit
-                # them under the per-operator path's keys: a later
-                # unfused group-by over the same materialised input hits
-                # exactly as if that path had staged them itself.
-                resident=lambda: groupby_segments(
-                    current, node, dispatch.catalog_version),
-            )
-
-        piece = Piece(
-            rows=probe_out.num_rows, memory=memory_needed, tag="fused",
-            staged=plan.staged_bytes, run=run,
-            segments=lambda: plan.segments,
-        )
-        fused = dispatch.launch("fused", ctx, piece)
-        if fused is None:
-            return self._degrade(chain, ctx, probe_out, build_outs,
-                                 piece.fallback, piece.device_id)
-        winner, current, kmv, matches_total, elided, first_row = fused
-
-        self._observe_chain(chain, piece.device_id, elided, matches_total,
-                            winner.kernel)
-        dispatch.record("fused", "gpu-fused", decision.reason,
-                        kernel=winner.kernel, device_id=piece.device_id)
-        if monitor is not None:
-            error = monitor.record_kmv_estimate(kmv.groups, winner.n_groups)
-            if groupby_span is not None:
-                groupby_span.attributes["kmv_groups"] = int(kmv.groups)
-                groupby_span.attributes["kmv_relative_error"] = error
-
+        groupby._note_kmv(kmv.groups, winner.n_groups)
         return build_group_output(
             current, node.keys, node.aggs, winner.group_index, first_row,
             winner.n_groups, name=f"{current.name}_grouped",
@@ -638,28 +611,26 @@ class FusedExecutor:
         is "the fused launch failed, the chain re-ran per-operator",
         mirroring the CPU fallback of the hybrid executors.
         """
-        self.dispatch.record("fused", "fused-degraded", reason, kernel="",
-                             device_id=device_id)
+        self.groupby.dispatch.record("fused", "fused-degraded", reason,
+                                     kernel="", device_id=device_id)
         current = probe_out
         build_index = 0
         for element in reversed(chain.spine):
             if isinstance(element, JoinNode):
-                current = self.join_fallback(
+                current = self.join(
                     current, build_outs[build_index], element, ctx)
                 build_index += 1
             else:
                 current = execute_scan(
                     current, element.predicate, ctx.config.cost,
                     ctx.ledger, max_degree=min(ctx.degree * 2, 96))
-        return self.groupby_fallback(current, chain.groupby, ctx)
+        return self.groupby(current, chain.groupby, ctx)
 
     def _observe_chain(self, chain: FusableChain, device_id: int,
                        elided_bytes: int, matches: int,
                        groupby_kernel: str) -> None:
-        monitor = self.dispatch.monitor
-        if monitor is None:
-            return
-        registry = monitor.registry
+        dispatch = self.groupby.dispatch
+        registry = dispatch.monitor.registry
         registry.counter(
             "repro_fusion_chains_total",
             "Operator chains executed as a single fused GPU launch",
@@ -668,27 +639,13 @@ class FusedExecutor:
             "repro_fusion_elided_bytes_total",
             "PCIe bytes elided by fusion vs the per-operator GPU path",
         ).inc(elided_bytes)
-        monitor.tracer.instant(
+        dispatch.tracer.instant(
             "fusion.chain",
             stages=chain.stages, joins=len(chain.joins),
             elided_bytes=int(elided_bytes), matches=int(matches),
             groupby_kernel=groupby_kernel, device_id=device_id,
-            query_id=self.dispatch.query_id,
+            query_id=dispatch.query_id,
         )
-
-
-def _payload_specs(probe_out: Table, build_outs: Sequence[Table],
-                   node: GroupByNode) -> list[PayloadSpec]:
-    tables = [probe_out, *build_outs]
-    specs = []
-    for agg in node.aggs:
-        dtype = int64_type()
-        if agg.expr is not None:
-            owner = _owner_of(_expr_column(agg.expr), tables)
-            dtype = agg.expr.result_type(owner if owner is not None
-                                         else probe_out)
-        specs.append(PayloadSpec(dtype=dtype, func=agg.func))
-    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -741,26 +698,20 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
                 nbytes=nbytes,
             ))
 
-    # Join keys: build side as 8-byte words (hybrid-join-compatible
-    # segments, so the two paths share cache entries), probe side packed.
+    # Join keys: build side as the hybrid join's build segment (the two
+    # paths share cache entries), probe side packed.
     for join, build in zip(chain.joins, build_outs):
-        build_col = build.column(join.right_key)
-        owner = _owner_of(join.left_key, tables)
+        owner = owner_of(join.left_key, tables)
         if (build.name, join.right_key) not in shipped:
             shipped.add((build.name, join.right_key))
             plan.staged_bytes += build.num_rows * 8
             if caching:
+                build_col = build.column(join.right_key)
                 probe_col = owner.column(join.left_key) if owner else None
                 build_keys, _ = _aligned_keys(build_col,
                                               probe_col or build_col)
-                plan.segments.append(StagedSegment(
-                    key=SegmentKey(
-                        table=build.name, column=join.right_key,
-                        segment="join-build:" + content_digest(build_keys),
-                        catalog_version=version,
-                    ),
-                    nbytes=build.num_rows * 8,
-                ))
+                plan.segments.append(build_segment(
+                    build, join.right_key, build_keys, version))
         if owner is not None:
             ship(owner, join.left_key, owner.num_rows * _PACKED,
                  "fused-col:")
@@ -772,7 +723,7 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
         if not isinstance(element, FilterNode):
             continue
         for column in element.predicate.columns():
-            owner = _owner_of(column, tables)
+            owner = owner_of(column, tables)
             if owner is not None:
                 ship(owner, column, owner.num_rows * _PACKED,
                      "fused-col:")
@@ -784,7 +735,7 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
     node = chain.groupby
     key_bits = 0
     for key in node.keys:
-        owner = _owner_of(key, tables)
+        owner = owner_of(key, tables)
         if owner is not None:
             key_bits += owner.schema.field(key).dtype.bits
             ship(owner, key, packed_key_bytes(owner.column(key)),
@@ -798,27 +749,10 @@ def _plan_external_inputs(chain: FusableChain, probe_out: Table,
             if agg.expr is not None:
                 plan.staged_bytes += probe_out.num_rows * _PACKED
             continue
-        owner = _owner_of(agg.expr.name, tables)
+        owner = owner_of(agg.expr.name, tables)
         if owner is not None:
             ship(owner, agg.expr.name, owner.num_rows * _PACKED,
                  "fused-agg:")
         else:
             plan.staged_bytes += probe_out.num_rows * _PACKED
     return plan
-
-
-def _owner_of(column: Optional[str],
-              tables: Sequence[Table]) -> Optional[Table]:
-    """The executed external table owning ``column`` (probe side first)."""
-    if column is None:
-        return None
-    for table in tables:
-        for f in table.schema:
-            if f.name.lower() == column.lower():
-                return table
-    return None
-
-
-def _expr_column(expr) -> Optional[str]:
-    names = expr.columns()
-    return names[0] if len(names) == 1 else None

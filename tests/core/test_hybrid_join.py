@@ -136,6 +136,24 @@ class TestHybridJoinExecutor:
             "WHERE s_item = 3 GROUP BY st_state", query_id="j2")
         assert not any(e.op == "GPU-JOIN" for e in result.profile.events)
 
+    def test_empty_build_side_is_not_called_a_small_probe(self):
+        """A filter that leaves no dimension rows keeps the join on the
+        CPU for that reason — the 50 000-row probe side clears T1."""
+        from tests.gpu.test_fusion import fused_config, make_catalog
+
+        engine = GpuAcceleratedEngine(
+            make_catalog(), config=fused_config(fusion_enabled=False),
+            enable_join_offload=True)
+        result = engine.execute_sql(
+            "SELECT s_store, SUM(s_paid) AS p FROM sales "
+            "JOIN stores ON s_store = st_id WHERE st_state = 'ZZ' "
+            "GROUP BY s_store", query_id="empty-build")
+        assert result.table.num_rows == 0
+        joins = [(d.path, d.reason)
+                 for d in engine.monitor.decisions_for("empty-build")
+                 if d.operator == "join"]
+        assert joins == [("cpu-small", "build side is empty")]
+
     def test_disabled_by_default(self, gpu_engine):
         result = gpu_engine.execute_sql(JOIN_SQL)
         assert not any(e.op == "GPU-JOIN" for e in result.profile.events)

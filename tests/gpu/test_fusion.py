@@ -8,7 +8,6 @@ and fault plans.
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from repro.blu.sql import parse_query
 from repro.config import Thresholds, paper_testbed
 from repro.core import GpuAcceleratedEngine
 from repro.core.dispatch import Dispatcher
+from repro.core.hybrid_groupby import HybridGroupByExecutor
+from repro.core.monitoring import PerformanceMonitor
 from repro.faults import FaultPlan, FaultRule
 from repro.gpu.fusion import (
     FusedChainEstimate,
@@ -199,12 +200,14 @@ class TestDecisionGates:
         # T1 decides the Figure-3 verdict for the 500-row chain.
         thresholds = Thresholds(
             t1_min_rows=1 if gpu_verdict else 10**12, t2_min_groups=1)
-        monitor = SimpleNamespace(tracer=tracer) if tracer else None
         executor = FusedExecutor(
-            dispatch=Dispatcher(scheduler=None, pinned=None,
-                                monitor=monitor, catalog=self.catalog),
-            moderator=None, thresholds=thresholds,
-            groupby_fallback=None, join_fallback=None)
+            groupby=HybridGroupByExecutor(
+                dispatch=Dispatcher(
+                    scheduler=None, pinned=None,
+                    monitor=PerformanceMonitor(tracer=tracer),
+                    catalog=self.catalog),
+                moderator=None, thresholds=thresholds),
+            join=None)
         ctx = OperatorContext(fused_config(), CostLedger(), 8)
         return executor._decide(self.chain, ctx)
 
