@@ -1,15 +1,5 @@
-"""Benchmark harness helpers: table formatting and experiment reporting."""
+"""Benchmark arithmetic shared by the figure tests and the wall harness."""
 
-from repro.bench.charts import bar_chart, gantt_chart, timeline_chart
-from repro.bench.reporting import ExperimentReport, format_table
 from repro.bench.runner import gain_percent, speedup
 
-__all__ = [
-    "ExperimentReport",
-    "bar_chart",
-    "format_table",
-    "gain_percent",
-    "gantt_chart",
-    "speedup",
-    "timeline_chart",
-]
+__all__ = ["gain_percent", "speedup"]

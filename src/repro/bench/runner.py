@@ -1,20 +1,6 @@
-"""Small helpers shared by the benchmark targets."""
+"""Gain and speed-up arithmetic shared by the paper tests and wall harness."""
 
 from __future__ import annotations
-
-
-def emit_chrome_trace(engine, sql: str, query_id: str, out_path: str) -> str:
-    """Run ``sql`` on a traced engine and write that query's Chrome trace.
-
-    Only the spans recorded by this call land in the file, so the trace
-    can be emitted from an engine that has already run other queries.
-    Returns ``out_path``.
-    """
-    from repro.obs.export import write_chrome_trace
-
-    before = len(engine.tracer.spans)
-    engine.execute_sql(sql, query_id=query_id)
-    return write_chrome_trace(engine.tracer.spans[before:], out_path)
 
 
 def gain_percent(baseline: float, accelerated: float) -> float:

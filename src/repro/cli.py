@@ -95,9 +95,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.bench.reporting import format_table
 from repro.errors import WorkloadError
 
 
@@ -344,6 +343,48 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulated-seconds instant to snapshot "
                             "(default: mid-run)")
     return parser
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence],
+                 title: str = "") -> str:
+    """Fixed-width text table (numbers right-aligned, 2-4 significant
+    decimals)."""
+    rendered_rows = [
+        [_render_cell(cell) for cell in row] for row in rows
+    ]
+    widths = [len(h) for h in headers]
+    for row in rendered_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    header_line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    lines.append(header_line)
+    lines.append("-" * len(header_line))
+    for row in rendered_rows:
+        lines.append("  ".join(
+            cell.rjust(w) if _is_numeric(cell) else cell.ljust(w)
+            for cell, w in zip(row, widths)
+        ))
+    return "\n".join(lines)
+
+
+def _render_cell(cell) -> str:
+    if isinstance(cell, float):
+        if abs(cell) >= 1000:
+            return f"{cell:,.1f}"
+        return f"{cell:.3f}" if abs(cell) < 10 else f"{cell:.2f}"
+    return str(cell)
+
+
+def _is_numeric(cell: str) -> bool:
+    stripped = cell.replace(",", "").replace("%", "").replace("x", "")
+    try:
+        float(stripped)
+        return True
+    except ValueError:
+        return False
 
 
 def _make_database(args):

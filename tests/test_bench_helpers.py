@@ -1,17 +1,9 @@
-"""Tests for the benchmark reporting and chart helpers."""
-
-import os
+"""Tests for the CLI's table formatter and the benchmark arithmetic."""
 
 import pytest
 
-from repro.bench import (
-    ExperimentReport,
-    bar_chart,
-    format_table,
-    gain_percent,
-    speedup,
-    timeline_chart,
-)
+from repro.bench import gain_percent, speedup
+from repro.cli import format_table
 
 
 class TestFormatTable:
@@ -30,46 +22,6 @@ class TestFormatTable:
         assert "a" in text
 
 
-class TestExperimentReport:
-    def test_emit_writes_file(self, tmp_path):
-        report = ExperimentReport("expX", "demo", ["k", "v"])
-        report.add_row("a", 1)
-        report.add_note("a note")
-        report.add_chart("|##|")
-        path = report.emit(str(tmp_path))
-        assert os.path.exists(path)
-        content = open(path).read()
-        assert "expX" in content
-        assert "a note" in content
-        assert "|##|" in content
-
-
-class TestCharts:
-    def test_bar_chart_scales_to_peak(self):
-        chart = bar_chart(["q1", "q2"],
-                          {"on": [1.0, 2.0], "off": [2.0, 4.0]},
-                          width=20, unit="ms")
-        lines = [ln for ln in chart.splitlines() if "|" in ln]
-        # The largest value fills the full width.
-        assert any("=" * 20 in ln or "#" * 20 in ln for ln in lines)
-        assert "legend" not in chart  # legend is glyph mapping, not word
-        assert "# = on" in chart
-
-    def test_bar_chart_handles_zeroes(self):
-        chart = bar_chart(["x"], {"s": [0.0]})
-        assert "0.000" in chart
-
-    def test_timeline_chart_shows_peak(self):
-        samples = [(0.0, 0), (1.0, 800), (2.0, 0), (3.0, 1000), (4.0, 0)]
-        chart = timeline_chart(samples, capacity=1000, width=20, height=5)
-        assert "peak" in chart
-        assert "capacity" in chart
-        assert "#" in chart
-
-    def test_timeline_chart_empty(self):
-        assert "no samples" in timeline_chart([])
-
-
 class TestMath:
     def test_gain_percent(self):
         assert gain_percent(100.0, 80.0) == pytest.approx(20.0)
@@ -78,42 +30,3 @@ class TestMath:
     def test_speedup(self):
         assert speedup(10.0, 5.0) == pytest.approx(2.0)
         assert speedup(1.0, 0.0) == float("inf")
-
-
-class TestCollect:
-    def test_collect_orders_and_wraps(self, tmp_path):
-        from repro.bench.collect import collect, main
-
-        (tmp_path / "fig5.txt").write_text("FIG5 BODY")
-        (tmp_path / "table1.txt").write_text("TABLE1 BODY")
-        (tmp_path / "zzz_custom.txt").write_text("CUSTOM BODY")
-        text = collect(str(tmp_path))
-        assert text.index("TABLE1 BODY") < text.index("FIG5 BODY") \
-            < text.index("CUSTOM BODY")
-        assert main([str(tmp_path)]) == 0
-        assert (tmp_path / "SUMMARY.md").exists()
-
-    def test_main_without_results_dir(self, tmp_path):
-        from repro.bench.collect import main
-
-        assert main([str(tmp_path / "missing")]) == 1
-
-
-class TestGanttChart:
-    def test_renders_users_and_legend(self):
-        from repro.bench import gantt_chart
-        from repro.sim.simulator import QueryCompletion
-
-        completions = [
-            QueryCompletion("u1", "qa", 0.0, 1.0),
-            QueryCompletion("u1", "qb", 1.0, 3.0),
-            QueryCompletion("u2", "qa", 0.0, 2.0),
-        ]
-        chart = gantt_chart(completions, width=20)
-        assert "u1 |" in chart and "u2 |" in chart
-        assert "a=qa" in chart and "b=qb" in chart
-
-    def test_empty(self):
-        from repro.bench import gantt_chart
-
-        assert "no completions" in gantt_chart([])
