@@ -46,17 +46,14 @@ Commands
                --flight-record``, or ``engine.dump_flight_record()``)
                into a causal timeline report: fault -> fallback ->
                breaker/quarantine -> cache invalidation -> queue
-               pressure -> SLO burn
+               pressure
 ``cache-stats`` run a query class and print per-device column-cache
                counters (hits, misses, evictions, resident bytes);
                ``--json`` dumps the full engine stats snapshot
 ``serve-bench`` run the concurrent-serving users-vs-throughput sweep
-               (Table 3 shape) with SLO tracking; ``--update`` writes
-               the BENCH_serving_sweep.json baseline, ``--compare``
-               gates against it both directions
-``top``        run a concurrent workload and print the point-in-time
-               serving dashboard (sessions, queue depth, rolling tail
-               latencies, SLO burn rates, engine counters)
+               (Table 3 shape); ``--update`` writes the
+               BENCH_serving_sweep.json baseline, ``--compare`` gates
+               against it both directions
 
 Examples::
 
@@ -88,7 +85,6 @@ Examples::
     python -m repro cache-stats --category complex
     python -m repro serve-bench --compare
     python -m repro serve-bench --update --sessions 1,8,32,128
-    python -m repro top --sessions 32
 """
 
 from __future__ import annotations
@@ -213,9 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--flight-record", metavar="DIR",
                           help="write flight-record snapshots (JSONL + "
                                "HTML timeline) into DIR: breaker trips "
-                               "and SLO alerts auto-dump during the run, "
-                               "and a final manual snapshot is always "
-                               "written")
+                               "auto-dump during the run, and a final "
+                               "manual snapshot is always written")
 
     p_profile = sub.add_parser(
         "profile",
@@ -323,25 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="think time between a session's requests "
                               "(default 0, or the baseline's value on "
                               "--compare)")
-
-    p_top = sub.add_parser(
-        "top",
-        help="run a concurrent workload and print the serving dashboard")
-    p_top.add_argument("workload", nargs="?", default="bd_insights",
-                       choices=["bd_insights", "cognos_rolap"])
-    p_top.add_argument("--sessions", type=int, default=None,
-                       help="concurrent sessions (default: config, 8)")
-    p_top.add_argument("--degree", type=int, default=48,
-                       help="driver degree (default 48)")
-    p_top.add_argument("--classes", default=None,
-                       help="comma-separated class subset")
-    p_top.add_argument("--loops", type=int, default=1,
-                       help="loops per session (default 1)")
-    p_top.add_argument("--think-seconds", type=float, default=0.0,
-                       metavar="S", help="think time (default 0)")
-    p_top.add_argument("--at", type=float, default=None, metavar="T",
-                       help="simulated-seconds instant to snapshot "
-                            "(default: mid-run)")
     return parser
 
 
@@ -504,8 +480,8 @@ def cmd_monitor(args) -> int:
     for query in queries_by_category(QueryCategory.COMPLEX):
         engine.execute_sql(query.sql, query_id=query.query_id)
     # The JSON surface carries the raw events plus the same
-    # stats_snapshot() the other CLI surfaces render, so monitor,
-    # cache-stats and top can never disagree on the engine's counters.
+    # stats_snapshot() the other CLI surfaces render, so monitor and
+    # cache-stats can never disagree on the engine's counters.
     payload = {
         "events": engine.monitor.export_events(),
         "stats": engine.stats_snapshot(),
@@ -584,8 +560,8 @@ def cmd_faults(args) -> int:
         import os
 
         os.makedirs(args.flight_record, exist_ok=True)
-        # Breaker trips and SLO alerts now auto-dump into the directory
-        # as they happen; a final manual snapshot follows the run.
+        # Breaker trips auto-dump into the directory as they happen; a
+        # final manual snapshot follows the run.
         engine.recorder.dump_dir = args.flight_record
     queries = queries_by_category(QueryCategory(args.category))
     mismatched = driver.verify_parity(queries)
@@ -877,20 +853,6 @@ def cmd_cache_stats(args) -> int:
     return 0
 
 
-def _serving_slos(config):
-    """The default SLO pair (latency p-quantile + availability) from the
-    config's :class:`repro.config.ServingDefaults`."""
-    from repro.obs.slo import SLObjective
-
-    serving = config.serving
-    return (
-        SLObjective("latency", objective=serving.latency_objective,
-                    latency_threshold=serving.latency_slo_ms / 1e3),
-        SLObjective("availability",
-                    objective=serving.availability_objective),
-    )
-
-
 def cmd_serve_bench(args) -> int:
     """``serve-bench``: the concurrent-serving sweep gate."""
     from repro.obs import serving
@@ -910,51 +872,18 @@ def cmd_serve_bench(args) -> int:
                 "points", serving.DEFAULT_SESSIONS))
         catalog = generate_database(scale=args.scale, seed=args.seed)
         config = scaled_config(catalog)
-        sweep, runs = serving.run_sweep(
+        sweep, _ = serving.run_sweep(
             catalog, config,
             workload=recorded.get("workload", args.workload),
             scale=args.scale, seed=args.seed, degree=args.degree,
             classes=_class_subset(args), session_counts=sessions,
-            loops=loops, think_seconds=think, slowdown=args.slowdown,
-            slos=_serving_slos(config))
+            loops=loops, think_seconds=think, slowdown=args.slowdown)
         print(sweep.to_text())
-        alerts = {n: len(run.slo.alerts) for n, run in sorted(runs.items())
-                  if run.slo is not None and run.slo.alerts}
-        if alerts:
-            print()
-            for n, count in alerts.items():
-                print(f"note  {n} sessions: {count} SLO alert(s) fired")
         print()
         return sweep
 
     return _gated(args, args.baseline or serving.SWEEP_BASELINE,
                   serving.SweepResult, run)
-
-
-def cmd_top(args) -> int:
-    """``top``: render the one-shot serving dashboard."""
-    from repro.obs import serving
-    from repro.obs.bench import BenchError, workload_classes
-    from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
-
-    catalog, config = _make_database(args)
-    sessions = args.sessions or config.serving.sessions
-    driver = WorkloadDriver(catalog, config, degree=args.degree)
-    try:
-        available = workload_classes(args.workload, driver,
-                                   _class_subset(args))
-    except BenchError as exc:
-        print(f"FAIL  {exc}")
-        return 1
-    queries = [q for name in sorted(available) for q in available[name]]
-    concurrent = ConcurrentDriver(driver, queries, loops=args.loops,
-                                  think_seconds=args.think_seconds,
-                                  slos=_serving_slos(config))
-    run = concurrent.run(sessions)
-    snapshot = run.snapshot(at=args.at,
-                            window=config.serving.window_seconds)
-    print(serving.render_top(snapshot, driver.gpu_engine.stats_snapshot()))
-    return 0
 
 
 _COMMANDS = {
@@ -973,7 +902,6 @@ _COMMANDS = {
     "postmortem": cmd_postmortem,
     "cache-stats": cmd_cache_stats,
     "serve-bench": cmd_serve_bench,
-    "top": cmd_top,
 }
 
 

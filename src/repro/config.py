@@ -166,33 +166,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class ServingDefaults:
-    """Defaults for the concurrent serving layer (``repro serve-bench``,
-    ``repro top``).
-
-    The SLO numbers are deliberately loose for the healthy system — the
-    chaos suite verifies that degrading the system (device loss forcing
-    CPU fallback under concurrency) pushes p99 past the latency
-    threshold and trips a burn-rate alert, so the threshold sits between
-    the healthy and degraded tails rather than at an aspirational spot.
-    """
-
-    sessions: int = 8
-    loops: int = 1
-    think_seconds: float = 0.0
-    #: p99-style per-request latency SLO threshold, simulated ms.  Sits
-    #: above the healthy 128-session p999 (~440ms at the committed sweep
-    #: config) so the committed baseline never alerts.
-    latency_slo_ms: float = 900.0
-    #: Good-fraction target for the latency SLO.
-    latency_objective: float = 0.99
-    #: Good-fraction target for the availability SLO.
-    availability_objective: float = 0.999
-    #: Rolling window for `repro top` percentiles, simulated seconds.
-    window_seconds: float = 1.0
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Complete simulated-system description: host + GPUs + calibration.
 
@@ -270,7 +243,6 @@ class SystemConfig:
     #: Per-direction NVLink-class peer-to-peer bandwidth (bytes/s) used
     #: by the sharded exchange when ``nvlink_enabled`` is set.
     nvlink_bandwidth: float = 40.0e9
-    serving: ServingDefaults = field(default_factory=ServingDefaults)
     #: Flight-recorder ring capacity in events (``repro.obs.recorder``,
     #: ``docs/observability.md``).  The recorder is accounting-only — it
     #: never advances simulated time — so this knob bounds host memory,

@@ -332,8 +332,8 @@ class GpuAcceleratedEngine:
     def stats_snapshot(self) -> dict:
         """One JSON-ready engine health snapshot for every CLI surface.
 
-        ``repro monitor --json``, ``repro cache-stats --json`` and
-        ``repro top`` all render from this dict, so the commands cannot
+        ``repro monitor --json`` and ``repro cache-stats --json`` both
+        render from this dict, so the commands cannot
         drift apart on which counters they expose.  ``counters``
         flattens every counter/gauge series to a Prometheus-style
         ``name{label=value}`` key; ``pipeline`` breaks out per-device

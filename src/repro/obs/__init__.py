@@ -38,14 +38,6 @@ from repro.obs.metrics import (
     RELATIVE_ERROR_BUCKETS,
     MetricsRegistry,
 )
-from repro.obs.slo import (
-    DEFAULT_RULES,
-    BurnRateRule,
-    SLObjective,
-    SloAlert,
-    SloError,
-    SloTracker,
-)
 from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.export import (
     MetricsLog,
@@ -67,9 +59,7 @@ from repro.obs.recorder import FlightEvent, FlightRecorder, FlightSnapshot
 # this package.  Import those modules directly.
 
 __all__ = [
-    "BurnRateRule",
     "Counter",
-    "DEFAULT_RULES",
     "FlightEvent",
     "FlightRecorder",
     "FlightSnapshot",
@@ -84,10 +74,6 @@ __all__ = [
     "ProfileError",
     "QueryProfile",
     "RELATIVE_ERROR_BUCKETS",
-    "SLObjective",
-    "SloAlert",
-    "SloError",
-    "SloTracker",
     "Span",
     "StreamingHistogram",
     "TraceLog",

@@ -70,7 +70,7 @@ def workload_classes(
 ) -> dict[str, list[WorkloadQuery]]:
     """The named query classes of ``workload``, in a stable order,
     restricted to ``classes`` when given — the one class filter behind
-    ``bench``, ``serve-bench`` and ``top``.
+    ``bench`` and ``serve-bench``.
 
     ``cognos_rolap`` is pre-screened against the driver's GPU engine the
     way section 5.1.2 screened against the K40's memory: only the

@@ -3,14 +3,13 @@
 A raw flight record (``repro.obs.recorder``) is an ordered event soup:
 spans, counter bumps, dispatch decisions, breaker edges.  This module
 reduces one snapshot to the *incident narrative* an operator actually
-wants after a chaos run or a paged SLO alert::
+wants after a chaos run or a breaker trip::
 
     fault.injected (device 0, site=launch)
       -> fault.fallback (groupby -> CPU)
       -> breaker OPEN / scheduler.quarantine (device 0)
       -> cache.invalidate (device 0, 2 segments)
       -> queue depth spike (rejections climb)
-      -> slo.alert (latency burn rate 14.4x)
 
 The report is built from event-name heuristics only — no engine state is
 needed, so ``repro postmortem <snapshot.jsonl>`` works on a file from a
@@ -32,7 +31,6 @@ _CHAIN_STAGES = (
     ("quarantine", ("scheduler.quarantine", "breaker.transition")),
     ("cache_invalidation", ("cache.invalidate",)),
     ("queue_pressure", ("scheduler.dispatch",)),
-    ("slo_alert", ("slo.alert",)),
 )
 
 
@@ -68,11 +66,6 @@ class TimelineEntry:
         if e.name == "scheduler.dispatch":
             return (f"dispatch rejected: {a.get('memory_bytes', '?')} B "
                     f"request had no admissible device")
-        if e.name == "slo.alert":
-            return (f"SLO alert: {a.get('slo', '?')} rule "
-                    f"{a.get('rule', '?')} burning at "
-                    f"{a.get('long_burn', '?')}x (short window "
-                    f"{a.get('short_burn', '?')}x)")
         detail = " ".join(f"{k}={v}" for k, v in sorted(a.items())
                           if k != "duration")
         return f"{e.name} {detail}".strip()
@@ -202,10 +195,10 @@ def _stage_of(event: FlightEvent) -> str:
 
 
 def build_postmortem(snapshot: FlightSnapshot) -> PostmortemReport:
-    """Correlate ``snapshot`` into the fault -> ... -> SLO-burn story.
+    """Correlate ``snapshot`` into the fault -> ... -> queue-pressure story.
 
     Keeps only chain-relevant events (faults, fallbacks, breaker trips,
-    quarantines, invalidations, dispatch rejections, SLO alerts), in
+    quarantines, invalidations, dispatch rejections), in
     ``(time, seq)`` order, and tallies which causal stages have
     evidence.
     """

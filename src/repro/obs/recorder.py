@@ -5,7 +5,7 @@ metrics describe a run while the objects are alive, and the bench gate
 reduces everything to one exit code.  The flight recorder keeps the last
 ``capacity`` interesting events — span completions, counter deltas,
 fault injections, breaker/quarantine transitions, cache invalidations,
-scheduler dispatch decisions, SLO state changes — in a ring buffer so
+scheduler dispatch decisions — in a ring buffer so
 that *after* something went wrong there is still a durable, ordered
 record to diagnose from (``repro postmortem``).
 
@@ -24,7 +24,7 @@ Design constraints:
   events from two clock domains (the engine tracer and the post-hoc
   serving tracer) interleave.
 
-Snapshots are taken automatically on a breaker trip or an SLO alert and
+Snapshots are taken automatically when a device breaker trips OPEN and
 on explicit :meth:`FlightRecorder.snapshot` /
 ``engine.dump_flight_record()`` calls; each is an immutable
 :class:`FlightSnapshot` that can render itself as JSONL or as a
@@ -47,10 +47,6 @@ DEFAULT_CAPACITY = 8192
 
 #: Metric bumped once per event evicted from a full ring.
 DROPPED_METRIC = "repro_recorder_dropped_events_total"
-
-#: Span/instant names that trigger an automatic snapshot when observed.
-AUTO_SNAPSHOT_NAMES = ("slo.alert",)
-
 
 @dataclass(frozen=True)
 class FlightEvent:
@@ -242,11 +238,11 @@ class FlightRecorder:
     - :meth:`attach_tracer` subscribes to span completions, instants and
       post-hoc records — this is how fault injections
       (``fault.injected``), fallbacks, cache invalidations
-      (``cache.invalidate``), quarantine edges and SLO alerts
-      (``slo.alert``) arrive;
+      (``cache.invalidate``) and quarantine edges arrive;
     - :meth:`attach_registry` subscribes to counter deltas;
     - :meth:`attach_scheduler` registers itself for dispatch decisions
-      and wires every device breaker's transition listener.
+      and wires every device breaker's transition listener; a
+      breaker going OPEN is the one automatic snapshot trigger.
     """
 
     def __init__(
@@ -314,8 +310,6 @@ class FlightRecorder:
         attrs = dict(span.attributes)
         attrs["duration"] = span.duration
         self._append(flavor, span.name, time, attrs)
-        if span.name in AUTO_SNAPSHOT_NAMES:
-            self._auto_snapshot(span.name)
 
     def _on_metric(self, name: str, labels: dict, amount: float) -> None:
         """Registry listener: one counter increment."""
@@ -389,7 +383,7 @@ class FlightRecorder:
         return snap
 
     def _auto_snapshot(self, trigger: str) -> None:
-        """Snapshot (and optionally dump) on a trip/alert trigger."""
+        """Snapshot (and optionally dump) on a breaker trip."""
         snap = self.snapshot(trigger=trigger)
         if self.dump_dir is not None:
             stem = (

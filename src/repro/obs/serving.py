@@ -1,4 +1,4 @@
-"""Workload-level serving telemetry: session traces, sweeps, `repro top`.
+"""Workload-level serving telemetry: session traces and the serving sweep.
 
 This is the observability layer for the paper's *concurrent* story
 (§5, Table 3, Fig. 8): where PR-1's tracer describes one query and
@@ -12,17 +12,14 @@ active-session logs) and turns it into:
   root with admission / queue-wait / execute / respond children that
   tile the request's wall-clock exactly, so EXPLAIN ANALYZE attribution
   over a session trace still sums to the total simulated time;
-- **streaming latency histograms** per query class and per path
-  (CPU vs GPU), built on :mod:`repro.obs.hist`;
-- **SLO burn rates** via :mod:`repro.obs.slo`, evaluated at every
-  completion over simulated time;
+- a **streaming latency histogram** over every request, built on
+  :mod:`repro.obs.hist`;
 - **serving metrics** (``repro_queue_depth``, ``repro_session_active``,
   ``repro_requests_total``, ``repro_queue_wait_seconds_total``, latency
-  histograms) in the standard registry, so the Prometheus and JSONL
-  exporters pick them up unchanged;
+  histograms per query class and path) in the standard registry, so the
+  Prometheus and JSONL exporters pick them up unchanged;
 - the **users-vs-throughput sweep** behind ``repro serve-bench`` with a
-  byte-stable committed baseline (``BENCH_serving_sweep.json``), and the
-  **`repro top`** point-in-time dashboard snapshot.
+  byte-stable committed baseline (``BENCH_serving_sweep.json``).
 
 Layering: this module never imports :mod:`repro.workloads` at module
 level (the driver imports *us* for the result types); sweep entry
@@ -39,7 +36,6 @@ from typing import Optional, Sequence
 from repro.obs.baseline import HIGHER, LOWER, Document, row_dict
 from repro.obs.hist import StreamingHistogram
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import DEFAULT_RULES, SLObjective, SloTracker
 from repro.obs.tracing import Tracer
 from repro.sim import RequestTrace, SimulationResult
 
@@ -141,13 +137,7 @@ class ServingRun:
     sim: SimulationResult
     tracer: Tracer
     registry: MetricsRegistry
-    class_of: dict[str, str]
     hist: StreamingHistogram
-    hist_by_class: dict[str, StreamingHistogram]
-    hist_by_path: dict[str, StreamingHistogram]
-    slo: Optional[SloTracker] = None
-
-    # -- scalar reductions ---------------------------------------------
 
     @property
     def requests(self) -> int:
@@ -170,62 +160,6 @@ class ServingRun:
     def queue_wait_seconds(self) -> float:
         return sum(r.queue_wait for r in self.sim.requests)
 
-    # -- dashboard snapshot --------------------------------------------
-
-    def snapshot(self, at: Optional[float] = None,
-                 window: float = 1.0) -> dict:
-        """Point-in-time view at simulated ``at`` (default: mid-run).
-
-        Rolling percentiles cover requests completing in
-        ``(at - window, at]``; totals cover everything up to ``at``.
-        """
-        if at is None:
-            at = self.makespan / 2.0
-        done = [r for r in self.sim.requests if r.end <= at]
-        rolling = StreamingHistogram()
-        for r in done:
-            if r.end > at - window:
-                rolling.observe(r.elapsed)
-        in_flight = sum(1 for r in self.sim.requests
-                        if r.start <= at < r.end)
-        per_class: dict[str, dict] = {}
-        for r in done:
-            cls = self.class_of.get(r.query_id, "?")
-            row = per_class.setdefault(cls, {
-                "requests": 0, "hist": StreamingHistogram()})
-            row["requests"] += 1
-            if r.end > at - window:
-                row["hist"].observe(r.elapsed)
-        class_rows = []
-        for cls in sorted(per_class):
-            hist = per_class[cls]["hist"]
-            class_rows.append({
-                "query_class": cls,
-                "completed": per_class[cls]["requests"],
-                "window_requests": hist.count,
-                "p50_ms": round(hist.p50 * 1e3, 3),
-                "p99_ms": round(hist.p99 * 1e3, 3),
-            })
-        return {
-            "at": at,
-            "window_seconds": window,
-            "sessions": self.sessions,
-            "active_sessions": self.sim.active_sessions_at(at),
-            "queue_depth": self.sim.queue_depth_at(at),
-            "max_queue_depth": self.sim.max_queue_depth(),
-            "completed": len(done),
-            "in_flight": in_flight,
-            "window_requests": rolling.count,
-            "p50_ms": round(rolling.p50 * 1e3, 3),
-            "p95_ms": round(rolling.p95 * 1e3, 3),
-            "p99_ms": round(rolling.p99 * 1e3, 3),
-            "p999_ms": round(rolling.p999 * 1e3, 3),
-            "classes": class_rows,
-            "slos": self.slo.status(at) if self.slo else [],
-            "alerts": [a.to_dict() for a in self.slo.alerts
-                       if a.time <= at] if self.slo else [],
-        }
-
 
 def build_serving_run(
     result: SimulationResult,
@@ -236,8 +170,6 @@ def build_serving_run(
     degree: int,
     loops: int,
     think_seconds: float,
-    slos: Sequence[SLObjective] = (),
-    rules=DEFAULT_RULES,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     recorder=None,
@@ -245,23 +177,20 @@ def build_serving_run(
     """Attach the full telemetry stack to a finished simulation.
 
     Emits one span tree per request (admission → queue-wait → execute →
-    respond, tiling the request exactly), feeds the per-class/per-path
-    streaming histograms and serving metrics, and evaluates SLO burn
-    rates at every completion in simulated-time order.  ``recorder``
-    (a :class:`repro.obs.recorder.FlightRecorder`) is attached to the
-    replay tracer and registry so breaker trips seen during profiling
-    and SLO alerts raised here land in one ordered flight record.
+    respond, tiling the request exactly), in simulated-completion order,
+    and feeds the run's streaming histogram and the serving metrics.
+    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) is
+    attached to the replay tracer and registry so breaker trips seen
+    during profiling and the replay's events land in one ordered flight
+    record.
     """
     tracer = tracer if tracer is not None else Tracer()
     registry = registry if registry is not None else MetricsRegistry()
     if recorder is not None:
         recorder.attach_tracer(tracer)
         recorder.attach_registry(registry)
-    slo = SloTracker(list(slos), rules=rules) if slos else None
 
     hist = StreamingHistogram()
-    hist_by_class: dict[str, StreamingHistogram] = {}
-    hist_by_path: dict[str, StreamingHistogram] = {}
     requests_total = registry.counter(
         "repro_requests_total", "Completed serving requests",
         labelnames=("query_class", "path"))
@@ -294,18 +223,10 @@ def build_serving_run(
                       parent=root, session=request.user_id)
 
         hist.observe(request.elapsed)
-        hist_by_class.setdefault(cls, StreamingHistogram()).observe(
-            request.elapsed)
-        hist_by_path.setdefault(path, StreamingHistogram()).observe(
-            request.elapsed)
         requests_total.labels(query_class=cls, path=path).inc()
         queue_wait_total.inc(request.queue_wait)
         latency_hist.labels(query_class=cls, path=path).observe(
             request.elapsed)
-        if slo is not None:
-            slo.observe(request.end, request.elapsed, query_class=cls,
-                        ok=True)
-            slo.evaluate(request.end, tracer=tracer, registry=registry)
 
     queue_gauge = registry.gauge(
         "repro_queue_depth",
@@ -316,14 +237,11 @@ def build_serving_run(
         "Concurrently active sessions (high-water over the run)")
     for _, active in result.active_sessions_log:
         session_gauge.set_max(float(active))
-    if slo is not None:
-        slo.evaluate(result.makespan, tracer=tracer, registry=registry)
 
     return ServingRun(
         sessions=sessions, gpu=gpu, degree=degree, loops=loops,
         think_seconds=think_seconds, sim=result, tracer=tracer,
-        registry=registry, class_of=dict(class_of), hist=hist,
-        hist_by_class=hist_by_class, hist_by_path=hist_by_path, slo=slo,
+        registry=registry, hist=hist,
     )
 
 
@@ -451,15 +369,13 @@ def run_sweep(
     think_seconds: float = 0.0,
     gpu: bool = True,
     slowdown: float = 1.0,
-    slos: Sequence[SLObjective] = (),
 ) -> tuple[SweepResult, dict[int, ServingRun]]:
     """Run the users-vs-throughput ladder over one workload.
 
     ``slowdown`` multiplies reported latencies (and stretches makespans)
     — the same self-test hook ``repro bench`` has, so CI can prove the
     serving gate trips without planting a regression.  Returns the sweep
-    plus the per-point :class:`ServingRun` (for ``repro top`` and SLO
-    inspection).
+    plus the per-point :class:`ServingRun`.
     """
     from repro.obs.bench import workload_classes
     from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
@@ -468,7 +384,7 @@ def run_sweep(
     available = workload_classes(workload, driver, classes)
     queries = [q for name in sorted(available) for q in available[name]]
     concurrent = ConcurrentDriver(driver, queries, loops=loops,
-                                  think_seconds=think_seconds, slos=slos)
+                                  think_seconds=think_seconds)
 
     sweep = SweepResult(
         workload=workload, scale=scale, seed=seed, degree=degree,
@@ -492,83 +408,3 @@ def run_sweep(
             queue_wait_s=run.queue_wait_seconds() * slowdown,
         )
     return sweep, runs
-
-
-# ---------------------------------------------------------------------------
-# `repro top`: the point-in-time text dashboard
-# ---------------------------------------------------------------------------
-
-
-def render_top(snapshot: dict, engine_stats: Optional[dict] = None) -> str:
-    """Render a :meth:`ServingRun.snapshot` as the ``repro top`` screen."""
-    lines = [
-        f"repro top — simulated t={snapshot['at']:.3f}s  "
-        f"(window {snapshot['window_seconds']:g}s)",
-        "",
-        f"sessions: {snapshot['active_sessions']}/{snapshot['sessions']} "
-        f"active   in-flight: {snapshot['in_flight']}   "
-        f"completed: {snapshot['completed']}",
-        f"gpu queue: depth {snapshot['queue_depth']} "
-        f"(peak {snapshot['max_queue_depth']})",
-        "",
-        f"latency (last {snapshot['window_seconds']:g}s, "
-        f"{snapshot['window_requests']} requests): "
-        f"p50={snapshot['p50_ms']:.3f}ms  p95={snapshot['p95_ms']:.3f}ms  "
-        f"p99={snapshot['p99_ms']:.3f}ms  p999={snapshot['p999_ms']:.3f}ms",
-    ]
-    if snapshot["classes"]:
-        lines.append("")
-        lines.append(f"{'class':14} {'done':>6} {'in-win':>7} "
-                     f"{'p50 ms':>10} {'p99 ms':>10}")
-        for row in snapshot["classes"]:
-            lines.append(
-                f"{row['query_class']:14} {row['completed']:>6} "
-                f"{row['window_requests']:>7} {row['p50_ms']:>10.3f} "
-                f"{row['p99_ms']:>10.3f}")
-    lines.append("")
-    if snapshot["slos"]:
-        lines.append("-- SLOs --")
-        for row in snapshot["slos"]:
-            state = "ALERT" if row["alerting"] else "ok"
-            target = (f"p99<{row['latency_threshold'] * 1e3:g}ms"
-                      if row["latency_threshold"] is not None
-                      else "availability")
-            scope = row["query_class"] or "all"
-            lines.append(
-                f"{row['slo']:20} [{state:5}] {target} @ "
-                f"{row['objective']:.3%} ({scope})  "
-                f"burn={row['worst_burn']:.2f}  bad={row['bad']}/"
-                f"{row['requests']}  alerts={row['alerts_fired']}")
-    else:
-        lines.append("-- SLOs -- (none configured)")
-    if engine_stats:
-        lines.append("")
-        lines.append("-- engine --")
-        for device in engine_stats.get("cache", []):
-            lines.append(
-                f"GPU {device.get('device_id')}: cache hits="
-                f"{device.get('hits', 0)} misses={device.get('misses', 0)} "
-                f"resident={device.get('cached_bytes', 0)} B")
-        pipeline = engine_stats.get("pipeline", {})
-        if pipeline:
-            lines.append(
-                "pipeline overlap saved: " + "  ".join(
-                    f"GPU {dev}={saved:.6f}s"
-                    for dev, saved in sorted(pipeline.items())))
-        for device in engine_stats.get("devices", []):
-            lines.append(
-                f"GPU {device.get('device_id')}: reserved "
-                f"{device.get('memory_reserved', 0)} B "
-                f"(peak {device.get('memory_peak_reserved', 0)} B) of "
-                f"{device.get('memory_capacity', 0)} B")
-        interconnect = engine_stats.get("interconnect", {})
-        if interconnect:
-            lines.append("-- interconnect --")
-            for label in sorted(interconnect):
-                link = interconnect[label]
-                stall = float(link.get("stall_seconds", 0.0))
-                lines.append(
-                    f"{label:10} {int(link.get('bytes_total', 0)):>14} B  "
-                    f"busy {float(link.get('busy_seconds', 0.0)):.6f}s"
-                    + (f"  stall {stall:.6f}s" if stall else ""))
-    return "\n".join(lines)

@@ -21,7 +21,6 @@ from repro.blu.engine import BluEngine
 from repro.config import SystemConfig, cpu_only_testbed
 from repro.core.accelerator import GpuAcceleratedEngine
 from repro.obs.serving import ServingRun, build_serving_run
-from repro.obs.slo import DEFAULT_RULES, SLObjective
 from repro.sim import SimulationResult, UserScript, WorkloadSimulator
 from repro.timing import QueryProfile
 from repro.workloads.query import WorkloadQuery
@@ -233,24 +232,19 @@ class ConcurrentDriver:
     Where :meth:`WorkloadDriver.simulate_streams` returns raw makespans,
     this wrapper runs the same N-session closed loop and attaches the
     serving telemetry stack (:mod:`repro.obs.serving`): a span tree per
-    request with admission/queue-wait/execute/respond phases, streaming
-    latency histograms per class and path, serving metrics, and —
-    when ``slos`` are declared — burn-rate evaluation over simulated
-    time.  It reuses the wrapped driver's profile cache, so repeated
-    ``run`` calls at different session counts never re-execute queries.
+    request with admission/queue-wait/execute/respond phases, a
+    streaming latency histogram and the serving metrics.  It reuses the
+    wrapped driver's profile cache, so repeated ``run`` calls at
+    different session counts never re-execute queries.
     """
 
     def __init__(self, driver: WorkloadDriver,
                  queries: Sequence[WorkloadQuery], *,
-                 loops: int = 1, think_seconds: float = 0.0,
-                 slos: Sequence[SLObjective] = (),
-                 rules=DEFAULT_RULES) -> None:
+                 loops: int = 1, think_seconds: float = 0.0) -> None:
         self.driver = driver
         self.queries = list(queries)
         self.loops = loops
         self.think_seconds = think_seconds
-        self.slos = tuple(slos)
-        self.rules = tuple(rules)
         self.class_of = {
             q.query_id: q.category.value for q in self.queries
         }
@@ -275,6 +269,5 @@ class ConcurrentDriver:
         return build_serving_run(
             result, self.class_of, sessions=sessions, gpu=gpu,
             degree=degree, loops=self.loops,
-            think_seconds=self.think_seconds, slos=self.slos,
-            rules=self.rules, recorder=recorder,
+            think_seconds=self.think_seconds, recorder=recorder,
         )

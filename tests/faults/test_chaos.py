@@ -109,39 +109,23 @@ class TestChaosObservability:
 
 
 class TestChaosServing:
-    def test_device_loss_trips_slo_alert_with_full_parity(
+    def test_device_loss_degrades_the_tail_with_full_parity(
             self, chaos_driver, bd_catalog, bd_config):
-        """Losing every GPU under concurrent serving must page — the SLO
-        burn-rate alert fires — while the CPU-fallback results stay
-        bit-identical to the baseline engine."""
-        from repro.obs.slo import SLObjective
+        """Losing every GPU under concurrent serving pushes the whole
+        latency distribution past the healthy tail, while the
+        CPU-fallback results stay bit-identical to the baseline engine."""
         from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
 
         queries = _queries(QueryCategory.COMPLEX)
         healthy = WorkloadDriver(bd_catalog, bd_config)
         broken = chaos_driver(FaultPlan.total_device_loss())
 
-        # Probe both tails, then pin the SLO threshold between them:
-        # the healthy run must clear it, the degraded run cannot.
-        probe_ok = ConcurrentDriver(healthy, queries).run(sessions=8)
-        probe_bad = ConcurrentDriver(broken, queries).run(sessions=8)
-        assert probe_ok.offload_ratio() > 0.0
-        assert probe_bad.offload_ratio() == 0.0
-        assert probe_bad.hist.p50 > probe_ok.hist.p999, \
+        good = ConcurrentDriver(healthy, queries).run(sessions=8)
+        bad = ConcurrentDriver(broken, queries).run(sessions=8)
+        assert good.offload_ratio() > 0.0
+        assert bad.offload_ratio() == 0.0
+        assert bad.hist.p50 > good.hist.p999, \
             "device loss did not visibly degrade the latency tail"
-        threshold = (probe_ok.hist.p999 + probe_bad.hist.p50) / 2.0
-        slos = [SLObjective("latency", objective=0.99,
-                            latency_threshold=threshold)]
-
-        good = ConcurrentDriver(healthy, queries, slos=slos).run(sessions=8)
-        assert good.slo.alerts == []
-
-        bad = ConcurrentDriver(broken, queries, slos=slos).run(sessions=8)
-        assert bad.slo.alerts, "device loss must trip the burn-rate alert"
-        alert = bad.slo.alerts[0]
-        assert alert.slo == "latency"
-        assert alert.long_burn > alert.rule.threshold
-        assert any(s.name == "slo.alert" for s in bad.tracer.spans)
 
         # The degraded run still answers every query CPU-identically.
         assert broken.verify_parity(queries) == []

@@ -110,7 +110,7 @@ class TestMonitorJson:
         assert "performance monitor" not in out
         doc = json.loads(out)
         assert {e["kind"] for e in doc["events"]} >= {"query", "decision"}
-        # The JSON surface carries the same snapshot cache-stats/top use.
+        # The JSON surface carries the same snapshot cache-stats uses.
         assert {"queries", "counters", "cache", "pipeline",
                 "devices", "quarantined"} <= set(doc["stats"])
 
@@ -412,29 +412,5 @@ class TestServeBenchCommand:
     def test_unknown_class_fails(self, capsys):
         code = main(SCALE + ["serve-bench", "bd_insights",
                              "--classes", "nope", "--sessions", "1"])
-        assert code == 1
-        assert "unknown class" in capsys.readouterr().out
-
-
-class TestTopCommand:
-    def test_renders_dashboard(self, capsys):
-        code = main(SCALE + ["top", "bd_insights", "--classes", "complex",
-                             "--sessions", "4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "repro top" in out
-        assert "sessions: " in out
-        assert "-- SLOs --" in out
-        assert "-- engine --" in out
-
-    def test_at_midpoint_vs_end(self, capsys):
-        code = main(SCALE + ["top", "bd_insights", "--classes", "complex",
-                             "--sessions", "4", "--at", "0.0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "completed: 0" in out
-
-    def test_unknown_class_fails(self, capsys):
-        code = main(SCALE + ["top", "bd_insights", "--classes", "nope"])
         assert code == 1
         assert "unknown class" in capsys.readouterr().out

@@ -9,7 +9,9 @@ Two failure classes, both of which have bitten hand-maintained docs:
    or a code span that no longer imports (renamed module, deleted
    symbol).  Every ``repro.something[.more]`` mention must resolve to a
    real module or attribute; a trailing ``*`` is treated as a wildcard
-   and only the parent is resolved.
+   and only the parent is resolved.  In a ``from repro.x import a, b``
+   line each imported name must resolve too (``repro.x.a``,
+   ``repro.x.b``).
 
 External links (``http...``) and pure page anchors (``#section``) are
 out of scope.  Run from the repository root::
@@ -37,6 +39,10 @@ DOC_FILES = [
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _SYMBOL = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+# ``from repro.x import a, b as c`` or ``from repro.x import (a,\n b)``.
+_FROM_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)",
+    re.MULTILINE)
 
 
 def check_links(doc_path: str, text: str) -> list:
@@ -91,13 +97,27 @@ def resolve_symbol(dotted: str, wildcard: bool) -> bool:
     return False
 
 
+def imported_names(text: str) -> list:
+    """``repro.x.a`` for every name ``a`` a ``from repro.x import`` line
+    of ``text`` imports."""
+    dotted = []
+    for module, names in _FROM_IMPORT.findall(text):
+        for line in names.strip("()").splitlines():
+            for name in line.split("#", 1)[0].split(","):
+                name = name.split(" as ", 1)[0].strip()
+                if name and name != "*":
+                    dotted.append(f"{module}.{name}")
+    return dotted
+
+
 def check_symbols(doc_path: str, text: str) -> list:
     """Phantom ``repro.*`` references in one document."""
     errors = []
     seen = set()
-    for match in _SYMBOL.finditer(text):
-        dotted = match.group(0)
-        wildcard = text[match.end():match.end() + 1] == "*"
+    mentions = [(m.group(0), text[m.end():m.end() + 1] == "*")
+                for m in _SYMBOL.finditer(text)]
+    mentions += [(dotted, False) for dotted in imported_names(text)]
+    for dotted, wildcard in mentions:
         if (dotted, wildcard) in seen:
             continue
         seen.add((dotted, wildcard))
