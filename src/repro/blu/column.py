@@ -61,7 +61,7 @@ def content_digest(*arrays: Optional[np.ndarray]) -> str:
     ``None`` entries (e.g. an absent null mask) are folded in as a
     marker byte so ``(data, None)`` and ``(data, mask)`` never collide.
     """
-    digest = hashlib.blake2b(digest_size=12)
+    digest = hashlib.sha256()
     for array in arrays:
         if array is None:
             digest.update(b"\x00")
@@ -69,7 +69,7 @@ def content_digest(*arrays: Optional[np.ndarray]) -> str:
         # A bytes copy, not the array: freeing it lifts glibc's mmap/trim
         # thresholds, which keeps the CPU join's temporaries from faulting.
         digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    return digest.hexdigest()[:24]
 
 
 def as_row_ids(indices) -> np.ndarray:

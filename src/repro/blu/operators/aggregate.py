@@ -108,18 +108,6 @@ def dense_span(keys: np.ndarray, rows: int) -> Optional[tuple]:
     return (lo, span) if span <= 4 * rows else None
 
 
-def appearance_rank(first: np.ndarray,
-                    n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank groups by their (distinct) first rows without sorting them.
-
-    Returns ``(rank, first_row)``: group ``g``'s position in appearance
-    order, and the first rows in that order (flag them, count the flags).
-    """
-    is_first = np.zeros(n_rows, dtype=bool)
-    is_first[first] = True
-    return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
-
-
 def _reduce(func: AggFunc, group_index: np.ndarray, n_groups: int,
             values: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
     """Apply one aggregation per group (``valid`` None: no NULL to mask)."""

@@ -15,7 +15,7 @@ name every time and the first call wins, which keeps call sites free of
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.errors import ReproError
 
@@ -52,7 +52,30 @@ def _check_labels(labelnames: tuple[str, ...], labels: dict) -> tuple:
     return tuple(str(labels[name]) for name in labelnames)
 
 
-class Counter:
+class _Metric:
+    """A name, a help string, label names and one value per series."""
+
+    typename = ""
+
+    def __init__(self, name: str, help: str = "",
+                 labelnames: tuple[str, ...] = ()) -> None:
+        self.name = name
+        self.help = help
+        self.labelnames = tuple(labelnames)
+        self._values: dict[tuple, Any] = {}
+
+    @property
+    def value(self) -> float:
+        """Current value of the unlabelled series (0.0 if untouched)."""
+        return self._values.get((), 0.0)
+
+    def samples(self) -> Iterable[tuple[dict, Any]]:
+        """Yield ``(labels, value)`` pairs in sorted label order."""
+        for key, value in sorted(self._values.items()):
+            yield dict(zip(self.labelnames, key)), value
+
+
+class Counter(_Metric):
     """Monotonically increasing count (``.set`` exists only for the
     unannounced writes of :meth:`PerformanceMonitor.count
     <repro.core.monitoring.PerformanceMonitor.count>`)."""
@@ -61,10 +84,7 @@ class Counter:
 
     def __init__(self, name: str, help: str = "",
                  labelnames: tuple[str, ...] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._values: dict[tuple, float] = {}
+        super().__init__(name, help, labelnames)
         self._children: dict[tuple, _CounterChild] = {}
         #: Delta listeners ``(name, labels, amount)`` shared with the
         #: owning registry (the flight recorder subscribes there).
@@ -86,25 +106,20 @@ class Counter:
         """Overwrite the unlabelled series, unannounced."""
         self.labels().set(value)
 
-    @property
-    def value(self) -> float:
-        """Current value of the unlabelled series (0.0 if untouched)."""
-        return self._values.get((), 0.0)
 
-    def samples(self) -> Iterable[tuple[dict, float]]:
-        """Yield ``(labels, value)`` pairs in sorted label order."""
-        for key, value in sorted(self._values.items()):
-            yield dict(zip(self.labelnames, key)), value
+class _Series:
+    """One labelled series of a metric: the metric and the label values."""
 
-
-class _CounterChild:
-    """One labelled series of a :class:`Counter`."""
-
-    def __init__(self, parent: Counter, key: tuple) -> None:
+    def __init__(self, parent, key: tuple) -> None:
         self._parent = parent
         self._key = key
-        #: The label dict listeners are handed (read-only), built once.
-        self._labels: Optional[dict] = None
+
+
+class _CounterChild(_Series):
+    """One labelled series of a :class:`Counter`."""
+
+    #: The label dict listeners are handed (read-only), built once.
+    _labels: Optional[dict] = None
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment by ``amount``; negative amounts are refused."""
@@ -131,17 +146,10 @@ class _CounterChild:
         return self._parent._values.get(self._key, 0.0)
 
 
-class Gauge:
+class Gauge(_Metric):
     """A value that can go up and down (queue depths, memory levels)."""
 
     typename = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: tuple[str, ...] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._values: dict[tuple, float] = {}
 
     def labels(self, **labels) -> "_GaugeChild":
         """The child series for exactly these label values."""
@@ -164,23 +172,9 @@ class Gauge:
         """Subtract ``amount`` from the unlabelled series."""
         self.labels().inc(-amount)
 
-    @property
-    def value(self) -> float:
-        """Current value of the unlabelled series (0.0 if untouched)."""
-        return self._values.get((), 0.0)
 
-    def samples(self) -> Iterable[tuple[dict, float]]:
-        """Yield ``(labels, value)`` pairs in sorted label order."""
-        for key, value in sorted(self._values.items()):
-            yield dict(zip(self.labelnames, key)), value
-
-
-class _GaugeChild:
+class _GaugeChild(_Series):
     """One labelled series of a :class:`Gauge`."""
-
-    def __init__(self, parent: Gauge, key: tuple) -> None:
-        self._parent = parent
-        self._key = key
 
     def set(self, value: float) -> None:
         """Overwrite this series."""
@@ -213,8 +207,9 @@ class _HistogramState:
         self.count = 0
 
 
-class Histogram:
-    """Fixed-boundary histogram (cumulative buckets on export)."""
+class Histogram(_Metric):
+    """Fixed-boundary histogram (cumulative buckets on export); a
+    series' value is its :class:`_HistogramState`."""
 
     typename = "histogram"
 
@@ -223,11 +218,8 @@ class Histogram:
                  buckets: tuple[float, ...] = LATENCY_BUCKETS) -> None:
         if not buckets or list(buckets) != sorted(buckets):
             raise MetricError(f"{name}: bucket bounds must be sorted")
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
+        super().__init__(name, help, labelnames)
         self.buckets = tuple(float(b) for b in buckets)
-        self._states: dict[tuple, _HistogramState] = {}
 
     def labels(self, **labels) -> "_HistogramChild":
         """The child series for exactly these label values."""
@@ -240,15 +232,10 @@ class Histogram:
 
     def _state(self, key: tuple) -> _HistogramState:
         """Get-or-create the mutable state behind one series."""
-        state = self._states.get(key)
+        state = self._values.get(key)
         if state is None:
-            state = self._states[key] = _HistogramState(len(self.buckets))
+            state = self._values[key] = _HistogramState(len(self.buckets))
         return state
-
-    def samples(self) -> Iterable[tuple[dict, _HistogramState]]:
-        """Yield ``(labels, state)`` pairs in sorted label order."""
-        for key, state in sorted(self._states.items()):
-            yield dict(zip(self.labelnames, key)), state
 
     def bucket_counts(self, **labels) -> list[int]:
         """Per-bucket (non-cumulative) counts, +Inf last — for tests."""
@@ -256,12 +243,8 @@ class Histogram:
         return list(self._state(key).counts)
 
 
-class _HistogramChild:
+class _HistogramChild(_Series):
     """One labelled series of a :class:`Histogram`."""
-
-    def __init__(self, parent: Histogram, key: tuple) -> None:
-        self._parent = parent
-        self._key = key
 
     def observe(self, value: float) -> None:
         """Record ``value``: bump its bucket, the sum, and the count."""

@@ -353,6 +353,27 @@ class FlightRecorder:
         self._ring.append((time, self._seq, kind, name, attributes))
         self._seq += 1
 
+    def feed(self, records, fed: int) -> None:
+        """Take ``fed`` replayed records at once, as single feeds would.
+
+        ``records`` are the last ``min(fed, capacity)`` of them, oldest
+        first: :meth:`Tracer.record` spans and counter deltas ``(name,
+        labels, amount)``.  The others only move ``seq``, ``dropped`` and
+        the (integral) eviction counter, as ``None`` the kept ones evict.
+        """
+        skipped = fed - len(records)
+        drops = max(0, len(self._ring) + skipped - self.capacity)
+        self.dropped += drops
+        if drops and self._dropped_series is not None:
+            self._dropped_series.set(self._dropped_series.value + drops)
+        self._ring.extend([None] * min(skipped, self.capacity))
+        self._seq += skipped
+        for record in records:
+            if type(record) is tuple:
+                self._on_metric(*record)
+            else:
+                self._on_span("record", record)
+
     # ------------------------------------------------------------------
     # Views and snapshots
     # ------------------------------------------------------------------

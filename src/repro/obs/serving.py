@@ -1,12 +1,10 @@
 """Workload-level serving telemetry: session traces and the serving sweep.
 
-This is the observability layer for the paper's *concurrent* story
-(§5, Table 3, Fig. 8): where PR-1's tracer describes one query and
-PR-3's bench harness describes one serial pass, this module describes a
-*serving system* — N closed-loop sessions contending for the host pool
-and the GPUs.  It consumes the raw telemetry the simulator now records
+The observability layer for the paper's *concurrent* story (§5, Table
+3, Fig. 8): a *serving system* of N closed-loop sessions contending for
+the host pool and the GPUs.  From the simulator's raw telemetry
 (:class:`repro.sim.RequestTrace` phase intervals, queue-depth and
-active-session logs) and turns it into:
+active-session logs) it builds:
 
 - **session span trees** — every request becomes a ``session.request``
   root with admission / queue-wait / execute / respond children that
@@ -30,6 +28,7 @@ the bench harness.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -179,16 +178,17 @@ def build_serving_run(
     Emits one span tree per request (admission → queue-wait → execute →
     respond, tiling the request exactly), in simulated-completion order,
     and feeds the run's streaming histogram and the serving metrics.
-    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) is
-    attached to the replay tracer and registry so breaker trips seen
-    during profiling and the replay's events land in one ordered flight
-    record.
+    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) receives
+    the replay's spans and counter deltas as one batch at the end — the
+    ring, ``seq`` and ``dropped`` as one-by-one feeds would leave them —
+    and stays attached to the replay tracer and registry afterwards.
     """
     tracer = tracer if tracer is not None else Tracer()
     registry = registry if registry is not None else MetricsRegistry()
-    if recorder is not None:
-        recorder.attach_tracer(tracer)
-        recorder.attach_registry(registry)
+    # The recorder's share of the replay: a full ring keeps only the last
+    # ``capacity`` records, so only those are held (and later copied).
+    batch = deque(maxlen=recorder.capacity if recorder is not None else 0)
+    fed = 0
 
     hist = StreamingHistogram()
     requests_total = registry.counter(
@@ -197,36 +197,49 @@ def build_serving_run(
     queue_wait_total = registry.counter(
         "repro_queue_wait_seconds_total",
         "Simulated seconds requests spent in GPU admission queues")
+    queue_wait_series = queue_wait_total.labels()
     latency_hist = registry.histogram(
         "repro_request_latency_seconds",
         "End-to-end request latency (simulated)",
         labelnames=("query_class", "path"))
+    series = {}  # (class, path) -> its two series and label dict
 
+    record = tracer.record
     for request in sorted(result.requests, key=lambda r: (r.end, r.start,
                                                           r.user_id)):
         cls = class_of.get(request.query_id, "?")
         path = "gpu" if request.offloaded else "cpu"
-        root = tracer.record(
+        mark = len(tracer.spans)
+        root = record(
             "session.request", request.start, request.end,
             query_id=request.query_id, session=request.user_id,
             query_class=cls, path=path, loop=request.loop,
             index=request.index)
-        tracer.record("session.admission", request.start, request.start,
-                      parent=root, session=request.user_id)
+        record("session.admission", request.start, request.start,
+               parent=root, session=request.user_id)
         for kind, t0, t1 in request_phases(request):
             if kind == "queue":
-                tracer.record("session.queue_wait", t0, t1, parent=root)
+                record("session.queue_wait", t0, t1, parent=root)
             else:
-                tracer.record("session.execute", t0, t1, parent=root,
-                              kind=kind)
-        tracer.record("session.respond", request.end, request.end,
-                      parent=root, session=request.user_id)
+                record("session.execute", t0, t1, parent=root, kind=kind)
+        record("session.respond", request.end, request.end,
+               parent=root, session=request.user_id)
 
-        hist.observe(request.elapsed)
-        requests_total.labels(query_class=cls, path=path).inc()
-        queue_wait_total.inc(request.queue_wait)
-        latency_hist.labels(query_class=cls, path=path).observe(
-            request.elapsed)
+        if (cls, path) not in series:
+            labels = {"query_class": cls, "path": path}
+            series[cls, path] = (requests_total.labels(**labels),
+                                 latency_hist.labels(**labels), labels)
+        count, latency, labels = series[cls, path]
+        elapsed, wait = request.elapsed, request.queue_wait
+        hist.observe(elapsed)
+        count.inc()
+        queue_wait_series.inc(wait)
+        latency.observe(elapsed)
+        if recorder is not None:
+            batch.extend(tracer.spans[mark:])
+            batch.append((requests_total.name, labels, 1.0))
+            batch.append((queue_wait_total.name, {}, wait))
+            fed += len(tracer.spans) - mark + 2
 
     queue_gauge = registry.gauge(
         "repro_queue_depth",
@@ -234,9 +247,13 @@ def build_serving_run(
     queue_gauge.set_max(float(result.max_queue_depth()))
     session_gauge = registry.gauge(
         "repro_session_active",
-        "Concurrently active sessions (high-water over the run)")
+        "Concurrently active sessions (high-water over the run)").labels()
     for _, active in result.active_sessions_log:
         session_gauge.set_max(float(active))
+    if recorder is not None:
+        recorder.feed(batch, fed)
+        recorder.attach_tracer(tracer)
+        recorder.attach_registry(registry)
 
     return ServingRun(
         sessions=sessions, gpu=gpu, degree=degree, loops=loops,

@@ -31,7 +31,7 @@ from typing import Any, Iterator, Optional
 from repro.sim.clock import SimClock
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named, timed node of a trace tree (times in simulated seconds)."""
 
@@ -101,16 +101,17 @@ class Tracer:
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
-    def _open(self, name: str, attributes: dict) -> Span:
-        parent = self.current
+    def _open(self, name: str, attributes: dict,
+              parent: Optional[Span], start: float, end: float) -> Span:
+        """Append a span under ``parent`` (none: it starts a new trace)."""
         span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent else next(self._trace_ids),
-            span_id=next(self._span_ids),
-            parent_id=parent.span_id if parent else None,
-            start=self.clock.now,
-            end=self.clock.now,
-            attributes=attributes,
+            name,
+            parent.trace_id if parent else next(self._trace_ids),
+            next(self._span_ids),
+            parent.span_id if parent else None,
+            start,
+            end,
+            attributes,
         )
         self.spans.append(span)
         return span
@@ -118,7 +119,8 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Enclosing span: ends at the clock's position on block exit."""
-        span = self._open(name, attributes)
+        now = self.clock.now
+        span = self._open(name, attributes, self.current, now, now)
         self._stack.append(span)
         try:
             yield span
@@ -137,7 +139,8 @@ class Tracer:
 
     def instant(self, name: str, **attributes: Any) -> Span:
         """Zero-duration mark (decision points, errors, fallbacks)."""
-        span = self._open(name, attributes)
+        now = self.clock.now
+        span = self._open(name, attributes, self.current, now, now)
         self._emit("instant", span)
         return span
 
@@ -151,16 +154,7 @@ class Tracer:
         post-hoc entry point.  Ids stay deterministic (same counters as
         live spans); a span without a parent starts a new trace.
         """
-        span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent else next(self._trace_ids),
-            span_id=next(self._span_ids),
-            parent_id=parent.span_id if parent else None,
-            start=start,
-            end=max(start, end),
-            attributes=attributes,
-        )
-        self.spans.append(span)
+        span = self._open(name, attributes, parent, start, max(start, end))
         self._emit("record", span)
         return span
 

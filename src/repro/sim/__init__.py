@@ -10,7 +10,6 @@ device-memory utilisation traces.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue
 from repro.sim.resources import GpuDeviceState, ProcessorSharingPool
 from repro.sim.simulator import (
     PhaseInterval,
@@ -22,7 +21,6 @@ from repro.sim.simulator import (
 )
 
 __all__ = [
-    "EventQueue",
     "GpuDeviceState",
     "PhaseInterval",
     "ProcessorSharingPool",

@@ -18,7 +18,7 @@ class SimClock:
     def advance(self, delta: float) -> float:
         if delta < -1e-12:
             raise SimulationError(f"clock cannot move backwards ({delta})")
-        self._now += max(0.0, delta)
+        self._now += delta if delta > 0.0 else 0.0
         return self._now
 
     def advance_to(self, timestamp: float) -> float:

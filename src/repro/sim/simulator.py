@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.errors import SimulationError
@@ -49,8 +49,7 @@ class UserScript:
     think_seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class QueryCompletion:
+class QueryCompletion(NamedTuple):
     user_id: str
     query_id: str
     start: float
@@ -61,8 +60,7 @@ class QueryCompletion:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class PhaseInterval:
+class PhaseInterval(NamedTuple):
     """One resource occupancy window inside a request.
 
     ``kind`` is ``"cpu"`` (processor-sharing pool), ``"gpu"`` (resident
@@ -81,8 +79,7 @@ class PhaseInterval:
         return max(0.0, self.end - self.start)
 
 
-@dataclass(frozen=True)
-class RequestTrace:
+class RequestTrace(NamedTuple):
     """One completed request with its full phase timeline.
 
     The serving telemetry layer replays these into session span trees;
@@ -154,21 +151,16 @@ class SimulationResult:
 
     def queue_depth_at(self, time: float) -> int:
         """Admission-queue depth at simulated ``time`` (step function)."""
-        depth = 0
-        for when, value in self.queue_depth_log:
-            if when > time:
-                break
-            depth = value
-        return depth
+        return _step_at(self.queue_depth_log, time)
 
     def active_sessions_at(self, time: float) -> int:
         """Sessions still running their scripts at simulated ``time``."""
-        active = 0
-        for when, value in self.active_sessions_log:
-            if when > time:
-                break
-            active = value
-        return active
+        return _step_at(self.active_sessions_log, time)
+
+
+def _step_at(log: list[tuple[float, int]], time: float) -> int:
+    """The value of a ``(time, value)`` step log at ``time`` (0 before)."""
+    return next((value for when, value in reversed(log) if when <= time), 0)
 
 
 @dataclass(frozen=True)
@@ -183,12 +175,25 @@ class _Stage:
     parallel_group: int = -1
 
 
+def _batches(stages: Iterable[_Stage]) -> tuple[tuple[_Stage, ...], ...]:
+    """A query's launches in order: one stage, or a parallel group whole."""
+    batches: list[list[_Stage]] = []
+    for stage in stages:
+        group = stage.parallel_group
+        if batches and group >= 0 and batches[-1][0].parallel_group == group:
+            batches[-1].append(stage)
+        else:
+            batches.append([stage])
+    return tuple(map(tuple, batches))
+
+
 @dataclass
 class _UserState:
     script: UserScript
     loop: int = 0
     query_index: int = 0
-    stage_queue: list[_Stage] = field(default_factory=list)
+    batches: tuple[tuple[_Stage, ...], ...] = ()  # the query's launches
+    next_batch: int = 0
     query_start: float = 0.0
     outstanding: set = field(default_factory=set)
     waiting_count: int = 0
@@ -197,10 +202,6 @@ class _UserState:
     wake_at: Optional[float] = None  # set while thinking between queries
     in_query: bool = False  # a begun query not yet finished
     done: bool = False
-
-    @property
-    def idle(self) -> bool:
-        return not self.outstanding and self.waiting_count == 0
 
 
 class WorkloadSimulator:
@@ -227,11 +228,11 @@ class WorkloadSimulator:
         states = [_UserState(script=u) for u in users]
         util_samples: list[tuple[float, float]] = []
         # Per-run state: each running task's owner and launch record
-        # (state, kind, device id, start), the stage templates by profile
+        # (state, kind, device id, start), the launch batches by profile
         # identity, the GPU admission queue (state, stage, queued at),
         # request traces and the queue/session logs.
         self._tasks: dict[int, tuple[_UserState, str, int, float]] = {}
-        self._templates: dict[int, tuple[_Stage, ...]] = {}
+        self._templates: dict[int, tuple[tuple[_Stage, ...], ...]] = {}
         self._waiters: list[tuple[_UserState, _Stage, float]] = []
         self._gpu_waits = 0
         self._requests: list[RequestTrace] = []
@@ -248,16 +249,16 @@ class WorkloadSimulator:
         # only shrinks when a session finishes.  Neither is per event.
         paced = any(u.think_seconds > 0 for u in users)
         active = [s for s in states if not s.done]
+        now = clock.now  # then as each event's advance returns it
         while True:
             if len(active) != self._active_count:
                 active = [s for s in active if not s.done]
             if not active:
                 break
-            now = clock.now
             if max_seconds is not None and now >= max_seconds:
                 break
             busy = [d for d in self.devices if d.kernels]
-            etas = [d.earliest_completion() for d in busy]
+            etas = [d.earliest_completion() for d in busy] if busy else []
             if (eta := pool.earliest_completion()) is not None:
                 etas.append(eta)
             delta = min(etas, default=None)
@@ -308,9 +309,10 @@ class WorkloadSimulator:
             if released:
                 self._drain_waiters(now)
             for state in touched:
-                if state.done or not state.idle or state.wake_at is not None:
-                    continue
-                if state.in_query and not state.stage_queue:
+                if (state.done or state.outstanding or state.waiting_count
+                        or state.wake_at is not None):
+                    continue  # not idle, or thinking
+                if state.in_query and state.next_batch == len(state.batches):
                     self._finish_query(state, now)
                     if state.done:
                         continue
@@ -351,9 +353,9 @@ class WorkloadSimulator:
             # By identity: the scripts keep their profiles alive all run.
             template = self._templates.get(id(profile))
             if template is None:
-                template = tuple(self._stages_of(profile))
+                template = _batches(self._stages_of(profile))
                 self._templates[id(profile)] = template
-            state.stage_queue = list(template)
+            state.batches, state.next_batch = template, 0
             state.query_start = now
             state.in_query = True
             state.stage_intervals = []
@@ -394,18 +396,11 @@ class WorkloadSimulator:
 
     def _start_next_batch(self, state: _UserState, now: float) -> None:
         """Launch the next stage — or the whole parallel group it heads."""
-        if not state.stage_queue:
-            return
-        first = state.stage_queue.pop(0)
-        batch = [first]
-        if first.parallel_group >= 0:
-            while (
-                state.stage_queue
-                and state.stage_queue[0].parallel_group == first.parallel_group
-            ):
-                batch.append(state.stage_queue.pop(0))
-        for stage in batch:
-            self._launch(state, stage, now)
+        if state.next_batch < len(state.batches):
+            batch = state.batches[state.next_batch]
+            state.next_batch += 1
+            for stage in batch:
+                self._launch(state, stage, now)
 
     def _launch(self, state: _UserState, stage: _Stage, now: float) -> None:
         if stage.kind == "cpu":
@@ -447,23 +442,23 @@ class WorkloadSimulator:
         return min(candidates, key=lambda d: (d.resident_count, -d.free))
 
     def _drain_waiters(self, now: float) -> None:
+        """Admit, in queue order, every waiter that fits.  An admission
+        only shrinks a device's room, so a waiter passed over stays so."""
         waiters = self._waiters
-        admitted = True
-        while admitted and waiters:
-            admitted = False
-            for i, (state, stage, queued_at) in enumerate(waiters):
-                device = self._pick_device(stage.memory_bytes)
-                if device is None:
-                    continue
-                self._admit(state, stage, device, now)
-                state.waiting_count -= 1
-                state.wait_intervals.append(
-                    PhaseInterval("queue", queued_at, now, device.device_id)
-                )
-                waiters.pop(i)
-                self._log_queue_depth(now)
-                admitted = True
-                break
+        i = 0
+        while i < len(waiters):
+            state, stage, queued_at = waiters[i]
+            device = self._pick_device(stage.memory_bytes)
+            if device is None:
+                i += 1
+                continue
+            self._admit(state, stage, device, now)
+            state.waiting_count -= 1
+            state.wait_intervals.append(
+                PhaseInterval("queue", queued_at, now, device.device_id)
+            )
+            waiters.pop(i)
+            self._log_queue_depth(now)
 
     def _finish_query(self, state: _UserState, now: float) -> None:
         self._requests.append(

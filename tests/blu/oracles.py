@@ -13,9 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blu.column import Column
-from repro.blu.operators.aggregate import appearance_rank
 from repro.blu.statistics import ColumnStats
 from repro.blu.table import Field, Schema, Table
+
+
+def appearance_rank(first: np.ndarray,
+                    n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank groups by their (distinct) first rows without sorting them.
+
+    Returns ``(rank, first_row)``: group ``g``'s position in appearance
+    order, and the first rows in that order (flag them, count the flags).
+    """
+    is_first = np.zeros(n_rows, dtype=bool)
+    is_first[first] = True
+    return (np.cumsum(is_first) - 1)[first], np.flatnonzero(is_first)
 
 
 def eager_take(col: Column, indices) -> Column:

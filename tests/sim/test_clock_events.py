@@ -1,10 +1,9 @@
-"""Unit tests for the simulated clock and event queue."""
+"""Unit tests for the simulated clock."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue
 
 
 class TestClock:
@@ -31,30 +30,3 @@ class TestClock:
         clock.advance(-1e-15)        # floating noise, clamped to zero
         assert clock.now == 1.0
 
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_on_ties(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
-
-    def test_peek_and_len(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert not q
-        q.push(2.5, "x")
-        assert q.peek_time() == 2.5
-        assert len(q) == 1
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()

@@ -2,17 +2,22 @@
 
 One closed-loop replay of 16 sessions over 20 BD Insights profiles: per
 simulated event the simulator walks the runnable set once and does O(1)
-work around it, so everything below is counted per *run* or per
-*release*, never per event; the telemetry build pays a ``FlightEvent``
-only for what the ring retains.  Each guard failed before PR 15.
+work around it, so everything below is counted per *run*, per *series*
+or per *release*, never per event; the telemetry build validates each
+label set once and copies attributes, and pays a ``FlightEvent``, only
+for what the ring retains.
 """
 
 import pytest
 
 from repro.config import HostSpec
+from repro.obs import metrics as metrics_module
 from repro.obs import recorder as recorder_module
+from repro.obs import tracing as tracing_module
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import DROPPED_METRIC, FlightRecorder
 from repro.obs.serving import build_serving_run
+from repro.obs.tracing import Tracer
 from repro.sim import UserScript, WorkloadSimulator
 from repro.sim.clock import SimClock
 from repro.sim.resources import GpuDeviceState
@@ -139,3 +144,84 @@ def test_flight_events_are_built_for_what_the_ring_retains(
     assert len(recorder.events()) == recorder.capacity
     snapshots = sum(len(s.events) for s in recorder.snapshots)
     assert len(built) <= recorder.capacity + snapshots
+
+
+def serve(result, queries, **telemetry):
+    """``build_serving_run`` over the module's replay."""
+    return build_serving_run(
+        result,
+        {q.query_id: q.category.value for q in queries},
+        sessions=SESSIONS,
+        gpu=True,
+        degree=48,
+        loops=1,
+        think_seconds=0.0,
+        **telemetry,
+    )
+
+
+def test_labels_are_validated_once_per_series(monkeypatch, replay):
+    config, queries, users = replay
+    result = WorkloadSimulator(config).run(users)
+    recorder = FlightRecorder(capacity=256, metrics=MetricsRegistry())
+    calls = counting(monkeypatch, metrics_module, "_check_labels")
+    run = serve(result, queries, recorder=recorder)
+    series = sum(len(list(m.samples())) for m in run.registry.collect())
+    assert len(result.requests) > 10 * series
+    assert len(calls) <= series
+
+
+def test_attributes_are_copied_for_what_the_ring_keeps(monkeypatch, replay):
+    config, queries, users = replay
+    result = WorkloadSimulator(config).run(users)
+    copies = []
+
+    class Attributes(dict):
+        # Overriding __iter__ takes dict(...) and {**...} off the C fast
+        # path, so every copy asks keys().
+        def __iter__(self):
+            return super().__iter__()
+
+        def keys(self):
+            copies.append(True)
+            return super().keys()
+
+    class CountedSpan(tracing_module.Span):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.attributes = Attributes(self.attributes)
+
+    monkeypatch.setattr(tracing_module, "Span", CountedSpan)
+    recorder = FlightRecorder(capacity=256, metrics=MetricsRegistry())
+    serve(result, queries, recorder=recorder)
+    assert recorder.dropped > 4 * recorder.capacity
+    assert 0 < len(copies) <= recorder.capacity
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 256, 10**6])
+def test_a_batched_replay_equals_one_record_at_a_time(replay, capacity):
+    """``build_serving_run(recorder=...)`` feeds the ring once at the
+    end; a recorder that listens to the replay's tracer and registry is
+    fed record by record.  Both start with a part-full ring."""
+    config, queries, users = replay
+    result = WorkloadSimulator(config).run(users)
+
+    def prefilled():
+        recorder = FlightRecorder(capacity=capacity, metrics=MetricsRegistry())
+        for n in range(5):
+            recorder.record_dispatch(n % 2 == 0, n % 2, 1024 * n)
+        return recorder
+
+    def observable(recorder):
+        dropped = recorder.metrics.get(DROPPED_METRIC)
+        return (recorder.events(), len(recorder), recorder._seq,
+                recorder.dropped, dropped.value, list(dropped.samples()))
+
+    single, batched = prefilled(), prefilled()
+    tracer, registry = Tracer(), MetricsRegistry()
+    single.attach_tracer(tracer)
+    single.attach_registry(registry)
+    serve(result, queries, tracer=tracer, registry=registry)
+    serve(result, queries, recorder=batched)
+    assert single._seq > 1000
+    assert observable(batched) == observable(single)

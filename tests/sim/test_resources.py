@@ -11,6 +11,8 @@ from repro.sim.resources import (
     ProcessorSharingPool,
 )
 
+from tests.sim.oracles import CpuTask as OracleTask, OraclePool
+
 
 @pytest.fixture()
 def host():
@@ -161,6 +163,69 @@ class TestLateSettling:
         assert {i: t.rate for i, t in pool.tasks.items()} == rates
         assert pool.utilisation == (
             sum(rates.values()) / capacity if capacity else 0.0)
+
+
+def observed(pool):
+    """Every float a reader can see, by ``repr`` (bit for bit)."""
+    tasks = pool.tasks
+    return repr((
+        [(i, t.remaining, t.rate) for i, t in tasks.items()],
+        pool.capacity, pool.utilisation, pool.earliest_completion()))
+
+
+class TestRemainingWorkOrder:
+    """The pool kept in remaining-work order ≡ ``OraclePool``, bit for bit.
+
+    Random add / remove / re-add / advance / progress sequences; degree-1
+    caps bind while few tasks run and full-host caps never do, so runs
+    cross between the water-filling and the uniform share.  The oracle
+    keeps a re-added id in its old place; this pool moves it last (the
+    simulator never re-adds), so a re-add reaches the oracle as remove +
+    add.  ``advance`` is the oracle's progress, then its finished tasks
+    removed in admission order, as the oracle event loop does.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["add"] * 4 + ["remove", "advance", "next",
+                                       "progress"]),
+        st.integers(0, 15),                      # task id (re-adds collide)
+        st.sampled_from([1, 1, 4, 24, 48, 200]),  # threads
+        st.sampled_from([0.0, 0.3, 0.9]),       # cap below the degree's
+        st.sampled_from([0.01, 0.25, 0.25, 1.0, 3.7]),  # work or seconds
+    ), max_size=60))
+    def test_every_float_and_every_finish_order(self, ops):
+        host = HostSpec()
+        pool, oracle = ProcessorSharingPool(host), OraclePool(host)
+        eps = 1e-9
+        for op, task_id, threads, jitter, amount in ops:
+            if op == "add":
+                cap = host.effective_capacity(
+                    min(threads, host.hardware_threads)) * (1 - jitter)
+                pool.add(CpuTask(task_id, amount, cap, threads))
+                oracle.remove(task_id)
+                oracle.add(OracleTask(task_id, amount, cap, threads))
+            elif op == "remove":
+                pool.remove(task_id)
+                oracle.remove(task_id)
+            elif op == "progress":
+                pool.progress(amount)
+                oracle.progress(amount)
+            else:
+                delta = amount
+                if op == "next":        # to the next completion, as the
+                    delta = pool.earliest_completion()  # simulator does
+                    assert delta == oracle.earliest_completion()
+                    if delta is None:
+                        continue
+                finished = pool.advance(delta, eps)
+                oracle.progress(delta)
+                done = [i for i, t in oracle.tasks.items()
+                        if t.remaining <= eps]
+                for i in done:
+                    oracle.remove(i)
+                assert finished == done
+            assert observed(pool) == observed(oracle)
 
 
 class TestGpuDeviceState:
