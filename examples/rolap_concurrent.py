@@ -16,6 +16,7 @@ import sys
 from repro.workloads.cognos_rolap import screen_queries
 from repro.workloads.datagen import generate_database, scaled_config
 from repro.workloads.driver import WorkloadDriver
+from repro.workloads.query import SessionGroup
 
 
 def main(scale: float = 0.05) -> None:
@@ -30,11 +31,11 @@ def main(scale: float = 0.05) -> None:
           f"({', '.join(q.query_id for q in oversized[:6])}, ...)")
     print()
 
-    on = driver.run_serial(runnable, gpu=True, repeats=5)
-    off = driver.run_serial(runnable, gpu=False, repeats=5)
+    on = driver.run_serial(runnable, gpu=True)
+    off = driver.run_serial(runnable, gpu=False)
     total_on = sum(r.elapsed_ms for r in on)
     total_off = sum(r.elapsed_ms for r in off)
-    print(f"serial totals over {len(runnable)} queries (avg of 5 runs):")
+    print(f"serial totals over {len(runnable)} queries:")
     print(f"  GPU on  {total_on:10.2f} ms")
     print(f"  GPU off {total_off:10.2f} ms")
     print(f"  gain    {(total_off - total_on) / total_off * 100:.2f}%   "
@@ -46,12 +47,11 @@ def main(scale: float = 0.05) -> None:
           f"{'GPU off':>12} {'gain':>8}")
     for streams in (1, 2):
         for degree in (24, 48, 64):
-            r_on = driver.simulate_streams(runnable, streams, degree,
-                                           gpu=True, loops=2)
-            r_off = driver.simulate_streams(runnable, streams, degree,
-                                            gpu=False, loops=2)
-            tp_on = r_on.throughput_per_hour()
-            tp_off = r_off.throughput_per_hour()
+            group = [SessionGroup("stream", streams, runnable)]
+            tp_on = driver.closed_loop(group, gpu=True, degree=degree,
+                                       loops=2).throughput_per_hour()
+            tp_off = driver.closed_loop(group, gpu=False, degree=degree,
+                                        loops=2).throughput_per_hour()
             print(f"  {streams:>8} {degree:>8} {tp_on:>12.0f} "
                   f"{tp_off:>12.0f} {(tp_on - tp_off) / tp_off * 100:>7.2f}%")
     print()

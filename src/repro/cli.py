@@ -159,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_workload.add_argument("category",
                             choices=["simple", "intermediate", "complex",
                                      "rolap"])
-    p_workload.add_argument("--repeats", type=int, default=1)
 
     sub.add_parser("schema", help="print the generated tables")
 
@@ -431,8 +430,8 @@ def cmd_workload(args) -> int:
               f"memory and are excluded)")
     else:
         queries = queries_by_category(QueryCategory(args.category))
-    on = driver.run_serial(queries, gpu=True, repeats=args.repeats)
-    off = driver.run_serial(queries, gpu=False, repeats=args.repeats)
+    on = driver.run_serial(queries, gpu=True)
+    off = driver.run_serial(queries, gpu=False)
     rows = []
     for a, b in zip(on, off):
         gain = (b.elapsed_ms - a.elapsed_ms) / b.elapsed_ms * 100 \

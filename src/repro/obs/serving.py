@@ -129,10 +129,6 @@ class ServingRun:
     """One concurrent run plus everything the telemetry layer derived."""
 
     sessions: int
-    gpu: bool
-    degree: int
-    loops: int
-    think_seconds: float
     sim: SimulationResult
     tracer: Tracer
     registry: MetricsRegistry
@@ -165,10 +161,6 @@ def build_serving_run(
     class_of: dict[str, str],
     *,
     sessions: int,
-    gpu: bool,
-    degree: int,
-    loops: int,
-    think_seconds: float,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     recorder=None,
@@ -255,11 +247,8 @@ def build_serving_run(
         recorder.attach_tracer(tracer)
         recorder.attach_registry(registry)
 
-    return ServingRun(
-        sessions=sessions, gpu=gpu, degree=degree, loops=loops,
-        think_seconds=think_seconds, sim=result, tracer=tracer,
-        registry=registry, hist=hist,
-    )
+    return ServingRun(sessions=sessions, sim=result, tracer=tracer,
+                      registry=registry, hist=hist)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +384,12 @@ def run_sweep(
     plus the per-point :class:`ServingRun`.
     """
     from repro.obs.bench import workload_classes
-    from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
+    from repro.workloads.driver import WorkloadDriver
+    from repro.workloads.query import SessionGroup
 
     driver = WorkloadDriver(catalog, config, degree=degree)
     available = workload_classes(workload, driver, classes)
     queries = [q for name in sorted(available) for q in available[name]]
-    concurrent = ConcurrentDriver(driver, queries, loops=loops,
-                                  think_seconds=think_seconds)
 
     sweep = SweepResult(
         workload=workload, scale=scale, seed=seed, degree=degree,
@@ -410,7 +398,8 @@ def run_sweep(
     )
     runs: dict[int, ServingRun] = {}
     for sessions in session_counts:
-        run = concurrent.run(sessions, gpu=gpu)
+        group = SessionGroup("session", sessions, queries, think_seconds)
+        run = driver.closed_loop([group], gpu=gpu, loops=loops)
         runs[sessions] = run
         sweep.points[sessions] = SweepPoint(
             sessions=sessions,

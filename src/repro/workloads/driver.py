@@ -2,13 +2,13 @@
 
 The driver owns a GPU-enabled engine and a CPU-only baseline over the same
 catalog, profiles each query once per configuration (caching the cost
-profile), and exposes the three run modes of section 5:
+profile), and exposes the two run modes of section 5:
 
 - ``run_serial``: one-at-a-time elapsed times (Figures 5-7, Table 2);
-- ``simulate_streams``: N closed-loop connection threads cycling through a
-  query list, measuring throughput (Table 3);
-- ``simulate_groups``: heterogeneous thread groups, measuring elapsed time
-  and GPU memory traces (Figures 8-9).
+- ``closed_loop``: thread groups of closed-loop sessions cycling through
+  their query lists in :mod:`repro.sim`, with the serving telemetry of
+  :mod:`repro.obs.serving` attached — Table 3's N identical streams,
+  Figures 8-9's mixed groups and ``repro serve-bench``'s session ladder.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from repro.blu.engine import BluEngine
 from repro.config import SystemConfig, cpu_only_testbed
 from repro.core.accelerator import GpuAcceleratedEngine
 from repro.obs.serving import ServingRun, build_serving_run
-from repro.sim import SimulationResult, UserScript, WorkloadSimulator
+from repro.sim import UserScript, WorkloadSimulator
 from repro.timing import QueryProfile
-from repro.workloads.query import WorkloadQuery
+from repro.workloads.query import SessionGroup, WorkloadQuery
 
 
 @dataclass(frozen=True)
@@ -147,48 +147,44 @@ class WorkloadDriver:
     # ------------------------------------------------------------------
 
     def run_serial(self, queries: Sequence[WorkloadQuery],
-                   gpu: bool, repeats: int = 1) -> list[SerialRun]:
-        """Serial one-user run; ``repeats`` mimics the paper's 5x averaging
-        (deterministic simulation makes repeats identical, but the API keeps
-        the shape of the paper's methodology)."""
+                   gpu: bool) -> list[SerialRun]:
+        """Serial one-user run at the driver's degree.  The simulation is
+        deterministic, so one run stands for the paper's average of 5."""
         out = []
         for query in queries:
             profile = self.profile(query, gpu)
-            elapsed = sum(
-                profile.elapsed_serial(self.degree, self.config.host)
-                for _ in range(repeats)
-            ) / repeats
+            elapsed = profile.elapsed_serial(self.degree, self.config.host)
             out.append(SerialRun(query.query_id, elapsed * 1e3,
                                  profile.offloaded))
         return out
 
-    def simulate_streams(self, queries: Sequence[WorkloadQuery],
-                         streams: int, degree: int, gpu: bool,
-                         loops: int = 2) -> SimulationResult:
-        """Table-3 mode: ``streams`` users each cycling through all queries."""
-        profiles = [self._profile_at_degree(q, gpu, degree) for q in queries]
-        users = [
-            UserScript(user_id=f"stream{i + 1}", profiles=list(profiles),
-                       loops=loops)
-            for i in range(streams)
-        ]
-        simulator = WorkloadSimulator(self._sim_config(gpu))
-        return simulator.run(users)
+    def closed_loop(self, groups: Sequence[SessionGroup], *,
+                    gpu: bool = True, degree: Optional[int] = None,
+                    loops: int = 1) -> ServingRun:
+        """Run every group's sessions concurrently, ``loops`` times over
+        their queries, and attach the serving telemetry.
 
-    def simulate_groups(self, groups: Sequence[tuple[str, int,
-                                                     Sequence[WorkloadQuery]]],
-                        gpu: bool, loops: int = 1) -> SimulationResult:
-        """Figure-8 mode: (name, thread_count, query list) thread groups."""
+        Session ids are the group name plus a 1-based index
+        (``stream1``, ``session8``).  Profiles are clamped to ``degree``
+        (the driver's by default); the engine's flight recorder receives
+        the replay.
+        """
+        degree = degree or self.degree
         users = []
-        for name, threads, queries in groups:
-            profiles = [self.profile(q, gpu) for q in queries]
-            for t in range(threads):
-                users.append(UserScript(
-                    user_id=f"{name}-{t + 1}", profiles=list(profiles),
-                    loops=loops,
-                ))
-        simulator = WorkloadSimulator(self._sim_config(gpu))
-        return simulator.run(users)
+        class_of = {}
+        for group in groups:
+            profiles = [self._profile_at_degree(q, gpu, degree)
+                        for q in group.queries]
+            class_of.update((q.query_id, q.category.value)
+                            for q in group.queries)
+            users += [
+                UserScript(f"{group.name}{i + 1}", list(profiles), loops,
+                           group.think_seconds)
+                for i in range(group.sessions)
+            ]
+        result = WorkloadSimulator(self._sim_config(gpu)).run(users)
+        return build_serving_run(result, class_of, sessions=len(users),
+                                 recorder=self.gpu_engine.recorder)
 
     # ------------------------------------------------------------------
     # Internals
@@ -227,15 +223,11 @@ class WorkloadDriver:
 
 
 class ConcurrentDriver:
-    """Closed-loop serving driver with full workload telemetry.
+    """``sessions`` identical users over one query list: a one-group
+    :meth:`WorkloadDriver.closed_loop`.
 
-    Where :meth:`WorkloadDriver.simulate_streams` returns raw makespans,
-    this wrapper runs the same N-session closed loop and attaches the
-    serving telemetry stack (:mod:`repro.obs.serving`): a span tree per
-    request with admission/queue-wait/execute/respond phases, a
-    streaming latency histogram and the serving metrics.  It reuses the
-    wrapped driver's profile cache, so repeated ``run`` calls at
-    different session counts never re-execute queries.
+    It stays only because the host-clock harness in ``benchmarks/wall``
+    builds it; new callers use :meth:`WorkloadDriver.closed_loop`.
     """
 
     def __init__(self, driver: WorkloadDriver,
@@ -245,29 +237,11 @@ class ConcurrentDriver:
         self.queries = list(queries)
         self.loops = loops
         self.think_seconds = think_seconds
-        self.class_of = {
-            q.query_id: q.category.value for q in self.queries
-        }
 
     def run(self, sessions: int, degree: Optional[int] = None,
             gpu: bool = True) -> ServingRun:
         """Run ``sessions`` closed-loop users and return the telemetry."""
-        degree = degree or self.driver.degree
-        profiles = [
-            self.driver._profile_at_degree(q, gpu, degree)
-            for q in self.queries
-        ]
-        users = [
-            UserScript(user_id=f"session{i + 1}", profiles=list(profiles),
-                       loops=self.loops,
-                       think_seconds=self.think_seconds)
-            for i in range(sessions)
-        ]
-        simulator = WorkloadSimulator(self.driver._sim_config(gpu))
-        result = simulator.run(users)
-        recorder = getattr(self.driver.gpu_engine, "recorder", None)
-        return build_serving_run(
-            result, self.class_of, sessions=sessions, gpu=gpu,
-            degree=degree, loops=self.loops,
-            think_seconds=self.think_seconds, recorder=recorder,
-        )
+        group = SessionGroup("session", sessions, self.queries,
+                             self.think_seconds)
+        return self.driver.closed_loop([group], gpu=gpu, degree=degree,
+                                       loops=self.loops)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 
 class QueryCategory(enum.Enum):
@@ -23,3 +24,13 @@ class WorkloadQuery:
     category: QueryCategory
     sql: str
     description: str = ""
+
+
+class SessionGroup(NamedTuple):
+    """``sessions`` closed-loop users (a JMETER thread group), each
+    running ``queries`` in order with ``think_seconds`` between them."""
+
+    name: str
+    sessions: int
+    queries: Sequence[WorkloadQuery]
+    think_seconds: float = 0.0

@@ -14,11 +14,9 @@ each:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.workloads.bdinsights import bd_insights_queries
 from repro.workloads.cognos_rolap import cognos_rolap_queries
-from repro.workloads.query import QueryCategory, WorkloadQuery
+from repro.workloads.query import QueryCategory, SessionGroup, WorkloadQuery
 
 
 def handcrafted_gpu_heavy_queries() -> list[WorkloadQuery]:
@@ -43,23 +41,23 @@ def handcrafted_gpu_heavy_queries() -> list[WorkloadQuery]:
     ]
 
 
-def bd_insights_multiuser_groups(
-) -> list[tuple[str, int, Sequence[WorkloadQuery]]]:
+def bd_insights_multiuser_groups() -> list[SessionGroup]:
     """The multi-user BD Insights mode (section 5.1.1: "The workload can
     be run in several modes with both single user and varying multi-user
     combinations using the Apache JMETER load driver").
 
     A representative analyst population: many Returns-Dashboard users on
-    simple queries, a few Sales-Report analysts on intermediate ones, one
-    Data Scientist on the complex set.
+    simple queries (paced by a 2 ms think time between clicks), a few
+    Sales-Report analysts on intermediate ones, one Data Scientist on the
+    complex set.
     """
     simple = queries_by_category_cached(QueryCategory.SIMPLE)
     intermediate = queries_by_category_cached(QueryCategory.INTERMEDIATE)
     complex_qs = queries_by_category_cached(QueryCategory.COMPLEX)
     return [
-        ("dashboard", 6, simple[:20]),
-        ("sales-report", 3, intermediate[:10]),
-        ("data-scientist", 1, complex_qs),
+        SessionGroup("dashboard", 6, simple[:20], think_seconds=0.002),
+        SessionGroup("sales-report", 3, intermediate[:10]),
+        SessionGroup("data-scientist", 1, complex_qs),
     ]
 
 
@@ -69,8 +67,8 @@ def queries_by_category_cached(category: QueryCategory):
     return queries_by_category(category)
 
 
-def figure8_thread_groups() -> list[tuple[str, int, Sequence[WorkloadQuery]]]:
-    """The five (name, threads, queries) groups of the Figure 8 test."""
+def figure8_thread_groups() -> list[SessionGroup]:
+    """The five two-thread groups of the Figure 8 test."""
     by_id = {q.query_id: q for q in bd_insights_queries()}
     rolap = {q.query_id: q for q in cognos_rolap_queries()}
     handcrafted = handcrafted_gpu_heavy_queries()
@@ -78,9 +76,10 @@ def figure8_thread_groups() -> list[tuple[str, int, Sequence[WorkloadQuery]]]:
     # "Moderate GPU use": year-sliced ROLAP store/item analytics (Q5, Q10,
     # Q26) — group-by is a real but not dominant slice of each.
     return [
-        ("rolap-a", 2, [rolap["Q5"], by_id["S01"]]),
-        ("rolap-b", 2, [rolap["Q10"], by_id["S21"]]),
-        ("rolap-c", 2, [rolap["Q26"], by_id["S41"]]),
-        ("bd-complex", 2, [by_id["C1"], by_id["C3"], by_id["S61"]]),
-        ("gpu-heavy", 2, handcrafted),
+        SessionGroup("rolap-a", 2, [rolap["Q5"], by_id["S01"]]),
+        SessionGroup("rolap-b", 2, [rolap["Q10"], by_id["S21"]]),
+        SessionGroup("rolap-c", 2, [rolap["Q26"], by_id["S41"]]),
+        SessionGroup("bd-complex", 2,
+                     [by_id["C1"], by_id["C3"], by_id["S61"]]),
+        SessionGroup("gpu-heavy", 2, handcrafted),
     ]

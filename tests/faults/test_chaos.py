@@ -15,7 +15,7 @@ from repro.config import paper_testbed
 from repro.core import GpuAcceleratedEngine
 from repro.faults import FaultPlan
 from repro.workloads.driver import WorkloadDriver
-from repro.workloads.query import QueryCategory
+from repro.workloads.query import QueryCategory, SessionGroup
 
 pytestmark = pytest.mark.chaos
 
@@ -114,14 +114,13 @@ class TestChaosServing:
         """Losing every GPU under concurrent serving pushes the whole
         latency distribution past the healthy tail, while the
         CPU-fallback results stay bit-identical to the baseline engine."""
-        from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
-
         queries = _queries(QueryCategory.COMPLEX)
         healthy = WorkloadDriver(bd_catalog, bd_config)
         broken = chaos_driver(FaultPlan.total_device_loss())
 
-        good = ConcurrentDriver(healthy, queries).run(sessions=8)
-        bad = ConcurrentDriver(broken, queries).run(sessions=8)
+        group = [SessionGroup("session", 8, queries)]
+        good = healthy.closed_loop(group)
+        bad = broken.closed_loop(group)
         assert good.offload_ratio() > 0.0
         assert bad.offload_ratio() == 0.0
         assert bad.hist.p50 > good.hist.p999, \
@@ -132,11 +131,10 @@ class TestChaosServing:
 
 
 class TestChaosStreams:
-    def test_simulate_streams_completes_under_lossy_plan(self,
-                                                         chaos_driver):
+    def test_closed_loop_completes_under_lossy_plan(self, chaos_driver):
         driver = chaos_driver(FaultPlan.lossy())
         queries = _queries(QueryCategory.SIMPLE)
-        result = driver.simulate_streams(queries, streams=4, degree=24,
-                                         gpu=True, loops=2)
+        result = driver.closed_loop([SessionGroup("stream", 4, queries)],
+                                    degree=24, loops=2).sim
         assert result.queries_completed == 4 * len(queries) * 2
         assert result.makespan > 0

@@ -123,8 +123,7 @@ class TestDeferredRecorder:
         tracer.listeners.append(snapshot_every_1000th)
         serving.build_serving_run(
             result, {q.query_id: q.category.value for q in queries},
-            sessions=64, gpu=True, degree=driver.degree, loops=1,
-            think_seconds=0.0, tracer=tracer, registry=registry)
+            sessions=64, tracer=tracer, registry=registry)
         assert pair[1].dropped > 10 * pair[1].capacity
         assert pair[1].snapshots
         assert observable(pair[0]) == observable(pair[1])

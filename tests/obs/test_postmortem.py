@@ -184,15 +184,15 @@ class TestChaosFlightRecord:
         the fault -> fallback -> quarantine chain."""
         from repro.faults import FaultPlan
         from repro.workloads.bdinsights import queries_by_category
-        from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
-        from repro.workloads.query import QueryCategory
+        from repro.workloads.driver import WorkloadDriver
+        from repro.workloads.query import QueryCategory, SessionGroup
 
         queries = queries_by_category(QueryCategory.COMPLEX)
         broken = WorkloadDriver(
             bd_catalog, dataclasses.replace(
                 bd_config, faults=FaultPlan.total_device_loss()))
         broken.gpu_engine.recorder.dump_dir = str(tmp_path)
-        ConcurrentDriver(broken, queries).run(sessions=8)
+        broken.closed_loop([SessionGroup("session", 8, queries)])
 
         # One snapshot per device whose breaker tripped OPEN, and no
         # other automatic trigger.

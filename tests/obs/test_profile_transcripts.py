@@ -42,8 +42,8 @@ from repro.obs.diff import diff_profiles
 from repro.obs.profile import build_profile
 from repro.workloads.bdinsights import queries_by_category
 from repro.workloads.cognos_rolap import screen_queries
-from repro.workloads.driver import ConcurrentDriver, WorkloadDriver
-from repro.workloads.query import QueryCategory
+from repro.workloads.driver import WorkloadDriver
+from repro.workloads.query import QueryCategory, SessionGroup
 
 TRANSCRIPT_PATH = os.path.join(os.path.dirname(__file__),
                                "profile_transcripts.json")
@@ -78,8 +78,8 @@ def _queued_request_spans(bd_catalog, bd_config) -> list:
     """The root and phase spans of the first request that queued in a
     4-session closed loop over the complex queries."""
     driver = WorkloadDriver(bd_catalog, bd_config)
-    run = ConcurrentDriver(
-        driver, queries_by_category(QueryCategory.COMPLEX)).run(sessions=4)
+    run = driver.closed_loop([SessionGroup(
+        "session", 4, queries_by_category(QueryCategory.COMPLEX))])
     request = next(r for r in run.sim.requests if r.queue_wait > 0.0)
     root = next(
         s for s in run.tracer.spans

@@ -148,7 +148,7 @@ class TestServingRun:
         assert sum(state.count for _, state in series) == run.requests
         assert {labels["path"] for labels, _ in series} <= {"cpu", "gpu"}
         classes = {labels["query_class"] for labels, _ in series}
-        assert classes == set(concurrent.class_of.values())
+        assert classes == {q.category.value for q in concurrent.queries}
 
     def test_serving_metrics_present(self, run):
         text = prometheus_text(run.registry)
@@ -181,6 +181,17 @@ class TestServingRun:
         assert fresh_hist.to_dict()  # non-empty
         assert fresh_hist.p99 == concurrent.run(sessions=8).hist.p99
 
+    def test_concurrent_driver_is_one_closed_loop_group(self, run,
+                                                        concurrent):
+        from repro.workloads.query import SessionGroup
+
+        group = SessionGroup("session", 8, concurrent.queries)
+        again = concurrent.driver.closed_loop([group])
+        assert again.sessions == run.sessions == 8
+        assert repr(again.sim) == repr(run.sim)
+        assert ([s.to_dict() for s in again.tracer.spans]
+                == [s.to_dict() for s in run.tracer.spans])
+
 
 class TestBuildServingRun:
     """``build_serving_run`` over a hand-made simulation result."""
@@ -200,7 +211,7 @@ class TestBuildServingRun:
     def build(result, **kwargs):
         return serving.build_serving_run(
             result, {"q1": "simple", "q2": "complex"}, sessions=2,
-            gpu=True, degree=4, loops=1, think_seconds=0.0, **kwargs)
+            **kwargs)
 
     REQUESTS = (
         RequestTrace(user_id="u1", query_id="q2", loop=0, index=1,

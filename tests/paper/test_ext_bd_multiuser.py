@@ -8,29 +8,17 @@ sales-report analysts and one data scientist, with think-time pacing — and
 checks the fleet-level effect of GPU offload.
 """
 
-from repro.sim import UserScript, WorkloadSimulator
 from repro.workloads.scenarios import bd_insights_multiuser_groups
 
 
 def test_ext_bd_multiuser(driver):
     groups = bd_insights_multiuser_groups()
 
-    def simulate(gpu: bool):
-        users = []
-        for name, threads, queries in groups:
-            profiles = [driver.profile(q, gpu) for q in queries]
-            for t in range(threads):
-                users.append(UserScript(
-                    user_id=f"{name}-{t + 1}", profiles=list(profiles),
-                    loops=2,
-                    think_seconds=0.002 if name == "dashboard" else 0.0,
-                ))
-        simulator = WorkloadSimulator(
-            driver._sim_config(gpu))
-        return simulator.run(users)
-
     def run():
-        return simulate(True), simulate(False)
+        return tuple(
+            driver.closed_loop(groups, gpu=gpu, loops=2,
+                               degree=driver.PROFILE_DEGREE).sim
+            for gpu in (True, False))
 
     on, off = run()
 

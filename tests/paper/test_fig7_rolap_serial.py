@@ -13,8 +13,8 @@ def test_fig7_rolap_serial(driver):
     runnable, _ = screen_queries(driver.gpu_engine)
 
     def run():
-        on = driver.run_serial(runnable, gpu=True, repeats=5)
-        off = driver.run_serial(runnable, gpu=False, repeats=5)
+        on = driver.run_serial(runnable, gpu=True)
+        off = driver.run_serial(runnable, gpu=False)
         return on, off
 
     on, off = run()

@@ -14,9 +14,10 @@ def test_fig8_concurrent(driver):
     groups = figure8_thread_groups()
 
     def run():
-        on = driver.simulate_groups(groups, gpu=True, loops=3)
-        off = driver.simulate_groups(groups, gpu=False, loops=3)
-        return on, off
+        return tuple(
+            driver.closed_loop(groups, gpu=gpu, loops=3,
+                               degree=driver.PROFILE_DEGREE).sim
+            for gpu in (True, False))
 
     on, off = run()
     factor = speedup(off.makespan, on.makespan)

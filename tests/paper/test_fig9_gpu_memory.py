@@ -12,7 +12,8 @@ def test_fig9_gpu_memory(driver, config):
     groups = figure8_thread_groups()
 
     def run():
-        return driver.simulate_groups(groups, gpu=True, loops=3)
+        return driver.closed_loop(groups, loops=3,
+                                  degree=driver.PROFILE_DEGREE).sim
 
     result = run()
     capacity = config.gpus[0].device_memory_bytes

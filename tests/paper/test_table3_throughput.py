@@ -8,6 +8,7 @@ queries absorb.
 """
 
 from repro.workloads.cognos_rolap import screen_queries
+from repro.workloads.query import SessionGroup
 
 SWEEP = [(1, 24), (1, 48), (1, 64), (2, 24), (2, 48), (2, 64)]
 
@@ -18,10 +19,10 @@ def test_table3_throughput(driver):
     def run():
         rows = []
         for streams, degree in SWEEP:
-            on = driver.simulate_streams(runnable, streams, degree,
-                                         gpu=True, loops=2)
-            off = driver.simulate_streams(runnable, streams, degree,
-                                          gpu=False, loops=2)
+            group = [SessionGroup("stream", streams, runnable)]
+            on = driver.closed_loop(group, gpu=True, degree=degree, loops=2)
+            off = driver.closed_loop(group, gpu=False, degree=degree,
+                                     loops=2)
             rows.append((streams, degree, on.throughput_per_hour(),
                          off.throughput_per_hour()))
         return rows

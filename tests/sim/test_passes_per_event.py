@@ -133,10 +133,6 @@ def test_flight_events_are_built_for_what_the_ring_retains(
         result,
         {q.query_id: q.category.value for q in queries},
         sessions=SESSIONS,
-        gpu=True,
-        degree=48,
-        loops=1,
-        think_seconds=0.0,
         recorder=recorder,
     )
     assert recorder.dropped > 4 * recorder.capacity
@@ -152,10 +148,6 @@ def serve(result, queries, **telemetry):
         result,
         {q.query_id: q.category.value for q in queries},
         sessions=SESSIONS,
-        gpu=True,
-        degree=48,
-        loops=1,
-        think_seconds=0.0,
         **telemetry,
     )
 

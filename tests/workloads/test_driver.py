@@ -9,7 +9,7 @@ from repro.workloads.cognos_rolap import (
     screen_queries,
 )
 from repro.workloads.driver import WorkloadDriver
-from repro.workloads.query import QueryCategory
+from repro.workloads.query import QueryCategory, SessionGroup
 from repro.workloads.scenarios import figure8_thread_groups
 
 
@@ -95,15 +95,17 @@ class TestSimulatedModes:
         queries = runnable[:10]
         gains = []
         for streams in (1, 2):
-            on = driver.simulate_streams(queries, streams, 48, gpu=True,
-                                         loops=1).throughput_per_hour()
-            off = driver.simulate_streams(queries, streams, 48, gpu=False,
-                                          loops=1).throughput_per_hour()
+            group = [SessionGroup("stream", streams, queries)]
+            on = driver.closed_loop(group, gpu=True,
+                                    degree=48).throughput_per_hour()
+            off = driver.closed_loop(group, gpu=False,
+                                     degree=48).throughput_per_hour()
             gains.append((on - off) / off)
         assert gains[1] > gains[0] > 0
 
     def test_group_simulation_produces_memory_trace(self, driver):
-        result = driver.simulate_groups(figure8_thread_groups(), gpu=True)
+        result = driver.closed_loop(figure8_thread_groups(),
+                                    degree=driver.PROFILE_DEGREE).sim
         assert result.queries_completed > 0
         samples = [s for log in result.device_memory_logs.values()
                    for s in log]

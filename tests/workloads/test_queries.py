@@ -74,7 +74,7 @@ class TestScenarios:
     def test_figure8_has_five_groups_of_two(self):
         groups = figure8_thread_groups()
         assert len(groups) == 5
-        assert all(threads == 2 for _, threads, _ in groups)
+        assert all(group.sessions == 2 for group in groups)
 
     def test_handcrafted_group_on_ticket_number(self):
         """'As many groups as there are rows in the table.'"""
@@ -89,9 +89,10 @@ class TestMultiUserScenario:
         from repro.workloads.scenarios import bd_insights_multiuser_groups
 
         groups = bd_insights_multiuser_groups()
-        assert [(name, threads) for name, threads, _q in groups] == [
-            ("dashboard", 6), ("sales-report", 3), ("data-scientist", 1)]
-        total_threads = sum(t for _n, t, _q in groups)
+        assert [(g.name, g.sessions, g.think_seconds) for g in groups] == [
+            ("dashboard", 6, 0.002), ("sales-report", 3, 0.0),
+            ("data-scientist", 1, 0.0)]
+        total_threads = sum(g.sessions for g in groups)
         assert total_threads == 10
 
     def test_simulates_with_gain(self, bd_catalog, bd_config):
@@ -99,8 +100,11 @@ class TestMultiUserScenario:
         from repro.workloads.scenarios import bd_insights_multiuser_groups
 
         driver = WorkloadDriver(bd_catalog, bd_config)
-        groups = bd_insights_multiuser_groups()
-        on = driver.simulate_groups(groups, gpu=True)
-        off = driver.simulate_groups(groups, gpu=False)
+        # The population without the dashboard's think time.
+        groups = [g._replace(think_seconds=0.0)
+                  for g in bd_insights_multiuser_groups()]
+        on, off = (driver.closed_loop(groups, gpu=gpu,
+                                      degree=driver.PROFILE_DEGREE).sim
+                   for gpu in (True, False))
         assert on.queries_completed == off.queries_completed
         assert on.makespan < off.makespan      # offload frees CPU capacity
