@@ -17,10 +17,11 @@ from repro.timing import CostLedger
 
 
 #: Pluggable window-sort strategy: ``(table, keys) -> row order``.  The
-#: callable does its own cost accounting; ``None`` keeps the stock CPU
-#: sort.  This is the seam through which the hybrid sort executor (and
-#: its sharded N-device path) accelerates the sort RANK drives.
-RankOrderFn = Callable[[Table, Sequence[SortKey]], np.ndarray]
+#: callable does its own cost accounting for an order it returns; a
+#: ``None`` order (or no callable) keeps the stock CPU sort.  This is the
+#: seam through which the hybrid sort executor (and its sharded N-device
+#: path) accelerates the sort RANK drives.
+RankOrderFn = Callable[[Table, Sequence[SortKey]], Optional[np.ndarray]]
 
 
 def execute_rank(
@@ -37,14 +38,14 @@ def execute_rank(
     ahead by the tie count.  Implemented as one sort over
     (partition_keys..., order_key) plus a linear pass — which is exactly why
     the paper says RANK "drives SORT".  ``order_fn`` replaces that sort
-    (cost accounting included) so a GPU-backed engine can offload it.
+    (cost accounting included) when it returns an order, so a GPU-backed
+    engine can offload it.
     """
     keys = [SortKey(k) for k in node.partition_keys]
     keys.append(SortKey(node.order_key, ascending=node.ascending))
     rows = table.num_rows
-    if order_fn is not None:
-        order = order_fn(table, keys)
-    else:
+    order = order_fn(table, keys) if order_fn is not None else None
+    if order is None:
         order = sort_order(table, keys)
         if rows > 1:
             comparisons = rows * math.log2(rows) * len(keys)

@@ -159,27 +159,17 @@ class HybridSortExecutor:
         return table.take(order, name=f"{table.name}_sorted")
 
     def rank_order(self, table: Table, keys: Sequence[SortKey],
-                   ctx: OperatorContext) -> np.ndarray:
+                   ctx: OperatorContext) -> Optional[np.ndarray]:
         """The row order a RANK() window needs, via the hybrid sort.
 
         Same gate and job queue as ``__call__`` but returns the bare
         permutation instead of a materialised table — the window
         operator scatters ranks through it.  Below the offload
-        threshold this charges exactly the stock CPU window-sort cost,
-        so CPU-path profiles are unchanged.
+        threshold it returns ``None``, and the window runs its stock
+        CPU sort and charge.
         """
-        from repro.blu.operators.sort import sort_order
-
-        rows = table.num_rows
-        if not self._offloads(rows):
-            order = sort_order(table, keys)
-            if rows > 1:
-                comparisons = rows * math.log2(rows) * len(keys)
-                ctx.ledger.cpu(
-                    "SORT", rows,
-                    comparisons / (ctx.config.cost.cpu_sort_rate * 16),
-                    min(ctx.degree, 24))
-            return order
+        if not self._offloads(table.num_rows):
+            return None
         return self._hybrid_sort(table, keys, ctx, "hybrid rank sort")
 
     def _offloads(self, rows: int) -> bool:

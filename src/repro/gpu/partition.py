@@ -155,11 +155,12 @@ class SplitTerms:
     floor: int = 1
 
 
-def groupby_working_set_bytes(rows: int, groups: int, num_aggs: int) -> int:
+def groupby_working_set_bytes(rows: float, groups: float,
+                              num_aggs: int) -> int:
     """Device bytes one group-by working set needs (staged + table + out).
 
-    Mirrors :func:`repro.workloads.cognos_rolap.
-    estimate_gpu_memory_requirement` so the planner and the workload
+    :func:`repro.workloads.cognos_rolap.estimate_gpu_memory_requirement`
+    calls it on optimizer estimates, so the planner and the workload
     screen agree on which inputs are over-memory.
     """
     payload_bytes = 8 * max(1, num_aggs)

@@ -3,7 +3,7 @@
 ``repro bench --compare`` can prove that a workload regressed; this
 module answers the follow-up question — *where did the delta go* — by
 structurally aligning two :class:`~repro.obs.profile.QueryProfile`
-trees and attributing the end-to-end difference to
+operator trees and attributing the end-to-end difference to
 **operator x component x device**, with the same exact sum-to-total
 accounting the profiler guarantees per side:
 
@@ -13,10 +13,12 @@ accounting the profiler guarantees per side:
 its own total.  Added/removed operators participate with an all-zero
 missing side, so plan-shape changes are attributed too, not skipped.
 
-Alignment is by *operator path*: each tree node gets a key of the form
-``query#0/plan#0/op.groupby#0`` (name plus occurrence index among
-same-named siblings), which is stable across runs of the same plan and
-robust to sibling reordering of distinct operators.
+The diff reads one row per operator, ``[path, start, end,
+self_components, device_seconds]`` in pre-order (:func:`profile_rows`).
+The path has the form ``query#0/plan#0/op.groupby#0`` (name plus
+occurrence index among same-named siblings), which is stable across
+runs of the same plan and robust to sibling reordering of distinct
+operators.
 
 Two file-level entry points feed the CLI:
 
@@ -24,7 +26,7 @@ Two file-level entry points feed the CLI:
 - committed ``BENCH_<workload>.json`` baselines diff through their
   ``PROFILE_<workload>.json`` sidecars (written by ``repro bench
   --update`` next to the baseline), which carry each benched query's
-  attributed profile without touching the byte-stable BENCH format.
+  operator rows without touching the byte-stable BENCH format.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.obs.baseline import Document, write_json
-from repro.obs.profile import COMPONENTS, OperatorNode, QueryProfile
+from repro.obs.profile import COMPONENTS, QueryProfile
 
 #: Sidecar file schema version (bump when the JSON shape changes).
-SIDECAR_FORMAT = 1
+SIDECAR_FORMAT = 2
 
 
 class DiffError(Exception):
@@ -45,48 +47,48 @@ class DiffError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# QueryProfile <-> dict round trip
+# Operator rows
 # ---------------------------------------------------------------------------
 
 
-def profile_to_dict(profile: QueryProfile) -> dict:
-    """The JSON form of ``profile`` (alias of ``to_dict`` for symmetry)."""
-    return profile.to_dict()
+def profile_rows(source: Union[QueryProfile, dict]) -> dict:
+    """``{"query_id", "operators"}``: one ``[path, start, end,
+    self_components, device_seconds]`` row per operator, in pre-order.
 
-
-def profile_from_dict(data: dict) -> QueryProfile:
-    """Rebuild a :class:`QueryProfile` from its ``to_dict`` form.
-
-    The inverse is exact for everything ``to_dict`` emits:
-    ``profile_from_dict(p.to_dict()).to_dict() == p.to_dict()`` — the
-    invariant the round-trip tests pin — so a profile can be dumped to
-    JSON, committed, reloaded, and diffed losslessly.
+    ``source`` is a :class:`QueryProfile`, its ``to_dict`` dump, or a
+    document whose operators are rows already (a sidecar entry).  The
+    row lists are always new; raises :class:`DiffError` on anything else.
     """
+    if isinstance(source, QueryProfile):
+        source = source.to_dict()
     try:
-        return QueryProfile.from_dict(data)
+        tree = source["operators"]
+        if isinstance(tree, list):          # a sidecar entry: check it
+            rows = [[str(path), float(start), float(end), dict(components),
+                     dict(devices)]
+                    for path, start, end, components, devices in tree]
+        else:
+            rows = []
+            _walk(tree, f"{tree['name']}#0", rows)
+        query_id = str(source.get("query_id", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise DiffError(f"not a profile dump: {exc}") from None
+    if not rows:
+        raise DiffError("not a profile dump: no operator rows")
+    return {"query_id": query_id, "operators": rows}
 
 
-# ---------------------------------------------------------------------------
-# Structural alignment
-# ---------------------------------------------------------------------------
-
-
-def operator_paths(root: OperatorNode) -> list[tuple[str, OperatorNode]]:
-    """Pre-order ``(path, node)`` pairs with occurrence-indexed keys."""
-    out: list[tuple[str, OperatorNode]] = []
-
-    def visit(node: OperatorNode, prefix: str) -> None:
-        out.append((prefix, node))
-        seen: dict[str, int] = {}
-        for child in node.children:
-            occurrence = seen.get(child.name, 0)
-            seen[child.name] = occurrence + 1
-            visit(child, f"{prefix}/{child.name}#{occurrence}")
-
-    visit(root, f"{root.name}#0")
-    return out
+def _walk(node: dict, path: str, rows: list) -> None:
+    """Append the rows of the dumped subtree ``node`` at ``path``."""
+    rows.append([path, node["start"], node["end"],
+                 node.get("self_components", {}),
+                 node.get("device_seconds", {})])
+    seen: dict[str, int] = {}
+    for child in node.get("children", ()):
+        name = child["name"]
+        occurrence = seen.get(name, 0)
+        seen[name] = occurrence + 1
+        _walk(child, f"{path}/{name}#{occurrence}", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +101,7 @@ class OperatorDelta:
     """One aligned operator row of a :class:`ProfileDiff`."""
 
     path: str
-    name: str
     status: str                 # "matched" | "added" | "removed"
-    duration_a: float
-    duration_b: float
     components_a: dict[str, float]
     components_b: dict[str, float]
     devices_a: dict[int, float]
@@ -226,53 +225,45 @@ class ProfileDiff:
         return "\n".join(lines)
 
 
-def _as_profile(source: Union[QueryProfile, dict]) -> QueryProfile:
-    if isinstance(source, QueryProfile):
-        return source
-    if isinstance(source, dict):
-        return profile_from_dict(source)
-    raise DiffError(
-        f"cannot diff a {type(source).__name__}; expected QueryProfile "
-        "or its to_dict() form")
-
-
 def diff_profiles(a: Union[QueryProfile, dict],
                   b: Union[QueryProfile, dict]) -> ProfileDiff:
     """Structurally align two profiles and attribute their delta."""
-    prof_a = _as_profile(a)
-    prof_b = _as_profile(b)
-    paths_a = dict(operator_paths(prof_a.root))
-    paths_b = dict(operator_paths(prof_b.root))
-    ordered = list(paths_a)
-    ordered.extend(p for p in paths_b if p not in paths_a)
+    doc_a, doc_b = profile_rows(a), profile_rows(b)
+    rows_a = {row[0]: row for row in doc_a["operators"]}
+    rows_b = {row[0]: row for row in doc_b["operators"]}
     operators = []
-    for path in ordered:
-        node_a = paths_a.get(path)
-        node_b = paths_b.get(path)
-        if node_a is not None and node_b is not None:
-            status = "matched"
-        elif node_a is not None:
-            status = "removed"
-        else:
-            status = "added"
+    for path in {**rows_a, **rows_b}:      # A's order, then B's new rows
+        row_a, row_b = rows_a.get(path), rows_b.get(path)
+        status = ("removed" if row_b is None
+                  else "added" if row_a is None else "matched")
+        components_a, devices_a = _side(row_a)
+        components_b, devices_b = _side(row_b)
         operators.append(OperatorDelta(
-            path=path,
-            name=(node_a or node_b).name,
-            status=status,
-            duration_a=node_a.duration if node_a else 0.0,
-            duration_b=node_b.duration if node_b else 0.0,
-            components_a=dict(node_a.self_components) if node_a else {},
-            components_b=dict(node_b.self_components) if node_b else {},
-            devices_a=dict(node_a.device_seconds) if node_a else {},
-            devices_b=dict(node_b.device_seconds) if node_b else {},
-        ))
+            path=path, status=status,
+            components_a=components_a, components_b=components_b,
+            devices_a=devices_a, devices_b=devices_b))
     return ProfileDiff(
-        query_a=prof_a.query_id,
-        query_b=prof_b.query_id,
-        total_a=prof_a.duration,
-        total_b=prof_b.duration,
+        query_a=doc_a["query_id"],
+        query_b=doc_b["query_id"],
+        total_a=_total(doc_a),
+        total_b=_total(doc_b),
         operators=tuple(operators),
     )
+
+
+def _side(row: Optional[list]) -> tuple[dict[str, float], dict[int, float]]:
+    """One side's components and device seconds (empty when the side
+    lacks the operator; JSON spells the device ids as strings)."""
+    if row is None:
+        return {}, {}
+    return dict(row[3]), {int(d): s for d, s in row[4].items()}
+
+
+def _total(doc: dict) -> float:
+    """The root row's window, as :attr:`Span.duration
+    <repro.obs.tracing.Span.duration>` reads it."""
+    _path, start, end, *_ = doc["operators"][0]
+    return max(0.0, end - start)
 
 
 # ---------------------------------------------------------------------------
@@ -282,42 +273,54 @@ def diff_profiles(a: Union[QueryProfile, dict],
 
 def scale_profile_dict(data: dict, factor: float,
                        component: Optional[str] = None) -> dict:
-    """Scale a profile dump by ``factor`` — the ``--slowdown`` hook.
+    """Scale a profile dump's operator rows by ``factor`` — the
+    ``--slowdown`` hook.
 
     With ``component=None`` every timing scales uniformly (matching the
     historical ``--slowdown`` behaviour).  With a component named, only
-    that component's attributed seconds scale, and each node's (and the
-    query's) duration grows by exactly the seconds added underneath it —
-    so the *entire* injected delta lands in one attribution bucket and
+    that component's attributed seconds scale, and each row's (and the
+    query's) end moves by exactly the seconds added underneath it — so
+    the *entire* injected delta lands in one attribution bucket and
     ``repro bench --compare --explain`` must name it.
+
+    Returns ``data`` with its ``operators`` as the scaled rows and
+    without the totals they would contradict; every other key (the
+    decisions a gate reads) is carried over as it is.
     """
     if component is not None and component not in COMPONENTS:
         raise DiffError(
             f"unknown component {component!r}; expected one of {COMPONENTS}")
-    profile = profile_from_dict(data)
+    rows = profile_rows(data)["operators"]      # fresh row lists
+    if component is None:
+        rows = [[path, start * factor, end * factor,
+                 {c: v * factor for c, v in components.items()},
+                 {d: s * factor for d, s in devices.items()}]
+                for path, start, end, components, devices in rows]
+    else:
+        _stretch(rows, 0, factor, component)
+    out = {key: value for key, value in data.items()
+           if key not in ("duration_seconds", "component_totals")}
+    out["operators"] = rows
+    return out
 
-    def scale(node: OperatorNode) -> float:
-        """Scale ``node``'s subtree; returns the seconds its end moved."""
-        span, components = node.span, node.self_components
-        if component is None:
-            span.start *= factor
-            span.end *= factor
-            for name in components:
-                components[name] *= factor
-            node.device_seconds = {device: seconds * factor for device,
-                                   seconds in node.device_seconds.items()}
-            for child in node.children:
-                scale(child)
-            return 0.0
+
+def _stretch(rows: list, index: int, factor: float,
+             component: str) -> tuple[int, float]:
+    """Scale ``component`` in the subtree rooted at ``rows[index]``;
+    returns the index past the subtree and the seconds its end moved."""
+    row = rows[index]
+    components = row[3]
+    extra = 0.0
+    if component in components:
         extra = (factor - 1.0) * components[component]
-        components[component] *= factor
-        for child in node.children:
-            extra += scale(child)
-        span.end += extra
-        return extra
-
-    scale(profile.root)
-    return profile.to_dict()
+        row[3] = {**components, component: components[component] * factor}
+    prefix = row[0] + "/"
+    end = index + 1
+    while end < len(rows) and rows[end][0].startswith(prefix):
+        end, moved = _stretch(rows, end, factor, component)
+        extra += moved
+    row[2] += extra
+    return end, extra
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +340,13 @@ def sidecar_path(bench_path: str) -> str:
 
 def write_profile_sidecar(path: str, profiles: dict[str, dict],
                           meta: Optional[dict] = None) -> str:
-    """Write per-query profile dumps as a byte-stable sidecar file."""
+    """Write each query's operator rows (:func:`profile_rows`) as a
+    byte-stable sidecar file."""
     return write_json(path, {
         "format": SIDECAR_FORMAT,
         **(meta or {}),
-        "profiles": {qid: profiles[qid] for qid in sorted(profiles)},
+        "profiles": {qid: profile_rows(profiles[qid])
+                     for qid in sorted(profiles)},
     })
 
 
@@ -353,6 +358,8 @@ class ProfileSidecar(Document):
     missing = ("no profile sidecar at {path} — rerun "
                "`repro bench <workload> --update` (it writes the sidecar "
                "next to the baseline) and commit both files")
+    accepts = {"format": SIDECAR_FORMAT}
+    wrong = f"has format {{format!r}}, expected {SIDECAR_FORMAT}"
 
 
 class ProfileFile(ProfileSidecar):
@@ -430,7 +437,8 @@ class BenchExplanation:
 
 def explain_bench_delta(current: dict[str, dict],
                         baseline: dict[str, dict]) -> BenchExplanation:
-    """Diff every overlapping query's profile dump, newest vs baseline."""
+    """Diff every overlapping query's profile (dump or rows), newest vs
+    baseline."""
     out = BenchExplanation()
     for qid in sorted(set(current) & set(baseline)):
         out.diffs[qid] = diff_profiles(baseline[qid], current[qid])
@@ -446,14 +454,12 @@ def explain_bench_delta(current: dict[str, dict],
 
 
 def _load_profiles_for(path: str) -> dict[str, dict]:
-    """Profile dumps keyed by query id, from either supported file kind."""
+    """Profiles keyed by query id, from either supported file kind."""
     name = os.path.basename(path)
     if name.startswith("BENCH_"):
-        doc = ProfileSidecar.load(sidecar_path(path))
-        return dict(doc.get("profiles", {}))
+        return _load_profiles_for(sidecar_path(path))
     if name.startswith("PROFILE_"):
-        doc = ProfileSidecar.load(path)
-        return dict(doc.get("profiles", {}))
+        return dict(ProfileSidecar.load(path).get("profiles", {}))
     doc = ProfileFile.load(path)
     if "profiles" in doc:
         return dict(doc["profiles"])

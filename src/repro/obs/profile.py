@@ -25,8 +25,8 @@ keeps of them, how it sums them and how EXPLAIN prints them, so adding a
 section is adding a row.
 
 Renderings: ``to_text()`` (EXPLAIN ANALYZE-style report), ``to_dict()``
-(JSON; :meth:`QueryProfile.from_dict` is its exact inverse), and
-``to_html()`` (a self-contained timeline, no external assets).
+(JSON; :mod:`repro.obs.diff` reads its operator tree), and ``to_html()``
+(a self-contained timeline, no external assets).
 
 Not to be confused with :class:`repro.timing.QueryProfile`, the flat cost
 event list the engine returns; this class is the *attributed* view built
@@ -125,32 +125,6 @@ class OperatorNode:
             "children": [c.to_dict() for c in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict, depth: int = 0) -> "OperatorNode":
-        """Inverse of :meth:`to_dict` (the span keeps no trace or parent
-        id: nothing in a dump refers to them)."""
-        span = Span(
-            name=str(data["name"]),
-            trace_id=0,
-            span_id=int(data.get("span_id", 0)),
-            parent_id=None,
-            start=float(data["start"]),
-            end=float(data["end"]),
-            attributes=dict(data.get("attributes", {})),
-        )
-        node = cls(span=span, depth=depth)
-        for component, seconds in data.get("self_components", {}).items():
-            node.self_components[component] = float(seconds)
-        node.device_seconds = {
-            int(device): float(seconds)
-            for device, seconds in data.get("device_seconds", {}).items()
-        }
-        node.children = [
-            cls.from_dict(child, depth + 1)
-            for child in data.get("children", ())
-        ]
-        return node
-
 
 @dataclass(frozen=True)
 class PathVerdict:
@@ -221,19 +195,9 @@ class DecisionRecord:
     @classmethod
     def of(cls, span: Span) -> "DecisionRecord":
         """The decision one ``offload.decision`` instant records."""
-        attributes = span.attributes
-        return _record(cls, {**attributes,
-                             "kernel": attributes.get("kernel") or None})
-
-
-def _record(cls, data: dict):
-    """A frozen record rebuilt from its ``to_dict`` form: the dataclass
-    fields by name (derived keys ignored), JSON lists back as tuples."""
-    values = {}
-    for f in fields(cls):
-        value = data[f.name]
-        values[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**values)
+        attributes = {**span.attributes,
+                      "kernel": span.attributes.get("kernel") or None}
+        return cls(**{f.name: attributes[f.name] for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +250,7 @@ class _Fill(dict):
 @dataclass(frozen=True)
 class Section:
     """One event section of the profile: a :data:`SECTIONS` row is
-    everything that builds, sums, serialises, reloads and prints it."""
+    everything that builds, sums, serialises and prints it."""
 
     key: str                         # the to_dict key
     spans: tuple[str, ...]           # the span names it selects
@@ -336,12 +300,6 @@ class Section:
         if not self.summary:
             return list(events)
         return {"summary": self.totals(events), "events": list(events)}
-
-    def load(self, data: dict) -> list[dict]:
-        """The events back from a whole profile dump (inverse of
-        :meth:`dump`)."""
-        dumped = data.get(self.key, {})
-        return list(dumped.get("events", ()) if self.summary else dumped)
 
 
 def _totals(count: str, *sums: str) -> tuple[tuple, ...]:
@@ -633,33 +591,6 @@ class QueryProfile:
             self.overlap_saved_by_operator())
         out["shards"]["links"] = self.link_utilization()
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryProfile":
-        """Rebuild a profile from its :meth:`to_dict` form, exactly:
-        ``QueryProfile.from_dict(p.to_dict()).to_dict() == p.to_dict()``."""
-        links = data.get("shards", {}).get("links", {})
-        return cls(
-            query_id=str(data.get("query_id", "")),
-            trace_id=int(data.get("trace_id", 0)),
-            degree=int(data.get("degree", 0)),
-            gpu_enabled=bool(data.get("gpu_enabled", False)),
-            root=OperatorNode.from_dict(data["operators"]),
-            verdicts=[_record(PathVerdict, v)
-                      for v in data.get("path_selection", ())],
-            kernel_choices=[_record(KernelChoice, k)
-                            for k in data.get("kernel_choices", ())],
-            occupancy=[_record(OccupancySlice, s)
-                       for s in data.get("occupancy", ())],
-            decisions=[_record(DecisionRecord, d)
-                       for d in data.get("offload_decisions", ())],
-            bytes_in=int(data.get("bytes_in", 0)),
-            bytes_out=int(data.get("bytes_out", 0)),
-            events={section.key: section.load(data) for section in SECTIONS},
-            # The exchange rows re-derive from the shard events.
-            pcie_links={label: dict(row) for label, row in links.items()
-                        if label not in _EXCHANGE_LINKS.values()},
-        )
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

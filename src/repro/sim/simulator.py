@@ -347,7 +347,8 @@ class WorkloadSimulator:
 
     def _begin_query(self, state: _UserState, now: float) -> None:
         """Queue the next query's stages, completing zero-work queries
-        on the spot (they never enter a pool)."""
+        on the spot (they never enter a pool); the script thinks after
+        an empty query as after any other."""
         while not state.done:
             profile = state.script.profiles[state.query_index]
             # By identity: the scripts keep their profiles alive all run.
@@ -363,6 +364,9 @@ class WorkloadSimulator:
             if template:
                 return
             self._finish_query(state, now)
+            if not state.done and state.script.think_seconds > 0:
+                state.wake_at = now + state.script.think_seconds
+                return
 
     def _stages_of(self, profile: QueryProfile) -> Iterable[_Stage]:
         host = self.config.host

@@ -15,6 +15,7 @@ that see no offload benefit).
 from __future__ import annotations
 
 from repro.blu.plan import GroupByNode
+from repro.gpu.partition import groupby_working_set_bytes
 from repro.workloads.query import QueryCategory, WorkloadQuery
 
 _YEARS = (2010, 2011, 2012, 2013, 2014)
@@ -179,13 +180,9 @@ def estimate_gpu_memory_requirement(engine, query: WorkloadQuery) -> int:
     for node in plan.walk():
         if not isinstance(node, GroupByNode):
             continue
-        rows = node.child.estimates.rows
-        groups = max(1.0, node.estimates.groups)
-        payload_bytes = 8 * max(1, len(node.aggs))
-        staged = rows * (8 + payload_bytes)
-        table = groups * 1.5 * (8 + payload_bytes)
-        result = groups * (8 + payload_bytes)
-        worst = max(worst, int(staged + table + result))
+        worst = max(worst, groupby_working_set_bytes(
+            node.child.estimates.rows, max(1.0, node.estimates.groups),
+            len(node.aggs)))
     return worst
 
 

@@ -1,35 +1,28 @@
-"""Differential profiling: the serialised profile must round-trip
-exactly, a self-diff must be exactly zero, and per-operator deltas must
-sum to the end-to-end delta — the accounting identities ``repro
-profile-diff`` and ``bench --compare --explain`` rest on."""
+"""Differential profiling: a self-diff must be exactly zero, per-operator
+deltas must sum to the end-to-end delta, and the operator rows a
+``PROFILE_*`` sidecar keeps must diff exactly as the dump they came from
+— the accounting identities ``repro profile-diff`` and ``bench
+--compare --explain`` rest on."""
 
+import glob
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.diff import (
     DiffError,
+    SIDECAR_FORMAT,
+    diff_baselines,
     diff_profiles,
     explain_bench_delta,
     ProfileSidecar,
-    operator_paths,
-    profile_from_dict,
-    profile_to_dict,
+    profile_rows,
     scale_profile_dict,
     sidecar_path,
     write_profile_sidecar,
 )
-from repro.obs.profile import (
-    COMPONENTS,
-    SECTIONS,
-    KernelChoice,
-    OccupancySlice,
-    OperatorNode,
-    PathVerdict,
-    QueryProfile,
-)
+from repro.obs.profile import COMPONENTS
 
 
 # ---------------------------------------------------------------------------
@@ -83,105 +76,29 @@ def _node_dicts(draw, depth=0, start=0.0, span_ids=None):
     }
 
 
-_words = st.text(max_size=5)
-#: A value of each type a section field's default can have.
-_typed_values = {int: st.integers(-1, 99), float: _times, str: _words,
-                 bool: st.booleans(),
-                 list: st.lists(st.integers(0, 3), max_size=3)}
-
-
-def _section_events(section):
-    """Events as ``section`` projects them: every field typed, or — for a
-    section keeping whole spans — a span name plus attributes."""
-    if section.fields:
-        return st.fixed_dictionaries({
-            name: _typed_values[type(default)]
-            for name, default, *_source in section.fields})
-    return st.fixed_dictionaries(
-        {"name": st.sampled_from(section.spans)},
-        optional={"device_id": st.integers(0, 3),
-                  "bytes": st.integers(0, 1 << 20), "reason": _words})
-
-
-_verdicts = st.builds(
-    PathVerdict,
-    operator=st.sampled_from(["groupby", "sort", "fused", "groupby-shard"]),
-    rows=st.integers(0, 99), path=_words, reason=_words,
-    thresholds=st.dictionaries(
-        st.sampled_from(["t1", "t2", "t3", "devices"]),
-        st.one_of(st.none(), st.integers(0, 99), _words), max_size=3),
-    optimizer_groups=st.one_of(st.none(), _times),
-    kmv_groups=st.one_of(st.none(), st.integers(0, 99)),
-    actual_groups=st.one_of(st.none(), st.integers(0, 99)))
-_kernel_choices = st.builds(
-    KernelChoice, kernel=_words, reason=_words, raced=st.booleans(),
-    cancelled=st.lists(_words, max_size=2).map(tuple),
-    overflow_retries=st.integers(0, 3))
-_occupancy = st.builds(OccupancySlice, device_id=st.integers(0, 3),
-                       kernel=_words, start=_times, end=_times)
-_decisions = st.builds(
-    SimpleNamespace, operator=_words, path=_words, reason=_words,
-    kernel=st.one_of(st.none(), _words), device_id=st.integers(-1, 3))
-_pcie_links = st.dictionaries(
-    st.integers(0, 3).map(lambda d: f"pcie{d}"),
-    st.fixed_dictionaries({"bytes_total": st.integers(0, 1 << 30),
-                           "busy_seconds": _times,
-                           "stall_seconds": _times}))
-
-
 @st.composite
 def _profile_dicts(draw):
-    """A profile dump: a hand-built operator tree plus every event
-    section, verdict, kernel choice, occupancy slice, decision and PCIe
-    link the profile serialises."""
-    root = draw(_node_dicts())
+    """A profile dump as far as the diff reads it: a query id and a
+    hand-built operator tree."""
+    return {"query_id": draw(st.text(min_size=1, max_size=8)),
+            "operators": draw(_node_dicts())}
 
-    def totals(node, acc):
-        for c, v in node["self_components"].items():
-            acc[c] = acc.get(c, 0.0) + v
-        for child in node["children"]:
-            totals(child, acc)
-        return acc
 
-    profile = QueryProfile(
-        query_id=draw(st.text(min_size=1, max_size=8)),
-        trace_id=draw(st.integers(1, 99)),
-        degree=draw(st.integers(1, 64)),
-        gpu_enabled=draw(st.booleans()),
-        root=OperatorNode.from_dict(root),
-        verdicts=draw(st.lists(_verdicts, max_size=3)),
-        kernel_choices=draw(st.lists(_kernel_choices, max_size=2)),
-        occupancy=draw(st.lists(_occupancy, max_size=3)),
-        decisions=draw(st.lists(_decisions, max_size=2)),
-        bytes_in=draw(st.integers(0, 1 << 30)),
-        bytes_out=draw(st.integers(0, 1 << 30)),
-        events={section.key: draw(st.lists(_section_events(section),
-                                           max_size=3))
-                for section in SECTIONS},
-        pcie_links=draw(_pcie_links),
-    )
-    # The tree, its duration and its totals stay hand-built, so the
-    # round trip is also checked against values made without the loader.
-    return {
-        **profile.to_dict(),
-        "duration_seconds": root["duration"],
-        "component_totals": {c: v for c, v in totals(root, {}).items()
-                             if v},
-        "operators": root,
-    }
+def _wire(doc):
+    """``doc`` after a trip through JSON, as a committed file holds it."""
+    return json.loads(json.dumps(doc))
 
 
 class TestRoundTrip:
-    @given(data=_profile_dicts())
+    @given(a=_profile_dicts(), b=_profile_dicts())
     @settings(max_examples=40, deadline=None)
-    def test_profile_json_profile_is_exact(self, data):
-        """QueryProfile -> JSON -> QueryProfile keeps the whole dump
-        bit-identical: every node, time and component, every section's
-        events and summary, verdict, kernel choice, occupancy slice,
-        decision and per-link row."""
-        wire = json.loads(json.dumps(data))
-        profile = profile_from_dict(wire)
-        assert profile_to_dict(profile) == data
+    def test_sidecar_rows_diff_as_the_dumps_do(self, a, b):
+        """Dump -> rows -> JSON -> diff equals the diff of the dumps in
+        every operator, component, device and total, bit for bit."""
+        from_rows = diff_profiles(_wire(profile_rows(a)),
+                                  _wire(profile_rows(b)))
+        assert from_rows == diff_profiles(a, b)
+        assert from_rows.to_text() == diff_profiles(a, b).to_text()
 
     @given(data=_profile_dicts())
     @settings(max_examples=40, deadline=None)
@@ -213,47 +130,53 @@ class TestRoundTrip:
 
 class TestEngineProfiles:
     @pytest.fixture(scope="class")
-    def profile_dict(self, bd_catalog, bd_config):
+    def profile(self, bd_catalog, bd_config):
         from repro.core.accelerator import GpuAcceleratedEngine
         from repro.workloads.bdinsights import queries_by_category
         from repro.workloads.query import QueryCategory
 
         engine = GpuAcceleratedEngine(bd_catalog, config=bd_config)
         query = queries_by_category(QueryCategory.COMPLEX)[0]
-        _result, profile = engine.profile_sql(query.sql,
-                                              query_id=query.query_id)
+        return engine.profile_sql(query.sql, query_id=query.query_id)[1]
+
+    @pytest.fixture(scope="class")
+    def profile_dict(self, profile):
         return profile.to_dict()
 
-    def test_real_profile_round_trips(self, profile_dict):
-        again = profile_to_dict(profile_from_dict(profile_dict))
-        for key in ("duration_seconds", "component_totals", "operators"):
-            assert again[key] == profile_dict[key]
+    def test_real_profile_round_trips(self, profile, tmp_path):
+        """Through a written sidecar and back, a real profile's rows are
+        its own and diff against the in-memory profile to exactly 0."""
+        path = str(tmp_path / "PROFILE_x.json")
+        write_profile_sidecar(path, {"q": profile.to_dict()})
+        loaded = ProfileSidecar.load(path)["profiles"]["q"]
+        assert loaded == _wire(profile_rows(profile))
+        assert diff_profiles(profile, loaded) == diff_profiles(profile,
+                                                               profile)
+        assert diff_profiles(loaded, profile).total_delta == 0.0
 
-    @pytest.mark.parametrize("case", ["over_memory", "sharded"])
-    def test_whole_dump_round_trips(self, case, bd_catalog, bd_config,
-                                    sales_table):
-        """The exact inverse on the *whole* dict, for the profiles whose
-        partition and shard sections (and per-link rows) the reload
-        used to drop."""
-        from repro.core.accelerator import GpuAcceleratedEngine
-        from repro.workloads.cognos_rolap import screen_queries
+    def test_sharded_rows_diff_as_the_profile_does(self, sales_table):
+        """Four devices' seconds survive the rows' string device keys."""
         from tests.obs.test_profile_transcripts import (SHARD_SQL,
                                                         sharded_engine)
 
-        if case == "sharded":
-            engine = sharded_engine(sales_table, nvlink=True)
-            _result, profile = engine.profile_sql(SHARD_SQL, query_id="s")
-        else:
-            engine = GpuAcceleratedEngine(bd_catalog, config=bd_config)
-            query = screen_queries(engine)[1][0]
-            _result, profile = engine.profile_sql(query.sql,
-                                                  query_id=query.query_id)
-        doc = profile.to_dict()
-        assert doc[{"over_memory": "partitions",
-                    "sharded": "shards"}[case]]["events"]
-        assert profile_from_dict(doc).to_dict() == doc
-        wire = json.loads(profile.to_json())
-        assert profile_from_dict(wire).to_dict() == wire
+        on = sharded_engine(sales_table, nvlink=True).profile_sql(
+            SHARD_SQL, query_id="s")[1]
+        off = sharded_engine(sales_table, nvlink=False).profile_sql(
+            SHARD_SQL, query_id="s")[1]
+        diff = diff_profiles(_wire(profile_rows(off)),
+                             _wire(profile_rows(on)))
+        assert diff == diff_profiles(off, on)
+        assert len(diff.device_totals()) > 1
+
+    def test_profile_json_files_diff(self, profile, tmp_path):
+        """``repro profile-diff`` of two ``repro profile --json`` files."""
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(profile.to_json())
+        text = diff_baselines(str(tmp_path / "a.json"),
+                              str(tmp_path / "b.json"))
+        assert text.startswith(f"profile diff  A={profile.query_id}  "
+                               f"B={profile.query_id}")
+        assert "(delta +0.000 ms)" in text
 
     def test_real_profile_self_diff_zero(self, profile_dict):
         diff = diff_profiles(profile_dict, profile_dict)
@@ -300,8 +223,7 @@ class TestEngineProfiles:
 
     def test_occurrence_indices_disambiguate_same_name_siblings(
             self, profile_dict):
-        paths = [p for p, _ in operator_paths(
-            profile_from_dict(profile_dict).root)]
+        paths = [row[0] for row in profile_rows(profile_dict)["operators"]]
         assert len(paths) == len(set(paths)), "operator paths collide"
 
 
@@ -322,17 +244,53 @@ class TestSidecars:
         write_profile_sidecar(p2, profiles, meta={"workload": "w"})
         assert open(p1, "rb").read() == open(p2, "rb").read()
         doc = ProfileSidecar.load(p1)
-        assert doc["profiles"] == profiles
+        assert doc["format"] == SIDECAR_FORMAT
+        assert doc["profiles"] == {"Q1": {"query_id": "", "operators": [
+            ["query#0", 0.0, 1.0, {}, {}]]}}
+
+    def test_a_format_1_sidecar_is_refused(self, tmp_path):
+        path = str(tmp_path / "PROFILE_old.json")
+        with open(path, "w") as f:
+            json.dump({"format": 1, "profiles": {}}, f)
+        with pytest.raises(DiffError, match="expected 2"):
+            ProfileSidecar.load(path)
 
     def test_missing_sidecar_names_the_remedy(self, tmp_path):
         with pytest.raises(DiffError, match="--update"):
             ProfileSidecar.load(str(tmp_path / "PROFILE_none.json"))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": []}, "expected a QueryProfile dump"),
+        ({"operators": {"start": 0.0}}, "not a profile dump"),
+        ({"operators": "query"}, "not a profile dump"),
+        ({"operators": []}, "no operator rows"),
+        ({"operators": [["query#0", 0.0, 1.0]]}, "not a profile dump"),
+    ])
+    def test_a_malformed_file_is_a_diff_error(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DiffError, match=message):
+            diff_baselines(str(path), str(path))
+
+    def test_committed_twins_diff_through_their_sidecars(self):
+        text = diff_baselines(
+            "benchmarks/baselines/BENCH_bd_insights.json",
+            "benchmarks/baselines/BENCH_bd_insights_cache_off.json")
+        assert text.splitlines()[:2] == [
+            "== differential profile (current vs baseline) ==",
+            "queries diffed: 100  end-to-end delta +0.115 ms"]
+
     def test_committed_sidecars_exist_and_parse(self):
-        for workload in ("bd_insights", "cognos_rolap"):
-            doc = ProfileSidecar.load(
-                f"benchmarks/baselines/PROFILE_{workload}.json")
-            assert doc["profiles"], workload
+        """Every committed sidecar is format 2, names exactly the query
+        ids of its ``BENCH_*`` file, and self-diffs to zero."""
+        paths = sorted(glob.glob("benchmarks/baselines/PROFILE_*.json"))
+        assert paths
+        for path in paths:
+            doc = ProfileSidecar.load(path)
+            assert doc["format"] == 2, path
+            bench = path.replace("PROFILE_", "BENCH_")
+            with open(bench) as f:
+                assert set(doc["profiles"]) == set(json.load(f)["queries"])
             for qid, data in doc["profiles"].items():
                 assert diff_profiles(data, data).total_delta == 0.0, qid
 

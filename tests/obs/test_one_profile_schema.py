@@ -2,7 +2,7 @@
 
 EXPLAIN ANALYZE's event sections and path-selection verdicts are rows of
 two tables in :mod:`repro.obs.profile` (``SECTIONS`` and ``VERDICTS``);
-building, summing, serialising, reloading and printing a section is one
+building, summing, serialising and printing a section is one
 loop over the table, not a hand-written block per section.  Each
 assertion below failed before the change it pins.
 """
@@ -12,9 +12,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import json
 from pathlib import Path
 
-from repro.obs import diff, profile
+from repro.obs import profile
 from repro.obs.profile import SECTIONS, VERDICTS, QueryProfile
 
 OBS = Path(profile.__file__).parent
@@ -88,8 +89,18 @@ def test_every_wave_reports():
     assert "instants" not in inspect.signature(Dispatcher.wave).parameters
 
 
-def test_the_reload_is_the_profile_module_s_own():
-    """``profile_from_dict`` delegates: the schema lives in one module."""
-    source = inspect.getsource(diff.profile_from_dict)
-    assert "QueryProfile.from_dict" in source
-    assert "PathVerdict" not in inspect.getsource(diff)
+def test_no_reload_path_and_sidecar_rows_carry_five_fields():
+    """Nothing rebuilds a profile from its dump, and a ``PROFILE_*`` row
+    is ``[path, start, end, self_components, device_seconds]``: the
+    operator x component x device attribution, nothing else."""
+    for name in ("profile.py", "diff.py"):
+        assert "from_dict" not in (OBS / name).read_text(), name
+    sidecars = sorted((OBS.parents[2] / "benchmarks" / "baselines")
+                      .glob("PROFILE_*.json"))
+    assert sidecars
+    for path in sidecars:
+        for entry in json.loads(path.read_text())["profiles"].values():
+            assert set(entry) == {"query_id", "operators"}, path
+            for row in entry["operators"]:
+                assert [type(v) for v in row] == [str, float, float, dict,
+                                                  dict], (path, row)

@@ -2,7 +2,8 @@
 
 ``OracleSimulator`` is ``WorkloadSimulator`` and ``OraclePool`` is
 ``ProcessorSharingPool`` as of commit 7c22521, verbatim apart from the
-class names: the event loop that settles the pool and walks the
+class names and one fix both sides needed (a paced script thinks after
+a zero-work query too): the event loop that settles the pool and walks the
 runnable set four times per event, calls ``effective_capacity`` per
 mutation, re-derives every request's stages and drains the admission
 queue on every event.  The production classes must reproduce every
@@ -361,8 +362,12 @@ class OracleSimulator:
         """Complete zero-work queries instantly (they never enter a pool)."""
         while not state.done and not state.stage_queue:
             self._finish_query(state, now, completions)
-            if not state.done:
-                self._begin_query(state, now)
+            if state.done:
+                return
+            if state.script.think_seconds > 0:
+                state.wake_at = now + state.script.think_seconds
+                return
+            self._begin_query(state, now)
 
     def _stages_of(self, profile: QueryProfile) -> Iterable[_Stage]:
         host = self.config.host

@@ -172,6 +172,15 @@ class TestThinkTime:
         starts = {c.query_id: c.start for c in result.completions}
         assert starts["b"] - ends["a"] == pytest.approx(0.25)
 
+    def test_think_after_an_empty_query(self):
+        """A zero-work query is followed by a think pause like any other."""
+        a = profile("a", cpu=2.4, degree=24)        # 0.1 s on 24 cores
+        result = WorkloadSimulator(paper_testbed()).run([UserScript(
+            "u", [a, profile("empty"), a], think_seconds=1.0)])
+        assert [(r.query_id, r.start) for r in result.requests] == [
+            ("a", 0.0), ("empty", pytest.approx(1.1)),
+            ("a", pytest.approx(2.1))]
+
 
 class TestDeadlockDetection:
     def test_impossible_reservation_raises(self):
