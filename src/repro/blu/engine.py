@@ -3,9 +3,11 @@
 :class:`BluEngine` binds a catalog to the cost model and executes annotated
 logical plans.  Group-by and sort run through pluggable *executors* — the
 exact seam the paper's prototype uses: the stock engine installs the CPU
-chains of Figure 1, while :class:`repro.core.accelerator.GpuAcceleratedEngine`
-installs hybrid executors that may dispatch to the simulated GPUs (Figures
-2 and 3).
+chains of Figure 1.  Its subclass
+:class:`repro.core.accelerator.GpuAcceleratedEngine` is the one engine
+both arms of the paper's comparison run on: given GPUs it installs hybrid
+executors that may dispatch to them (Figures 2 and 3); given the same
+config with ``gpus=()`` it installs none and runs these chains.
 
 Every execution returns a :class:`repro.timing.TimedResult`: the real result
 table plus the simulated-time profile of how it was produced.
@@ -118,40 +120,38 @@ class BluEngine:
     config:
         Simulated system description; defaults to the CPU-only baseline
         (stock DB2 BLU — no GPUs installed).
-    groupby_executor / sort_executor:
-        Strategy hooks; default to the CPU chains.
     default_degree:
         DB2-style query parallelism degree (Table 3 sweeps 24/48/64).
+    tracer:
+        Span sink; defaults to the no-op tracer.
+
+    The ``*_executor`` attributes are the strategy hooks.  They start as
+    the CPU chains (no fused or window-sort hook); the accelerated
+    subclass replaces them when its config has GPUs.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         config: Optional[SystemConfig] = None,
-        groupby_executor: Optional[GroupByExecutor] = None,
-        sort_executor: Optional[SortExecutor] = None,
-        join_executor: Optional[JoinExecutor] = None,
-        fused_executor: Optional[FusedExecutor] = None,
-        rank_order_executor: Optional[RankOrderExecutor] = None,
         default_degree: int = 48,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.catalog = catalog
         self.config = config or cpu_only_testbed()
         self.optimizer = Optimizer(catalog)
-        self.groupby_executor = groupby_executor or cpu_groupby_executor
-        self.sort_executor = sort_executor or cpu_sort_executor
-        self.join_executor = join_executor or cpu_join_executor
-        self.fused_executor = fused_executor
-        self.rank_order_executor = rank_order_executor
+        self.groupby_executor: GroupByExecutor = cpu_groupby_executor
+        self.sort_executor: SortExecutor = cpu_sort_executor
+        self.join_executor: JoinExecutor = cpu_join_executor
+        self.fused_executor: Optional[FusedExecutor] = None
+        self.rank_order_executor: Optional[RankOrderExecutor] = None
         self.default_degree = default_degree
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._query_counter = itertools.count(1)
 
     @property
     def gpu_enabled(self) -> bool:
-        return self.config.gpu_count > 0 and \
-            self.groupby_executor is not cpu_groupby_executor
+        return self.config.gpu_count > 0
 
     # ------------------------------------------------------------------
     # Entry points

@@ -397,10 +397,10 @@ def cmd_sql(args) -> int:
 
 def cmd_explain(args) -> int:
     """``explain``: print the annotated logical plan."""
-    from repro.blu.engine import BluEngine
+    from repro.core.accelerator import make_engine
 
-    catalog, _config = _make_database(args)
-    engine = BluEngine(catalog)
+    catalog, config = _make_database(args)
+    engine = make_engine(catalog, config=config, gpu=False)
     print(engine.explain_sql(args.statement))
     return 0
 

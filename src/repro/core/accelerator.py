@@ -1,9 +1,14 @@
-"""Public facade: a BLU engine with GPU acceleration wired in.
+"""Public engine: DB2 BLU on a machine that may have GPUs.
 
-:class:`GpuAcceleratedEngine` owns the simulated devices, the pinned host
-memory pool, the multi-GPU scheduler, the kernel moderator, and the
-integrated performance monitor, and installs the hybrid group-by/sort
-executors into a :class:`repro.blu.engine.BluEngine`.
+:class:`GpuAcceleratedEngine` is a :class:`repro.blu.engine.BluEngine`
+that owns the simulated devices, the pinned host memory pool, the
+multi-GPU scheduler, the kernel moderator and the integrated performance
+monitor.  With GPUs in its config it installs the hybrid group-by / sort
+/ join executors (Figures 2 and 3) in the engine's executor hooks; with
+``gpus=()`` it installs none, so the stock Figure-1 chains run.  "No
+GPUs" is a configuration, not a class: :func:`make_engine` builds both
+arms of every section-5 ratio from one config, the baseline as the same
+config with ``gpus=()``.
 
 Typical use::
 
@@ -17,24 +22,24 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.blu.catalog import Catalog
 from repro.blu.engine import BluEngine, OperatorContext
 from repro.blu.plan import PlanNode
 from repro.blu.table import Table
-from repro.config import SystemConfig, cpu_only_testbed, paper_testbed
+from repro.config import SystemConfig, paper_testbed
 from repro.core.dispatch import Dispatcher
 from repro.core.hybrid_groupby import HybridGroupByExecutor
 from repro.core.hybrid_join import HybridJoinExecutor
 from repro.core.hybrid_sort import HybridSortExecutor
-from repro.core.moderator import GpuModerator
+from repro.core.moderator import GpuModerator, LearningModerator
 from repro.core.monitoring import PerformanceMonitor
 from repro.core.scheduler import MultiGpuScheduler
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.policies import RetryPolicy
-from repro.blu.engine import cpu_join_executor
 from repro.gpu.cache import DeviceColumnCache
 from repro.gpu.device import GpuDevice, make_devices
 from repro.gpu.fusion import FusedExecutor
@@ -51,8 +56,8 @@ from repro.timing import TimedResult
 _DEFAULT_PINNED_POOL = 2 * 1024**3      # registered once at start-up
 
 
-class GpuAcceleratedEngine:
-    """DB2-BLU-with-GPU: the paper's prototype as a library object."""
+class GpuAcceleratedEngine(BluEngine):
+    """DB2 BLU with (or, at ``gpus=()``, without) the paper's GPUs."""
 
     def __init__(
         self,
@@ -63,14 +68,8 @@ class GpuAcceleratedEngine:
         enable_join_offload: bool = False,
         pinned_pool_bytes: int = _DEFAULT_PINNED_POOL,
         default_degree: int = 48,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config or paper_testbed()
-        if self.config.gpu_count == 0:
-            raise ValueError(
-                "GpuAcceleratedEngine needs at least one GPU; "
-                "use BluEngine (or make_engine(gpu=False)) for the baseline"
-            )
         self.devices: list[GpuDevice] = make_devices(self.config.gpus)
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
@@ -115,9 +114,10 @@ class GpuAcceleratedEngine:
             depth=self.config.pipeline_depth,
             chunk_bytes=self.config.chunk_bytes,
         ).validate()
-        # Fault injection (docs/fault_injection.md): an explicit ``faults``
-        # kwarg wins over the plan on the config; an empty plan disarms.
-        plan = faults if faults is not None else self.config.faults
+        # Fault injection (docs/fault_injection.md): the config's plan; an
+        # empty plan disarms.  Without GPUs it is inert: every fault site
+        # is a device or pinned-pool seam the stock chains never reach.
+        plan = self.config.faults
         self.faults: Optional[FaultPlan] = (
             plan if plan is not None and plan.active else None)
         self.injector: Optional[FaultInjector] = None
@@ -133,18 +133,6 @@ class GpuAcceleratedEngine:
             # transient reservation failures retry with backoff before the
             # executors take option 2, the CPU fallback.
             self.scheduler.retry_policy = RetryPolicy()
-        if learning_moderator:
-            from repro.core.moderator import LearningModerator
-            self.moderator: GpuModerator = LearningModerator(
-                self.config.cost, self.config.thresholds,
-                smx_count=self.config.gpus[0].smx_count,
-            )
-        else:
-            self.moderator = GpuModerator(
-                self.config.cost, self.config.thresholds,
-                smx_count=self.config.gpus[0].smx_count,
-            )
-        self.moderator.tracer = self.tracer
         # Scale-out sharding (docs/scale_out.md): the modelled PCIe/NVLink
         # interconnect prices and accounts every sharded transfer wave;
         # when sharding is on, each fact table (T1-or-larger) gets a
@@ -175,40 +163,45 @@ class GpuAcceleratedEngine:
             interconnect=self.interconnect,
             rebalance=self._rebalance_shards,
         )
-        self._groupby = HybridGroupByExecutor(
+        super().__init__(catalog, config=self.config,
+                         default_degree=default_degree, tracer=self.tracer)
+        self.moderator: Optional[GpuModerator] = None
+        if self.devices:
+            self._install_hybrid_executors(
+                race_kernels, learning_moderator, enable_join_offload)
+
+    def _install_hybrid_executors(self, race_kernels: bool,
+                                  learning_moderator: bool,
+                                  enable_join_offload: bool) -> None:
+        """Put the hybrid executors (Figures 2 and 3) in the engine's
+        hooks.  The moderator and fusion's estimate read ``config.gpus[0]``,
+        so a config without GPUs gets none and keeps the stock Figure-1
+        chains :class:`BluEngine` installed."""
+        kind = LearningModerator if learning_moderator else GpuModerator
+        self.moderator = kind(self.config.cost, self.config.thresholds,
+                              smx_count=self.config.gpus[0].smx_count)
+        self.moderator.tracer = self.tracer
+        thresholds = self.config.thresholds
+        self.groupby_executor = HybridGroupByExecutor(
             dispatch=self.dispatch,
             moderator=self.moderator,
-            thresholds=self.config.thresholds,
+            thresholds=thresholds,
             race_kernels=race_kernels,
         )
-        self._sort = HybridSortExecutor(
-            dispatch=self.dispatch,
-            thresholds=self.config.thresholds,
-        )
-        self._join = HybridJoinExecutor(
-            dispatch=self.dispatch,
-            thresholds=self.config.thresholds,
-        ) if enable_join_offload else None
+        self.sort_executor = HybridSortExecutor(dispatch=self.dispatch,
+                                                thresholds=thresholds)
+        if enable_join_offload:
+            self.join_executor = HybridJoinExecutor(dispatch=self.dispatch,
+                                                    thresholds=thresholds)
         # Fused data path (docs/fusion.md): recognised filter->join->
         # group-by chains run as one device launch; every failure (and a
         # declined decision) falls back to the per-operator executors
-        # below, so fusion_enabled=False and fusion-degraded runs are
+        # above, so fusion_enabled=False and fusion-degraded runs are
         # bit-identical to this engine's stock routing.
-        self._fused = FusedExecutor(
-            groupby=self._groupby,
-            join=self._join if enable_join_offload else cpu_join_executor,
-        ) if self.config.fusion_enabled else None
-        self.engine = BluEngine(
-            catalog,
-            config=self.config,
-            groupby_executor=self._groupby,
-            sort_executor=self._sort,
-            join_executor=self._join,
-            fused_executor=self._fused,
-            rank_order_executor=self._route_rank_order,
-            default_degree=default_degree,
-            tracer=self.tracer,
-        )
+        if self.config.fusion_enabled:
+            self.fused_executor = FusedExecutor(groupby=self.groupby_executor,
+                                                join=self.join_executor)
+        self.rank_order_executor = self._route_rank_order
 
     def _rebalance_shards(self, lost_device_ids: list) -> None:
         """Rewrite every registered shard map after device loss.
@@ -218,7 +211,7 @@ class GpuAcceleratedEngine:
         bumps the catalog version — the same invalidation path as DDL —
         so cached shard segments keyed on the old placement die with it.
         """
-        catalog = self.engine.catalog
+        catalog = self.catalog
         for shard_map in list(catalog.shard_maps()):
             rebalanced = shard_map
             for device_id in lost_device_ids:
@@ -233,37 +226,20 @@ class GpuAcceleratedEngine:
 
     def _route_rank_order(self, table: Table, keys, ctx: OperatorContext):
         # The sort RANK() drives rides the hybrid sort's offload path.  A
-        # bound ``self._sort.rank_order`` would miss a wrapper installed
-        # on the class later; the executors above need no such route, as
-        # ``__call__`` is looked up on the type at every call.
-        return self._sort.rank_order(table, keys, ctx)
-
-    # ------------------------------------------------------------------
-    # Query entry points (mirror BluEngine)
-    # ------------------------------------------------------------------
-
-    @property
-    def catalog(self) -> Catalog:
-        return self.engine.catalog
-
-    def execute_sql(self, sql: str, query_id: Optional[str] = None,
-                    degree: Optional[int] = None) -> TimedResult:
-        self._set_query_id(query_id or "")
-        result = self.engine.execute_sql(sql, query_id=query_id,
-                                         degree=degree)
-        self.monitor.record_profile(result.profile)
-        return result
+        # bound ``self.sort_executor.rank_order`` would miss a wrapper
+        # installed on the class later; the other hooks need no such
+        # route, as ``__call__`` is looked up on the type at every call.
+        return self.sort_executor.rank_order(table, keys, ctx)
 
     def execute_plan(self, plan: PlanNode, query_id: Optional[str] = None,
                      degree: Optional[int] = None) -> TimedResult:
-        self._set_query_id(query_id or "")
-        result = self.engine.execute_plan(plan, query_id=query_id,
-                                          degree=degree)
+        """:meth:`BluEngine.execute_plan`, with the query id threaded
+        through the offload decisions and the profile kept by the
+        monitor.  ``execute_sql`` reaches it through the base class."""
+        self.dispatch.query_id = query_id or ""
+        result = super().execute_plan(plan, query_id=query_id, degree=degree)
         self.monitor.record_profile(result.profile)
         return result
-
-    def explain_sql(self, sql: str) -> str:
-        return self.engine.explain_sql(sql)
 
     def explain_decisions(self, sql: str, degree: Optional[int] = None) -> str:
         """Run ``sql`` and render the plan, the offload decisions the hybrid
@@ -313,9 +289,6 @@ class GpuAcceleratedEngine:
         _result, profile = self.profile_sql(sql, query_id=query_id,
                                             degree=degree)
         return profile.to_text()
-
-    def _set_query_id(self, query_id: str) -> None:
-        self.dispatch.query_id = query_id
 
     # ------------------------------------------------------------------
     # Observability exports
@@ -403,13 +376,14 @@ class GpuAcceleratedEngine:
 
 
 def make_engine(catalog: Catalog, config: Optional[SystemConfig] = None,
-                gpu: bool = True, **kwargs):
-    """Build either the GPU-accelerated prototype or the stock baseline.
+                gpu: bool = True, **kwargs) -> GpuAcceleratedEngine:
+    """The engine for ``config``, or for the same machine without its GPUs.
 
-    Returns an object exposing ``execute_sql`` / ``execute_plan``; pass
-    ``gpu=False`` (or a config with no GPUs) for baseline DB2 BLU.
+    ``gpu=False`` is ``config`` with ``gpus=()``: stock DB2 BLU on the
+    caller's host, cost model and thresholds, so both arms of a GPU-on /
+    GPU-off ratio differ in nothing but the devices.
     """
-    if not gpu:
-        return BluEngine(catalog, config=cpu_only_testbed(),
-                         default_degree=kwargs.get("default_degree", 48))
-    return GpuAcceleratedEngine(catalog, config=config, **kwargs)
+    config = config or paper_testbed()
+    return GpuAcceleratedEngine(
+        catalog, config if gpu else dataclasses.replace(config, gpus=()),
+        **kwargs)

@@ -132,10 +132,9 @@ class FaultPlan:
     """A seed plus an ordered set of :class:`FaultRule` triggers.
 
     Plans are immutable values: hang one off
-    :class:`repro.config.SystemConfig` (``faults=...``) or pass it to
-    :class:`~repro.core.accelerator.GpuAcceleratedEngine` directly, and
-    the engine arms a :class:`~repro.faults.injector.FaultInjector` over
-    the substrate.  An empty plan injects nothing.
+    :class:`repro.config.SystemConfig` (``faults=...``) and the engine
+    arms a :class:`~repro.faults.injector.FaultInjector` over the
+    substrate.  An empty plan injects nothing.
     """
 
     rules: tuple[FaultRule, ...] = ()

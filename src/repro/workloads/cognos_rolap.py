@@ -172,10 +172,7 @@ def estimate_gpu_memory_requirement(engine, query: WorkloadQuery) -> int:
     from repro.blu.sql import parse_query
 
     plan = parse_query(query.sql, catalog=engine.catalog)
-    annotate = getattr(engine, "optimizer", None)
-    if annotate is None:                      # GpuAcceleratedEngine facade
-        annotate = engine.engine.optimizer
-    annotate.annotate(plan)
+    engine.optimizer.annotate(plan)
     worst = 0
     for node in plan.walk():
         if not isinstance(node, GroupByNode):

@@ -1,8 +1,9 @@
 """Multi-user workload driver (the JMETER analogue).
 
-The driver owns a GPU-enabled engine and a CPU-only baseline over the same
-catalog, profiles each query once per configuration (caching the cost
-profile), and exposes the two run modes of section 5:
+The driver owns two engines over the same catalog, built from one config
+by :func:`repro.core.accelerator.make_engine` — the machine with its GPUs
+and the same machine without them — profiles each query once per arm
+(caching the cost profile), and exposes the two run modes of section 5:
 
 - ``run_serial``: one-at-a-time elapsed times (Figures 5-7, Table 2);
 - ``closed_loop``: thread groups of closed-loop sessions cycling through
@@ -17,9 +18,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.blu.engine import BluEngine
-from repro.config import SystemConfig, cpu_only_testbed
-from repro.core.accelerator import GpuAcceleratedEngine
+from repro.config import SystemConfig
+from repro.core.accelerator import make_engine
 from repro.obs.serving import ServingRun, build_serving_run
 from repro.sim import UserScript, WorkloadSimulator
 from repro.timing import QueryProfile
@@ -87,11 +87,10 @@ class WorkloadDriver:
         self.catalog = catalog
         self.config = config
         self.degree = degree
-        self.gpu_engine = GpuAcceleratedEngine(
-            catalog, config=config, default_degree=degree,
-            enable_join_offload=enable_join_offload)
-        self.cpu_engine = BluEngine(catalog, config=cpu_only_testbed(),
-                                    default_degree=degree)
+        self.gpu_engine, self.cpu_engine = (
+            make_engine(catalog, config, gpu, default_degree=degree,
+                        enable_join_offload=enable_join_offload)
+            for gpu in (True, False))
         self._profiles: dict[tuple[str, bool], QueryProfile] = {}
         self._checksums: dict[tuple[str, bool], str] = {}
 
@@ -103,9 +102,9 @@ class WorkloadDriver:
         """Execute (once) and cache the cost profile of ``query``."""
         key = (query.query_id, gpu)
         if key not in self._profiles:
-            engine = self.gpu_engine if gpu else self.cpu_engine
-            result = engine.execute_sql(query.sql, query_id=query.query_id,
-                                        degree=self.PROFILE_DEGREE)
+            result = self._engine(gpu).execute_sql(
+                query.sql, query_id=query.query_id,
+                degree=self.PROFILE_DEGREE)
             self._profiles[key] = result.profile
             self._checksums[key] = table_checksum(result.table)
         return self._profiles[key]
@@ -182,7 +181,7 @@ class WorkloadDriver:
                            group.think_seconds)
                 for i in range(group.sessions)
             ]
-        result = WorkloadSimulator(self._sim_config(gpu)).run(users)
+        result = WorkloadSimulator(self._engine(gpu).config).run(users)
         return build_serving_run(result, class_of, sessions=len(users),
                                  recorder=self.gpu_engine.recorder)
 
@@ -214,12 +213,8 @@ class WorkloadDriver:
         ]
         return QueryProfile(base.query_id, base.gpu_enabled, events)
 
-    def _sim_config(self, gpu: bool) -> SystemConfig:
-        if gpu:
-            return self.config
-        import dataclasses
-
-        return dataclasses.replace(self.config, gpus=())
+    def _engine(self, gpu: bool):
+        return self.gpu_engine if gpu else self.cpu_engine
 
 
 class ConcurrentDriver:

@@ -1,16 +1,45 @@
-"""Unit tests for the GpuAcceleratedEngine facade."""
+"""Unit tests for GpuAcceleratedEngine, with and without GPUs."""
 
-import pytest
+import dataclasses
 
 from repro.blu import BluEngine
+from repro.blu.engine import (
+    cpu_groupby_executor,
+    cpu_join_executor,
+    cpu_sort_executor,
+)
 from repro.config import cpu_only_testbed, paper_testbed, single_gpu_testbed
 from repro.core import GpuAcceleratedEngine, make_engine
 
+STOCK_SQL = (
+    "SELECT s_item, SUM(s_qty) AS q FROM sales GROUP BY s_item ORDER BY q",
+    "SELECT s_store, COUNT(*) AS c FROM sales GROUP BY s_store",
+    "SELECT s_item, s_store, SUM(s_qty) AS q, "
+    "RANK() OVER (ORDER BY q DESC) AS rnk FROM sales GROUP BY s_item, s_store",
+    "SELECT st_state, SUM(s_paid) AS p FROM sales "
+    "JOIN stores ON s_store = st_id GROUP BY st_state",
+)
+
 
 class TestConstruction:
-    def test_requires_gpus(self, small_catalog):
-        with pytest.raises(ValueError):
-            GpuAcceleratedEngine(small_catalog, config=cpu_only_testbed())
+    def test_zero_gpus_is_the_stock_engine(self, small_catalog):
+        """No GPUs is a configuration of the one engine: no devices, the
+        Figure-1 chains in every hook, and BluEngine's answers and cost
+        events, event for event."""
+        zero = GpuAcceleratedEngine(small_catalog, config=cpu_only_testbed())
+        assert zero.devices == [] and zero.moderator is None
+        assert not zero.gpu_enabled
+        assert (zero.groupby_executor, zero.sort_executor,
+                zero.join_executor, zero.fused_executor,
+                zero.rank_order_executor) == (
+            cpu_groupby_executor, cpu_sort_executor, cpu_join_executor,
+            None, None)
+        stock = BluEngine(small_catalog)
+        for sql in STOCK_SQL:
+            got = zero.execute_sql(sql, query_id="q")
+            want = stock.execute_sql(sql, query_id="q")
+            assert got.profile == want.profile
+            assert got.table.to_pydict() == want.table.to_pydict()
 
     def test_device_count_follows_config(self, small_catalog):
         two = GpuAcceleratedEngine(small_catalog, config=paper_testbed())
@@ -20,9 +49,13 @@ class TestConstruction:
         assert len(one.devices) == 1
 
     def test_make_engine_dispatch(self, small_catalog):
-        assert isinstance(make_engine(small_catalog, gpu=False), BluEngine)
-        assert isinstance(make_engine(small_catalog, gpu=True),
-                          GpuAcceleratedEngine)
+        config = dataclasses.replace(paper_testbed(), pipeline_depth=2)
+        on = make_engine(small_catalog, config, gpu=True)
+        off = make_engine(small_catalog, config, gpu=False)
+        assert type(on) is type(off) is GpuAcceleratedEngine
+        assert on.config is config
+        assert off.config == dataclasses.replace(config, gpus=())
+        assert len(on.devices) == 2 and off.devices == []
 
     def test_learning_moderator_flag(self, small_catalog):
         from repro.core.moderator import LearningModerator

@@ -262,7 +262,7 @@ def transcript(engine: GpuAcceleratedEngine, results) -> list:
          **dataclasses.asdict(DecisionRecord.of(s))}
         for s in engine.tracer.spans if s.name == DECISION]))
     record.append(("registry", engine.registry.to_dict()))
-    record.append(("sort", engine._sort.last_stats))
+    record.append(("sort", engine.sort_executor.last_stats))
     for device in engine.devices:
         breaker = engine.scheduler.breakers[device.device_id]
         record.append((

@@ -48,7 +48,7 @@ class TestPinnedExhaustion:
         result = engine.execute_sql(SORT_SQL, query_id="pinned-sort")
         assert not any(e.op == "GPU-SORT" for e in result.profile.events)
         assert tables_equal(result.table, cpu.execute_sql(SORT_SQL).table)
-        assert engine._sort.last_stats.fallbacks >= 1
+        assert engine.sort_executor.last_stats.fallbacks >= 1
 
     def test_pool_not_leaked_by_fallbacks(self, small_catalog):
         engine = engine_with(small_catalog, pinned_bytes=16 * 1024)

@@ -136,7 +136,7 @@ class TestHybridSortExecution:
             "SELECT s_ticket, s_paid FROM sales ORDER BY s_paid DESC",
             query_id="bigsort")
         assert any(e.op == "GPU-SORT" for e in result.profile.events)
-        stats = gpu_engine._sort.last_stats
+        stats = gpu_engine.sort_executor.last_stats
         assert stats.jobs_gpu >= 1
 
     def test_duplicate_ranges_spawn_followup_jobs(self, gpu_engine):
@@ -145,7 +145,7 @@ class TestHybridSortExecution:
         result = gpu_engine.execute_sql(
             "SELECT s_store, s_ticket FROM sales "
             "ORDER BY s_store, s_ticket", query_id="dupsort")
-        stats = gpu_engine._sort.last_stats
+        stats = gpu_engine.sort_executor.last_stats
         assert stats.duplicate_jobs >= 1
         assert stats.jobs_total > 1
         # Verify full ordering.
@@ -157,7 +157,7 @@ class TestHybridSortExecution:
         gpu_engine.execute_sql(
             "SELECT s_paid, s_ticket FROM sales WHERE s_item < 250 "
             "ORDER BY s_paid, s_ticket", query_id="mixed")
-        stats = gpu_engine._sort.last_stats
+        stats = gpu_engine.sort_executor.last_stats
         # A duplicate-range generation too small to batch into one
         # segmented launch degrades to per-range CPU jobs.
         assert stats.jobs_cpu >= 1
@@ -171,7 +171,7 @@ class TestHybridSortExecution:
         gpu_engine.execute_sql(
             "SELECT s_store, s_ticket FROM sales "
             "ORDER BY s_store, s_ticket", query_id="segsort")
-        stats = gpu_engine._sort.last_stats
+        stats = gpu_engine.sort_executor.last_stats
         assert stats.duplicate_jobs > stats.jobs_total
         assert stats.jobs_cpu == 0
         assert stats.jobs_gpu >= 2
@@ -209,7 +209,7 @@ class TestSegmentedDescentMatchesListOracle:
                f"FROM sales {order_by}")
         engine = request.getfixturevalue("gpu_engine")
         got = engine.execute_sql(sql, query_id="q")
-        got_stats = engine._sort.last_stats
+        got_stats = engine.sort_executor.last_stats
 
         def list_form(self, encoded, order, starts, lengths, *rest):
             ranges = list(zip(starts.tolist(), lengths.tolist()))
@@ -219,7 +219,7 @@ class TestSegmentedDescentMatchesListOracle:
                             list_form)
         oracle = type(engine)(small_catalog, config=engine.config)
         want = oracle.execute_sql(sql, query_id="q")
-        assert got_stats == oracle._sort.last_stats
+        assert got_stats == oracle.sort_executor.last_stats
         assert got_stats.duplicate_jobs >= 1
         assert tables_equal(got.table, want.table)
         assert got.profile.events == want.profile.events

@@ -22,6 +22,7 @@ so two checkouts' recordings compare with ``diff -r``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,11 +40,12 @@ TRANSCRIPT_PATH = os.path.join(os.path.dirname(__file__),
                                "monitor_transcripts.json")
 SCALE, SEED = 0.02, 7
 
-#: Engine keyword arguments of each case.
+#: Engine keyword arguments of each case, from the database's config.
 CASES = {
-    "default": lambda: {},
-    "raced": lambda: {"race_kernels": True},
-    "launch-fault": lambda: {"faults": FaultPlan.parse("launch:p=1.0")},
+    "default": lambda config: {"config": config},
+    "raced": lambda config: {"config": config, "race_kernels": True},
+    "launch-fault": lambda config: {"config": dataclasses.replace(
+        config, faults=FaultPlan.parse("launch:p=1.0"))},
 }
 
 
@@ -51,7 +53,7 @@ def surfaces(catalog, config) -> Iterator[tuple[str, str]]:
     """``(surface id, text)`` for every case of the grid."""
     complex_queries = queries_by_category(QueryCategory.COMPLEX)
     for case, kwargs in CASES.items():
-        engine = GpuAcceleratedEngine(catalog, config=config, **kwargs())
+        engine = GpuAcceleratedEngine(catalog, **kwargs(config))
         for query in complex_queries:
             engine.execute_sql(query.sql, query_id=query.query_id)
         yield f"{case}/report", engine.monitor.report()

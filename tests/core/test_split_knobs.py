@@ -83,7 +83,7 @@ class TestKnobOffIsNotEnumerated:
         assert not engine.config.shard_enabled
         assert engine.scheduler.healthy_device_ids() == [0, 1]
         engine.execute_sql(c4.sql, query_id="c4")
-        assert engine._sort.last_stats.jobs_gpu >= 2   # the paths ran
+        assert engine.sort_executor.last_stats.jobs_gpu >= 2   # the paths ran
         assert instants(engine, "pathselect.shard") == []
         assert pricing_calls == []
 
@@ -111,8 +111,9 @@ class TestKnobOffIsNotEnumerated:
         verdicts = instants(declined, "pathselect.partition")
         assert [v.attributes["partition"] for v in verdicts] == [False] * 2
         assert twin.profile.events == result.profile.events
-        assert declined._sort.last_stats == off._sort.last_stats
-        assert off._sort.last_stats.fallbacks == 2
+        assert (declined.sort_executor.last_stats
+                == off.sort_executor.last_stats)
+        assert off.sort_executor.last_stats.fallbacks == 2
 
     def test_every_site_is_silent_with_both_knobs_off(
             self, sales_table, stores_table, pricing_calls):
@@ -162,7 +163,7 @@ class TestSortFallbacksCountWorkThatEndedOnTheHost:
         waves = instants(engine, "shard.exec")
         assert [w.attributes["rerouted"] for w in waves] == [1, 0]
         assert [w.attributes["cpu_shards"] for w in waves] == [0, 0]
-        stats = engine._sort.last_stats
+        stats = engine.sort_executor.last_stats
         assert stats.sharded_jobs == 2
         assert stats.fallbacks == 0
 
@@ -172,7 +173,7 @@ class TestSortFallbacksCountWorkThatEndedOnTheHost:
         on the host workers — one fallback each."""
         engine = make_engine([sales_table], device_bytes=256 * 1024)
         result = engine.execute_sql(SEGMENTED_SQL, query_id="no-room")
-        stats = engine._sort.last_stats
+        stats = engine.sort_executor.last_stats
         assert stats.partitioned_jobs == 1
         assert stats.jobs_cpu == 2 and stats.fallbacks == 2
         assert tables_equal(
@@ -187,5 +188,5 @@ class TestSortFallbacksCountWorkThatEndedOnTheHost:
         engine.execute_sql(SORT_SQL, query_id="slices")
         waves = instants(engine, "partition.exec")
         assert [w.attributes["gpu_partitions"] for w in waves] == [0, 0]
-        assert engine._sort.last_stats.fallbacks \
+        assert engine.sort_executor.last_stats.fallbacks \
             == sum(w.attributes["cpu_partitions"] for w in waves) == 8

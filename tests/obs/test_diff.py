@@ -6,10 +6,12 @@ deltas must sum to the end-to-end delta, and the operator rows a
 
 import glob
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.obs.diff import (
     DiffError,
     SIDECAR_FORMAT,
@@ -293,6 +295,21 @@ class TestSidecars:
                 assert set(doc["profiles"]) == set(json.load(f)["queries"])
             for qid, data in doc["profiles"].items():
                 assert diff_profiles(data, data).total_delta == 0.0, qid
+
+    def test_every_bench_baseline_has_its_sidecar(self, capsys):
+        """``bench --update`` writes a sidecar beside each baseline, so
+        each committed one (the ``queries`` documents; ``serve-bench``'s
+        has ``points`` and none) is committed with it and every ablation
+        twin attributes through ``profile-diff``."""
+        for bench in sorted(glob.glob("benchmarks/baselines/BENCH_*.json")):
+            with open(bench) as f:
+                if "queries" in json.load(f):
+                    assert os.path.exists(sidecar_path(bench)), bench
+        assert main([
+            "profile-diff", "benchmarks/baselines/BENCH_over_memory.json",
+            "benchmarks/baselines/BENCH_over_memory_partition_off.json",
+        ]) == 0
+        assert "queries diffed:" in capsys.readouterr().out
 
 
 class TestBenchExplanation:

@@ -106,7 +106,7 @@ class TestDeferredRecorder:
         queries = bd_insights_queries()[::5]
         profiles = [driver.profile(q, gpu=True) for q in queries]
         users = [UserScript(f"session{i}", list(profiles)) for i in range(64)]
-        result = WorkloadSimulator(driver._sim_config(True)).run(users)
+        result = WorkloadSimulator(driver.config).run(users)
         clock = SimClock()
         tracer = Tracer()
         registry = MetricsRegistry()

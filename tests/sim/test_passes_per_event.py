@@ -41,7 +41,7 @@ def replay(bd_catalog, bd_config):
     users = [
         UserScript(f"session{i}", list(profiles)) for i in range(SESSIONS)
     ]
-    return driver._sim_config(True), queries, users
+    return driver.config, queries, users
 
 
 def counting(monkeypatch, owner, name):

@@ -41,7 +41,8 @@ def engine():
     (TWO_JOIN_SQL, "repro.gpu.fusion.FusedExecutor.__call__"),
     (GROUPBY_SQL, "repro.core.hybrid_groupby.HybridGroupByExecutor.__call__"),
     (RANK_SQL, "repro.core.hybrid_sort.HybridSortExecutor.rank_order"),
-], ids=["fused", "groupby", "rank"])
+    (GROUPBY_SQL, "repro.blu.engine.BluEngine.execute_plan"),
+], ids=["fused", "groupby", "rank", "engine"])
 def test_a_wrapper_installed_after_construction_is_hit(engine, sql, seam):
     recorder = tracing.SpanRecorder()
     with recorder.patched():
