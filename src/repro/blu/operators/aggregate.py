@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.blu.column import Column
-from repro.blu.datatypes import DataType, float64, int64
+from repro.blu.datatypes import DataType, int64
 from repro.blu.expressions import AggFunc, AggSpec
 from repro.blu.table import Table
 from repro.errors import ExecutionError, TypeMismatchError
@@ -108,6 +108,34 @@ def dense_span(keys: np.ndarray, rows: int) -> Optional[tuple]:
     return (lo, span) if span <= 4 * rows else None
 
 
+def _reduce_singletons(func: AggFunc, values: np.ndarray,
+                       valid: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`_reduce` when group ``g`` is row ``g``: each row's own value,
+    bit for bit — a float sum is ``0.0 + float64(v)`` (so -0.0 becomes
+    0.0), MIN/MAX keep NaN and -0.0, and a NULL row gets the reduction's
+    empty-group fill."""
+    if func is AggFunc.COUNT:
+        return (np.ones(len(values), dtype=np.int64) if valid is None
+                else valid.astype(np.int64))
+    is_float = values.dtype.kind == "f"
+    if func is AggFunc.AVG or (func is AggFunc.SUM and is_float):
+        out = np.add(values, 0.0, dtype=np.float64)
+        fill = np.nan if func is AggFunc.AVG else 0.0
+    elif func is AggFunc.SUM:
+        out, fill = values.astype(np.int64), 0
+    elif func in (AggFunc.MIN, AggFunc.MAX):
+        out = values.astype(values.dtype if is_float else np.int64)
+        if func is AggFunc.MIN:
+            fill = np.inf if is_float else np.iinfo(np.int64).max
+        else:
+            fill = -np.inf if is_float else np.iinfo(np.int64).min
+    else:
+        raise ExecutionError(f"unsupported aggregate {func}")
+    if valid is not None:
+        out[~valid] = fill
+    return out
+
+
 def _reduce(func: AggFunc, group_index: np.ndarray, n_groups: int,
             values: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
     """Apply one aggregation per group (``valid`` None: no NULL to mask)."""
@@ -151,11 +179,25 @@ def apply_aggregates(
     Returns ``[(alias, output_type, column)]`` in SELECT-list order.  String
     MIN/MAX aggregate on collation ranks and decode back through the
     dictionary, mirroring how the GPU path must lock-protect wide values.
+    Groups are numbered by first appearance (:func:`group_encode`), so as
+    many groups as rows means group ``g`` is row ``g``: every aggregate is
+    then its row's own value, with no reduction and no DISTINCT pass.
     """
+    singleton = len(group_index) == n_groups
+
+    def reduce(func: AggFunc, values: np.ndarray,
+               valid: Optional[np.ndarray], distinct: bool = False):
+        if singleton:
+            return _reduce_singletons(func, values, valid)
+        gi = group_index
+        if distinct:
+            gi, values, valid = _distinct_pairs(group_index, values, valid)
+        return _reduce(func, gi, n_groups, values, valid)
+
     out: list[tuple[str, DataType, Column]] = []
     for spec in aggs:
         if spec.expr is None:  # COUNT(*)
-            counts = np.bincount(group_index, minlength=n_groups).astype(np.int64)
+            counts = reduce(AggFunc.COUNT, group_index, None)
             out.append((spec.alias, int64(), Column(int64(), counts)))
             continue
         res = spec.expr.evaluate(table)
@@ -163,37 +205,22 @@ def apply_aggregates(
         if res.dtype.is_string:
             if spec.func is AggFunc.COUNT:
                 # COUNT([DISTINCT] string): count on factorised codes.
-                _, codes = np.unique(res.values.astype(str),
-                                     return_inverse=True)
-                codes = codes.astype(np.int64)
-                if spec.distinct:
-                    gi, vals, ok = _distinct_pairs(group_index, codes, valid)
-                else:
-                    gi, vals, ok = group_index, codes, valid
-                reduced = _reduce(AggFunc.COUNT, gi, n_groups, vals, ok)
-                out.append((spec.alias, int64(),
-                            Column(int64(), reduced.astype(np.int64))))
+                codes = res.values
+                if not singleton:
+                    codes = np.unique(res.values.astype(str),
+                                      return_inverse=True)[1].astype(np.int64)
+                reduced = reduce(AggFunc.COUNT, codes, valid, spec.distinct)
+                out.append((spec.alias, int64(), Column(int64(), reduced)))
                 continue
-            col = _string_min_max(spec, group_index, n_groups, table, valid)
+            col = _string_min_max(spec, reduce, table, valid)
             out.append((spec.alias, res.dtype, col))
             continue
-        values = res.values
-        if spec.distinct and spec.func in (AggFunc.SUM, AggFunc.COUNT,
-                                           AggFunc.AVG):
-            group_index_in, values_in, valid_in = _distinct_pairs(
-                group_index, values, valid)
-            reduced = _reduce(spec.func, group_index_in, n_groups,
-                              values_in, valid_in)
-        else:
-            reduced = _reduce(spec.func, group_index, n_groups, values,
-                              valid)
+        reduced = reduce(spec.func, res.values, valid,
+                         spec.distinct and spec.func in (
+                             AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG))
         out_type = spec.output_type(table)
-        if spec.func is AggFunc.AVG:
-            col = Column(float64(), reduced.astype(np.float64))
-            out.append((spec.alias, float64(), col))
-        else:
-            col = Column(out_type, reduced.astype(out_type.numpy_dtype))
-            out.append((spec.alias, out_type, col))
+        col = Column(out_type, reduced.astype(out_type.numpy_dtype))
+        out.append((spec.alias, out_type, col))
     return out
 
 
@@ -214,9 +241,10 @@ def _distinct_pairs(group_index: np.ndarray, values: np.ndarray,
     return group_index[selected], values[selected], None
 
 
-def _string_min_max(spec: AggSpec, group_index: np.ndarray, n_groups: int,
-                    table: Table, valid: np.ndarray) -> Column:
-    """MIN/MAX over a dictionary-encoded string column."""
+def _string_min_max(spec: AggSpec, reduce, table: Table,
+                    valid: np.ndarray) -> Column:
+    """MIN/MAX over a dictionary-encoded string column (``reduce``: the
+    operator's reduction of one rank array)."""
     from repro.blu.expressions import ColumnRef
 
     if spec.func not in (AggFunc.MIN, AggFunc.MAX):
@@ -227,7 +255,7 @@ def _string_min_max(spec: AggSpec, group_index: np.ndarray, n_groups: int,
     if source.dictionary is None:
         raise TypeMismatchError("string aggregates require an encoded column")
     ranks = source.dictionary.sort_rank[source.data].astype(np.int64)
-    reduced_rank = _reduce(spec.func, group_index, n_groups, ranks, valid)
+    reduced_rank = reduce(spec.func, ranks, valid)
     # Map winning ranks back to codes: invert sort_rank.
     code_of_rank = np.empty(source.dictionary.cardinality, dtype=np.int32)
     code_of_rank[source.dictionary.sort_rank] = np.arange(

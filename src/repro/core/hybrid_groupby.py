@@ -20,6 +20,7 @@ This is the paper's centrepiece.  For each group-by the executor:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -173,7 +174,7 @@ class HybridGroupByExecutor:
         request = GroupByRequest(
             keys=combined, key_bits=key_bits, payloads=payloads,
             estimated_groups=metadata.estimated_groups, exact_keys=exact,
-            factors=factors,
+            factors=factors, hashes=hashes,
         )
         kernel, table_bytes = self._reserve(metadata, request)
         staged = metadata.staged_input_bytes()
@@ -231,9 +232,11 @@ class HybridGroupByExecutor:
         Splitting on the grouping-key hash (``hashes``, of the distinct
         keys) makes the pieces' group sets disjoint, so the merge is a
         renumber-and-concatenate pass — no re-aggregation — and a piece
-        is a slice of the operator's one factorisation: the keys hashed
-        to it, already in piece-local appearance order, and their
-        counts.  The final numbering is that factorisation's — global
+        is a slice of the operator's one factorisation, cut at the group
+        level: the keys hashed to it, already in piece-local appearance
+        order, their counts and their hashes.  Its rows are split out
+        only for a kernel that reads them.  The final numbering is that
+        factorisation's — global
         first appearance — which makes the output *bit-identical* to the
         stock CPU chain's for any piece count and any mix of per-piece
         GPU faults (a faulted piece is charged the CPU chain instead and
@@ -260,7 +263,12 @@ class HybridGroupByExecutor:
         group_index, distinct, counts = factors
         piece_of_group = hash_shard_assignment(hashes, pieces)
         piece_groups = split_rows(piece_of_group, pieces)
-        piece_rows = split_rows(piece_of_group[group_index], pieces)
+
+        @functools.cache
+        def piece_rows() -> list[np.ndarray]:
+            # The per-row split, for a kernel that reads rows.
+            return split_rows(piece_of_group[group_index], pieces)
+
         if sharded:
             # The host only builds the shard index vectors (bandwidth-
             # bound); computing the per-row hash is on-device work,
@@ -276,38 +284,43 @@ class HybridGroupByExecutor:
 
         # First pass sizes every piece, so a shard wave's H2D legs can be
         # priced with the real switch contention before anything launches.
+        # A piece's rows are its groups' counts.
+        piece_hashes = [hashes[groups_p] for groups_p in piece_groups]
         metas = [
             RuntimeMetadata(
-                rows=len(rows_p),
+                rows=int(counts[groups_p].sum()),
                 optimizer_groups=optimizer_groups / pieces,
-                kmv_groups=estimate_distinct(hashes[groups_p],
-                                             k=1024).groups,
+                kmv_groups=estimate_distinct(hashes_p, k=1024).groups,
                 key_bits=key_bits, num_keys=len(node.keys),
                 payloads=payloads, exact_keys=exact,
-            ) if len(rows_p) else None
-            for rows_p, groups_p in zip(piece_rows, piece_groups)
+            ) if len(groups_p) else None
+            for groups_p, hashes_p in zip(piece_groups, piece_hashes)
         ]
         piece_bytes = [m.staged_input_bytes() if m else 0 for m in metas]
 
+        # Every group's id within its piece (the pieces' group sets are
+        # disjoint, so one array holds them all).
         local = np.empty(len(distinct), dtype=np.int64)
+        for groups_p in piece_groups:
+            local[groups_p] = np.arange(len(groups_p))
         with dispatch.wave("groupby", ctx, plan, piece_bytes) as wave:
-            for p, (rows_p, groups_p, meta) in enumerate(
-                    zip(piece_rows, piece_groups, metas)):
+            for p, (groups_p, meta) in enumerate(zip(piece_groups, metas)):
                 if meta is None:
                     continue
-                local[groups_p] = np.arange(len(groups_p))
                 request = GroupByRequest(
                     keys=None, key_bits=key_bits, payloads=payloads,
                     estimated_groups=meta.estimated_groups,
                     exact_keys=exact,
-                    factors=Factorisation(local[group_index[rows_p]],
-                                          distinct[groups_p],
+                    factors=Factorisation(None, distinct[groups_p],
                                           counts[groups_p]),
+                    hashes=piece_hashes[p],
+                    row_groups=lambda p=p: local[group_index[
+                        piece_rows()[p]]],
                 )
                 staged = meta.staged_input_bytes()
                 kernel, _reason = self.moderator.choose(meta)
                 if sharded:
-                    ctx.ledger.cpu("MEMCPY", len(rows_p),
+                    ctx.ledger.cpu("MEMCPY", meta.rows,
                                    staged / cost.cpu_memcpy_rate, ctx.degree)
 
                 def run(bytes_in: int) -> Kernel:
@@ -329,7 +342,7 @@ class HybridGroupByExecutor:
                                           prep_seconds=prep_seconds)
 
                 winner = wave.launch(Piece(
-                    rows=len(rows_p),
+                    rows=meta.rows,
                     memory=(staged + meta.result_bytes()
                             + kernel.table_bytes(request)),
                     tag="groupby-shard" if sharded else "groupby-part",
@@ -338,7 +351,7 @@ class HybridGroupByExecutor:
                 if winner is None:
                     # The piece runs on the CPU chain instead (truly
                     # hybrid; the reroute of last resort for a shard).
-                    _piece_on_cpu(len(rows_p), node, payloads, ctx)
+                    _piece_on_cpu(meta.rows, node, payloads, ctx)
                 self._note_kmv(meta.kmv_groups, len(groups_p),
                                stamp_span=False)
 

@@ -168,7 +168,7 @@ def _run_with_regrow(
     """
     wasted = 0.0
     headroom = 1.5
-    grown = replace(request, factors=request.factorisation(),
+    grown = replace(request, factors=request.groups(),
                     estimated_groups=max(1, request.estimated_groups))
     for attempt in range(max_attempts):
         try:

@@ -538,12 +538,13 @@ class FusedExecutor:
                 # instead (the host sketches the distinct keys, as
                 # ``_run_on_gpu`` does).
                 factors, first_row = factorise(combined)
-                kmv = estimate_distinct(murmur3_fmix64(factors.keys), k=1024)
+                hashes = murmur3_fmix64(factors.keys)
+                kmv = estimate_distinct(hashes, k=1024)
                 fused_seconds += current.num_rows / cost.gpu_scan_rate
                 request = GroupByRequest(
                     keys=combined, key_bits=key_bits, payloads=payloads,
                     estimated_groups=metadata.estimated_groups,
-                    exact_keys=exact, factors=factors,
+                    exact_keys=exact, factors=factors, hashes=hashes,
                 )
 
                 ctx.ledger.extend(build_fused_host_chain(

@@ -44,8 +44,9 @@ class RegularGroupByKernel:
             request.estimated_groups, request.key_bits, request.payloads,
             headroom=headroom,
         )
-        factors = request.factorisation()
-        _row_slot, stats = table.insert(factors)
+        factors = request.groups()
+        stats = table.insert_stats(factors.keys, factors.counts,
+                                   request.hashes)
         n_groups = stats.groups         # fresh table: one entry per group
 
         init_seconds = table.table_bytes / self.cost.gpu_init_rate
@@ -53,7 +54,7 @@ class RegularGroupByKernel:
         if request.key_bits > 64:
             insert_seconds *= _WIDE_KEY_LOCK_PENALTY
         agg_seconds = self.atomics.total_aggregation_seconds(
-            request.payloads, request.rows, n_groups, row_lock=self.row_lock,
+            request.payloads, stats.rows, n_groups, row_lock=self.row_lock,
         )
         return GroupByKernelResult(
             kernel=self.name,

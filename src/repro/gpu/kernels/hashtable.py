@@ -17,7 +17,13 @@ Three pieces of section 4.3.1 live here:
   the table was sized too small — the error path the KMV estimate guards.
   On the host a CAS round is a reversed scatter of key ids into a slot-owner
   array and a gather back, over a compacted ``(key id, slot)`` walk; the key
-  words land in ``table`` once, from the final slots.
+  words land in ``table`` once, from the final slots.  The slots come from
+  the host chain's Murmur of the distinct keys when the caller has it.
+
+The join reads the layout (:meth:`GpuHashTable.insert`); a group-by kernel
+reads only the statistics (:meth:`GpuHashTable.insert_stats`), which need
+no rounds when every key is one row: they follow from the per-slot home
+counts.
 """
 
 from __future__ import annotations
@@ -212,8 +218,11 @@ class GpuHashTable:
         distinction the paper draws survives in the cost model: wide keys
         pay the lock-guarded insert penalty.
         """
-        hashed = murmur3_fmix64(keys)
-        return (hashed % np.uint64(self.slots)).astype(np.int64)
+        return self._home(murmur3_fmix64(keys))
+
+    def _home(self, hashes: np.ndarray) -> np.ndarray:
+        """Home slot of every Murmur-mixed key word."""
+        return (hashes % np.uint64(self.slots)).astype(np.int64)
 
     def as_stored(self, keys: np.ndarray) -> np.ndarray:
         """``keys`` as this table stores them: the empty marker rides under
@@ -224,8 +233,9 @@ class GpuHashTable:
         return np.where(keys == _EMPTY, self.alias,
                         np.where(keys == self.alias, _EMPTY, keys))
 
-    def insert(self,
-               factors: Factorisation) -> tuple[np.ndarray, InsertStats]:
+    def insert(self, factors: Factorisation,
+               hashes: np.ndarray | None = None
+               ) -> tuple[np.ndarray, InsertStats]:
         """Insert every row's key; return (slot per row, stats).
 
         Simulates the massively-parallel loop: all unresolved rows act each
@@ -237,11 +247,42 @@ class GpuHashTable:
         its key-mates find the entry one round later.  A table takes one
         insert: starting empty, it overflows iff the batch has more distinct
         keys than slots, which is decided before the first round.
+        ``hashes`` (Murmur of ``factors.keys``, the host chain's) pick the
+        slots when given.
         """
+        group_index, dkeys, weight = factors
+        dkeys, pos = self._claim(dkeys, hashes)
+        key_slot, probes, rounds = self._walk(pos, weight)
+        self.table[key_slot] = dkeys
+        return key_slot[group_index], InsertStats(
+            rows=len(group_index), probes=probes, rounds=rounds,
+            groups=self.filled, slots=self.slots)
+
+    def insert_stats(self, keys: np.ndarray, counts: np.ndarray,
+                     hashes: np.ndarray | None = None) -> InsertStats:
+        """:meth:`insert`'s statistics for distinct ``keys`` of ``counts``
+        rows each, without its layout: all a group-by kernel reads.
+
+        When every key is one row the CAS rounds need not run (see
+        :meth:`_unit_walk`); repeated keys walk them.
+        """
+        _keys, pos = self._claim(keys, hashes)
+        if len(counts) and int(counts.max()) > 1:
+            _slot, probes, rounds = self._walk(pos, counts)
+        else:
+            probes, rounds = self._unit_walk(pos)
+        return InsertStats(rows=int(counts.sum()), probes=probes,
+                           rounds=rounds, groups=self.filled,
+                           slots=self.slots)
+
+    def _claim(self, dkeys: np.ndarray, hashes: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Take this table for the distinct ``dkeys``: ``(keys as stored,
+        home slot of each)``.  ``hashes`` are reused unless the empty-slot
+        alias rewrites a key."""
         if self.filled:
             raise HashTableReuseError(
                 "insert runs once per table (it must start empty)")
-        group_index, dkeys, weight = factors
         n_keys = len(dkeys)
         if n_keys > self.slots:
             raise HashTableOverflowError(
@@ -254,7 +295,21 @@ class GpuHashTable:
             while (dkeys == alias).any():
                 alias += 1
             self.alias = alias
-            dkeys = self.as_stored(dkeys)
+            dkeys, hashes = self.as_stored(dkeys), None
+        self.filled = n_keys
+        pos = self._slot_of(dkeys) if hashes is None else self._home(hashes)
+        return dkeys, pos
+
+    def _walk(self, pos: np.ndarray,
+              weight: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """``(slot of each key, probes, rounds)`` of the CAS rounds for
+        distinct keys starting at ``pos``, of ``weight`` rows each.
+
+        On the host a round is a reversed scatter of key ids into a
+        slot-owner array and a gather back, over a compacted ``(key id,
+        slot)`` walk.
+        """
+        n_keys = len(pos)
         # owner[s] is the id of the key holding slot s (-1: free).  Ids
         # ascend by first row, so scattering them in reverse leaves the
         # earliest contender in each free slot: the atomicCAS winner.
@@ -262,7 +317,6 @@ class GpuHashTable:
         key_slot = np.empty(n_keys, dtype=np.int64)
         unit = not n_keys or int(weight.max()) == 1
         active = bid = np.arange(n_keys)     # round 1: every slot is free
-        pos = self._slot_of(dkeys)
         probes = rounds = 0
         while active.size:      # keys <= slots: every path ends at a free slot
             rounds += 1
@@ -281,8 +335,36 @@ class GpuHashTable:
             # An occupied slot bids its owner, so only free slots change.
             occupant = owner[pos]
             bid = np.where(occupant < 0, active, occupant)
-        self.table[key_slot] = dkeys
-        self.filled = n_keys
-        return key_slot[group_index], InsertStats(
-            rows=len(group_index), probes=probes, rounds=rounds,
-            groups=self.filled, slots=self.slots)
+        return key_slot, probes, rounds
+
+    def _unit_walk(self, pos: np.ndarray) -> tuple[int, int]:
+        """``(probes, rounds)`` of :meth:`_walk` when every key is one row,
+        from the per-slot home counts alone.
+
+        A round moves every unplaced key one slot on, so the keys at a slot
+        in one round share a home, and the nearest home reaches a free slot
+        first.  Which key wins does not change how many cross each slot
+        boundary (the *carry*), so the probes are the carries' sum; and the
+        key that waits longest is the one whose home opened the longest run
+        of boundaries with a carry, so the rounds are that run plus one.
+        The carry out of slot ``s`` is ``max(0, carry in + homes - 1)``:
+        round the ring once from slot 0 with nothing carried in, then again
+        from what left the last slot — a free slot (or, full, the least
+        loaded boundary) carries nothing, so the second lap is exact.
+        """
+        if not len(pos):
+            return 0, 0
+        # carry = wrap + prefix - min(0, wrap + running minimum of prefix),
+        # prefix the running sum of (homes - 1), computed in place.
+        carry = np.bincount(pos, minlength=self.slots)
+        carry -= 1
+        np.cumsum(carry, out=carry)
+        low = np.minimum.accumulate(carry)
+        wrap = int(carry[-1]) - min(0, int(low[-1]))
+        carry += wrap
+        low += wrap
+        np.minimum(low, 0, out=low)
+        carry -= low
+        idle = np.flatnonzero(carry == 0)   # never empty (see above)
+        gaps = np.diff(idle, append=idle[0] + self.slots)
+        return int(carry.sum()), int(gaps.max())

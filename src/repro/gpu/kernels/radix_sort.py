@@ -54,11 +54,18 @@ class RadixSortKernel:
         """Sort ``keys`` (uint32 partial keys); stable within equal keys."""
         keys = np.ascontiguousarray(keys, dtype=np.uint32)
         rows = len(keys)
-        order = np.argsort(keys.astype(np.uint16), kind="stable")
-        high = (keys >> np.uint32(16)).astype(np.uint16)
-        order = order[np.argsort(high[order], kind="stable")]
-
-        starts, lengths = find_duplicate_ranges(keys[order])
+        if rows and (keys == keys[0]).all():
+            # One value (a wide key's constant top word): the stable order
+            # is the identity and every row is one duplicate range.
+            order = np.arange(rows)
+            ranges = int(rows > 1)
+            starts = np.zeros(ranges, dtype=np.intp)
+            lengths = np.full(ranges, rows, dtype=np.intp)
+        else:
+            order = np.argsort(keys.astype(np.uint16), kind="stable")
+            high = (keys >> np.uint32(16)).astype(np.uint16)
+            order = order[np.argsort(high[order], kind="stable")]
+            starts, lengths = find_duplicate_ranges(keys[order])
 
         kernel_seconds = (
             rows * _PASSES / (self.cost.gpu_radix_sort_rate * _PASSES)

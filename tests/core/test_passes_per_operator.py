@@ -64,6 +64,7 @@ class Counts:
         self.sketches = counting(monkeypatch, "estimate_distinct")
         self.digests = counting(monkeypatch, "content_digest")
         self.probes = counting(monkeypatch, "_probe")
+        self.splits = counting(monkeypatch, "split_rows")
         self.encodes_at_probe = []
         probe = sys.modules["repro.gpu.kernels.join"]._probe
 
@@ -153,6 +154,65 @@ def test_sharded_groupby_factorises_once_and_sort_shards_need_no_digest(
     # A split sort reads only the segment's table name: nothing to name.
     assert counts.digests == []
     reference = BluEngine(bd_catalog).execute_sql(BD["C4"].sql).table
+    assert table_checksum(counts.result.table) == table_checksum(reference)
+
+
+def _sharded_engine(bd_catalog, gpus):
+    config = dataclasses.replace(
+        scaled_config(bd_catalog, gpus=gpus), shard_enabled=True,
+        nvlink_enabled=True, fusion_enabled=False)
+    return GpuAcceleratedEngine(bd_catalog, config=config,
+                                enable_join_offload=True)
+
+
+@pytest.mark.parametrize("gpus", [0, 2, 4])
+def test_one_murmur_per_group_by_whatever_the_piece_count(
+        monkeypatch, bd_catalog, bd_config, gpus):
+    """The chain hashes the distinct keys once; the piece split, each
+    piece's KMV sketch and each kernel's slot choice reuse those hashes
+    (0: the over-memory query in partitions on the default config)."""
+    if gpus:
+        engine = _sharded_engine(bd_catalog, gpus)
+        query, path = BD["C4"], "gpu-sharded"
+    else:
+        engine = GpuAcceleratedEngine(bd_catalog, config=bd_config)
+        query, path = screen_queries(engine)[1][0], "gpu-partitioned"
+    counts = Counts(monkeypatch, engine, query)
+    assert ("groupby", path) in counts.paths
+    rows, groups = counts.operator
+    assert [len(keys) for keys, _ in counts.hashes] == [groups]
+    # The whole-input sketch (sharded only), then one per piece.
+    pieces = len(counts.sketches) - bool(gpus)
+    assert pieces == gpus if gpus else pieces >= 2
+
+
+@pytest.mark.parametrize("query_id,row_kernel", [
+    ("over-memory", False), ("C4", False), ("C5", True)])
+def test_pieces_split_rows_only_for_a_kernel_that_reads_them(
+        monkeypatch, bd_catalog, bd_config, query_id, row_kernel):
+    """Pieces are cut at the group level: the per-row split runs once, and
+    only when the shared-memory kernel, which reads rows, takes a piece —
+    never for the regular or biglock kernel.  The over-memory query runs
+    in partitions, BD C4 and C5 in four shards."""
+    if query_id == "over-memory":
+        engine = GpuAcceleratedEngine(bd_catalog, config=bd_config)
+        query = screen_queries(engine)[1][0]
+    else:
+        engine = _sharded_engine(bd_catalog, 4)
+        query = BD[query_id]
+    pieces = []
+    shared = sys.modules["repro.gpu.kernels.groupby_shared"]
+    run = shared.SharedMemoryGroupByKernel.run
+    monkeypatch.setattr(shared.SharedMemoryGroupByKernel, "run",
+                        lambda self, request, headroom=1.5: (
+                            pieces.append(request.keys is None)
+                            or run(self, request, headroom)))
+    counts = Counts(monkeypatch, engine, query)
+    rows, groups = counts.operator
+    assert any(pieces) is row_kernel
+    splits = [len(part) for part, _ in counts.splits]
+    assert splits == [groups] + ([rows] if row_kernel else [])
+    reference = BluEngine(bd_catalog).execute_sql(query.sql).table
     assert table_checksum(counts.result.table) == table_checksum(reference)
 
 

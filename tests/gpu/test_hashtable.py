@@ -11,6 +11,7 @@ from repro.blu.operators.aggregate import (
     factorise,
     group_encode,
 )
+from repro.blu.statistics import murmur3_fmix64
 from repro.errors import HashTableOverflowError, HashTableReuseError
 from repro.gpu.kernels.hashtable import (
     GpuHashTable,
@@ -231,6 +232,35 @@ _insert_cases = st.one_of(
               st.booleans(), st.integers(0, 2**32 - 1)))
 
 
+class _NoWalk(GpuHashTable):
+    """A table whose CAS rounds must not run."""
+
+    def _walk(self, pos, weight):
+        raise AssertionError("walked the CAS rounds")
+
+
+#: Murmur-mixed candidate keys (sparse, like packed composites).
+_POOL = np.arange(1, 20_000, dtype=np.int64) * 7919
+
+
+@st.composite
+def _one_row_per_key(draw):
+    """``(distinct keys, slots)`` with up to as many keys as slots, homed
+    anywhere or crowded round the last slot so that walks wrap; some
+    batches hold the empty-slot marker."""
+    slots = draw(st.integers(1, 64))
+    pool = _POOL
+    if draw(st.booleans()):
+        home = murmur3_fmix64(pool) % np.uint64(slots)
+        pool = pool[(home + np.uint64(2)) % np.uint64(slots) < 3]
+    n = draw(st.integers(0, min(slots, len(pool))))
+    keys = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                              max_size=n, unique=True))]
+    if n and draw(st.booleans()):
+        keys[draw(st.integers(0, n - 1))] = np.iinfo(np.int64).min
+    return keys, slots
+
+
 def _attempt(insert, keys):
     """``(row_slot, stats)`` or the overflow the insert raised."""
     try:
@@ -253,9 +283,18 @@ class TestInsertMatchesRowLevelOracle:
         old = GpuHashTable(slots, 64, layout)
         got = _attempt(lambda k: _insert(new, k), keys)
         want = _attempt(lambda k: insert_row_level(old, k), keys)
+        # What a group-by kernel reads: the statistics alone, fed the
+        # chain's hashes or hashing for itself.
+        factors = factorise(keys)[0]
+        counted = [_attempt(lambda k: GpuHashTable(slots, 64, layout)
+                            .insert_stats(factors.keys, factors.counts, h),
+                            keys)
+                   for h in (None, murmur3_fmix64(factors.keys))]
         if isinstance(want, HashTableOverflowError):
             assert isinstance(got, HashTableOverflowError)
             assert new.filled == 0
+            assert all(isinstance(c, HashTableOverflowError)
+                       for c in counted)
             return
         assert np.array_equal(new.table, old.table)
         assert new.filled == old.filled
@@ -265,6 +304,22 @@ class TestInsertMatchesRowLevelOracle:
         assert stats.fill_ratio == ref_stats.fill_ratio
         assert np.array_equal(factorise(keys)[0].group_index,
                               group_encode([ref_slot])[0])
+        assert counted == [ref_stats, ref_stats]
+
+    @given(case=_one_row_per_key())
+    @settings(max_examples=400, deadline=None)
+    def test_one_row_per_key_statistics_need_no_walk(self, case):
+        """Every key on one row: the probes and rounds come from the
+        per-slot home counts, with no CAS round walked — on full tables,
+        on walks that wrap past the last slot, and with the empty-slot
+        marker among the keys (its alias is hashed afresh, not taken from
+        the chain's hashes)."""
+        keys, slots = case
+        layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
+        ref_stats = insert_row_level(GpuHashTable(slots, 64, layout), keys)[1]
+        got = _NoWalk(slots, 64, layout).insert_stats(
+            keys, np.ones(len(keys), dtype=np.int64), murmur3_fmix64(keys))
+        assert got == ref_stats
 
     def test_second_insert_is_a_typed_misuse_error(self):
         layout = HashTableLayout.build(64, [PayloadSpec(int64(), AggFunc.SUM)])
