@@ -85,3 +85,18 @@ class TestDuplicateRanges:
         assert list(zip(starts.tolist(), lengths.tolist())) == want
         assert _ranges(result) == want
         assert np.array_equal(result.order, np.argsort(arr, kind="stable"))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1_000])
+def test_constant_key_skips_the_passes_and_prices_the_same(kernel, rows):
+    """A one-valued partial key (a wide key's constant top word) is the
+    identity order and one duplicate range, priced like any other key."""
+    constant = kernel.run(np.full(rows, 7, dtype=np.uint32))
+    varied = kernel.run(np.arange(rows, dtype=np.uint32)[::-1].copy())
+    assert constant.order.tolist() == list(range(rows))
+    starts, lengths = find_duplicate_ranges(np.full(rows, 7, np.uint32))
+    assert constant.duplicate_starts.tolist() == starts.tolist()
+    assert constant.duplicate_lengths.tolist() == lengths.tolist()
+    assert constant.duplicate_starts.dtype == starts.dtype
+    assert constant.kernel_seconds == varied.kernel_seconds
+    assert constant.device_bytes == varied.device_bytes
