@@ -121,11 +121,11 @@ def _reduce_singletons(func: AggFunc, values: np.ndarray,
     if func is AggFunc.AVG or (func is AggFunc.SUM and is_float):
         out = np.add(values, 0.0, dtype=np.float64)
         fill = np.nan if func is AggFunc.AVG else 0.0
-    elif func is AggFunc.SUM:
-        out, fill = values.astype(np.int64), 0
-    elif func in (AggFunc.MIN, AggFunc.MAX):
+    elif func in (AggFunc.SUM, AggFunc.MIN, AggFunc.MAX):
         out = values.astype(values.dtype if is_float else np.int64)
-        if func is AggFunc.MIN:
+        if func is AggFunc.SUM:
+            fill = 0
+        elif func is AggFunc.MIN:
             fill = np.inf if is_float else np.iinfo(np.int64).max
         else:
             fill = -np.inf if is_float else np.iinfo(np.int64).min
@@ -219,7 +219,8 @@ def apply_aggregates(
                          spec.distinct and spec.func in (
                              AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG))
         out_type = spec.output_type(table)
-        col = Column(out_type, reduced.astype(out_type.numpy_dtype))
+        col = Column(out_type, reduced.astype(out_type.numpy_dtype,
+                                              copy=False))
         out.append((spec.alias, out_type, col))
     return out
 
@@ -306,7 +307,9 @@ def build_group_output(
     for key in keys:
         src = table.column(key)
         fields.append(Field(key, src.dtype))
-        columns.append(src.take(first_row))
+        # As many groups as rows: group g's first row is row g.
+        columns.append(src if n_groups == len(group_index)
+                       else src.take(first_row))
     for alias, dtype, col in apply_aggregates(group_index, n_groups, table, aggs):
         fields.append(Field(alias, dtype))
         columns.append(col)

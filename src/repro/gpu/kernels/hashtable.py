@@ -28,6 +28,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,6 @@ class GpuHashTable:
         self.slots = int(slots)
         self.key_bits = key_bits
         self.layout = layout
-        self.table = np.full(self.slots, _EMPTY, dtype=np.int64)
         self.filled = 0
         self.alias: np.int64 | None = None  # what the empty-marker key rides as
 
@@ -199,6 +199,13 @@ class GpuHashTable:
         slots = max(16, int(estimated_groups * headroom))
         layout = HashTableLayout.build(key_bits, payloads)
         return cls(slots, key_bits, layout)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The stored key of every slot, built on first use: only
+        :meth:`insert` writes it, so sizing a table or reading its
+        statistics allocates no slots."""
+        return np.full(self.slots, _EMPTY, dtype=np.int64)
 
     @property
     def table_bytes(self) -> int:
@@ -221,8 +228,9 @@ class GpuHashTable:
         return self._home(murmur3_fmix64(keys))
 
     def _home(self, hashes: np.ndarray) -> np.ndarray:
-        """Home slot of every Murmur-mixed key word."""
-        return (hashes % np.uint64(self.slots)).astype(np.int64)
+        """Home slot of every Murmur-mixed key word (below ``slots``, so
+        the signed view is exact)."""
+        return (hashes % np.uint64(self.slots)).view(np.int64)
 
     def as_stored(self, keys: np.ndarray) -> np.ndarray:
         """``keys`` as this table stores them: the empty marker rides under
