@@ -86,10 +86,14 @@ def _tables(draw):
             min_size=n, max_size=n))
 
     schema = Schema.of(("i", int64()), ("f", float64()), ("s", varchar(4)))
-    return Table.from_pydict("t", schema, {
+    table = Table.from_pydict("t", schema, {
         "i": column(_INTS), "f": column(_FLOATS),
         "s": column(st.sampled_from(["a", "b", "zz", ""])),
     })
+    if draw(st.booleans()):
+        # A filtered input: its columns are still deferred gathers.
+        table = table.take(draw(st.permutations(range(n))))
+    return table
 
 
 _SPECS = st.lists(st.one_of(
@@ -125,3 +129,4 @@ def test_a_filtered_index_of_group_length_is_not_the_identity():
     [(_alias, _dtype, col)] = apply_aggregates(np.array([0, 0, 1]), 2,
                                                table, [spec])
     assert col.data.tolist() == [11, 0]
+
