@@ -241,9 +241,8 @@ class GpuHashTable:
         return np.where(keys == _EMPTY, self.alias,
                         np.where(keys == self.alias, _EMPTY, keys))
 
-    def insert(self, factors: Factorisation,
-               hashes: np.ndarray | None = None
-               ) -> tuple[np.ndarray, InsertStats]:
+    def insert(self,
+               factors: Factorisation) -> tuple[np.ndarray, InsertStats]:
         """Insert every row's key; return (slot per row, stats).
 
         Simulates the massively-parallel loop: all unresolved rows act each
@@ -255,11 +254,9 @@ class GpuHashTable:
         its key-mates find the entry one round later.  A table takes one
         insert: starting empty, it overflows iff the batch has more distinct
         keys than slots, which is decided before the first round.
-        ``hashes`` (Murmur of ``factors.keys``, the host chain's) pick the
-        slots when given.
         """
         group_index, dkeys, weight = factors
-        dkeys, pos = self._claim(dkeys, hashes)
+        dkeys, pos = self._claim(dkeys, None)
         key_slot, probes, rounds = self._walk(pos, weight)
         self.table[key_slot] = dkeys
         return key_slot[group_index], InsertStats(
