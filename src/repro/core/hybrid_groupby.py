@@ -236,11 +236,10 @@ class HybridGroupByExecutor:
         level: the keys hashed to it, already in piece-local appearance
         order, their counts and their hashes.  Its rows are split out
         only for a kernel that reads them.  The final numbering is that
-        factorisation's — global
-        first appearance — which makes the output *bit-identical* to the
-        stock CPU chain's for any piece count and any mix of per-piece
-        GPU faults (a faulted piece is charged the CPU chain instead and
-        changes nothing downstream).
+        factorisation's — global first appearance — which makes the
+        output *bit-identical* to the stock CPU chain's for any piece
+        count and any mix of per-piece GPU faults (a faulted piece is
+        charged the CPU chain instead and changes nothing downstream).
 
         A plan in time streams device-sized partitions of an over-
         memory input back-to-back (the host chain runs per partition).

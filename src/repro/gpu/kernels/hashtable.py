@@ -256,7 +256,7 @@ class GpuHashTable:
         keys than slots, which is decided before the first round.
         """
         group_index, dkeys, weight = factors
-        dkeys, pos = self._claim(dkeys, None)
+        dkeys, pos = self._claim(dkeys)
         key_slot, probes, rounds = self._walk(pos, weight)
         self.table[key_slot] = dkeys
         return key_slot[group_index], InsertStats(
@@ -280,7 +280,7 @@ class GpuHashTable:
                            rounds=rounds, groups=self.filled,
                            slots=self.slots)
 
-    def _claim(self, dkeys: np.ndarray, hashes: np.ndarray | None
+    def _claim(self, dkeys: np.ndarray, hashes: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
         """Take this table for the distinct ``dkeys``: ``(keys as stored,
         home slot of each)``.  ``hashes`` are reused unless the empty-slot
